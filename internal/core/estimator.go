@@ -130,9 +130,6 @@ type Estimator struct {
 	// en is the precomputed correlation engine (see engine.go), built
 	// once at construction from a snapshot of the pattern set.
 	en *engine
-	// txIDs caches patterns.TXIDs() (the set is immutable after
-	// construction) so per-selection Eq. 4 scans allocate nothing.
-	txIDs []sector.ID
 	// gathers pools gather scratch so the steady-state estimate path
 	// allocates nothing per call.
 	gathers sync.Pool
@@ -161,7 +158,7 @@ func NewEstimator(patterns *pattern.Set, opts Options) (*Estimator, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown correlation kernel %q", opts.Kernel)
 	}
-	e := &Estimator{patterns: patterns, opts: opts, en: newEngine(patterns, opts), txIDs: patterns.TXIDs()}
+	e := &Estimator{patterns: patterns, opts: opts, en: newEngine(patterns, opts)}
 	e.gathers.New = func() any {
 		metScratchMisses.Inc()
 		return &gatherScratch{}
@@ -583,33 +580,11 @@ func (e *Estimator) finishSelection(probes []Probe, aoa AoAEstimate, err error) 
 		metSelectFallback.Inc()
 		return Selection{Sector: id, Gain: math.NaN(), AoA: aoa, Fallback: true}, nil
 	}
-	id, gain := e.bestSector(aoa.Az, aoa.El)
+	id, gain := e.patterns.BestSector(aoa.Az, aoa.El)
 	if math.IsNaN(gain) {
 		return Selection{}, errors.New("core: pattern set has no usable TX sector")
 	}
 	return Selection{Sector: id, Gain: gain, AoA: aoa}, nil
-}
-
-// bestSector is pattern.Set.BestSector over the cached TX ID order —
-// the same ascending scan and strictly-greater update, minus the
-// per-call ID sort and its allocation.
-func (e *Estimator) bestSector(az, el float64) (sector.ID, float64) {
-	best, bestGain := sector.RX, math.Inf(-1)
-	found := false
-	for _, id := range e.txIDs {
-		g := e.patterns.Get(id).At(az, el)
-		if math.IsNaN(g) {
-			continue
-		}
-		if g > bestGain {
-			best, bestGain = id, g
-			found = true
-		}
-	}
-	if !found {
-		return sector.RX, math.NaN()
-	}
-	return best, bestGain
 }
 
 // isCtxErr reports whether err is a context cancellation or deadline.

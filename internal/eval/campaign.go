@@ -112,14 +112,13 @@ func codebookGainRef(set *pattern.Set) float64 {
 	return sum / float64(len(ids))
 }
 
-// campaignTrueSNR is the noiseless SNR of one sector toward the trial's
-// channel state. linkSNR already folds in the distance pathloss; atten
-// models an omnidirectional blockage.
-func campaignTrueSNR(p *pattern.Pattern, az, el, linkSNR, atten, gainRef float64) float64 {
-	if p == nil {
-		return math.Inf(-1)
-	}
-	g := p.At(az, el)
+// campaignTrueSNR is the noiseless SNR toward the trial's channel state of
+// a sector whose pattern gain toward the trial direction is g (NaN when
+// missing, giving -Inf). linkSNR already folds in the distance pathloss;
+// atten models an omnidirectional blockage. The transform is monotone
+// non-decreasing in g under floating-point rounding, so the best sector's
+// SNR is campaignTrueSNR of the best gain.
+func campaignTrueSNR(g, linkSNR, atten, gainRef float64) float64 {
 	if math.IsNaN(g) {
 		return math.Inf(-1)
 	}
@@ -171,6 +170,7 @@ func RecordCampaign(ctx context.Context, p *Platform, cfg CampaignConfig) ([]tra
 	defer w.Close()
 
 	txIDs := p.Patterns.TXIDs()
+	ix := p.Patterns.Index()
 	gainRef := codebookGainRef(p.Patterns)
 	model := radio.DefaultMeasurementModel()
 
@@ -232,13 +232,13 @@ func RecordCampaign(ctx context.Context, p *Platform, cfg CampaignConfig) ([]tra
 
 		idx := rng.Sample(len(txIDs), cfg.M)
 		sort.Ints(idx)
-		az, el := float64(rec.AzDeg), float64(rec.ElDeg)
+		loc := ix.Locate(float64(rec.AzDeg), float64(rec.ElDeg))
 		linkSNR, atten := float64(rec.LinkSNR), float64(rec.AttenDB)
 		rec.Probes = make([]tracestore.ProbeSample, 0, cfg.M)
 		probes := make([]core.Probe, 0, cfg.M)
 		for _, j := range idx {
 			id := txIDs[j]
-			snr := campaignTrueSNR(p.Patterns.Get(id), az, el, linkSNR, atten, gainRef)
+			snr := campaignTrueSNR(ix.Gain(loc, id), linkSNR, atten, gainRef)
 			meas, ok := model.Observe(snr, rng)
 			ps := tracestore.ProbeSample{Sector: id, OK: ok}
 			if ok {
@@ -461,7 +461,7 @@ func ReplayCampaign(ctx context.Context, p *Platform, cfg CampaignConfig) (*Camp
 		return nil, err
 	}
 
-	txIDs := p.Patterns.TXIDs()
+	ix := p.Patterns.Index()
 	gainRef := codebookGainRef(p.Patterns)
 	partials := make([]campaignTally, len(shards))
 	for i := range partials {
@@ -526,15 +526,12 @@ func ReplayCampaign(ctx context.Context, p *Platform, cfg CampaignConfig) (*Camp
 			if sel.Fallback {
 				t.fallbacks++
 			}
-			az, el := float64(rec.AzDeg), float64(rec.ElDeg)
+			az := float64(rec.AzDeg)
+			loc := ix.Locate(az, float64(rec.ElDeg))
 			linkSNR, atten := float64(rec.LinkSNR), float64(rec.AttenDB)
-			best := math.Inf(-1)
-			for _, id := range txIDs {
-				if s := campaignTrueSNR(p.Patterns.Get(id), az, el, linkSNR, atten, gainRef); s > best {
-					best = s
-				}
-			}
-			got := campaignTrueSNR(p.Patterns.Get(sel.Sector), az, el, linkSNR, atten, gainRef)
+			_, bestGain := ix.BestSector(loc)
+			best := campaignTrueSNR(bestGain, linkSNR, atten, gainRef)
+			got := campaignTrueSNR(ix.Gain(loc, sel.Sector), linkSNR, atten, gainRef)
 			if !math.IsInf(best, -1) && !math.IsInf(got, -1) {
 				t.loss.Observe(milliDB(best - got))
 			}

@@ -225,12 +225,6 @@ type Manager struct {
 	patterns *pattern.Set
 	model    radio.MeasurementModel
 	txIDs    []sector.ID
-	// pats and txPats are pointer arrays resolved from patterns at
-	// construction: pats is indexed by sector ID, txPats parallels
-	// txIDs. The serve and scan hot paths hit these instead of the
-	// pattern set's map.
-	pats   [256]*pattern.Pattern
-	txPats []*pattern.Pattern
 	// gainRef is the codebook's mean peak gain; trueSNR normalizes
 	// pattern gains by it so refSNRDB means "an average sector, on
 	// boresight, at the reference distance".
@@ -308,18 +302,14 @@ func New(est *core.Estimator, patterns *pattern.Set, opts ...Option) (*Manager, 
 		patterns: patterns,
 		model:    radio.DefaultMeasurementModel(),
 		txIDs:    txIDs,
-		txPats:   make([]*pattern.Pattern, len(txIDs)),
 		fastScan: cfg.degradeDropDB >= 0,
 		shards:   make([]*shard, cfg.shards),
 		mask:     uint64(cfg.shards - 1),
 		roundRNG: stats.NewFastRNG(0),
 	}
 	var sum float64
-	for i, id := range txIDs {
-		p := patterns.Get(id)
-		m.pats[id] = p
-		m.txPats[i] = p
-		_, _, peak := p.Peak()
+	for _, id := range txIDs {
+		_, _, peak := patterns.Get(id).Peak()
 		sum += peak
 	}
 	m.gainRef = sum / float64(len(txIDs))
@@ -345,9 +335,6 @@ func ceilPow2(n int) int {
 }
 
 func (m *Manager) shardOf(id StationID) *shard { return m.shards[uint64(id)&m.mask] }
-
-// pat resolves a sector's pattern without the set's map lookup.
-func (m *Manager) pat(id sector.ID) *pattern.Pattern { return m.pats[id] }
 
 // Len returns the current station count across all shards.
 func (m *Manager) Len() int {

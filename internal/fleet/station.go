@@ -83,16 +83,12 @@ func roundSeed(fleetSeed int64, id StationID, round uint32) int64 {
 // sector of mean peak gain sees cfg.refSNRDB before impairments.
 const refDistM = 3.0
 
-// trueSNR returns the noiseless SNR of sector id toward st under the
-// fleet's lightweight single-path channel: reference SNR, log-distance
-// pathloss, the measured pattern gain toward the station (normalized by
-// the codebook's mean peak gain) and any active blockage attenuation.
-func (m *Manager) trueSNR(st *station, id sector.ID) float64 {
-	p := m.pat(id)
-	if p == nil {
-		return math.Inf(-1)
-	}
-	g := p.At(st.az, st.el)
+// trueSNR returns the noiseless SNR toward st of a sector whose pattern
+// gain toward it is g, under the fleet's lightweight single-path channel:
+// reference SNR, log-distance pathloss, the gain (normalized by the
+// codebook's mean peak gain) and any active blockage attenuation. A
+// missing gain (NaN) gives -Inf.
+func (m *Manager) trueSNR(st *station, g float64) float64 {
 	if math.IsNaN(g) {
 		return math.Inf(-1)
 	}
@@ -103,26 +99,15 @@ func (m *Manager) trueSNR(st *station, id sector.ID) float64 {
 	return snr
 }
 
-// bestSector returns the transmit sector with the highest pattern gain
-// toward st and that gain — the ground-truth optimum the SNR-loss
-// distribution is measured against.
-func (m *Manager) bestSector(st *station) (sector.ID, float64) {
-	best, bestGain := sector.RX, math.Inf(-1)
-	for i, p := range m.txPats {
-		g := p.At(st.az, st.el)
-		if !math.IsNaN(g) && g > bestGain {
-			best, bestGain = m.txIDs[i], g
-		}
-	}
-	return best, bestGain
-}
-
-// cachedBestGain is bestSector's gain through the per-station memo: the
-// full codebook scan runs only when drift moved the station since the
-// last call.
+// cachedBestGain returns the highest transmit-sector pattern gain toward
+// st (Eq. 4 at the true direction; NaN when no sector has a sample
+// there), the ground-truth optimum the SNR-loss distribution is measured
+// against. The per-station memo reruns the codebook scan only when drift
+// moved the station since the last call.
 func (m *Manager) cachedBestGain(st *station) float64 {
 	if !st.bestValid {
-		_, st.bestGain = m.bestSector(st)
+		ix := m.patterns.Index()
+		_, st.bestGain = ix.BestSector(ix.Locate(st.az, st.el))
 		st.bestValid = true
 	}
 	return st.bestGain
@@ -145,11 +130,8 @@ func (m *Manager) refreshCurGain(st *station, h *hotStation) {
 // gainToward returns id's pattern gain toward st (math.NaN when the
 // pattern has no sample there).
 func (m *Manager) gainToward(st *station, id sector.ID) float64 {
-	p := m.pat(id)
-	if p == nil {
-		return math.NaN()
-	}
-	return p.At(st.az, st.el)
+	ix := m.patterns.Index()
+	return ix.Gain(ix.Locate(st.az, st.el), id)
 }
 
 // effGain is gainToward minus any active blockage attenuation — the
@@ -171,7 +153,10 @@ func (m *Manager) effGain(st *station, id sector.ID) float64 {
 // entries. The round's RNG stream is derived from roundSeed through the
 // manager's reseedable round RNG and the sample scratch — both reused
 // across rounds, both only touched under stepMu (serve synthesizes
-// serially; only the estimation fans out).
+// serially; only the estimation fans out). The station is located on the
+// pattern index once per round, not once per probe.
+//
+//talon:noalloc
 func (m *Manager) synthProbes(st *station, dst []core.Probe) []core.Probe {
 	rng := m.roundRNG
 	rng.Reseed(roundSeed(m.cfg.seed, st.id, st.round))
@@ -179,11 +164,13 @@ func (m *Manager) synthProbes(st *station, dst []core.Probe) []core.Probe {
 	m.sampleIdx = idx[:0]
 	// Keep stock sweep order, like dot11ad.SubSweepSchedule.
 	sortInts(idx)
+	ix := m.patterns.Index()
+	loc := ix.Locate(st.az, st.el)
 	dst = dst[:0]
 	for _, j := range idx {
 		id := m.txIDs[j]
 		pr := core.Probe{Sector: id}
-		meas, ok := m.model.Observe(m.trueSNR(st, id), rng)
+		meas, ok := m.model.Observe(m.trueSNR(st, ix.Gain(loc, id)), rng)
 		if ok && st.faultLossFrac > 0 && rng.Bool(st.faultLossFrac) {
 			ok = false
 		}

@@ -2,8 +2,8 @@ package pattern
 
 import (
 	"fmt"
-	"math"
 	"sort"
+	"sync/atomic"
 
 	"talon/internal/geom"
 	"talon/internal/sector"
@@ -12,8 +12,14 @@ import (
 // Set maps sector IDs to their measured patterns. All patterns in a set
 // share one grid. A Set is the "codebook knowledge" the compressive
 // selection algorithm consumes.
+//
+// Lookups (BestSector, GainVector, Index) go through an Index compiled on
+// first use and dropped by Put, so a pattern must not be modified in place
+// once its set has served a lookup: Put a replacement instead.
 type Set struct {
 	patterns map[sector.ID]*Pattern
+	// index memoizes Index(); nil until the first lookup after a Put.
+	index atomic.Pointer[Index]
 }
 
 // NewSet returns an empty pattern set.
@@ -31,7 +37,21 @@ func (s *Set) Put(id sector.ID, p *Pattern) error {
 		}
 	}
 	s.patterns[id] = p
+	s.index.Store(nil)
 	return nil
+}
+
+// Index returns the set compiled for direction lookups. It is built once,
+// on first use after the last Put, and is safe for concurrent use.
+func (s *Set) Index() *Index {
+	if ix := s.index.Load(); ix != nil {
+		return ix
+	}
+	ix := compileIndex(s)
+	if s.index.CompareAndSwap(nil, ix) {
+		return ix
+	}
+	return s.index.Load()
 }
 
 func (s *Set) anyPattern() *Pattern {
@@ -83,14 +103,11 @@ func (s *Set) TXIDs() []sector.ID {
 // returns the gains, in the order of ids. Missing patterns or samples yield
 // NaN entries.
 func (s *Set) GainVector(ids []sector.ID, az, el float64) []float64 {
+	ix := s.Index()
+	l := ix.Locate(az, el)
 	out := make([]float64, len(ids))
 	for i, id := range ids {
-		p := s.patterns[id]
-		if p == nil {
-			out[i] = math.NaN()
-			continue
-		}
-		out[i] = p.At(az, el)
+		out[i] = ix.Gain(l, id)
 	}
 	return out
 }
@@ -100,22 +117,8 @@ func (s *Set) GainVector(ids []sector.ID, az, el float64) []float64 {
 // that gain. It returns (sector.RX, NaN) if the set holds no usable TX
 // pattern.
 func (s *Set) BestSector(az, el float64) (sector.ID, float64) {
-	best, bestGain := sector.RX, math.Inf(-1)
-	found := false
-	for _, id := range s.TXIDs() {
-		g := s.patterns[id].At(az, el)
-		if math.IsNaN(g) {
-			continue
-		}
-		if g > bestGain {
-			best, bestGain = id, g
-			found = true
-		}
-	}
-	if !found {
-		return sector.RX, math.NaN()
-	}
-	return best, bestGain
+	ix := s.Index()
+	return ix.BestSector(ix.Locate(az, el))
 }
 
 // Clone returns a deep copy of the set.
