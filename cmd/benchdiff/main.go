@@ -26,7 +26,7 @@
 //
 //	go test ./internal/core/ -run xxx -bench ... | \
 //	    go run ./cmd/benchdiff -against BENCH_engine.json \
-//	    -speedup 'BenchmarkEstimateAoA_Quant>=2xBenchmarkEstimateAoA_Hier'
+//	    -speedup 'BenchmarkEstimateAoA_Quant>=2xBenchmarkEstimateAoA_QuantDense'
 //
 // Unlike baseline deltas these compare two measurements from the same
 // machine and process, so they are enforced (exit 1 on violation) even
@@ -153,7 +153,7 @@ type speedupGate struct {
 }
 
 // speedupSpec matches 'FAST>=FACTORxBASE', e.g.
-// 'BenchmarkEstimateAoA_Quant>=2xBenchmarkEstimateAoA_Hier'.
+// 'BenchmarkEstimateAoA_Quant>=2xBenchmarkEstimateAoA_QuantDense'.
 var speedupSpec = regexp.MustCompile(`^(Benchmark\S+?)>=([0-9.]+)x(Benchmark\S+)$`)
 
 func parseSpeedup(spec string) (speedupGate, error) {

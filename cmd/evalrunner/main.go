@@ -22,12 +22,13 @@
 // flags together for a record-then-replay round trip, or record once and
 // replay many times.
 //
-// Estimation: -exact forces the paper-faithful exhaustive grid search;
-// by default the estimators run the hierarchical coarse-to-fine search
+// Estimation: -exact forces the exhaustive scan of every grid point; by
+// default the estimators run the hierarchical coarse-to-fine search
 // (same selections on essentially all inputs, several times faster —
-// see DESIGN.md §12). -workers bounds the trial-loop parallelism; the
-// engine's internal sharding is capped automatically so trial workers ×
-// engine shards never oversubscribes GOMAXPROCS.
+// see DESIGN.md §12). Both run on the quantized int16 kernel, so neither
+// is bit-identical to the float64 serial reference (DESIGN.md §15).
+// -workers bounds the trial-loop parallelism; each estimate runs on the
+// goroutine of its trial worker.
 //
 // Fault injection: -fault-rates sets the loss rates the faultsweep
 // study sweeps (comma-separated), -fault-burst the mean loss-burst
@@ -64,7 +65,7 @@ var (
 	list       = flag.Bool("list", false, "list the registered studies and exit")
 	outDir     = flag.String("out", "", "also write <study>.txt and <study>.json artifacts to this directory")
 	workers    = flag.Int("workers", 0, "trial-loop worker count (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
-	exact      = flag.Bool("exact", false, "force the paper-faithful exhaustive grid search instead of the hierarchical coarse-to-fine search")
+	exact      = flag.Bool("exact", false, "scan every grid point exhaustively instead of the hierarchical coarse-to-fine search (both on the quantized kernel)")
 	metricsOut = flag.String("metrics", "", "dump the metrics registry as JSON to this file on exit (\"-\" = stdout)")
 	debugAddr  = flag.String("debug", "", "serve /metrics and /debug/pprof on this address (e.g. localhost:6060)")
 	cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")

@@ -4,8 +4,6 @@ import (
 	"context"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -21,8 +19,7 @@ type BatchResult struct {
 // an optional warm-start hint (the Cell of the item's previous
 // selection; NoCell runs the full search). Hints follow the same
 // contract as SelectSectorWarm — they can only change cost, never the
-// selection beyond the equivalence budget — and are ignored entirely by
-// the float64 kernel.
+// selection beyond the equivalence budget.
 type BatchItem struct {
 	Probes []Probe
 	Hint   Cell
@@ -39,15 +36,14 @@ func BatchOf(batch [][]Probe) []BatchItem {
 }
 
 // SelectSectorBatch runs the full CSS pipeline over a batch of
-// independent probe vectors on one persistent worker pool, amortizing
-// the per-call goroutine spawn and scratch churn of calling SelectSector
-// in a loop. Each item's estimate runs with engine sharding disabled
-// (the batch workers are the only parallelism), so the combined
-// goroutine count is exactly the worker count and nested fan-out cannot
-// oversubscribe GOMAXPROCS. workers <= 0 picks GOMAXPROCS; any value is
-// capped at GOMAXPROCS and at the batch size. Per-item results are
-// deterministic and identical to SelectSector (or, for hinted items,
-// SelectSectorWarm) at any worker count.
+// independent probe vectors through the batch-major quantized pass
+// (tile.go): items are split into contiguous per-worker chunks, and each
+// chunk shares one tiled sweep of the coarse dictionary instead of
+// streaming it once per item as a SelectSector loop would. workers <= 0
+// picks GOMAXPROCS; any value is capped at GOMAXPROCS and at the batch
+// size. Per-item results are deterministic and identical to
+// SelectSector (or, for hinted items, SelectSectorWarm) at any worker
+// count.
 //
 // ctx is observed between items and inside each item's grid search; on
 // cancellation the batch returns ctx.Err() and the results are
@@ -75,43 +71,7 @@ func (e *Estimator) SelectSectorBatch(ctx context.Context, batch []BatchItem, wo
 	metBatchOccupancy.Set(float64(n) / (float64(workers) * rounds))
 
 	out := make([]BatchResult, n)
-	if e.en != nil && e.en.quant() {
-		// Batch-major quantized pipeline: the coarse dictionary is swept
-		// tile by tile for a whole worker chunk at once (see tile.go).
-		// Per-item results are identical to the per-item loop below.
-		if err := e.selectBatchQuant(ctx, batch, out, workers); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	if workers == 1 {
-		for i := range batch {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			sel, err := e.selectShards(ctx, batch[i].Probes, 1)
-			out[i] = BatchResult{Selection: sel, Err: err}
-		}
-		return out, nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || ctx.Err() != nil {
-					return
-				}
-				sel, err := e.selectShards(ctx, batch[i].Probes, 1)
-				out[i] = BatchResult{Selection: sel, Err: err}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if err := e.selectBatchQuant(ctx, batch, out, workers); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"context"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"talon/internal/pattern"
@@ -17,48 +14,45 @@ import (
 // amplitudes, built once per Estimator. The serial reference path calls
 // Pattern.At (two binary-search brackets plus a bilinear interpolation)
 // and math.Pow for every probed sector at every grid point of every
-// estimate; the engine pays that cost exactly once at construction, so
-// the grid search reduces to centered dot products over contiguous
-// slices. Grid rows (elevations) are sharded across a GOMAXPROCS-sized
-// worker pool, and per-call scratch (correlation surface, probe column
-// map) is recycled through sync.Pools.
+// estimate; the engine pays that cost exactly once at construction and
+// quantizes the result to int16 codes, so the grid search reduces to
+// integer moment sweeps over contiguous slices (quant.go). Per-call
+// scratch is recycled through sync.Pools.
 type engine struct {
 	az, el []float64
 	stride int        // dense dictionary columns per grid point
 	cols   [256]int16 // sector ID -> dense column, -1 when absent
 	// dict holds the linear amplitude of every sector at every grid
 	// point, laid out [(ei*numAz+ai)*stride + col]; NaN marks points the
-	// pattern does not cover. Values are amp(Pattern.At(az, el)) — the
-	// exact quantity the serial reference computes per call — so both
-	// paths agree bit for bit.
+	// pattern does not cover (or covers with a non-finite sample).
+	// Values are amp(Pattern.At(az, el)) — the exact quantity the serial
+	// reference computes per call — so the float epilogue (quantEpilogue)
+	// and the multipath search reproduce the reference's arithmetic.
 	dict []float64
 
-	// Hierarchical coarse-to-fine search (see hier.go). coarse is a
-	// contiguous decimated copy of dict covering only the grid points
-	// (cElIdx[ci], cAzIdx[cj]), laid out [(ci*len(cAzIdx)+cj)*stride +
-	// col]. Empty when the hierarchy is disabled (ExactSearch, tiny
-	// grids, decimation < 2), in which case every estimate runs the
-	// exhaustive dense search.
-	coarse []float64
+	// Hierarchical coarse-to-fine search (see hier.go): the dense az/el
+	// indices of the decimated coarse grid, the refinement window radii
+	// and the candidate count. Empty when the hierarchy is disabled
+	// (ExactSearch, tiny grids, decimation < 2), in which case every
+	// estimate runs the exhaustive dense scan.
 	cAzIdx []int32 // dense az index of each coarse grid column
 	cElIdx []int32 // dense el index of each coarse grid row
 	winAz  int     // dense az radius refined around a candidate cell
 	winEl  int     // dense el radius refined around a candidate cell
 	topK   int     // coarse candidate cells refined per estimate
 
-	// Quantized int16 kernel (see quant.go / tile.go). dictQ and coarseQ
-	// are fixed-point twins of dict and coarse ([0, quantOne] amplitude
-	// codes, quantMissing for NaN); empty when the options pin the
-	// float64 kernel or the dictionary has no finite entry. tilePts is
-	// the L1 tile size of the coarse sweeps, in grid points; fullQ marks
-	// a dictionary with no missing entries, enabling the fused
+	// Quantized int16 kernel (see quant.go / tile.go). dictQ is the
+	// fixed-point twin of dict ([0, quantOne] amplitude codes,
+	// quantMissing for NaN) and coarseQ its decimated copy over the
+	// coarse grid, laid out [(ci*len(cAzIdx)+cj)*stride + col]. tilePts
+	// is the L1 tile size of the coarse sweeps, in grid points; fullQ
+	// marks a dictionary with no missing entries, enabling the fused
 	// hoisted-moment sweep (jointQFast).
 	dictQ   []int16
 	coarseQ []int16
 	tilePts int
 	fullQ   bool
 
-	surfaces     sync.Pool // *[]float64 of len numAz*numEl
 	colBufs      sync.Pool // *[]int16 probe->column scratch
 	hierScratch  sync.Pool // *hierScratch (see hier.go)
 	batchScratch sync.Pool // *quantBatchScratch (see tile.go)
@@ -92,20 +86,16 @@ func newEngine(set *pattern.Set, opts Options) *engine {
 		for ei, el := range en.el {
 			base := ei * numAz * en.stride
 			for ai, az := range en.az {
-				g := p.At(az, el)
-				v := math.NaN()
-				if !math.IsNaN(g) {
-					v = amp(g)
+				// A sample the pattern does not cover, or one whose
+				// amplitude is not finite, is a hole: both the float
+				// epilogue and the quantized sweep skip it.
+				v := amp(p.At(az, el))
+				if math.IsInf(v, 0) {
+					v = math.NaN()
 				}
 				en.dict[base+ai*en.stride+col] = v
 			}
 		}
-	}
-	size := numAz * numEl
-	en.surfaces.New = func() any {
-		metScratchMisses.Inc()
-		s := make([]float64, size)
-		return &s
 	}
 	en.colBufs.New = func() any {
 		metScratchMisses.Inc()
@@ -117,18 +107,18 @@ func newEngine(set *pattern.Set, opts Options) *engine {
 		return &quantBatchScratch{}
 	}
 	en.buildCoarse(opts)
-	en.buildQuant(opts)
+	en.buildQuant()
 	return en
 }
 
-// buildCoarse precomputes the decimated coarse dictionary of the
-// hierarchical search (hier.go) by copying every decim-th grid point out
-// of the dense dictionary. The last dense index of each axis is always
-// included so the refinement windows (radius (decim+1)/2) of the coarse
-// samples tile the whole dense grid. The hierarchy is skipped entirely —
-// leaving every estimate on the exhaustive dense search — when the
-// options demand exactness or the coarse grid would not actually be
-// smaller than the dense one.
+// buildCoarse lays out the decimated coarse grid of the hierarchical
+// search (hier.go): every decim-th dense index per axis, plus the last
+// dense index of each axis so the refinement windows (radius
+// (decim+1)/2) of the coarse samples tile the whole dense grid.
+// buildQuant copies the coarse dictionary rows out of the dense one at
+// these indices. The hierarchy is skipped entirely — leaving every
+// estimate on the exhaustive dense scan — when the options demand it or
+// the coarse grid would not actually be smaller than the dense one.
 func (en *engine) buildCoarse(opts Options) {
 	if opts.ExactSearch {
 		return
@@ -154,15 +144,6 @@ func (en *engine) buildCoarse(opts Options) {
 	en.winAz = (decim + 1) / 2
 	en.winEl = (decim + 1) / 2
 	en.topK = topK
-	en.coarse = make([]float64, len(cAz)*len(cEl)*en.stride)
-	pos := 0
-	for _, ei := range cEl {
-		for _, ai := range cAz {
-			src := (int(ei)*numAz + int(ai)) * en.stride
-			copy(en.coarse[pos:pos+en.stride], en.dict[src:src+en.stride])
-			pos += en.stride
-		}
-	}
 	en.hierScratch.New = func() any {
 		metScratchMisses.Inc()
 		return newHierScratch(topK)
@@ -170,7 +151,7 @@ func (en *engine) buildCoarse(opts Options) {
 }
 
 // hier reports whether the hierarchical coarse-to-fine search is built.
-func (en *engine) hier() bool { return len(en.coarse) > 0 }
+func (en *engine) hier() bool { return len(en.cAzIdx) > 0 }
 
 // decimateIndices returns every decim-th index of [0, n) plus the last
 // index, so consecutive selected indices are at most decim apart and the
@@ -185,15 +166,6 @@ func decimateIndices(n, decim int) []int32 {
 	}
 	return out
 }
-
-// getSurface returns a pooled numAz*numEl correlation surface. Contents
-// are stale; fill overwrites every entry, other users must zero it.
-func (en *engine) getSurface() *[]float64 {
-	metScratchGets.Inc()
-	return en.surfaces.Get().(*[]float64)
-}
-
-func (en *engine) putSurface(s *[]float64) { en.surfaces.Put(s) }
 
 // probeCols maps probe sector IDs to dense dictionary columns (-1 for
 // sectors absent from the set, mirroring the serial path's nil-pattern
@@ -216,13 +188,6 @@ func (en *engine) putCols(buf *[]int16) { en.colBufs.Put(buf) }
 // missing-component skips and guards, but with the pattern lookup
 // replaced by a contiguous dictionary read.
 func (en *engine) correlateAt(base int, cols []int16, lin []float64) float64 {
-	return correlateIn(en.dict, base, cols, lin)
-}
-
-// correlateIn is correlateAt over an explicit dictionary slice — the
-// dense dict or the decimated coarse copy; the math is identical either
-// way, so grid points present in both dictionaries score bit-identically.
-func correlateIn(dict []float64, base int, cols []int16, lin []float64) float64 {
 	var xs, ps [64]float64
 	used := 0
 	var sumP, sumX float64
@@ -230,7 +195,7 @@ func correlateIn(dict []float64, base int, cols []int16, lin []float64) float64 
 		if c < 0 {
 			continue
 		}
-		x := dict[base+int(c)]
+		x := en.dict[base+int(c)]
 		if math.IsNaN(x) {
 			continue
 		}
@@ -266,90 +231,11 @@ func correlateIn(dict []float64, base int, cols []int16, lin []float64) float64 
 // jointAt evaluates the joint Eq. 5 correlation at one dictionary base
 // offset. The serial path multiplies unconditionally; when the SNR
 // correlation is exactly 0 the product is identically 0, so skipping the
-// RSSI correlate is value-preserving. Both the dense fill and the
-// hierarchical search go through this helper, so every grid point they
-// share computes bit-identical values.
+// RSSI correlate is value-preserving.
 func (en *engine) jointAt(pt int, cols []int16, snrLin, rssiLin []float64, snrOnly bool) float64 {
-	return jointIn(en.dict, pt, cols, snrLin, rssiLin, snrOnly)
-}
-
-// jointIn is jointAt over an explicit dictionary slice.
-func jointIn(dict []float64, pt int, cols []int16, snrLin, rssiLin []float64, snrOnly bool) float64 {
-	v := correlateIn(dict, pt, cols, snrLin)
+	v := en.correlateAt(pt, cols, snrLin)
 	if v != 0 && !snrOnly {
-		v *= correlateIn(dict, pt, cols, rssiLin)
+		v *= en.correlateAt(pt, cols, rssiLin)
 	}
 	return v
-}
-
-// fillRow computes one elevation row of the joint correlation surface.
-func (en *engine) fillRow(w []float64, ei int, cols []int16, snrLin, rssiLin []float64, snrOnly bool) {
-	numAz := len(en.az)
-	row := w[ei*numAz : (ei+1)*numAz]
-	base := ei * numAz * en.stride
-	for ai := range row {
-		row[ai] = en.jointAt(base+ai*en.stride, cols, snrLin, rssiLin, snrOnly)
-	}
-}
-
-// fill computes the whole surface, sharding elevation rows across a
-// worker pool sized to GOMAXPROCS (further bounded by SetMaxShards and,
-// when maxW > 0, by maxW — the batch path passes 1 so batch workers are
-// the only parallelism). Rows are independent, so the result is
-// identical to the serial row order regardless of scheduling. Workers
-// observe ctx between rows; on cancellation the surface contents are
-// unspecified and ctx.Err() is returned.
-func (en *engine) fill(ctx context.Context, w []float64, cols []int16, snrLin, rssiLin []float64, snrOnly bool, maxW int) error {
-	numEl := len(en.el)
-	workers := runtime.GOMAXPROCS(0)
-	if ms := MaxShards(); ms > 0 && workers > ms {
-		workers = ms
-	}
-	if maxW > 0 && workers > maxW {
-		workers = maxW
-	}
-	if workers > numEl {
-		workers = numEl
-	}
-	if workers <= 1 {
-		for ei := 0; ei < numEl; ei++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			en.fillRow(w, ei, cols, snrLin, rssiLin, snrOnly)
-		}
-		return nil
-	}
-	metRowsSharded.Add(int64(numEl))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				ei := int(next.Add(1)) - 1
-				if ei >= numEl || ctx.Err() != nil {
-					return
-				}
-				en.fillRow(w, ei, cols, snrLin, rssiLin, snrOnly)
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
-}
-
-// argmax scans the flat surface in the serial path's row-major order
-// (elevation outer, azimuth inner, strictly-greater update) so ties
-// break identically.
-func (en *engine) argmax(w []float64) (bestA, bestE int, bestW float64) {
-	numAz := len(en.az)
-	bestW = -1.0
-	for idx, v := range w {
-		if v > bestW {
-			bestA, bestE, bestW = idx%numAz, idx/numAz, v
-		}
-	}
-	return bestA, bestE, bestW
 }

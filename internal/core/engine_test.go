@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -13,10 +14,10 @@ import (
 	"talon/internal/stats"
 )
 
-// sameAoA reports whether the engine and serial estimates agree to within
-// the equivalence tolerance. The two paths perform the identical floating-
-// point operations in the identical order, so they should in fact be
-// bitwise equal; the 1e-12 slack only guards the comparison itself.
+// sameAoA reports whether two estimates agree to within 1e-12. Paths
+// that score the same cell perform the identical floating-point
+// operations in the identical order, so they should in fact be bitwise
+// equal; the slack only guards the comparison itself.
 func sameAoA(a, b AoAEstimate) bool {
 	const tol = 1e-12
 	return math.Abs(a.Az-b.Az) <= tol &&
@@ -35,27 +36,63 @@ func sameSelection(a, b Selection) bool {
 	return math.Abs(a.Gain-b.Gain) <= 1e-12
 }
 
-// TestEngineMatchesSerial is the tentpole equivalence proof: across
-// option variants, probe counts and noisy observations (including missed
-// probes from the defect model), the precomputed-dictionary engine and the
-// reference serial grid search produce identical estimates and
-// selections. Every variant pins ExactSearch — the serial reference is
-// an exhaustive scan, so bit-for-bit equality is only promised for the
-// exhaustive engine path; the default hierarchical search has its own
-// equivalence suite in hier_test.go.
+// sameErrClass reports whether two estimate errors fall in the same
+// class: both nil, or both carrying the same typed sentinel.
+func sameErrClass(a, b error) bool {
+	if (a == nil) != (b == nil) {
+		return false
+	}
+	for _, sentinel := range []error{ErrTooFewProbes, ErrDegenerateSurface} {
+		if errors.Is(a, sentinel) != errors.Is(b, sentinel) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkEpilogue enforces the float-epilogue contract (DESIGN.md §15)
+// against the serial oracle: whenever the production search picks the
+// oracle's grid cell, Az, El and Corr must be bit-identical. It reports
+// whether the two estimates picked the same cell.
+func checkEpilogue(t *testing.T, label string, got, ref AoAEstimate) bool {
+	t.Helper()
+	if got.Cell != ref.Cell {
+		return false
+	}
+	if math.Float64bits(got.Az) != math.Float64bits(ref.Az) ||
+		math.Float64bits(got.El) != math.Float64bits(ref.El) ||
+		math.Float64bits(got.Corr) != math.Float64bits(ref.Corr) ||
+		got.Used != ref.Used {
+		t.Fatalf("%s: same cell %d but estimate %+v != oracle %+v", label, got.Cell, got, ref)
+	}
+	return true
+}
+
+// TestEngineMatchesSerial gates every estimator option variant of the
+// production kernel against the serial oracle, across probe counts and
+// noisy observations (including missed probes from the defect model).
+// On every trial the error classes must match, and whenever both paths
+// pick the same grid cell the estimate must be bit-identical (the
+// epilogue contract). Cell and sector divergences are properties of the
+// int16 kernel, not regressions: they are logged per variant and
+// recorded in EXPERIMENTS.md, and gated by budget only in the
+// default-options suites (quant_equiv_test.go). The m = 4 vectors sit
+// near the ridge regime of TestQuantMinimumProbes and carry most of the
+// divergence.
 func TestEngineMatchesSerial(t *testing.T) {
 	set, gain := synthSetup(t)
 	variants := []struct {
 		name string
 		opts Options
 	}{
-		{"default", Options{ExactSearch: true}},
-		{"snr-only", Options{ExactSearch: true, SNROnly: true}},
-		{"no-refine", Options{ExactSearch: true, NoRefine: true}},
-		{"no-impute", Options{ExactSearch: true, NoImputeMissing: true}},
-		{"snr-only-no-refine", Options{ExactSearch: true, SNROnly: true, NoRefine: true}},
+		{"default", Options{}},
+		{"snr-only", Options{SNROnly: true}},
+		{"no-refine", Options{NoRefine: true}},
+		{"no-impute", Options{NoImputeMissing: true}},
+		{"snr-only-no-refine", Options{SNROnly: true, NoRefine: true}},
 	}
 	model := radio.DefaultMeasurementModel()
+	ctx := context.Background()
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			est, err := NewEstimator(set, v.opts)
@@ -65,6 +102,7 @@ func TestEngineMatchesSerial(t *testing.T) {
 			rng := stats.NewRNG(17)
 			available := sector.TalonTX()
 			for _, m := range []int{4, 8, 14, 34} {
+				cellDiv, sectorDiv := 0, 0
 				for trial := 0; trial < 25; trial++ {
 					ps, err := RandomProbes(rng, available, m)
 					if err != nil {
@@ -73,40 +111,47 @@ func TestEngineMatchesSerial(t *testing.T) {
 					az := -78 + 156*rng.Float64()
 					el := 28 * rng.Float64()
 					probes := observe(t, gain, ps.IDs(), az, el, model, rng)
+					label := fmt.Sprintf("m=%d trial=%d", m, trial)
 
-					gotAoA, gotErr := est.EstimateAoA(context.Background(), probes)
+					gotAoA, gotErr := est.EstimateAoA(ctx, probes)
 					refAoA, refErr := est.EstimateAoASerial(probes)
-					if (gotErr == nil) != (refErr == nil) {
-						t.Fatalf("m=%d trial=%d: engine err %v, serial err %v", m, trial, gotErr, refErr)
+					if !sameErrClass(gotErr, refErr) {
+						t.Fatalf("%s: engine err %v, serial err %v", label, gotErr, refErr)
+					}
+					if gotErr == nil && !checkEpilogue(t, label, gotAoA, refAoA) {
+						cellDiv++
+					}
+
+					gotSel, gotErr := est.SelectSector(ctx, probes)
+					refSel, refErr := est.SelectSectorSerial(probes)
+					if !sameErrClass(gotErr, refErr) {
+						t.Fatalf("%s: select engine err %v, serial err %v", label, gotErr, refErr)
 					}
 					if gotErr != nil {
-						if !errors.Is(gotErr, ErrTooFewProbes) && !errors.Is(gotErr, ErrDegenerateSurface) {
-							t.Fatalf("m=%d trial=%d: untyped engine error %v", m, trial, gotErr)
-						}
-						if errors.Is(gotErr, ErrTooFewProbes) != errors.Is(refErr, ErrTooFewProbes) {
-							t.Fatalf("m=%d trial=%d: sentinel mismatch: %v vs %v", m, trial, gotErr, refErr)
-						}
-					} else if !sameAoA(gotAoA, refAoA) {
-						t.Fatalf("m=%d trial=%d: engine %+v != serial %+v", m, trial, gotAoA, refAoA)
+						continue
 					}
-
-					gotSel, gotErr := est.SelectSector(context.Background(), probes)
-					refSel, refErr := est.SelectSectorSerial(probes)
-					if (gotErr == nil) != (refErr == nil) {
-						t.Fatalf("m=%d trial=%d: select engine err %v, serial err %v", m, trial, gotErr, refErr)
+					if gotSel.AoA.Cell == refSel.AoA.Cell && !sameSelection(gotSel, refSel) {
+						t.Fatalf("%s: same cell but select engine %+v != serial %+v", label, gotSel, refSel)
 					}
-					if gotErr == nil && !sameSelection(gotSel, refSel) {
-						t.Fatalf("m=%d trial=%d: select engine %+v != serial %+v", m, trial, gotSel, refSel)
+					if gotSel.Sector != refSel.Sector {
+						sectorDiv++
 					}
 				}
+				t.Logf("m=%d: %d/25 cell divergences, %d/25 sector divergences vs the serial oracle", m, cellDiv, sectorDiv)
 			}
 		})
 	}
 }
 
 // TestEngineMatchesSerialWithHoles checks the equivalence on patterns with
-// NaN holes, exercising the dictionary's masked entries and the
-// nearest-valid corner substitution baked in at build time.
+// single NaN holes (and one sector with a full missing elevation row),
+// all of which the nearest-valid corner substitution baked into the
+// dictionary at build time fills. Random readings with occasional
+// missing reports must match the serial oracle's error class on every
+// trial and, whenever both paths pick the same grid cell, its estimate
+// bit for bit (the epilogue contract). These readings give near-flat
+// correlation surfaces, so the int16 kernel may settle on a different
+// cell; such divergences are logged, as in TestEngineMatchesSerial.
 func TestEngineMatchesSerialWithHoles(t *testing.T) {
 	grid, err := geom.UniformGrid(-60, 60, 4, 0, 12, 4)
 	if err != nil {
@@ -119,8 +164,6 @@ func TestEngineMatchesSerialWithHoles(t *testing.T) {
 		p := pattern.FromFunc(grid, func(az, el float64) float64 {
 			return 11 - (az-center)*(az-center)/60 - el/4
 		})
-		// Punch holes, including a full missing elevation row for one
-		// sector.
 		p.Set(i, 0, math.NaN())
 		p.Set(i+5, 1, math.NaN())
 		p.Set(2*i, 2, math.NaN())
@@ -133,37 +176,35 @@ func TestEngineMatchesSerialWithHoles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Bit-for-bit against the serial exhaustive reference, so pin
-	// ExactSearch (the random garbage readings below produce surfaces
-	// the hierarchical search is allowed to resolve differently).
+	// Pin ExactSearch: the random readings below produce surfaces the
+	// hierarchical search is allowed to resolve differently.
 	est, err := NewEstimator(set, Options{ExactSearch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	rng := stats.NewRNG(3)
-	ids := make([]sector.ID, 0, 10)
-	for i := 1; i <= 10; i++ {
-		ids = append(ids, sector.ID(i))
-	}
+	cellDiv := 0
 	for trial := 0; trial < 50; trial++ {
-		probes := make([]Probe, 0, len(ids))
-		for _, id := range ids {
-			// Random readings with occasional missing reports.
+		probes := make([]Probe, 0, 10)
+		for i := 1; i <= 10; i++ {
 			probes = append(probes, Probe{
-				Sector: id,
+				Sector: sector.ID(i),
 				Meas:   radio.Measurement{SNR: -5 + 20*rng.Float64(), RSSI: -75 + 20*rng.Float64()},
 				OK:     rng.Float64() > 0.3,
 			})
 		}
-		gotAoA, gotErr := est.EstimateAoA(context.Background(), probes)
+		label := fmt.Sprintf("trial=%d", trial)
+		gotAoA, gotErr := est.EstimateAoA(ctx, probes)
 		refAoA, refErr := est.EstimateAoASerial(probes)
-		if (gotErr == nil) != (refErr == nil) {
-			t.Fatalf("trial=%d: engine err %v, serial err %v", trial, gotErr, refErr)
+		if !sameErrClass(gotErr, refErr) {
+			t.Fatalf("%s: engine err %v, serial err %v", label, gotErr, refErr)
 		}
-		if gotErr == nil && !sameAoA(gotAoA, refAoA) {
-			t.Fatalf("trial=%d: engine %+v != serial %+v", trial, gotAoA, refAoA)
+		if gotErr == nil && !checkEpilogue(t, label, gotAoA, refAoA) {
+			cellDiv++
 		}
 	}
+	t.Logf("%d/50 cell divergences vs the serial oracle", cellDiv)
 }
 
 // TestEngineErrorParity checks that engine and serial paths fail with the
@@ -218,37 +259,41 @@ func TestEstimateCancellation(t *testing.T) {
 	}
 }
 
-// TestEngineConcurrentUse runs many concurrent estimates through one
-// estimator to exercise the scratch pools under the race detector.
+// TestEngineConcurrentUse runs many concurrent selections — cold and
+// warm-hinted — through one estimator to exercise the scratch pools
+// under the race detector: every concurrent result must equal the
+// sequential result of the same call bit for bit.
 func TestEngineConcurrentUse(t *testing.T) {
 	set, gain := synthSetup(t)
-	// Pinned to the float kernel: the test checks bit-for-bit agreement
-	// with the serial reference, a contract only KernelFloat64 carries.
-	// Concurrent use of the quantized kernel is covered by the batch
-	// tests and the quant equivalence suite.
-	est, err := NewEstimator(set, Options{Kernel: KernelFloat64})
+	est, err := NewEstimator(set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	type result struct {
-		aoa AoAEstimate
+		sel Selection
 		err error
 	}
+	ctx := context.Background()
 	rng := stats.NewRNG(11)
 	probeSets := make([][]Probe, 16)
+	hints := make([]Cell, len(probeSets))
 	want := make([]result, len(probeSets))
 	for i := range probeSets {
 		az := -70 + 140*rng.Float64()
 		probeSets[i] = observe(t, gain, sector.TalonTX(), az, 5, quietModel(), rng)
-		aoa, err := est.EstimateAoASerial(probeSets[i])
-		want[i] = result{aoa, err}
+		if i%2 == 1 {
+			// Odd sets chain the previous set's cell as a warm hint.
+			hints[i] = want[i-1].sel.AoA.Cell
+		}
+		sel, err := est.SelectSectorWarm(ctx, probeSets[i], hints[i])
+		want[i] = result{sel, err}
 	}
 	got := make([]result, len(probeSets))
 	done := make(chan int, len(probeSets))
 	for i := range probeSets {
 		go func(i int) {
-			aoa, err := est.EstimateAoA(context.Background(), probeSets[i])
-			got[i] = result{aoa, err}
+			sel, err := est.SelectSectorWarm(ctx, probeSets[i], hints[i])
+			got[i] = result{sel, err}
 			done <- i
 		}(i)
 	}
@@ -256,11 +301,11 @@ func TestEngineConcurrentUse(t *testing.T) {
 		<-done
 	}
 	for i := range probeSets {
-		if (got[i].err == nil) != (want[i].err == nil) {
+		if !sameErrClass(got[i].err, want[i].err) {
 			t.Fatalf("probe set %d: err %v vs %v", i, got[i].err, want[i].err)
 		}
-		if got[i].err == nil && !sameAoA(got[i].aoa, want[i].aoa) {
-			t.Fatalf("probe set %d: %+v != %+v", i, got[i].aoa, want[i].aoa)
+		if got[i].err == nil && !sameSelection(got[i].sel, want[i].sel) {
+			t.Fatalf("probe set %d: %+v != %+v", i, got[i].sel, want[i].sel)
 		}
 	}
 }

@@ -76,11 +76,14 @@ type Options struct {
 	// have been strong, suppressing aliased estimates.
 	NoImputeMissing bool
 	// ExactSearch disables the hierarchical coarse-to-fine search and
-	// forces the exhaustive dense grid scan, preserving bit-for-bit the
-	// paper-faithful behaviour of the original engine (and of the serial
-	// reference path) on every input. The default hierarchical search
-	// matches it on all but adversarial surfaces at a fraction of the
-	// cost; see hier.go and DESIGN.md §12 for the trade-off.
+	// forces the exhaustive scan of every dense grid point on the
+	// quantized kernel, so no top-K pruning can miss the argmax. It does
+	// not make estimates bit-identical to the float64 serial reference
+	// (EstimateAoASerial): int16 rounding can still move the argmax cell
+	// on near-tied surfaces (see DESIGN.md §15 for the divergence
+	// budgets). The default hierarchical search matches the exhaustive
+	// scan on all but adversarial surfaces at a fraction of the cost; see
+	// hier.go and DESIGN.md §12 for the trade-off.
 	ExactSearch bool
 	// CoarseDecim is the per-axis decimation factor of the hierarchical
 	// coarse grid. 0 picks DefaultCoarseDecim; values below 2 disable
@@ -89,13 +92,6 @@ type Options struct {
 	// TopK is the number of coarse candidate cells the hierarchical
 	// search refines on the dense grid. 0 picks DefaultTopK.
 	TopK int
-	// Kernel pins the correlation-kernel implementation (see quant.go).
-	// KernelAuto (the zero value) picks the default — currently the
-	// quantized int16 kernel; KernelFloat64 pins the exact float64
-	// reference. ExactSearch implies KernelFloat64. Golden artifacts
-	// should pin the kernel they were recorded with so kernel-default
-	// changes cannot drift them.
-	Kernel Kernel
 	// WarmRadius is the per-axis half-width, in dense grid cells, of the
 	// warm-start scan window (see warm.go). 0 picks DefaultWarmRadius.
 	WarmRadius int
@@ -136,9 +132,9 @@ type Estimator struct {
 }
 
 // gatherScratch holds the pooled measurement-vector buffers of one
-// estimate. The float kernel fills ids/snr/rssi (linear amplitudes);
-// the quantized kernel fills ids/snrDB/rssiDB (raw dB) and then the
-// code vectors and hoisted moments of qv (see quant.go).
+// estimate: ids/snrDB/rssiDB (raw dB), the code vectors and hoisted
+// moments of qv (see quant.go), and the linear amplitudes snr/rssi of
+// the float epilogue.
 type gatherScratch struct {
 	ids           []sector.ID
 	snr, rssi     []float64
@@ -153,11 +149,6 @@ func NewEstimator(patterns *pattern.Set, opts Options) (*Estimator, error) {
 	if patterns == nil || len(patterns.TXIDs()) < 2 {
 		return nil, errors.New("core: estimator needs a pattern set with at least 2 TX sectors")
 	}
-	switch opts.Kernel {
-	case KernelAuto, KernelQuantInt16, KernelFloat64:
-	default:
-		return nil, fmt.Errorf("core: unknown correlation kernel %q", opts.Kernel)
-	}
 	e := &Estimator{patterns: patterns, opts: opts, en: newEngine(patterns, opts)}
 	e.gathers.New = func() any {
 		metScratchMisses.Inc()
@@ -169,16 +160,6 @@ func NewEstimator(patterns *pattern.Set, opts Options) (*Estimator, error) {
 // Patterns returns the pattern set the estimator searches.
 func (e *Estimator) Patterns() *pattern.Set { return e.patterns }
 
-// Kernel reports the correlation kernel actually serving estimates —
-// which can differ from Options.Kernel when the quantized build was
-// skipped (ExactSearch, or a dictionary with no finite entry).
-func (e *Estimator) Kernel() Kernel {
-	if e.en != nil && e.en.quant() {
-		return KernelQuantInt16
-	}
-	return KernelFloat64
-}
-
 // AoAEstimate is the result of the angle-of-arrival search.
 type AoAEstimate struct {
 	// Az and El are the estimated arrival angles in degrees.
@@ -189,10 +170,9 @@ type AoAEstimate struct {
 	// Used is the number of probes that carried a measurement.
 	Used int
 	// Cell is the dense grid cell of the argmax, usable as the
-	// warm-start hint of a later estimate (see SelectSectorWarm).
-	// NoCell when the serving kernel does not produce hints (the float64
-	// reference path). Cell is diagnostic state, not part of the wire
-	// format: it is excluded from JSON serialization.
+	// warm-start hint of a later estimate (see SelectSectorWarm). Cell
+	// is diagnostic state, not part of the wire format: it is excluded
+	// from JSON serialization.
 	Cell Cell
 }
 
@@ -236,40 +216,6 @@ func (e *Estimator) gatherVectors(probes []Probe) (ids []sector.ID, snrLin, rssi
 		}
 	}
 	return ids, snrLin, rssiLin, reported
-}
-
-// gatherInto is gatherVectors into pooled scratch: identical selection,
-// imputation and ordering, but appending into g's recycled buffers so
-// the steady-state estimate path allocates nothing.
-func (e *Estimator) gatherInto(g *gatherScratch, probes []Probe) (reported int) {
-	minSNR, minRSSI := math.Inf(1), math.Inf(1)
-	for _, p := range probes {
-		if !p.OK {
-			continue
-		}
-		reported++
-		if p.Meas.SNR < minSNR {
-			minSNR = p.Meas.SNR
-		}
-		if p.Meas.RSSI < minRSSI {
-			minRSSI = p.Meas.RSSI
-		}
-	}
-	g.ids, g.snr, g.rssi = g.ids[:0], g.snr[:0], g.rssi[:0]
-	impute := !e.opts.NoImputeMissing && reported > 0
-	for _, p := range probes {
-		switch {
-		case p.OK:
-			g.ids = append(g.ids, p.Sector)
-			g.snr = append(g.snr, amp(p.Meas.SNR))
-			g.rssi = append(g.rssi, amp(p.Meas.RSSI))
-		case impute:
-			g.ids = append(g.ids, p.Sector)
-			g.snr = append(g.snr, amp(minSNR-1))
-			g.rssi = append(g.rssi, amp(minRSSI-1))
-		}
-	}
-	return reported
 }
 
 // correlate implements Eq. 2: the squared normalized correlation of the
@@ -338,90 +284,36 @@ func (e *Estimator) Correlation(probes []Probe, az, el float64) float64 {
 
 // EstimateAoA maximizes the correlation over the pattern grid (Eq. 3),
 // optionally refining the maximum between grid points. The search runs
-// on the precomputed correlation engine: hierarchically (coarse pass,
+// on the quantized correlation engine: hierarchically (coarse pass,
 // top-K dense refinement, exhaustive fallback — see hier.go) unless
-// Options.ExactSearch pins it to the exhaustive dense scan, which agrees
-// bit for bit with the retained EstimateAoASerial reference. ctx is
+// Options.ExactSearch pins it to the exhaustive dense scan. A float
+// epilogue re-scores the winning cell on the float64 dictionary, so
+// whenever the search picks the serial reference's cell the estimate is
+// bit-identical to EstimateAoASerial (see quantEpilogue). ctx is
 // observed between grid rows, and a cancelled search returns ctx.Err().
 func (e *Estimator) EstimateAoA(ctx context.Context, probes []Probe) (AoAEstimate, error) {
-	return e.estimate(ctx, probes, 0)
+	return e.estimate(ctx, probes, NoCell)
 }
 
-// estimate is the engine-backed estimate shared by EstimateAoA and the
-// batch path; maxShards > 0 additionally caps the dense fill's worker
-// count (the batch path passes 1 so its own workers are the only
-// parallelism).
-func (e *Estimator) estimate(ctx context.Context, probes []Probe, maxShards int) (AoAEstimate, error) {
+// estimate is the engine-backed estimate shared by EstimateAoA,
+// SelectSector and SelectSectorWarm; hint is an optional warm-start cell
+// (NoCell runs the full search).
+func (e *Estimator) estimate(ctx context.Context, probes []Probe, hint Cell) (AoAEstimate, error) {
 	metEstimates.Inc()
 	start := time.Now() //lint:allow determinism -- estimate-latency histogram reads the wall clock by design
 	defer metEstimateSeconds.ObserveSince(start)
 	metScratchGets.Inc()
 	g := e.gathers.Get().(*gatherScratch)
 	defer e.gathers.Put(g)
-	if e.en != nil && e.en.quant() {
-		return e.estimateQuantHint(ctx, g, probes, NoCell)
-	}
-	reported := e.gatherInto(g, probes)
-	if reported < 2 {
-		return AoAEstimate{}, fmt.Errorf("core: %w: need at least 2 reported probes, have %d", ErrTooFewProbes, reported)
-	}
-	en := e.en
-	if en == nil {
-		return AoAEstimate{}, errors.New("core: empty pattern set")
-	}
-	colBuf := en.probeCols(g.ids)
-	defer en.putCols(colBuf)
-	cols := *colBuf
-	snrOnly := e.opts.SNROnly
-	if en.hier() {
-		metHierEstimates.Inc()
-		bestA, bestE, bestW, ok, err := en.searchHier(ctx, cols, g.snr, g.rssi, snrOnly)
-		if err != nil {
-			return AoAEstimate{}, err
-		}
-		if ok {
-			az, el := en.az[bestA], en.el[bestE]
-			if !e.opts.NoRefine {
-				numAz := len(en.az)
-				az = refineAxis(en.az, bestA, func(i int) float64 {
-					return en.jointAt((bestE*numAz+i)*en.stride, cols, g.snr, g.rssi, snrOnly)
-				})
-				el = refineAxis(en.el, bestE, func(i int) float64 {
-					return en.jointAt((i*numAz+bestA)*en.stride, cols, g.snr, g.rssi, snrOnly)
-				})
-			}
-			return AoAEstimate{Az: az, El: el, Corr: bestW, Used: reported}, nil
-		}
-		// No positive coarse cell: fall back to the exhaustive scan so
-		// hierarchical mode keeps the exact path's disaster-guard
-		// semantics on degenerate surfaces.
-		metHierFallbacks.Inc()
-	}
-	surf := en.getSurface()
-	defer en.putSurface(surf)
-	w := *surf
-	if err := en.fill(ctx, w, cols, g.snr, g.rssi, snrOnly, maxShards); err != nil {
-		return AoAEstimate{}, err
-	}
-	bestA, bestE, bestW := en.argmax(w)
-	if bestW <= 0 {
-		metDegenerate.Inc()
-		return AoAEstimate{}, fmt.Errorf("core: %w", ErrDegenerateSurface)
-	}
-	numAz := len(en.az)
-	az, el := en.az[bestA], en.el[bestE]
-	if !e.opts.NoRefine {
-		az = refineAxis(en.az, bestA, func(i int) float64 { return w[bestE*numAz+i] })
-		el = refineAxis(en.el, bestE, func(i int) float64 { return w[i*numAz+bestA] })
-	}
-	return AoAEstimate{Az: az, El: el, Corr: bestW, Used: reported}, nil
+	return e.estimateQuantHint(ctx, g, probes, hint)
 }
 
 // EstimateAoASerial is the straight-line reference implementation of the
 // grid search: per-point Pattern.At interpolation and amplitude
-// conversion, no precomputation, no concurrency. It is kept so the
-// equivalence test (and anyone auditing the engine) can check the
-// optimized path against first principles.
+// conversion in float64, exhaustive scan, no precomputation, no
+// concurrency. It is the test oracle of the production kernel: the
+// equivalence suites (and anyone auditing the engine) check EstimateAoA
+// against it.
 func (e *Estimator) EstimateAoASerial(probes []Probe) (AoAEstimate, error) {
 	metEstimatesSerial.Inc()
 	ids, snrLin, rssiLin, reported := e.gatherVectors(probes)
@@ -469,7 +361,7 @@ func (e *Estimator) EstimateAoASerial(probes []Probe) (AoAEstimate, error) {
 		az = refineAxis(azAxis, bestA, func(i int) float64 { return w[bestE][i] })
 		el = refineAxis(elAxis, bestE, func(i int) float64 { return w[i][bestA] })
 	}
-	return AoAEstimate{Az: az, El: el, Corr: bestW, Used: reported}, nil
+	return AoAEstimate{Az: az, El: el, Corr: bestW, Used: reported, Cell: cellOf(bestA, bestE)}, nil
 }
 
 // refineAxis sharpens the argmax along one axis with a parabolic fit
@@ -547,21 +439,11 @@ const (
 // over the probed sectors. A cancelled context propagates ctx.Err()
 // instead of degrading to the sweep fallback.
 func (e *Estimator) SelectSector(ctx context.Context, probes []Probe) (Selection, error) {
-	return e.selectShards(ctx, probes, 0)
-}
-
-// selectShards is SelectSector with the batch path's engine-shard cap.
-func (e *Estimator) selectShards(ctx context.Context, probes []Probe, maxShards int) (Selection, error) {
-	metSelectEngine.Inc()
-	aoa, err := e.estimate(ctx, probes, maxShards)
-	if err != nil && isCtxErr(err) {
-		return Selection{}, err
-	}
-	return e.finishSelection(probes, aoa, err)
+	return e.SelectSectorWarm(ctx, probes, NoCell)
 }
 
 // SelectSectorSerial runs the pipeline on the serial reference estimator;
-// the equivalence test checks it against SelectSector.
+// the equivalence suites check SelectSector against it.
 func (e *Estimator) SelectSectorSerial(probes []Probe) (Selection, error) {
 	metSelectSerial.Inc()
 	aoa, err := e.EstimateAoASerial(probes)

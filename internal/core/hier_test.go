@@ -35,59 +35,73 @@ func coarseDiag(t testing.TB, est *Estimator) float64 {
 	return math.Hypot(float64(DefaultCoarseDecim)*azStep, float64(DefaultCoarseDecim)*elStep)
 }
 
-// equivCounter tallies one hierarchical-vs-exhaustive comparison.
+// selector is one side of an equivalence comparison: a production
+// selection path or the serial oracle.
+type selector func(probes []Probe) (Selection, error)
+
+// production selects on est's default path (SelectSector).
+func production(est *Estimator) selector {
+	return func(probes []Probe) (Selection, error) {
+		return est.SelectSector(context.Background(), probes)
+	}
+}
+
+// oracle selects on est's float64 serial reference (SelectSectorSerial).
+func oracle(est *Estimator) selector { return est.SelectSectorSerial }
+
+// equivCounter tallies one equivalence comparison between two selection
+// paths; name labels the pair in logs and failures.
 type equivCounter struct {
+	name               string
 	trials, mismatches int
 }
 
-// compare checks one probe vector on both estimators: error classes must
-// agree exactly (the hierarchical path falls back to the exhaustive scan
-// before it can fail differently); on success the selected sector must
-// match and the AoA estimates must stay within diag degrees.
-func (c *equivCounter) compare(t *testing.T, label string, hier, exact *Estimator, probes []Probe, diag float64) {
+// compare checks one probe vector on both paths: error classes must
+// agree exactly; on success the selected sector must match and the AoA
+// estimates must stay within diag degrees.
+func (c *equivCounter) compare(t *testing.T, label string, got, want selector, probes []Probe, diag float64) {
 	t.Helper()
-	ctx := context.Background()
-	hSel, hErr := hier.SelectSector(ctx, probes)
-	xSel, xErr := exact.SelectSector(ctx, probes)
-	if (hErr == nil) != (xErr == nil) {
-		t.Fatalf("%s: error parity broken: hier %v, exact %v", label, hErr, xErr)
+	gSel, gErr := got(probes)
+	wSel, wErr := want(probes)
+	if !sameErrClass(gErr, wErr) {
+		t.Fatalf("%s %s: error parity broken: %v vs %v", c.name, label, gErr, wErr)
 	}
-	if hErr != nil {
-		for _, sentinel := range []error{ErrTooFewProbes, ErrDegenerateSurface} {
-			if errors.Is(hErr, sentinel) != errors.Is(xErr, sentinel) {
-				t.Fatalf("%s: sentinel parity broken: hier %v, exact %v", label, hErr, xErr)
-			}
-		}
+	if gErr != nil {
 		return
 	}
 	c.trials++
-	if hSel.Sector != xSel.Sector {
+	if gSel.Sector != wSel.Sector {
 		c.mismatches++
 		return
 	}
-	if !hSel.Fallback && !xSel.Fallback {
-		dAz := math.Abs(geom.WrapAz(hSel.AoA.Az - xSel.AoA.Az))
-		dEl := math.Abs(hSel.AoA.El - xSel.AoA.El)
+	if !gSel.Fallback && !wSel.Fallback {
+		dAz := math.Abs(geom.WrapAz(gSel.AoA.Az - wSel.AoA.Az))
+		dEl := math.Abs(gSel.AoA.El - wSel.AoA.El)
 		if math.Hypot(dAz, dEl) > diag {
 			c.mismatches++
 		}
 	}
 }
 
-// assertRate enforces the acceptance criterion: the hierarchical search
-// must agree with the exhaustive one on at least 99% of the trials.
+// assertRate enforces the acceptance criterion: the two paths must agree
+// on at least 99% of the trials.
 func (c *equivCounter) assertRate(t *testing.T, minTrials int) {
 	t.Helper()
 	if c.trials < minTrials {
-		t.Fatalf("only %d successful equivalence trials, want >= %d", c.trials, minTrials)
+		t.Fatalf("%s: only %d successful equivalence trials, want >= %d", c.name, c.trials, minTrials)
 	}
 	budget := c.trials / 100
 	if c.mismatches > budget {
-		t.Fatalf("hierarchical search diverged on %d of %d trials (budget %d)",
-			c.mismatches, c.trials, budget)
+		t.Fatalf("%s: diverged on %d of %d trials (budget %d)", c.name, c.mismatches, c.trials, budget)
 	}
-	t.Logf("hier-vs-exact: %d trials, %d divergences", c.trials, c.mismatches)
+	t.Logf("%s: %d trials, %d divergences", c.name, c.trials, c.mismatches)
 }
+
+// The hier suite is the top-K gate: it isolates the hierarchical search
+// (the default options) against the exhaustive scan (ExactSearch) on the
+// same quantized arithmetic, so any divergence is a coarse candidate the
+// top-K pruning dropped. The production kernel's gate against the
+// float64 serial oracle is quant_equiv_test.go.
 
 // TestHierMatchesExhaustiveClean runs the seeded clean-channel
 // equivalence suite: across probe budgets and noisy observations from
@@ -96,11 +110,7 @@ func (c *equivCounter) assertRate(t *testing.T, minTrials int) {
 // diagonal of its angle estimate.
 func TestHierMatchesExhaustiveClean(t *testing.T) {
 	set, gain := synthSetup(t)
-	// The whole hier suite pins KernelFloat64: it isolates the
-	// hierarchical search against the exhaustive scan on the same
-	// (float) arithmetic. The quantized kernel has its own equivalence
-	// suite in quant_equiv_test.go.
-	hier, err := NewEstimator(set, Options{Kernel: KernelFloat64})
+	hier, err := NewEstimator(set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +126,11 @@ func TestHierMatchesExhaustiveClean(t *testing.T) {
 	}
 	diag := coarseDiag(t, hier)
 
-	hierBefore := metHierEstimates.Value()
+	quantBefore := metQuantEstimates.Value()
 	model := radio.DefaultMeasurementModel()
 	rng := stats.NewRNG(23)
 	available := sector.TalonTX()
-	var c equivCounter
+	c := equivCounter{name: "hier-vs-exact"}
 	for _, m := range []int{8, 14, 24} {
 		for trial := 0; trial < 40; trial++ {
 			ps, err := RandomProbes(rng, available, m)
@@ -130,12 +140,12 @@ func TestHierMatchesExhaustiveClean(t *testing.T) {
 			az := -78 + 156*rng.Float64()
 			el := 28 * rng.Float64()
 			probes := observe(t, gain, ps.IDs(), az, el, model, rng)
-			c.compare(t, fmt.Sprintf("m=%d trial=%d", m, trial), hier, exact, probes, diag)
+			c.compare(t, fmt.Sprintf("m=%d trial=%d", m, trial), production(hier), production(exact), probes, diag)
 		}
 	}
 	c.assertRate(t, 100)
-	if metHierEstimates.Value() == hierBefore {
-		t.Fatal("no estimate was routed through the hierarchical search")
+	if metQuantEstimates.Value() == quantBefore {
+		t.Fatal("no estimate was served by the quantized kernel")
 	}
 }
 
@@ -178,7 +188,7 @@ func TestHierMatchesExhaustiveFaultyChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hier, err := NewEstimator(patterns, Options{Kernel: KernelFloat64})
+	hier, err := NewEstimator(patterns, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +206,7 @@ func TestHierMatchesExhaustiveFaultyChannel(t *testing.T) {
 
 	rng := stats.NewRNG(29)
 	available := sector.TalonTX()
-	var c equivCounter
+	c := equivCounter{name: "hier-vs-exact"}
 	for trial := 0; trial < 140; trial++ {
 		// Swing the probe device on an arc so trials cover directions.
 		az := -60 + 120*rng.Float64()
@@ -218,7 +228,7 @@ func TestHierMatchesExhaustiveFaultyChannel(t *testing.T) {
 			continue
 		}
 		probes := ProbesFromMeasurements(ps.IDs(), meas)
-		c.compare(t, fmt.Sprintf("trial=%d", trial), hier, exact, probes, diag)
+		c.compare(t, fmt.Sprintf("trial=%d", trial), production(hier), production(exact), probes, diag)
 	}
 	c.assertRate(t, 100)
 }
@@ -230,7 +240,7 @@ func TestHierMatchesExhaustiveFaultyChannel(t *testing.T) {
 // ErrDegenerateSurface sentinel as exact mode.
 func TestHierDegenerateSurface(t *testing.T) {
 	set, _ := synthSetup(t)
-	hier, err := NewEstimator(set, Options{Kernel: KernelFloat64})
+	hier, err := NewEstimator(set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +253,7 @@ func TestHierDegenerateSurface(t *testing.T) {
 		{Sector: ids[0], Meas: radio.Measurement{SNR: 7, RSSI: -55}, OK: true},
 		{Sector: ids[5], Meas: radio.Measurement{SNR: 9, RSSI: -52}, OK: true},
 	}
-	fallbacksBefore := metHierFallbacks.Value()
+	fallbacksBefore := metQuantFallbacks.Value()
 	_, hErr := hier.EstimateAoA(context.Background(), probes)
 	_, xErr := exact.EstimateAoA(context.Background(), probes)
 	if !errors.Is(hErr, ErrDegenerateSurface) {
@@ -252,7 +262,7 @@ func TestHierDegenerateSurface(t *testing.T) {
 	if !errors.Is(xErr, ErrDegenerateSurface) {
 		t.Fatalf("exact: want ErrDegenerateSurface, got %v", xErr)
 	}
-	if metHierFallbacks.Value() == fallbacksBefore {
+	if metQuantFallbacks.Value() == fallbacksBefore {
 		t.Fatal("degenerate surface did not route through the exhaustive fallback")
 	}
 }
@@ -264,7 +274,7 @@ func TestHierDegenerateSurface(t *testing.T) {
 // smallest estimable vector — must produce the same selection.
 func TestHierMinimumProbes(t *testing.T) {
 	set, gain := synthSetup(t)
-	hier, err := NewEstimator(set, Options{Kernel: KernelFloat64})
+	hier, err := NewEstimator(set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +303,7 @@ func TestHierMinimumProbes(t *testing.T) {
 		}
 	}
 
-	var c equivCounter
+	c := equivCounter{name: "hier-vs-exact"}
 	for trial := 0; trial < 20; trial++ {
 		ps, err := RandomProbes(rng, ids, 3)
 		if err != nil {
@@ -301,7 +311,7 @@ func TestHierMinimumProbes(t *testing.T) {
 		}
 		az := -70 + 140*rng.Float64()
 		probes := observe(t, gain, ps.IDs(), az, 8, model, rng)
-		c.compare(t, fmt.Sprintf("min-probes trial=%d", trial), hier, exact, probes, diag)
+		c.compare(t, fmt.Sprintf("min-probes trial=%d", trial), production(hier), production(exact), probes, diag)
 	}
 	if c.trials == 0 {
 		t.Fatal("no three-probe trial produced an estimate on either path")

@@ -20,11 +20,11 @@ import (
 //     (QuantizeProbe: probeStepDB = SNRQuantumDB/4 steps across the
 //     hardware window, so every value the hardware can report round-trips
 //     exactly) and mapped to linear-amplitude codes through a
-//     precomputed table — the per-probe math.Pow of the float path
+//     precomputed table — the per-probe math.Pow of the serial path
 //     disappears entirely.
 //   - Dictionary amplitudes are scaled to [0, quantOne] codes once at
 //     newEngine time; NaN (uncovered grid point) becomes the quantMissing
-//     sentinel, mirroring the float path's NaN skip.
+//     sentinel, mirroring the serial reference's NaN skip.
 //   - The Pearson correlation is computed from raw integer moments
 //     (n, Σp, Σx, Σpx, Σp², Σx²) accumulated in int32. quantOne is 4095
 //     (12 bits) precisely so the moments cannot overflow: with at most
@@ -44,40 +44,10 @@ import (
 // reported values at a given cell. The equivalence suite
 // (quant_equiv_test.go) gates the residual argmax noise to ≤1% sector
 // divergence and one coarse-cell diagonal of AoA drift against the
-// float64 kernel.
+// float64 serial reference (EstimateAoASerial / SelectSectorSerial).
 //
-// The float64 dictionary always stays resident: it remains the exactness
-// reference (Options.ExactSearch, KernelFloat64), and the multipath /
-// backup searches still run on it.
-
-// Kernel names a correlation-kernel implementation. The name is part of
-// the compatibility surface: golden artifacts record which kernel
-// produced them, and pinning Options.Kernel reproduces old artifacts
-// byte for byte across kernel-default changes.
-type Kernel string
-
-const (
-	// KernelAuto picks the default kernel (currently KernelQuantInt16).
-	KernelAuto Kernel = ""
-	// KernelQuantInt16 is the cache-tiled int16 fixed-point kernel of
-	// this file. Estimates are equivalence-gated — not bit-identical —
-	// against KernelFloat64.
-	KernelQuantInt16 Kernel = "quant-int16-v1"
-	// KernelFloat64 is the exact float64 reference kernel (the engine of
-	// engine.go). Options.ExactSearch implies it.
-	KernelFloat64 Kernel = "float64-v1"
-)
-
-// kernel resolves the options to the kernel that will serve estimates.
-// ExactSearch promises bit-for-bit agreement with the serial reference,
-// which only the float64 kernel provides, so it takes precedence over
-// Options.Kernel.
-func (o Options) kernel() Kernel {
-	if o.ExactSearch || o.Kernel == KernelFloat64 {
-		return KernelFloat64
-	}
-	return KernelQuantInt16
-}
+// The float64 dictionary always stays resident: the float epilogue reads
+// it, and the multipath / backup searches still run on it.
 
 // Fixed-point geometry.
 const (
@@ -91,7 +61,7 @@ const (
 	// (the float dictionary's NaN).
 	quantMissing = int16(-1)
 	// quantMaxComponents caps the correlation components per grid point,
-	// mirroring the float kernel's fixed 64-component gather capacity.
+	// mirroring the float correlation's fixed 64-component gather capacity.
 	quantMaxComponents = 64
 
 	// probeStepDB subdivides the firmware's quarter-dB reporting quantum
@@ -159,7 +129,7 @@ func DequantizeProbe(code int16) float64 {
 // reports) stay lattice-aligned and encode losslessly. Components more
 // than 19 dB below the vector maximum saturate at the window floor;
 // their linear amplitude is ≤ 1.2% of the maximum, which is also where
-// the float kernel's own sensitivity ends.
+// the float64 reference's own sensitivity ends.
 //
 // Components whose sector is absent from the dictionary (cols[i] < 0)
 // are excluded from the maximum: the correlation skips them at every
@@ -183,28 +153,28 @@ func quantizeVec(dst []int16, db []float64, cols []int16) []int16 {
 	return dst
 }
 
-// buildQuant quantizes the dense and coarse dictionaries to int16 codes.
-// Called from newEngine after buildCoarse; a no-op unless the options
-// resolve to the quantized kernel. The global scale maps the loudest
-// dictionary amplitude to full scale — Pearson invariance makes the
-// choice free — and the coarse codes are copied from the dense ones the
-// same way buildCoarse copies rows, so a grid point shared by both
-// quantized dictionaries scores bit-identically.
-func (en *engine) buildQuant(opts Options) {
-	if opts.kernel() != KernelQuantInt16 {
-		return
-	}
+// buildQuant quantizes the dense dictionary to int16 codes and copies
+// the coarse dictionary out of it. Called from newEngine after
+// buildCoarse. The global scale maps the loudest finite dictionary
+// amplitude to full scale — Pearson invariance makes the choice free —
+// and the coarse codes are copied from the dense ones row by row, so a
+// grid point shared by both quantized dictionaries scores
+// bit-identically. Non-finite amplitudes are already NaN holes in the
+// float dictionary (newEngine) and quantize to quantMissing; a
+// dictionary with no positive amplitude at all quantizes at unit scale,
+// where every grid point then scores 0 and estimates fail with
+// ErrDegenerateSurface like the serial reference.
+func (en *engine) buildQuant() {
 	maxAmp := 0.0
 	for _, v := range en.dict {
-		if !math.IsNaN(v) && v > maxAmp {
+		if v > maxAmp {
 			maxAmp = v
 		}
 	}
-	if maxAmp <= 0 || math.IsInf(maxAmp, 1) {
-		// Nothing finite to quantize; estimates stay on the float kernel.
-		return
+	scale := 1.0
+	if maxAmp > 0 {
+		scale = quantOne / maxAmp
 	}
-	scale := quantOne / maxAmp
 	en.dictQ = make([]int16, len(en.dict))
 	en.fullQ = true
 	for i, v := range en.dict {
@@ -219,9 +189,9 @@ func (en *engine) buildQuant(opts Options) {
 		}
 		en.dictQ[i] = int16(c)
 	}
-	if len(en.coarse) > 0 {
+	if en.hier() {
 		numAz := len(en.az)
-		en.coarseQ = make([]int16, len(en.coarse))
+		en.coarseQ = make([]int16, len(en.cAzIdx)*len(en.cElIdx)*en.stride)
 		pos := 0
 		for _, ei := range en.cElIdx {
 			for _, ai := range en.cAzIdx {
@@ -236,16 +206,13 @@ func (en *engine) buildQuant(opts Options) {
 	metQuantTilePoints.Set(int64(en.tilePts))
 }
 
-// quant reports whether the quantized kernel is built and serving
-// estimates.
-func (en *engine) quant() bool { return len(en.dictQ) > 0 }
-
-// correlateQ is the quantized twin of correlateIn: Eq. 2 over one
-// dictionary row, computed from single-pass int32 raw moments instead of
-// the float path's two-pass centered form. Component selection mirrors
-// the float kernel exactly — skip absent columns, skip quantMissing
-// (NaN) entries, cap at quantMaxComponents, fewer than three usable
-// components yield 0 — so the two kernels disagree only by rounding.
+// correlateQ is the quantized twin of engine.correlateAt: Eq. 2 over
+// one dictionary row, computed from single-pass int32 raw moments
+// instead of the float path's two-pass centered form. Component
+// selection mirrors the float arithmetic exactly — skip absent columns,
+// skip quantMissing (NaN) entries, cap at quantMaxComponents, fewer than
+// three usable components yield 0 — so the two disagree only by
+// rounding.
 //talon:noalloc
 func correlateQ(dictQ []int16, base int, cols []int16, pq []int16) float64 {
 	var n, sp, sx, spx, spp, sxx int32
@@ -279,7 +246,7 @@ func correlateQ(dictQ []int16, base int, cols []int16, pq []int16) float64 {
 		return 0
 	}
 	if cov < 0 {
-		// Anti-correlated shapes are no evidence, as in the float kernel.
+		// Anti-correlated shapes are no evidence, as in the float path.
 		return 0
 	}
 	return float64(cov) * float64(cov) / (float64(varP) * float64(varX))
@@ -410,7 +377,7 @@ func jointQFast(dictQ []int16, pt int, qv *quantVec, snrOnly bool) float64 {
 // coarseTopKQ scores the coarse points [lo, hi) for one probe vector and
 // folds the positive ones into the caller's descending top-K
 // (cells/scores, kept entries), returning the new kept count. The
-// insertion logic is identical to searchHier's coarse pass — ties keep
+// insertion keeps the top-K sorted by descending score — ties keep
 // the earlier row-major cell — and because callers sweep tiles in
 // ascending point order the final top-K matches a straight row-major
 // scan, whatever the tile geometry. This is the kernel the batch-major
@@ -441,9 +408,9 @@ func (en *engine) coarseTopKQ(lo, hi int, qv *quantVec, snrOnly bool, cells []in
 }
 
 // refineQ rescans the dense windows around the kept coarse candidates on
-// the quantized dictionary — the quantized twin of searchHier's
-// refinement phase, with the identical merged-span strictly-row-major
-// walk so tie-breaks match the float search's order.
+// the quantized dictionary. Overlapping windows are merged per row, so
+// no point is scored twice and the walk stays strictly row-major: ties
+// break in the same order as the exhaustive scan (denseArgmaxQ).
 //talon:noalloc
 func (en *engine) refineQ(ctx context.Context, sc *hierScratch, kept int, qv *quantVec, snrOnly bool) (bestA, bestE int, bestW float64, err error) {
 	numAz, numEl := len(en.az), len(en.el)
@@ -499,8 +466,8 @@ func (en *engine) refineQ(ctx context.Context, sc *hierScratch, kept int, qv *qu
 // searchHierQ runs the coarse-to-fine search on the quantized
 // dictionaries: tiled coarse top-K pass, then dense window refinement.
 // ok is false when no coarse cell scored positive and the caller must
-// fall back to the exhaustive quantized scan (denseArgmaxQ), mirroring
-// the float hierarchy's disaster-guard semantics.
+// fall back to the exhaustive quantized scan (denseArgmaxQ), so a
+// degenerate surface fails exactly as it does on the exhaustive scan.
 //talon:noalloc
 func (en *engine) searchHierQ(ctx context.Context, sc *hierScratch, qv *quantVec, snrOnly bool) (bestA, bestE int, bestW float64, ok bool, err error) {
 	n := len(en.cAzIdx) * len(en.cElIdx)
@@ -527,8 +494,8 @@ func (en *engine) searchHierQ(ctx context.Context, sc *hierScratch, qv *quantVec
 
 // denseArgmaxQ is the exhaustive quantized scan: every dense grid point
 // in row-major order with the strictly-greater update, so tie-breaks
-// match engine.argmax. No surface is materialized — refinement
-// re-evaluates the handful of neighbours it needs.
+// match the serial reference's scan. No surface is materialized —
+// refinement re-evaluates the handful of neighbours it needs.
 //talon:noalloc
 func (en *engine) denseArgmaxQ(ctx context.Context, qv *quantVec, snrOnly bool) (bestA, bestE int, bestW float64, err error) {
 	numAz, numEl := len(en.az), len(en.el)
@@ -565,10 +532,11 @@ func (en *engine) searchQuant(ctx context.Context, sc *hierScratch, qv *quantVec
 	return en.denseArgmaxQ(ctx, qv, snrOnly)
 }
 
-// gatherQuantInto is gatherInto for the quantized kernel: identical probe
+// gatherQuantInto is gatherVectors into pooled scratch: identical probe
 // selection, imputation and ordering, but keeping the readings in the dB
 // domain — amplitudes come from the ampCodes table at quantization time,
-// so the per-probe math.Pow of the float gather disappears.
+// so the per-probe math.Pow of the serial gather disappears, and the
+// steady-state estimate path allocates nothing.
 //talon:noalloc
 func (e *Estimator) gatherQuantInto(g *gatherScratch, probes []Probe) (reported int) {
 	minSNR, minRSSI := math.Inf(1), math.Inf(1)
@@ -650,8 +618,9 @@ func ampCached(db float64) float64 {
 
 // linearizeGather converts the gathered dB vectors to linear amplitudes
 // for the float epilogue. gatherQuantInto keeps the exact dB values
-// gatherInto would convert (including the minus-one imputation), so the
-// amplitudes here are bit-identical to the float kernel's own gather.
+// gatherVectors would convert (including the minus-one imputation), so
+// the amplitudes here are bit-identical to the serial reference's
+// gather.
 //talon:noalloc
 func linearizeGather(g *gatherScratch) {
 	g.snr, g.rssi = g.snr[:0], g.rssi[:0]
@@ -667,10 +636,10 @@ func linearizeGather(g *gatherScratch) {
 // estimate using the float64 dictionary: one Eq. 5 evaluation at the
 // winning cell plus the parabolic refinement around it, O(M) work against
 // the O(grid·M) integer sweep that found the cell. Quantization noise is
-// thereby confined to the argmax decision itself — whenever the two
-// kernels agree on the cell (the common case the equivalence suite
-// gates), the reported Az/El/Corr are bit-identical to KernelFloat64,
-// and downstream near-tie decisions (Eq. 4 sector choice, the
+// thereby confined to the argmax decision itself — whenever the search
+// picks the serial reference's cell (the common case the equivalence
+// suite gates), the reported Az/El/Corr are bit-identical to
+// EstimateAoASerial, and downstream near-tie decisions (Eq. 4 sector choice, the
 // FallbackCorr threshold) cannot flip on epsilon score differences.
 //talon:noalloc
 func (e *Estimator) quantEpilogue(g *gatherScratch, cols []int16, bestA, bestE int, reported int) AoAEstimate {

@@ -19,42 +19,32 @@ import (
 	"talon/internal/wil"
 )
 
-// Equivalence gate of the quantized int16 kernel (quant.go) against the
-// float64 reference, mirroring the hierarchical suite in hier_test.go:
-// both estimators run the same hierarchical search, so any divergence is
-// pure quantization noise. The gate is the ISSUE's acceptance criterion —
-// ≤1% sector divergence (equivCounter.assertRate), AoA within one
-// coarse-cell diagonal — over seeded clean and Standard60GHz faulty
+// Equivalence gate of the production path — the quantized int16 kernel
+// (quant.go) behind the default hierarchical search — against the
+// float64 serial oracle (SelectSectorSerial / EstimateAoASerial). Any
+// divergence is quantization noise or top-K pruning. The gate is ≤1%
+// sector divergence (equivCounter.assertRate), AoA within one
+// coarse-cell diagonal, over seeded clean and Standard60GHz faulty
 // trials, plus exact error parity on degenerate and minimum-probe
 // vectors.
 
 // TestQuantMatchesFloatClean runs the seeded clean-channel equivalence
-// suite across probe budgets: the quantized kernel must select the float
-// kernel's sector on ≥99% of trials and land within one coarse-cell
-// diagonal of its angle estimate.
+// suite across probe budgets: the production kernel must select the
+// float64 oracle's sector on ≥99% of trials and land within one
+// coarse-cell diagonal of its angle estimate.
 func TestQuantMatchesFloatClean(t *testing.T) {
 	set, gain := synthSetup(t)
-	quant, err := NewEstimator(set, Options{})
+	est, err := NewEstimator(set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	float, err := NewEstimator(set, Options{Kernel: KernelFloat64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if quant.Kernel() != KernelQuantInt16 {
-		t.Fatalf("default options did not build the quantized kernel: %q", quant.Kernel())
-	}
-	if float.Kernel() != KernelFloat64 {
-		t.Fatalf("pinned float kernel reports %q", float.Kernel())
-	}
-	diag := coarseDiag(t, quant)
+	diag := coarseDiag(t, est)
 
 	quantBefore := metQuantEstimates.Value()
 	model := radio.DefaultMeasurementModel()
 	rng := stats.NewRNG(37)
 	available := sector.TalonTX()
-	var c equivCounter
+	c := equivCounter{name: "quant-vs-oracle"}
 	for _, m := range []int{8, 14, 24, 32} {
 		for trial := 0; trial < 40; trial++ {
 			ps, err := RandomProbes(rng, available, m)
@@ -64,7 +54,7 @@ func TestQuantMatchesFloatClean(t *testing.T) {
 			az := -78 + 156*rng.Float64()
 			el := 28 * rng.Float64()
 			probes := observe(t, gain, ps.IDs(), az, el, model, rng)
-			c.compare(t, fmt.Sprintf("m=%d trial=%d", m, trial), quant, float, probes, diag)
+			c.compare(t, fmt.Sprintf("m=%d trial=%d", m, trial), production(est), oracle(est), probes, diag)
 		}
 	}
 	c.assertRate(t, 120)
@@ -112,15 +102,11 @@ func TestQuantMatchesFloatFaultyChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quant, err := NewEstimator(patterns, Options{})
+	est, err := NewEstimator(patterns, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	float, err := NewEstimator(patterns, Options{Kernel: KernelFloat64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diag := coarseDiag(t, quant)
+	diag := coarseDiag(t, est)
 
 	dutPose, probePose := testbed.FacingPoses(3, 1.2)
 	dut.SetPose(dutPose)
@@ -130,7 +116,7 @@ func TestQuantMatchesFloatFaultyChannel(t *testing.T) {
 
 	rng := stats.NewRNG(41)
 	available := sector.TalonTX()
-	var c equivCounter
+	c := equivCounter{name: "quant-vs-oracle"}
 	for trial := 0; trial < 170; trial++ {
 		// Swing the probe device on an arc so trials cover directions.
 		az := -60 + 120*rng.Float64()
@@ -152,23 +138,19 @@ func TestQuantMatchesFloatFaultyChannel(t *testing.T) {
 			continue
 		}
 		probes := ProbesFromMeasurements(ps.IDs(), meas)
-		c.compare(t, fmt.Sprintf("trial=%d", trial), quant, float, probes, diag)
+		c.compare(t, fmt.Sprintf("trial=%d", trial), production(est), oracle(est), probes, diag)
 	}
 	c.assertRate(t, 139)
 }
 
 // TestQuantDegenerateSurface pins the degenerate-surface parity: with
 // only two reported probes the correlation is zero at every grid point
-// on both kernels, the quantized coarse pass keeps no candidate, and the
+// on both paths, the quantized coarse pass keeps no candidate, and the
 // quantized path must route through its exhaustive fallback and fail
-// with the same ErrDegenerateSurface sentinel as the float kernel.
+// with the same ErrDegenerateSurface sentinel as the serial oracle.
 func TestQuantDegenerateSurface(t *testing.T) {
 	set, _ := synthSetup(t)
 	quant, err := NewEstimator(set, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	float, err := NewEstimator(set, Options{Kernel: KernelFloat64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,12 +162,12 @@ func TestQuantDegenerateSurface(t *testing.T) {
 	fallbacksBefore := metQuantFallbacks.Value()
 	degenerateBefore := metDegenerate.Value()
 	_, qErr := quant.EstimateAoA(context.Background(), probes)
-	_, fErr := float.EstimateAoA(context.Background(), probes)
+	_, sErr := quant.EstimateAoASerial(probes)
 	if !errors.Is(qErr, ErrDegenerateSurface) {
 		t.Fatalf("quant: want ErrDegenerateSurface, got %v", qErr)
 	}
-	if !errors.Is(fErr, ErrDegenerateSurface) {
-		t.Fatalf("float: want ErrDegenerateSurface, got %v", fErr)
+	if !errors.Is(sErr, ErrDegenerateSurface) {
+		t.Fatalf("serial: want ErrDegenerateSurface, got %v", sErr)
 	}
 	if metQuantFallbacks.Value() == fallbacksBefore {
 		t.Fatal("degenerate surface did not route through the quantized exhaustive fallback")
@@ -196,24 +178,20 @@ func TestQuantDegenerateSurface(t *testing.T) {
 }
 
 // TestQuantMinimumProbes pins the minimum-probe parity: one reported
-// probe fails with ErrTooFewProbes on both kernels, two reported probes
+// probe fails with ErrTooFewProbes on both paths, two reported probes
 // pass the gate but degenerate on both (Pearson needs three components),
 // and three-probe vectors — the smallest estimable ones — must agree on
 // the error class and on the fallback decision's outcome. Sector-level
 // agreement is deliberately NOT asserted at M = 3: with three components
 // the Pearson surface is a near-flat ridge of correlations ≈ 1 (three
 // points almost always fit some line), so the argmax cell is decided by
-// sub-ULP score differences and even the float kernel lands tens of
+// sub-ULP score differences and even the float64 oracle lands tens of
 // degrees from the truth. The selection-equivalence gate lives at the
 // paper's operating probe counts in TestQuantMatchesFloatClean and
 // TestQuantMatchesFloatFaultyChannel.
 func TestQuantMinimumProbes(t *testing.T) {
 	set, gain := synthSetup(t)
 	quant, err := NewEstimator(set, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	float, err := NewEstimator(set, Options{Kernel: KernelFloat64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +202,7 @@ func TestQuantMinimumProbes(t *testing.T) {
 	for n := 1; n <= 2; n++ {
 		probes := observe(t, gain, ids[:n], 10, 6, model, rng)
 		_, qErr := quant.EstimateAoA(context.Background(), probes)
-		_, fErr := float.EstimateAoA(context.Background(), probes)
+		_, fErr := quant.EstimateAoASerial(probes)
 		want := ErrTooFewProbes
 		if n == 2 {
 			want = ErrDegenerateSurface
@@ -233,7 +211,7 @@ func TestQuantMinimumProbes(t *testing.T) {
 			t.Fatalf("n=%d quant: want %v, got %v", n, want, qErr)
 		}
 		if !errors.Is(fErr, want) {
-			t.Fatalf("n=%d float: want %v, got %v", n, want, fErr)
+			t.Fatalf("n=%d serial: want %v, got %v", n, want, fErr)
 		}
 	}
 
@@ -246,27 +224,22 @@ func TestQuantMinimumProbes(t *testing.T) {
 		az := -70 + 140*rng.Float64()
 		probes := observe(t, gain, ps.IDs(), az, 8, model, rng)
 		qSel, qErr := quant.SelectSector(context.Background(), probes)
-		fSel, fErr := float.SelectSector(context.Background(), probes)
-		if (qErr == nil) != (fErr == nil) {
-			t.Fatalf("trial=%d: error parity broken: quant %v, float %v", trial, qErr, fErr)
+		fSel, fErr := quant.SelectSectorSerial(probes)
+		if !sameErrClass(qErr, fErr) {
+			t.Fatalf("trial=%d: error parity broken: quant %v, serial %v", trial, qErr, fErr)
 		}
 		if qErr != nil {
-			for _, sentinel := range []error{ErrTooFewProbes, ErrDegenerateSurface} {
-				if errors.Is(qErr, sentinel) != errors.Is(fErr, sentinel) {
-					t.Fatalf("trial=%d: sentinel parity broken: quant %v, float %v", trial, qErr, fErr)
-				}
-			}
 			continue
 		}
 		trials++
-		// When both kernels reject their ridge and fall back, the sweep
+		// When both paths reject their ridge and fall back, the sweep
 		// fallback depends only on the probes, never the kernel.
 		if qSel.Fallback && fSel.Fallback && qSel.Sector != fSel.Sector {
-			t.Fatalf("trial=%d: fallback selections diverged: quant %d, float %d", trial, qSel.Sector, fSel.Sector)
+			t.Fatalf("trial=%d: fallback selections diverged: quant %d, serial %d", trial, qSel.Sector, fSel.Sector)
 		}
 	}
 	if trials == 0 {
-		t.Fatal("no three-probe trial produced an estimate on either kernel")
+		t.Fatal("no three-probe trial produced an estimate on either path")
 	}
 }
 
@@ -281,9 +254,6 @@ func TestQuantBatchMatchesSelectSector(t *testing.T) {
 	est, err := NewEstimator(set, Options{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if est.Kernel() != KernelQuantInt16 {
-		t.Fatalf("default options did not build the quantized kernel: %q", est.Kernel())
 	}
 	model := radio.DefaultMeasurementModel()
 	rng := stats.NewRNG(47)
@@ -335,9 +305,9 @@ func TestQuantBatchMatchesSelectSector(t *testing.T) {
 }
 
 // TestQuantConcurrentUse runs many concurrent quantized estimates
-// through one estimator — the quantized twin of TestEngineConcurrentUse,
-// checking the pooled gather/tile scratch under the race detector and
-// that concurrent results equal sequential ones bit for bit.
+// through one estimator, checking the pooled gather scratch under the
+// race detector and that concurrent EstimateAoA results equal
+// sequential ones bit for bit.
 func TestQuantConcurrentUse(t *testing.T) {
 	set, gain := synthSetup(t)
 	est, err := NewEstimator(set, Options{})
@@ -373,40 +343,16 @@ func TestQuantConcurrentUse(t *testing.T) {
 	}
 }
 
-// TestKernelOptionPlumbing pins the option surface: unknown kernel names
-// are rejected at construction, ExactSearch implies the float kernel,
-// and the estimator reports the kernel actually serving estimates.
-func TestKernelOptionPlumbing(t *testing.T) {
-	set, _ := synthSetup(t)
-	if _, err := NewEstimator(set, Options{Kernel: "no-such-kernel"}); err == nil {
-		t.Fatal("unknown kernel accepted")
-	}
-	exact, err := NewEstimator(set, Options{ExactSearch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exact.Kernel() != KernelFloat64 {
-		t.Fatalf("ExactSearch kernel = %q, want %q", exact.Kernel(), KernelFloat64)
-	}
-	pinned, err := NewEstimator(set, Options{Kernel: KernelQuantInt16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pinned.Kernel() != KernelQuantInt16 {
-		t.Fatalf("pinned quant kernel = %q, want %q", pinned.Kernel(), KernelQuantInt16)
-	}
-	if !pinned.en.quant() || len(pinned.en.dictQ) != len(pinned.en.dict) {
-		t.Fatal("quantized dictionary was not built alongside the float one")
-	}
-	if len(pinned.en.coarseQ) != len(pinned.en.coarse) {
-		t.Fatal("quantized coarse dictionary does not mirror the float one")
-	}
-}
-
 // TestQuantHoleyDictionary routes a dictionary with NaN holes through
-// the quantized kernel: holes disable the fused fast path (the missing
-// sentinel must be re-checked at every grid point), and the slow sweep
-// must still track the float kernel on structured observations.
+// the production kernel and gates it against the serial oracle. Single
+// holes exercise the nearest-valid corner substitution baked into the
+// dictionary at build time; two adjacent missing elevation rows leave
+// real dictionary NaNs, which disable the fused fast path (the missing
+// sentinel must be re-checked at every grid point). Structured
+// observations must track the oracle's sector within a 5% budget;
+// random garbage readings with missed reports must match its error
+// class on every trial, and bit for bit whenever both pick the same
+// cell.
 func TestQuantHoleyDictionary(t *testing.T) {
 	grid, err := geom.UniformGrid(-60, 60, 4, 0, 12, 4)
 	if err != nil {
@@ -438,18 +384,14 @@ func TestQuantHoleyDictionary(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	quant, err := NewEstimator(set, Options{})
+	est, err := NewEstimator(set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if quant.Kernel() != KernelQuantInt16 || quant.en.fullQ {
-		t.Fatalf("holey dictionary should build a non-full quantized kernel (kernel %q, full %v)",
-			quant.Kernel(), quant.en.fullQ)
+	if est.en.fullQ {
+		t.Fatal("holey dictionary built a full (hole-free) quantized kernel")
 	}
-	float64k, err := NewEstimator(set, Options{Kernel: KernelFloat64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := context.Background()
 	rng := stats.NewRNG(59)
 	mismatches, trials := 0, 0
 	for trial := 0; trial < 60; trial++ {
@@ -464,16 +406,16 @@ func TestQuantHoleyDictionary(t *testing.T) {
 				OK:     true,
 			})
 		}
-		qSel, qErr := quant.SelectSector(context.Background(), probes)
-		fSel, fErr := float64k.SelectSector(context.Background(), probes)
-		if (qErr == nil) != (fErr == nil) {
-			t.Fatalf("trial %d: error parity broken: quant %v, float %v", trial, qErr, fErr)
+		qSel, qErr := est.SelectSector(ctx, probes)
+		sSel, sErr := est.SelectSectorSerial(probes)
+		if !sameErrClass(qErr, sErr) {
+			t.Fatalf("trial %d: error parity broken: quant %v, serial %v", trial, qErr, sErr)
 		}
 		if qErr != nil {
 			continue
 		}
 		trials++
-		if qSel.Sector != fSel.Sector {
+		if qSel.Sector != sSel.Sector {
 			mismatches++
 		}
 	}
@@ -483,4 +425,110 @@ func TestQuantHoleyDictionary(t *testing.T) {
 	if budget := trials / 20; mismatches > budget {
 		t.Fatalf("holey-dictionary selections diverged on %d of %d trials (budget %d)", mismatches, trials, budget)
 	}
+
+	rng = stats.NewRNG(3)
+	cellDiv := 0
+	for trial := 0; trial < 50; trial++ {
+		probes := make([]Probe, 0, 10)
+		for i := 1; i <= 10; i++ {
+			probes = append(probes, Probe{
+				Sector: sector.ID(i),
+				Meas:   radio.Measurement{SNR: -5 + 20*rng.Float64(), RSSI: -75 + 20*rng.Float64()},
+				OK:     rng.Float64() > 0.3,
+			})
+		}
+		label := fmt.Sprintf("garbage trial=%d", trial)
+		gotAoA, gotErr := est.EstimateAoA(ctx, probes)
+		refAoA, refErr := est.EstimateAoASerial(probes)
+		if !sameErrClass(gotErr, refErr) {
+			t.Fatalf("%s: engine err %v, serial err %v", label, gotErr, refErr)
+		}
+		if gotErr == nil && !checkEpilogue(t, label, gotAoA, refAoA) {
+			cellDiv++
+		}
+	}
+	t.Logf("holey dictionary: %d/%d structured sector divergences, %d/50 garbage-reading cell divergences",
+		mismatches, trials, cellDiv)
+}
+
+// TestQuantNonFiniteDictionary feeds the production kernel dictionaries
+// with no usable amplitude at all (every sample NaN: patterns created
+// with pattern.New and never filled) and with a single +Inf sample. Both
+// must stay on the quantized kernel — non-finite samples quantize as
+// holes — match the serial oracle's error class on every call, and
+// never panic.
+func TestQuantNonFiniteDictionary(t *testing.T) {
+	ctx := context.Background()
+	ids := sector.TalonTX()
+
+	t.Run("all-nan", func(t *testing.T) {
+		grid, err := geom.UniformGrid(-60, 60, 4, 0, 12, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := pattern.NewSet()
+		for _, id := range ids[:8] {
+			if err := set.Put(id, pattern.New(grid)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		est, err := NewEstimator(set, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range est.en.dictQ {
+			if c != quantMissing {
+				t.Fatalf("dictQ[%d] = %d, want quantMissing", i, c)
+			}
+		}
+		probes := make([]Probe, 0, 8)
+		for i, id := range ids[:8] {
+			probes = append(probes, Probe{Sector: id, Meas: radio.Measurement{SNR: float64(i), RSSI: -70 + float64(i)}, OK: true})
+		}
+		_, qErr := est.EstimateAoA(ctx, probes)
+		_, sErr := est.EstimateAoASerial(probes)
+		if !errors.Is(qErr, ErrDegenerateSurface) || !sameErrClass(qErr, sErr) {
+			t.Fatalf("want ErrDegenerateSurface on both paths, got quant %v, serial %v", qErr, sErr)
+		}
+		qSel, qErr := est.SelectSector(ctx, probes)
+		sSel, sErr := est.SelectSectorSerial(probes)
+		if !sameErrClass(qErr, sErr) || !sameSelection(qSel, sSel) {
+			t.Fatalf("selection parity broken: quant %+v %v, serial %+v %v", qSel, qErr, sSel, sErr)
+		}
+	})
+
+	t.Run("one-inf", func(t *testing.T) {
+		set, gain := synthSetup(t)
+		inf := set.Get(ids[5]).Clone()
+		inf.Set(40, 3, math.Inf(1))
+		if err := set.Put(ids[5], inf); err != nil {
+			t.Fatal(err)
+		}
+		est, err := NewEstimator(set, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(est.en.dictQ) == 0 || est.en.fullQ {
+			t.Fatal("+Inf sample did not quantize as a dictionary hole")
+		}
+		rng := stats.NewRNG(67)
+		model := radio.DefaultMeasurementModel()
+		for trial := 0; trial < 40; trial++ {
+			ps, err := RandomProbes(rng, ids, 14)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probes := observe(t, gain, ps.IDs(), -78+156*rng.Float64(), 28*rng.Float64(), model, rng)
+			_, qErr := est.EstimateAoA(ctx, probes)
+			_, sErr := est.EstimateAoASerial(probes)
+			if !sameErrClass(qErr, sErr) {
+				t.Fatalf("trial %d: estimate error parity broken: quant %v, serial %v", trial, qErr, sErr)
+			}
+			_, qErr = est.SelectSector(ctx, probes)
+			_, sErr = est.SelectSectorSerial(probes)
+			if !sameErrClass(qErr, sErr) {
+				t.Fatalf("trial %d: select error parity broken: quant %v, serial %v", trial, qErr, sErr)
+			}
+		}
+	})
 }

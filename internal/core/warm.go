@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 )
 
 // Warm-start incremental re-estimation.
@@ -19,7 +18,8 @@ import (
 // coarse sweep plus top-K window refinement.
 //
 // Correctness contract: warm-start may only change cost, never the
-// reported selection beyond the quant-vs-float equivalence budget. Three
+// reported selection beyond the equivalence budget of the cold search.
+// Three
 // guards enforce it, and any failure falls back to the full quantized
 // search bit for bit:
 //
@@ -36,10 +36,6 @@ import (
 //     the fallback threshold and the margin are kept on the full search,
 //     so warm-start cannot convert a borderline estimate into a
 //     different borderline estimate unseen.
-//
-// The float64 kernel ignores hints entirely — SelectSectorWarm degrades
-// to SelectSector — so pinned float golden artifacts are untouched by
-// warm-start plumbing.
 
 // Cell names one dense grid cell of an estimator's correlation surface,
 // used as the warm-start hint chained from a previous estimate. The zero
@@ -151,24 +147,23 @@ func (en *engine) warmArgmaxQ(qv *quantVec, hint Cell, snrOnly bool, radius int,
 }
 
 // SelectSectorWarm is SelectSector seeded with the grid cell of a
-// previous selection (Selection.AoA.Cell): when the quantized kernel is
-// serving estimates and the local window around the hint passes the
-// warm guards, the coarse pass is skipped entirely. On any guard failure
-// — or with hint == NoCell, or on the float64 kernel — the call is
+// previous selection (Selection.AoA.Cell): when the local window around
+// the hint passes the warm guards, the coarse pass is skipped entirely.
+// On any guard failure — or with hint == NoCell — the call is
 // bit-identical to SelectSector.
 func (e *Estimator) SelectSectorWarm(ctx context.Context, probes []Probe, hint Cell) (Selection, error) {
 	metSelectEngine.Inc()
-	aoa, err := e.estimateHint(ctx, probes, 0, hint)
+	aoa, err := e.estimate(ctx, probes, hint)
 	if err != nil && isCtxErr(err) {
 		return Selection{}, err
 	}
 	return e.finishSelection(probes, aoa, err)
 }
 
-// estimateQuantHint is estimateQuant with an optional warm-start hint:
-// after the shared gather+quantize prologue it tries the local window
-// first and falls back to the full quantized search on any guard
-// failure.
+// estimateQuantHint runs one estimate on the quantized kernel with an
+// optional warm-start hint: after the shared gather+quantize prologue it
+// tries the local window first and falls back to the full quantized
+// search on any guard failure.
 //
 //talon:noalloc
 func (e *Estimator) estimateQuantHint(ctx context.Context, g *gatherScratch, probes []Probe, hint Cell) (AoAEstimate, error) {
@@ -209,20 +204,4 @@ func (e *Estimator) estimateQuantHint(ctx context.Context, g *gatherScratch, pro
 		return AoAEstimate{}, fmt.Errorf("core: %w", ErrDegenerateSurface)
 	}
 	return e.quantEpilogue(g, cols, bestA, bestE, reported), nil
-}
-
-// estimateHint is estimate() with a warm-start hint. The hint only
-// reaches the quantized kernel; the float64 paths ignore it, so pinned
-// float artifacts cannot drift through warm-start plumbing.
-func (e *Estimator) estimateHint(ctx context.Context, probes []Probe, maxShards int, hint Cell) (AoAEstimate, error) {
-	if e.en != nil && e.en.quant() {
-		metEstimates.Inc()
-		start := time.Now() //lint:allow determinism -- estimate-latency histogram reads the wall clock by design
-		defer metEstimateSeconds.ObserveSince(start)
-		metScratchGets.Inc()
-		g := e.gathers.Get().(*gatherScratch)
-		defer e.gathers.Put(g)
-		return e.estimateQuantHint(ctx, g, probes, hint)
-	}
-	return e.estimate(ctx, probes, maxShards)
 }

@@ -18,7 +18,7 @@ import (
 )
 
 // Equivalence gate of the warm-start path (warm.go) against the cold
-// quantized search, mirroring the quant-vs-float suite in
+// quantized search, mirroring the quant-vs-oracle suite in
 // quant_equiv_test.go: hints chained across a tracked trajectory may
 // only change the cost of a selection, never its result beyond the
 // same ≤1% sector-divergence / one-coarse-cell-diagonal budget. A
@@ -92,9 +92,6 @@ func TestQuantWarmMatchesColdClean(t *testing.T) {
 	est, err := NewEstimator(set, Options{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if est.Kernel() != KernelQuantInt16 {
-		t.Fatalf("default options did not build the quantized kernel: %q", est.Kernel())
 	}
 	diag := coarseDiag(t, est)
 	model := radio.DefaultMeasurementModel()

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"talon/internal/core"
 )
 
 // parallelismKnob caps the worker count of the trial loops; 0 means
@@ -45,19 +43,6 @@ func parallelFor(ctx context.Context, n, workers int, fn func(i int)) error {
 		workers = 1
 	}
 	metWorkers.Set(int64(workers))
-	// Trial workers × engine shards must not oversubscribe the machine:
-	// cap the engine's per-estimate sharding so the combined goroutine
-	// count stays at GOMAXPROCS (each estimate is pure CPU work, so
-	// extra goroutines only add scheduler churn). Restore the previous
-	// cap on exit — campaigns may nest inside callers with their own.
-	if workers > 1 {
-		shards := runtime.GOMAXPROCS(0) / workers
-		if shards < 1 {
-			shards = 1
-		}
-		prev := core.SetMaxShards(shards)
-		defer core.SetMaxShards(prev)
-	}
 	loopStart := time.Now() //lint:allow determinism -- worker-utilization metrics time the wall clock by design
 	defer metLoopSeconds.ObserveSince(loopStart)
 	// busyNanos accumulates per-iteration time across workers; utilization

@@ -115,8 +115,8 @@ func EvaluateTraces(ctx context.Context, envName string, traces []testbed.Trace,
 
 	// Phase 2: run the independent selections through the batched
 	// estimation path — one persistent worker pool over the whole
-	// campaign's probe vectors instead of per-call fan-out, with engine
-	// sharding disabled inside each item so trial workers are the only
+	// campaign's probe vectors instead of per-call fan-out; estimates
+	// never fan out internally, so the batch workers are the only
 	// parallelism.
 	probesList := make([]core.BatchItem, len(jobs))
 	for i := range jobs {

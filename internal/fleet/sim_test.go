@@ -31,10 +31,10 @@ func goldenSimConfig() SimConfig {
 	}
 }
 
-func runGoldenSim(t *testing.T, workers int, kernel core.Kernel) []byte {
+func runGoldenSim(t *testing.T, workers int) []byte {
 	t.Helper()
 	set := synthPatterns(t)
-	est, err := core.NewEstimator(set, core.Options{Kernel: kernel})
+	est, err := core.NewEstimator(set, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,38 +51,27 @@ func runGoldenSim(t *testing.T, workers int, kernel core.Kernel) []byte {
 	return append(blob, '\n')
 }
 
-// TestSimGoldenScorecard pins the full scorecard of the seeded workload
-// byte for byte. The golden predates the quantized kernel and is pinned
-// to KernelFloat64 — it doubles as the regression proof that the float
-// path is untouched by kernel changes. Regenerate with -update after
-// intentional changes.
-func TestSimGoldenScorecard(t *testing.T) {
-	got := runGoldenSim(t, 0, core.KernelFloat64)
-	testutil.Golden(t, filepath.Join("testdata", "scorecard.golden.json"), got)
-}
-
-// TestSimGoldenScorecardQuant pins the scorecard under the default
-// (quantized) kernel, recorded the moment the quantized kernel became
-// the default. Any later change to the quantized arithmetic — scale,
-// lattice, tiling — that moves fleet-level outcomes shows up here as a
-// byte diff.
+// TestSimGoldenScorecardQuant pins the full scorecard of the seeded
+// workload byte for byte under the default (quantized) kernel, recorded
+// the moment the quantized kernel became the default. Any later change
+// to the quantized arithmetic — scale, lattice, tiling — that moves
+// fleet-level outcomes shows up here as a byte diff. Regenerate with
+// -update after intentional changes.
 func TestSimGoldenScorecardQuant(t *testing.T) {
-	got := runGoldenSim(t, 0, core.KernelAuto)
+	got := runGoldenSim(t, 0)
 	testutil.Golden(t, filepath.Join("testdata", "scorecard.quant.golden.json"), got)
 }
 
 // TestSimDeterminism proves the scorecard is a pure function of the
-// config and kernel: byte-identical across repeated runs and across
-// serial vs parallel execution. The quantized default exercises the
-// batch-major tile pass, whose per-item results must not depend on how
-// the batch was chunked across workers.
+// config: byte-identical across repeated runs and across serial vs
+// parallel execution. It exercises the batch-major tile pass, whose
+// per-item results must not depend on how the batch was chunked across
+// workers.
 func TestSimDeterminism(t *testing.T) {
-	for _, kernel := range []core.Kernel{core.KernelAuto, core.KernelFloat64} {
-		base := runGoldenSim(t, 0, kernel)
-		for _, workers := range []int{1, 2, 0} {
-			if got := runGoldenSim(t, workers, kernel); !bytes.Equal(base, got) {
-				t.Fatalf("kernel=%q workers=%d scorecard differs from baseline", kernel, workers)
-			}
+	base := runGoldenSim(t, 0)
+	for _, workers := range []int{1, 2, 0} {
+		if got := runGoldenSim(t, workers); !bytes.Equal(base, got) {
+			t.Fatalf("workers=%d scorecard differs from baseline", workers)
 		}
 	}
 }
@@ -90,7 +79,7 @@ func TestSimDeterminism(t *testing.T) {
 // TestSimSanity checks the headline scorecard numbers hang together.
 func TestSimSanity(t *testing.T) {
 	var sc Scorecard
-	if err := json.Unmarshal(runGoldenSim(t, 0, core.KernelAuto), &sc); err != nil {
+	if err := json.Unmarshal(runGoldenSim(t, 0), &sc); err != nil {
 		t.Fatal(err)
 	}
 	if sc.Trainings == 0 {

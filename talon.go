@@ -112,19 +112,6 @@ type (
 	// SetInjector; build one from internal/fault or use
 	// Standard60GHzFaults.
 	FaultInjector = fault.Injector
-	// Kernel names a correlation-kernel implementation (see
-	// EstimatorOptions.Kernel and WithFloatKernel).
-	Kernel = core.Kernel
-)
-
-// The correlation kernels an estimator can run on (EstimatorOptions.Kernel).
-const (
-	// KernelAuto picks the default kernel — currently KernelQuantInt16.
-	KernelAuto = core.KernelAuto
-	// KernelQuantInt16 is the cache-tiled quantized int16 kernel.
-	KernelQuantInt16 = core.KernelQuantInt16
-	// KernelFloat64 is the exact float64 reference kernel.
-	KernelFloat64 = core.KernelFloat64
 )
 
 // The FallbackReason values a degraded Selection reports.
@@ -255,7 +242,6 @@ type trainerConfig struct {
 	seed    int64
 	estOpts EstimatorOptions
 	exact   bool
-	float   bool
 }
 
 // DefaultM is the probe budget a Trainer uses unless WithM overrides it:
@@ -279,27 +265,15 @@ func WithEstimatorOptions(opts EstimatorOptions) TrainerOption {
 	return func(c *trainerConfig) { c.estOpts = opts }
 }
 
-// WithExactSearch forces the paper-faithful exhaustive grid search
-// instead of the default hierarchical coarse-to-fine search. The
-// hierarchical search selects the same sector on essentially all
-// realistic probe vectors at a fraction of the cost (see DESIGN.md §12);
-// exact mode preserves the original engine's bit-for-bit behaviour for
-// audits and regression baselines. Composes with WithEstimatorOptions
-// regardless of option order.
+// WithExactSearch forces the exhaustive scan of every grid point
+// instead of the default hierarchical coarse-to-fine search, so no top-K
+// pruning can miss the correlation maximum. Both run on the quantized
+// int16 kernel, so neither is bit-identical to the float64 serial
+// reference: int16 rounding can move the argmax on near-tied surfaces
+// (see DESIGN.md §12 and §15 for the measured divergence). Composes with
+// WithEstimatorOptions regardless of option order.
 func WithExactSearch() TrainerOption {
 	return func(c *trainerConfig) { c.exact = true }
-}
-
-// WithFloatKernel pins the float64 correlation kernel instead of the
-// default quantized int16 kernel (core/quant.go). The quantized kernel
-// is equivalence-gated — not bit-identical — against float64: it selects
-// the same sector on ≥99% of seeded trials and lands within one
-// coarse-cell diagonal on the rest, at a fraction of the cost. Pin the
-// float kernel when reproducing artifacts recorded before the quantized
-// default, or when auditing against the serial reference (WithExactSearch
-// implies it). Composes with WithEstimatorOptions regardless of order.
-func WithFloatKernel() TrainerOption {
-	return func(c *trainerConfig) { c.float = true }
 }
 
 // NewTrainer builds a trainer over link using the transmitter's measured
@@ -316,9 +290,6 @@ func NewTrainer(link *Link, patterns *PatternSet, opts ...TrainerOption) (*Train
 	}
 	if cfg.exact {
 		cfg.estOpts.ExactSearch = true
-	}
-	if cfg.float {
-		cfg.estOpts.Kernel = core.KernelFloat64
 	}
 	if link == nil {
 		return nil, fmt.Errorf("talon: trainer needs a link")
