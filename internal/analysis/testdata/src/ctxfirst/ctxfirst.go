@@ -14,7 +14,7 @@ func Probe(ctx context.Context, sector int) error {
 
 // conjured roots are flagged even in unexported helpers.
 func conjure() context.Context {
-	_ = context.TODO()         // want "must not call context.TODO"
+	_ = context.TODO()          // want "must not call context.TODO"
 	return context.Background() // want "must not call context.Background"
 }
 

@@ -17,9 +17,9 @@ func wallClock() time.Duration {
 
 // The global, process-seeded generator is flagged.
 func globalRand() float64 {
-	_ = rand.Intn(64)  // want "global rand.Intn uses the ambient process-seeded generator"
+	_ = rand.Intn(64)                  // want "global rand.Intn uses the ambient process-seeded generator"
 	rand.Shuffle(8, func(i, j int) {}) // want "global rand.Shuffle uses the ambient process-seeded generator"
-	return rand.Float64() // want "global rand.Float64 uses the ambient process-seeded generator"
+	return rand.Float64()              // want "global rand.Float64 uses the ambient process-seeded generator"
 }
 
 // rand.New seeded from a constant is not an injected stream.

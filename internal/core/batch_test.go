@@ -11,8 +11,10 @@ import (
 )
 
 // TestBatchMatchesSelectSector checks the batch contract: item i of
-// SelectSectorBatch carries exactly what SelectSector returns for
-// batch[i], including per-item errors, at any worker count.
+// SelectSectorBatch carries exactly what SelectSectorWarm returns for
+// batch[i]'s probes and hint (SelectSector for unhinted items),
+// including per-item errors, at any worker count, and advances the
+// warm-start counters by exactly as much as the per-call loop.
 func TestBatchMatchesSelectSector(t *testing.T) {
 	set, gain := synthSetup(t)
 	est, err := NewEstimator(set, Options{})
@@ -45,19 +47,56 @@ func TestBatchMatchesSelectSector(t *testing.T) {
 	degenerate[0].OK, degenerate[1].OK = true, true
 	batch = append(batch, degenerate)
 
-	want := make([]BatchResult, len(batch))
-	for i := range batch {
-		sel, err := est.SelectSector(ctx, batch[i])
+	// Hinted items, as the fleet chains them: for each of the first ten
+	// vectors, the cell of its own cold selection (the previous round's
+	// cell), a cell far across the grid, a cell outside the grid and
+	// NoCell.
+	items := BatchOf(batch)
+	numAz, numEl := len(est.en.az), len(est.en.el)
+	for i := 0; i < 10; i++ {
+		cold, err := est.SelectSector(ctx, batch[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ai, ei, ok := cold.AoA.Cell.split()
+		if !ok {
+			t.Fatalf("item %d: cold selection carries no cell", i)
+		}
+		far := cellOf((ai+numAz/2)%numAz, (ei+numEl/2)%numEl)
+		for _, hint := range []Cell{cold.AoA.Cell, far, cellOf(numAz, numEl), NoCell} {
+			items = append(items, BatchItem{Probes: batch[i], Hint: hint})
+		}
+	}
+
+	warmCounters := func() [3]int64 {
+		return [3]int64{metWarmHints.Value(), metWarmHits.Value(), metWarmFallbacks.Value()}
+	}
+	delta := func(before [3]int64) [3]int64 {
+		after := warmCounters()
+		return [3]int64{after[0] - before[0], after[1] - before[1], after[2] - before[2]}
+	}
+	want := make([]BatchResult, len(items))
+	before := warmCounters()
+	for i, it := range items {
+		sel, err := est.SelectSectorWarm(ctx, it.Probes, it.Hint)
 		want[i] = BatchResult{Selection: sel, Err: err}
+	}
+	wantWarm := delta(before)
+	if wantWarm[1] == 0 || wantWarm[2] == 0 {
+		t.Fatalf("warm counters advanced by %v: the hints must exercise both hits and fallbacks", wantWarm)
 	}
 
 	for _, workers := range []int{0, 1, 3, 64} {
-		got, err := est.SelectSectorBatch(ctx, BatchOf(batch), workers)
+		before := warmCounters()
+		got, err := est.SelectSectorBatch(ctx, items, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(got) != len(batch) {
-			t.Fatalf("workers=%d: %d results for %d items", workers, len(got), len(batch))
+		if d := delta(before); d != wantWarm {
+			t.Fatalf("workers=%d: warm {hints,hits,fallbacks} advanced by %v, per-call loop by %v", workers, d, wantWarm)
+		}
+		if len(got) != len(items) {
+			t.Fatalf("workers=%d: %d results for %d items", workers, len(got), len(items))
 		}
 		for i := range got {
 			if (got[i].Err == nil) != (want[i].Err == nil) ||

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"talon/internal/pattern"
-	"talon/internal/sector"
 )
 
 // engine is the precomputed correlation engine behind EstimateAoA: a
@@ -17,7 +16,7 @@ import (
 // estimate; the engine pays that cost exactly once at construction and
 // quantizes the result to int16 codes, so the grid search reduces to
 // integer moment sweeps over contiguous slices (quant.go). Per-call
-// scratch is recycled through sync.Pools.
+// scratch is recycled through one sync.Pool (see tile.go).
 type engine struct {
 	az, el []float64
 	stride int        // dense dictionary columns per grid point
@@ -31,15 +30,11 @@ type engine struct {
 	dict []float64
 
 	// Hierarchical coarse-to-fine search (see hier.go): the dense az/el
-	// indices of the decimated coarse grid, the refinement window radii
-	// and the candidate count. Empty when the hierarchy is disabled
-	// (ExactSearch, tiny grids, decimation < 2), in which case every
-	// estimate runs the exhaustive dense scan.
+	// indices of the decimated coarse grid. Empty when the hierarchy is
+	// disabled (ExactSearch, tiny grids), in which case every estimate
+	// runs the exhaustive dense scan.
 	cAzIdx []int32 // dense az index of each coarse grid column
 	cElIdx []int32 // dense el index of each coarse grid row
-	winAz  int     // dense az radius refined around a candidate cell
-	winEl  int     // dense el radius refined around a candidate cell
-	topK   int     // coarse candidate cells refined per estimate
 
 	// Quantized int16 kernel (see quant.go / tile.go). dictQ is the
 	// fixed-point twin of dict ([0, quantOne] amplitude codes,
@@ -53,18 +48,13 @@ type engine struct {
 	tilePts int
 	fullQ   bool
 
-	colBufs      sync.Pool // *[]int16 probe->column scratch
-	hierScratch  sync.Pool // *hierScratch (see hier.go)
 	batchScratch sync.Pool // *quantBatchScratch (see tile.go)
 }
 
-// newEngine precomputes the dictionary from the pattern set. Returns nil
-// when the set is empty (the estimator then has nothing to search).
-func newEngine(set *pattern.Set, opts Options) *engine {
+// newEngine precomputes the dictionary from a non-empty pattern set;
+// exact skips the hierarchical coarse grid (Options.ExactSearch).
+func newEngine(set *pattern.Set, exact bool) *engine {
 	grid := set.Grid()
-	if grid == nil {
-		return nil
-	}
 	buildStart := time.Now() //lint:allow determinism -- dictionary-build histogram reads the wall clock by design
 	defer metDictBuildSeconds.ObserveSince(buildStart)
 	ids := set.IDs()
@@ -97,57 +87,33 @@ func newEngine(set *pattern.Set, opts Options) *engine {
 			}
 		}
 	}
-	en.colBufs.New = func() any {
-		metScratchMisses.Inc()
-		s := make([]int16, 0, 64)
-		return &s
-	}
 	en.batchScratch.New = func() any {
 		metScratchMisses.Inc()
 		return &quantBatchScratch{}
 	}
-	en.buildCoarse(opts)
+	if !exact {
+		en.buildCoarse()
+	}
 	en.buildQuant()
 	return en
 }
 
 // buildCoarse lays out the decimated coarse grid of the hierarchical
-// search (hier.go): every decim-th dense index per axis, plus the last
-// dense index of each axis so the refinement windows (radius
-// (decim+1)/2) of the coarse samples tile the whole dense grid.
+// search (hier.go): every coarseDecim-th dense index per axis, plus the
+// last dense index of each axis so the refinement windows (radius
+// refineRadius) of the coarse samples tile the whole dense grid.
 // buildQuant copies the coarse dictionary rows out of the dense one at
-// these indices. The hierarchy is skipped entirely — leaving every
-// estimate on the exhaustive dense scan — when the options demand it or
-// the coarse grid would not actually be smaller than the dense one.
-func (en *engine) buildCoarse(opts Options) {
-	if opts.ExactSearch {
-		return
-	}
-	decim := opts.CoarseDecim
-	if decim == 0 {
-		decim = DefaultCoarseDecim
-	}
-	topK := opts.TopK
-	if topK == 0 {
-		topK = DefaultTopK
-	}
-	if decim < 2 || topK < 1 {
-		return
-	}
+// these indices. The hierarchy is skipped — leaving every estimate on
+// the exhaustive dense scan — when the coarse grid would not actually be
+// smaller than the dense one.
+func (en *engine) buildCoarse() {
 	numAz, numEl := len(en.az), len(en.el)
-	cAz := decimateIndices(numAz, decim)
-	cEl := decimateIndices(numEl, decim)
+	cAz := decimateIndices(numAz, coarseDecim)
+	cEl := decimateIndices(numEl, coarseDecim)
 	if len(cAz)*len(cEl) >= numAz*numEl {
 		return
 	}
 	en.cAzIdx, en.cElIdx = cAz, cEl
-	en.winAz = (decim + 1) / 2
-	en.winEl = (decim + 1) / 2
-	en.topK = topK
-	en.hierScratch.New = func() any {
-		metScratchMisses.Inc()
-		return newHierScratch(topK)
-	}
 }
 
 // hier reports whether the hierarchical coarse-to-fine search is built.
@@ -166,22 +132,6 @@ func decimateIndices(n, decim int) []int32 {
 	}
 	return out
 }
-
-// probeCols maps probe sector IDs to dense dictionary columns (-1 for
-// sectors absent from the set, mirroring the serial path's nil-pattern
-// skip). The returned slice comes from a pool; release with putCols.
-func (en *engine) probeCols(ids []sector.ID) *[]int16 {
-	metScratchGets.Inc()
-	buf := en.colBufs.Get().(*[]int16)
-	cols := (*buf)[:0]
-	for _, id := range ids {
-		cols = append(cols, en.cols[id])
-	}
-	*buf = cols
-	return buf
-}
-
-func (en *engine) putCols(buf *[]int16) { en.colBufs.Put(buf) }
 
 // correlateAt is the engine twin of Estimator.correlate at one grid
 // point: identical accumulation order, fixed 64-component capacity,

@@ -68,8 +68,8 @@ func checkEpilogue(t *testing.T, label string, got, ref AoAEstimate) bool {
 	return true
 }
 
-// TestEngineMatchesSerial gates every estimator option variant of the
-// production kernel against the serial oracle, across probe counts and
+// TestEngineMatchesSerial gates both correlation variants (joint Eq. 5
+// and SNR-only) of the production kernel against the serial oracle, across probe counts and
 // noisy observations (including missed probes from the defect model).
 // On every trial the error classes must match, and whenever both paths
 // pick the same grid cell the estimate must be bit-identical (the
@@ -87,9 +87,6 @@ func TestEngineMatchesSerial(t *testing.T) {
 	}{
 		{"default", Options{}},
 		{"snr-only", Options{SNROnly: true}},
-		{"no-refine", Options{NoRefine: true}},
-		{"no-impute", Options{NoImputeMissing: true}},
-		{"snr-only-no-refine", Options{SNROnly: true, NoRefine: true}},
 	}
 	model := radio.DefaultMeasurementModel()
 	ctx := context.Background()

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"talon/internal/pattern"
@@ -59,22 +58,6 @@ type Options struct {
 	// back to the plain Eq. 2/3 correlation on SNR alone (the ablation
 	// of Section 5).
 	SNROnly bool
-	// NoRefine disables the parabolic sub-grid refinement of the argmax,
-	// pinning estimates to grid resolution.
-	NoRefine bool
-	// FallbackCorr is the reliability threshold on the correlation
-	// maximum: when the best correlation falls below it, the angle
-	// estimate is considered unreliable and SelectSector falls back to
-	// the classic argmax over the probed sectors (a sub-sweep
-	// selection). Zero picks the default; negative disables fallback.
-	FallbackCorr float64
-	// NoImputeMissing excludes probed-but-unreported sectors from the
-	// correlation instead of imputing them at the sensitivity floor.
-	// A probe the firmware produced no report for almost always means
-	// the sector was too weak to decode — keeping it in the vector at
-	// floor level anti-correlates directions where that sector should
-	// have been strong, suppressing aliased estimates.
-	NoImputeMissing bool
 	// ExactSearch disables the hierarchical coarse-to-fine search and
 	// forces the exhaustive scan of every dense grid point on the
 	// quantized kernel, so no top-K pruning can miss the argmax. It does
@@ -85,38 +68,16 @@ type Options struct {
 	// scan on all but adversarial surfaces at a fraction of the cost; see
 	// hier.go and DESIGN.md §12 for the trade-off.
 	ExactSearch bool
-	// CoarseDecim is the per-axis decimation factor of the hierarchical
-	// coarse grid. 0 picks DefaultCoarseDecim; values below 2 disable
-	// the hierarchy (equivalent to ExactSearch).
-	CoarseDecim int
-	// TopK is the number of coarse candidate cells the hierarchical
-	// search refines on the dense grid. 0 picks DefaultTopK.
-	TopK int
-	// WarmRadius is the per-axis half-width, in dense grid cells, of the
-	// warm-start scan window (see warm.go). 0 picks DefaultWarmRadius.
-	WarmRadius int
-	// WarmMargin scales the FallbackCorr threshold into the warm-start
-	// acceptance margin: a warm local winner below
-	// WarmMargin × FallbackCorr falls back to the full search. 0 picks
-	// DefaultWarmMargin; negative relaxes the margin to bare positivity.
-	WarmMargin float64
 }
 
-// DefaultFallbackCorr is the default reliability threshold. Joint Eq. 5
+// fallbackCorr is the reliability threshold on the correlation maximum:
+// when the best correlation falls below it, the angle estimate is
+// considered unreliable and SelectSector falls back to the classic
+// argmax over the probed sectors (a sub-sweep selection). Joint Eq. 5
 // correlations of consistent sweeps sit well above it; only degenerate
 // maxima (very few informative probes, heavy outliers) fall below, so
 // the fallback acts as a disaster guard rather than a second selector.
-const DefaultFallbackCorr = 0.25
-
-func (o Options) fallbackCorr() float64 {
-	switch {
-	case o.FallbackCorr < 0:
-		return 0
-	case o.FallbackCorr == 0:
-		return DefaultFallbackCorr
-	}
-	return o.FallbackCorr
-}
+const fallbackCorr = 0.25
 
 // Estimator runs compressive angle-of-arrival estimation against a set of
 // measured sector patterns. It is safe for concurrent use.
@@ -126,20 +87,6 @@ type Estimator struct {
 	// en is the precomputed correlation engine (see engine.go), built
 	// once at construction from a snapshot of the pattern set.
 	en *engine
-	// gathers pools gather scratch so the steady-state estimate path
-	// allocates nothing per call.
-	gathers sync.Pool
-}
-
-// gatherScratch holds the pooled measurement-vector buffers of one
-// estimate: ids/snrDB/rssiDB (raw dB), the code vectors and hoisted
-// moments of qv (see quant.go), and the linear amplitudes snr/rssi of
-// the float epilogue.
-type gatherScratch struct {
-	ids           []sector.ID
-	snr, rssi     []float64
-	snrDB, rssiDB []float64
-	qv            quantVec
 }
 
 // NewEstimator builds an estimator over the measured patterns and
@@ -149,12 +96,7 @@ func NewEstimator(patterns *pattern.Set, opts Options) (*Estimator, error) {
 	if patterns == nil || len(patterns.TXIDs()) < 2 {
 		return nil, errors.New("core: estimator needs a pattern set with at least 2 TX sectors")
 	}
-	e := &Estimator{patterns: patterns, opts: opts, en: newEngine(patterns, opts)}
-	e.gathers.New = func() any {
-		metScratchMisses.Inc()
-		return &gatherScratch{}
-	}
-	return e, nil
+	return &Estimator{patterns: patterns, opts: opts, en: newEngine(patterns, opts.ExactSearch)}, nil
 }
 
 // Patterns returns the pattern set the estimator searches.
@@ -184,10 +126,11 @@ type AoAEstimate struct {
 func amp(db float64) float64 { return math.Pow(10, db/20) }
 
 // gatherVectors converts probes into linear-amplitude measurement
-// vectors. Unless disabled, probed-but-unreported sectors are imputed
-// slightly below the faintest reported reading: no report means the
-// sector was (almost always) below decode sensitivity, which is
-// information the correlation should use.
+// vectors. Probed-but-unreported sectors are imputed slightly below the
+// faintest reported reading: no report means the sector was (almost
+// always) below decode sensitivity, so keeping it in the vector at floor
+// level anti-correlates directions where that sector should have been
+// strong, suppressing aliased estimates.
 func (e *Estimator) gatherVectors(probes []Probe) (ids []sector.ID, snrLin, rssiLin []float64, reported int) {
 	minSNR, minRSSI := math.Inf(1), math.Inf(1)
 	for _, p := range probes {
@@ -202,7 +145,7 @@ func (e *Estimator) gatherVectors(probes []Probe) (ids []sector.ID, snrLin, rssi
 			minRSSI = p.Meas.RSSI
 		}
 	}
-	impute := !e.opts.NoImputeMissing && reported > 0
+	impute := reported > 0
 	for _, p := range probes {
 		switch {
 		case p.OK:
@@ -283,9 +226,9 @@ func (e *Estimator) Correlation(probes []Probe, az, el float64) float64 {
 }
 
 // EstimateAoA maximizes the correlation over the pattern grid (Eq. 3),
-// optionally refining the maximum between grid points. The search runs
-// on the quantized correlation engine: hierarchically (coarse pass,
-// top-K dense refinement, exhaustive fallback — see hier.go) unless
+// refining the maximum between grid points. The search runs on the
+// quantized correlation engine: hierarchically (coarse pass, top-K dense
+// refinement, exhaustive fallback — see hier.go) unless
 // Options.ExactSearch pins it to the exhaustive dense scan. A float
 // epilogue re-scores the winning cell on the float64 dictionary, so
 // whenever the search picks the serial reference's cell the estimate is
@@ -295,17 +238,21 @@ func (e *Estimator) EstimateAoA(ctx context.Context, probes []Probe) (AoAEstimat
 	return e.estimate(ctx, probes, NoCell)
 }
 
-// estimate is the engine-backed estimate shared by EstimateAoA,
-// SelectSector and SelectSectorWarm; hint is an optional warm-start cell
-// (NoCell runs the full search).
+// estimate is the single-item estimate shared by EstimateAoA,
+// SelectSector and SelectSectorWarm: the batch-major chunk (tile.go) run
+// over one item, so every entry point shares the same per-item stages.
+// hint is an optional warm-start cell (NoCell runs the full search).
 func (e *Estimator) estimate(ctx context.Context, probes []Probe, hint Cell) (AoAEstimate, error) {
-	metEstimates.Inc()
 	start := time.Now() //lint:allow determinism -- estimate-latency histogram reads the wall clock by design
 	defer metEstimateSeconds.ObserveSince(start)
-	metScratchGets.Inc()
-	g := e.gathers.Get().(*gatherScratch)
-	defer e.gathers.Put(g)
-	return e.estimateQuantHint(ctx, g, probes, hint)
+	bs := e.en.getBatchScratch()
+	defer e.en.putBatchScratch(bs)
+	items := bs.take(1)
+	batch := [1]BatchItem{{Probes: probes, Hint: hint}}
+	if _, err := e.quantChunk(ctx, batch[:], items); err != nil {
+		return AoAEstimate{}, err
+	}
+	return items[0].aoa, items[0].err
 }
 
 // EstimateAoASerial is the straight-line reference implementation of the
@@ -356,11 +303,8 @@ func (e *Estimator) EstimateAoASerial(probes []Probe) (AoAEstimate, error) {
 		return AoAEstimate{}, fmt.Errorf("core: %w", ErrDegenerateSurface)
 	}
 
-	az, el := azAxis[bestA], elAxis[bestE]
-	if !e.opts.NoRefine {
-		az = refineAxis(azAxis, bestA, func(i int) float64 { return w[bestE][i] })
-		el = refineAxis(elAxis, bestE, func(i int) float64 { return w[i][bestA] })
-	}
+	az := refineAxis(azAxis, bestA, func(i int) float64 { return w[bestE][i] })
+	el := refineAxis(elAxis, bestE, func(i int) float64 { return w[i][bestA] })
 	return AoAEstimate{Az: az, El: el, Corr: bestW, Used: reported, Cell: cellOf(bestA, bestE)}, nil
 }
 
@@ -451,7 +395,7 @@ func (e *Estimator) SelectSectorSerial(probes []Probe) (Selection, error) {
 }
 
 func (e *Estimator) finishSelection(probes []Probe, aoa AoAEstimate, err error) (Selection, error) {
-	if err != nil || aoa.Corr < e.opts.fallbackCorr() {
+	if err != nil || aoa.Corr < fallbackCorr {
 		id, ok := SweepSelect(probes)
 		if !ok {
 			if err != nil {

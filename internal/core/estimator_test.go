@@ -282,22 +282,28 @@ func TestCorrelationScaleInvariance(t *testing.T) {
 	}
 }
 
+// TestRefinementImprovesResolution checks that the parabolic sub-grid
+// refinement beats the grid-pinned azimuth of the same estimate's argmax
+// cell (AoA.Cell).
 func TestRefinementImprovesResolution(t *testing.T) {
 	set, gain := synthSetup(t)
-	refined, _ := NewEstimator(set, Options{})
-	coarse, _ := NewEstimator(set, Options{NoRefine: true})
+	est, _ := NewEstimator(set, Options{})
 	rng := stats.NewRNG(9)
 	model := quietModel()
 	var errR, errC []float64
 	for trial := 0; trial < 80; trial++ {
 		truthAz := rng.Uniform(-60, 60)
 		probes := observe(t, gain, sector.TalonTX(), truthAz, 5, model, rng)
-		if a, err := refined.EstimateAoA(context.Background(), probes); err == nil {
-			errR = append(errR, math.Abs(a.Az-truthAz))
+		a, err := est.EstimateAoA(context.Background(), probes)
+		if err != nil {
+			continue
 		}
-		if a, err := coarse.EstimateAoA(context.Background(), probes); err == nil {
-			errC = append(errC, math.Abs(a.Az-truthAz))
+		ai, _, ok := a.Cell.split()
+		if !ok {
+			t.Fatalf("trial %d: estimate carries no cell", trial)
 		}
+		errR = append(errR, math.Abs(a.Az-truthAz))
+		errC = append(errC, math.Abs(est.en.az[ai]-truthAz))
 	}
 	if stats.Mean(errR) >= stats.Mean(errC) {
 		t.Fatalf("refinement did not help: %.3f° vs %.3f°", stats.Mean(errR), stats.Mean(errC))

@@ -32,7 +32,7 @@ func coarseDiag(t testing.TB, est *Estimator) float64 {
 	if len(en.el) > 1 {
 		elStep = en.el[1] - en.el[0]
 	}
-	return math.Hypot(float64(DefaultCoarseDecim)*azStep, float64(DefaultCoarseDecim)*elStep)
+	return math.Hypot(float64(coarseDecim)*azStep, float64(coarseDecim)*elStep)
 }
 
 // selector is one side of an equivalence comparison: a production
@@ -321,34 +321,64 @@ func TestHierMinimumProbes(t *testing.T) {
 	}
 }
 
-// TestCoarseDecimOptions pins the option plumbing: decimation below two
-// disables the hierarchy, and a custom decimation/top-K pair builds a
-// correspondingly sized coarse grid.
+// TestCoarseDecimOptions pins the structure of the default coarse grid:
+// each axis samples every coarseDecim-th dense index and always includes
+// the last one, so the refinement windows (radius refineRadius) around
+// the coarse samples tile the whole dense grid and every dense point
+// stays reachable by the top-K refinement. ExactSearch builds no coarse
+// grid at all.
 func TestCoarseDecimOptions(t *testing.T) {
 	set, _ := synthSetup(t)
-	off, err := NewEstimator(set, Options{CoarseDecim: 1})
+	est, err := NewEstimator(set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.en.hier() {
-		t.Fatal("CoarseDecim=1 still built the hierarchy")
+	en := est.en
+	if !en.hier() {
+		t.Fatal("default options did not build the hierarchy")
 	}
-	custom, err := NewEstimator(set, Options{CoarseDecim: 8, TopK: 2})
+	for _, axis := range []struct {
+		name string
+		idx  []int32
+		n    int
+	}{
+		{"az", en.cAzIdx, len(en.az)},
+		{"el", en.cElIdx, len(en.el)},
+	} {
+		if want := (axis.n-1)/coarseDecim + 1; len(axis.idx) < want {
+			t.Fatalf("%s: %d coarse samples, want >= %d", axis.name, len(axis.idx), want)
+		}
+		if axis.idx[0] != 0 {
+			t.Fatalf("%s: coarse grid starts at dense index %d, want 0", axis.name, axis.idx[0])
+		}
+		if last := axis.idx[len(axis.idx)-1]; int(last) != axis.n-1 {
+			t.Fatalf("%s: coarse grid does not include the last dense index: %d != %d", axis.name, last, axis.n-1)
+		}
+		covered := make([]bool, axis.n)
+		for i, c := range axis.idx {
+			if i > 0 && c-axis.idx[i-1] > coarseDecim {
+				t.Fatalf("%s: coarse samples %d and %d are more than %d apart", axis.name, axis.idx[i-1], c, coarseDecim)
+			}
+			for d := int(clampIdx(int(c)-refineRadius, axis.n)); d <= int(clampIdx(int(c)+refineRadius, axis.n)); d++ {
+				covered[d] = true
+			}
+		}
+		for d, ok := range covered {
+			if !ok {
+				t.Fatalf("%s: dense index %d lies in no refinement window", axis.name, d)
+			}
+		}
+	}
+	wantQ := len(en.cAzIdx) * len(en.cElIdx) * en.stride
+	if len(en.coarseQ) != wantQ {
+		t.Fatalf("coarse dictionary holds %d codes, want %d", len(en.coarseQ), wantQ)
+	}
+
+	exact, err := NewEstimator(set, Options{ExactSearch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !custom.en.hier() {
-		t.Fatal("CoarseDecim=8 did not build the hierarchy")
-	}
-	if custom.en.topK != 2 {
-		t.Fatalf("topK = %d, want 2", custom.en.topK)
-	}
-	numAz := len(custom.en.az)
-	wantCAz := (numAz-1)/8 + 1
-	if last := custom.en.cAzIdx[len(custom.en.cAzIdx)-1]; int(last) != numAz-1 {
-		t.Fatalf("coarse az grid does not include the last dense index: %d != %d", last, numAz-1)
-	}
-	if got := len(custom.en.cAzIdx); got < wantCAz {
-		t.Fatalf("coarse az samples = %d, want >= %d", got, wantCAz)
+	if exact.en.hier() || len(exact.en.coarseQ) != 0 {
+		t.Fatal("ExactSearch still built the hierarchy")
 	}
 }

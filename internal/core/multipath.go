@@ -31,19 +31,14 @@ func (e *Estimator) EstimateMultipath(ctx context.Context, probes []Probe, k int
 	if reported < 2 {
 		return nil, fmt.Errorf("core: %w: need at least 2 reported probes, have %d", ErrTooFewProbes, reported)
 	}
-	grid, err := e.searchGrid(ids)
-	if err != nil {
-		return nil, err
-	}
-	azAxis, elAxis := grid.Az(), grid.El()
 	// The engine dictionary replaces per-point Pattern.At lookups inside
 	// the cancellation rounds; the vectors it correlates change per round,
 	// the dictionary does not.
-	var cols []int16
-	if e.en != nil {
-		colBuf := e.en.probeCols(ids)
-		defer e.en.putCols(colBuf)
-		cols = *colBuf
+	en := e.en
+	azAxis, elAxis := en.az, en.el
+	cols := make([]int16, len(ids))
+	for i, id := range ids {
+		cols[i] = en.cols[id]
 	}
 
 	// Successive interference cancellation: after each detected path the
@@ -60,30 +55,17 @@ func (e *Estimator) EstimateMultipath(ctx context.Context, probes []Probe, k int
 	mainCorr := 0.0
 	for len(peaks) < k {
 		bestA, bestE, bestW := -1, -1, 0.0
-		var w [][]float64
-		w = make([][]float64, len(elAxis))
-		for ei, el := range elAxis {
+		w := make([][]float64, len(elAxis))
+		for ei := range elAxis {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 			row := make([]float64, len(azAxis))
-			for ai, az := range azAxis {
+			for ai := range azAxis {
 				if suppressed[ei][ai] {
 					continue
 				}
-				var v float64
-				if cols != nil {
-					pt := (ei*len(azAxis) + ai) * e.en.stride
-					v = e.en.correlateAt(pt, cols, snr)
-					if v != 0 && !e.opts.SNROnly {
-						v *= e.en.correlateAt(pt, cols, rssi)
-					}
-				} else {
-					v = e.correlate(ids, snr, az, el)
-					if !e.opts.SNROnly {
-						v *= e.correlate(ids, rssi, az, el)
-					}
-				}
+				v := en.jointAt((ei*len(azAxis)+ai)*en.stride, cols, snr, rssi, e.opts.SNROnly)
 				row[ai] = v
 				if v > bestW {
 					bestA, bestE, bestW = ai, ei, v
@@ -99,11 +81,8 @@ func (e *Estimator) EstimateMultipath(ctx context.Context, probes []Probe, k int
 		} else if bestW < relThresh*mainCorr {
 			break
 		}
-		az, el := azAxis[bestA], elAxis[bestE]
-		if !e.opts.NoRefine {
-			az = refineAxis(azAxis, bestA, func(i int) float64 { return w[bestE][i] })
-			el = refineAxis(elAxis, bestE, func(i int) float64 { return w[i][bestA] })
-		}
+		az := refineAxis(azAxis, bestA, func(i int) float64 { return w[bestE][i] })
+		el := refineAxis(elAxis, bestE, func(i int) float64 { return w[i][bestA] })
 		peaks = append(peaks, AoAEstimate{Az: az, El: el, Corr: bestW, Used: reported})
 		// Cancel the detected path from both measurement vectors and
 		// suppress its angular neighbourhood against re-detection.
@@ -166,21 +145,6 @@ func cancelPath(e *Estimator, ids []sector.ID, ampVec []float64, az, el float64)
 		}
 		ampVec[i] = math.Sqrt(residual)
 	}
-}
-
-// searchGrid picks the grid the correlation surface is evaluated on.
-func (e *Estimator) searchGrid(ids []sector.ID) (*geom.Grid, error) {
-	for _, id := range ids {
-		if p := e.patterns.Get(id); p != nil {
-			return p.Grid(), nil
-		}
-	}
-	for _, id := range e.patterns.IDs() {
-		if p := e.patterns.Get(id); p != nil {
-			return p.Grid(), nil
-		}
-	}
-	return nil, errors.New("core: empty pattern set")
 }
 
 // BackupSelection pairs the primary compressive selection with a backup

@@ -93,6 +93,7 @@ var ampCodes = func() [ProbeCodeMax + 1]int16 {
 // saturating at the clamp bounds (exactly like the hardware does). NaN
 // encodes as the floor. The codec is monotone: db1 <= db2 implies
 // QuantizeProbe(db1) <= QuantizeProbe(db2).
+//
 //talon:noalloc
 func QuantizeProbe(db float64) int16 {
 	c := math.Round((db - radio.SNRMinDB) / probeStepDB)
@@ -108,6 +109,7 @@ func QuantizeProbe(db float64) int16 {
 // DequantizeProbe decodes a probe code back to dB. Out-of-range codes
 // clamp to the window bounds. Round-tripping any in-window dB value
 // through QuantizeProbe changes it by at most probeStepDB/2.
+//
 //talon:noalloc
 func DequantizeProbe(code int16) float64 {
 	switch {
@@ -137,6 +139,7 @@ func DequantizeProbe(code int16) float64 {
 // unknown sector) would otherwise shift the window and saturate every
 // real component to the floor. Their codes still occupy a slot to keep
 // dst parallel to cols.
+//
 //talon:noalloc
 func quantizeVec(dst []int16, db []float64, cols []int16) []int16 {
 	maxDB := math.Inf(-1)
@@ -213,6 +216,7 @@ func (en *engine) buildQuant() {
 // skip quantMissing (NaN) entries, cap at quantMaxComponents, fewer than
 // three usable components yield 0 — so the two disagree only by
 // rounding.
+//
 //talon:noalloc
 func correlateQ(dictQ []int16, base int, cols []int16, pq []int16) float64 {
 	var n, sp, sx, spx, spp, sxx int32
@@ -279,6 +283,7 @@ type quantVec struct {
 // truncation matches the slow path's component cap: with a full
 // dictionary the first quantMaxComponents usable components are the same
 // at every grid point.
+//
 //talon:noalloc
 func (qv *quantVec) compact() {
 	qv.colsC, qv.pack = qv.colsC[:0], qv.pack[:0]
@@ -307,7 +312,8 @@ func (qv *quantVec) compact() {
 // jointQ evaluates the joint Eq. 5 correlation at one dictionary base
 // offset on the quantized kernel. The w = cov²/(varP·varX) form is
 // dimensionless, so quantized scores live on the same [0, 1] scale as
-// float ones and the FallbackCorr threshold applies unchanged.
+// float ones and the fallbackCorr threshold applies unchanged.
+//
 //talon:noalloc
 func jointQ(dictQ []int16, pt int, qv *quantVec, snrOnly bool) float64 {
 	if qv.full {
@@ -335,6 +341,7 @@ func jointQ(dictQ []int16, pt int, qv *quantVec, snrOnly bool) float64 {
 // packs Σ snr·x (low) with Σ rssi·x (high) via the precomputed pack
 // codes. Two 64-bit multiplies per component replace the scalar path's
 // three multiplies and four separate accumulators.
+//
 //talon:noalloc
 func jointQFast(dictQ []int16, pt int, qv *quantVec, snrOnly bool) float64 {
 	n := qv.n
@@ -374,83 +381,88 @@ func jointQFast(dictQ []int16, pt int, qv *quantVec, snrOnly bool) float64 {
 	return v * (float64(cov) * float64(cov) / (float64(qv.rssiVarP) * float64(varX)))
 }
 
-// coarseTopKQ scores the coarse points [lo, hi) for one probe vector and
-// folds the positive ones into the caller's descending top-K
-// (cells/scores, kept entries), returning the new kept count. The
-// insertion keeps the top-K sorted by descending score — ties keep
-// the earlier row-major cell — and because callers sweep tiles in
-// ascending point order the final top-K matches a straight row-major
-// scan, whatever the tile geometry. This is the kernel the batch-major
-// pass (tile.go) shares across a whole batch per dictionary tile.
+// coarseTopKQ scores the coarse points [lo, hi) for one item's probe
+// vector and folds the positive ones into the item's descending top-K
+// (it.cells/it.scores, it.kept entries). The insertion keeps the top-K
+// sorted by descending score — ties keep the earlier row-major cell —
+// and because quantChunk sweeps tiles in ascending point order the final
+// top-K matches a straight row-major scan, whatever the tile geometry.
+//
 //talon:noalloc
-func (en *engine) coarseTopKQ(lo, hi int, qv *quantVec, snrOnly bool, cells []int32, scores []float64, kept int) int {
+func (en *engine) coarseTopKQ(lo, hi int, it *quantItem, snrOnly bool) {
+	kept := it.kept
 	pos := lo * en.stride
 	for pt := lo; pt < hi; pt++ {
-		v := jointQ(en.coarseQ, pos, qv, snrOnly)
+		v := jointQ(en.coarseQ, pos, &it.qv, snrOnly)
 		pos += en.stride
 		if v <= 0 {
 			continue
 		}
-		if kept == en.topK && v <= scores[kept-1] {
+		if kept == topK && v <= it.scores[kept-1] {
 			continue
 		}
-		if kept < en.topK {
+		if kept < topK {
 			kept++
 		}
 		at := kept - 1
-		for at > 0 && v > scores[at-1] {
-			scores[at], cells[at] = scores[at-1], cells[at-1]
+		for at > 0 && v > it.scores[at-1] {
+			it.scores[at], it.cells[at] = it.scores[at-1], it.cells[at-1]
 			at--
 		}
-		scores[at], cells[at] = v, int32(pt)
+		it.scores[at], it.cells[at] = v, int32(pt)
 	}
-	return kept
+	it.kept = kept
 }
 
-// refineQ rescans the dense windows around the kept coarse candidates on
-// the quantized dictionary. Overlapping windows are merged per row, so
-// no point is scored twice and the walk stays strictly row-major: ties
-// break in the same order as the exhaustive scan (denseArgmaxQ).
+// refineQ rescans the dense windows around the item's kept coarse
+// candidates on the quantized dictionary. Overlapping windows are merged
+// per row, so no point is scored twice and the walk stays strictly
+// row-major: ties break in the same order as the exhaustive scan
+// (denseArgmaxQ).
+//
 //talon:noalloc
-func (en *engine) refineQ(ctx context.Context, sc *hierScratch, kept int, qv *quantVec, snrOnly bool) (bestA, bestE int, bestW float64, err error) {
+func (en *engine) refineQ(ctx context.Context, it *quantItem, snrOnly bool) (bestA, bestE int, bestW float64, err error) {
 	numAz, numEl := len(en.az), len(en.el)
 	nCAz := len(en.cAzIdx)
-	for k := 0; k < kept; k++ {
-		cell := int(sc.cells[k])
+	var azLo, azHi, elLo, elHi [topK]int32
+	for k := 0; k < it.kept; k++ {
+		cell := int(it.cells[k])
 		ai, ei := int(en.cAzIdx[cell%nCAz]), int(en.cElIdx[cell/nCAz])
-		sc.azLo[k] = clampIdx(ai-en.winAz, numAz)
-		sc.azHi[k] = clampIdx(ai+en.winAz, numAz)
-		sc.elLo[k] = clampIdx(ei-en.winEl, numEl)
-		sc.elHi[k] = clampIdx(ei+en.winEl, numEl)
+		azLo[k] = clampIdx(ai-refineRadius, numAz)
+		azHi[k] = clampIdx(ai+refineRadius, numAz)
+		elLo[k] = clampIdx(ei-refineRadius, numEl)
+		elHi[k] = clampIdx(ei+refineRadius, numEl)
 	}
 	bestA, bestE, bestW = 0, 0, -1.0
+	var iv [topK]ivSpan
 	for ei := 0; ei < numEl; ei++ {
-		iv := sc.iv[:0]
-		for k := 0; k < kept; k++ {
-			if sc.elLo[k] <= int32(ei) && int32(ei) <= sc.elHi[k] {
-				iv = append(iv, ivSpan{sc.azLo[k], sc.azHi[k]})
+		n := 0
+		for k := 0; k < it.kept; k++ {
+			if elLo[k] <= int32(ei) && int32(ei) <= elHi[k] {
+				iv[n] = ivSpan{azLo[k], azHi[k]}
+				n++
 			}
 		}
-		if len(iv) == 0 {
+		if n == 0 {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			return 0, 0, 0, err
 		}
-		for i := 1; i < len(iv); i++ {
+		for i := 1; i < n; i++ {
 			for j := i; j > 0 && iv[j].lo < iv[j-1].lo; j-- {
 				iv[j], iv[j-1] = iv[j-1], iv[j]
 			}
 		}
 		base := ei * numAz * en.stride
 		cursor := -1
-		for _, s := range iv {
+		for _, s := range iv[:n] {
 			lo := int(s.lo)
 			if lo <= cursor {
 				lo = cursor + 1
 			}
 			for ai := lo; ai <= int(s.hi); ai++ {
-				v := jointQ(en.dictQ, base+ai*en.stride, qv, snrOnly)
+				v := jointQ(en.dictQ, base+ai*en.stride, &it.qv, snrOnly)
 				if v > bestW {
 					bestA, bestE, bestW = ai, ei, v
 				}
@@ -463,39 +475,11 @@ func (en *engine) refineQ(ctx context.Context, sc *hierScratch, kept int, qv *qu
 	return bestA, bestE, bestW, nil
 }
 
-// searchHierQ runs the coarse-to-fine search on the quantized
-// dictionaries: tiled coarse top-K pass, then dense window refinement.
-// ok is false when no coarse cell scored positive and the caller must
-// fall back to the exhaustive quantized scan (denseArgmaxQ), so a
-// degenerate surface fails exactly as it does on the exhaustive scan.
-//talon:noalloc
-func (en *engine) searchHierQ(ctx context.Context, sc *hierScratch, qv *quantVec, snrOnly bool) (bestA, bestE int, bestW float64, ok bool, err error) {
-	n := len(en.cAzIdx) * len(en.cElIdx)
-	kept := 0
-	for lo := 0; lo < n; lo += en.tilePts {
-		if err := ctx.Err(); err != nil {
-			return 0, 0, 0, false, err
-		}
-		hi := lo + en.tilePts
-		if hi > n {
-			hi = n
-		}
-		kept = en.coarseTopKQ(lo, hi, qv, snrOnly, sc.cells, sc.scores, kept)
-	}
-	if kept == 0 {
-		return 0, 0, 0, false, nil
-	}
-	bestA, bestE, bestW, err = en.refineQ(ctx, sc, kept, qv, snrOnly)
-	if err != nil {
-		return 0, 0, 0, false, err
-	}
-	return bestA, bestE, bestW, true, nil
-}
-
 // denseArgmaxQ is the exhaustive quantized scan: every dense grid point
 // in row-major order with the strictly-greater update, so tie-breaks
 // match the serial reference's scan. No surface is materialized —
 // refinement re-evaluates the handful of neighbours it needs.
+//
 //talon:noalloc
 func (en *engine) denseArgmaxQ(ctx context.Context, qv *quantVec, snrOnly bool) (bestA, bestE int, bestW float64, err error) {
 	numAz, numEl := len(en.az), len(en.el)
@@ -515,30 +499,17 @@ func (en *engine) denseArgmaxQ(ctx context.Context, qv *quantVec, snrOnly bool) 
 	return bestA, bestE, bestW, nil
 }
 
-// searchQuant picks the quantized search for one probe vector:
-// hierarchical when the coarse dictionary exists (with the exhaustive
-// fallback on an all-nonpositive coarse pass), exhaustive otherwise.
-// sc may be nil when the hierarchy is disabled.
-//talon:noalloc
-func (en *engine) searchQuant(ctx context.Context, sc *hierScratch, qv *quantVec, snrOnly bool) (bestA, bestE int, bestW float64, err error) {
-	if len(en.coarseQ) > 0 {
-		var ok bool
-		bestA, bestE, bestW, ok, err = en.searchHierQ(ctx, sc, qv, snrOnly)
-		if err != nil || ok {
-			return bestA, bestE, bestW, err
-		}
-		metQuantFallbacks.Inc()
-	}
-	return en.denseArgmaxQ(ctx, qv, snrOnly)
-}
-
-// gatherQuantInto is gatherVectors into pooled scratch: identical probe
+// gatherQuant is gatherVectors into the item's scratch: identical probe
 // selection, imputation and ordering, but keeping the readings in the dB
 // domain — amplitudes come from the ampCodes table at quantization time,
-// so the per-probe math.Pow of the serial gather disappears, and the
-// steady-state estimate path allocates nothing.
+// so the per-probe math.Pow of the serial gather disappears — and mapping
+// each component straight to its dense dictionary column (-1 for sectors
+// absent from the set, mirroring the serial path's nil-pattern skip).
+// The steady-state estimate path allocates nothing.
+//
 //talon:noalloc
-func (e *Estimator) gatherQuantInto(g *gatherScratch, probes []Probe) (reported int) {
+func (e *Estimator) gatherQuant(it *quantItem, probes []Probe) {
+	reported := 0
 	minSNR, minRSSI := math.Inf(1), math.Inf(1)
 	for _, p := range probes {
 		if !p.OK {
@@ -552,32 +523,32 @@ func (e *Estimator) gatherQuantInto(g *gatherScratch, probes []Probe) (reported 
 			minRSSI = p.Meas.RSSI
 		}
 	}
-	g.ids, g.snrDB, g.rssiDB = g.ids[:0], g.snrDB[:0], g.rssiDB[:0]
-	impute := !e.opts.NoImputeMissing && reported > 0
+	it.reported = reported
+	cols := &e.en.cols
+	it.qv.cols, it.snrDB, it.rssiDB = it.qv.cols[:0], it.snrDB[:0], it.rssiDB[:0]
+	impute := reported > 0
 	for _, p := range probes {
 		switch {
 		case p.OK:
-			g.ids = append(g.ids, p.Sector)
-			g.snrDB = append(g.snrDB, p.Meas.SNR)
-			g.rssiDB = append(g.rssiDB, p.Meas.RSSI)
+			it.qv.cols = append(it.qv.cols, cols[p.Sector])
+			it.snrDB = append(it.snrDB, p.Meas.SNR)
+			it.rssiDB = append(it.rssiDB, p.Meas.RSSI)
 		case impute:
-			g.ids = append(g.ids, p.Sector)
-			g.snrDB = append(g.snrDB, minSNR-1)
-			g.rssiDB = append(g.rssiDB, minRSSI-1)
+			it.qv.cols = append(it.qv.cols, cols[p.Sector])
+			it.snrDB = append(it.snrDB, minSNR-1)
+			it.rssiDB = append(it.rssiDB, minRSSI-1)
 		}
 	}
-	return reported
 }
 
-// quantizeGather encodes the gathered dB vectors into the scratch's
-// quantVec and, over full dictionaries, builds its compacted fast-path
-// view.
+// quantize encodes the gathered dB vectors into the item's quantVec and,
+// over full dictionaries, builds its compacted fast-path view.
+//
 //talon:noalloc
-func quantizeGather(g *gatherScratch, cols []int16, full bool) {
-	qv := &g.qv
-	qv.cols = cols
-	qv.snrQ = quantizeVec(qv.snrQ[:0], g.snrDB, cols)
-	qv.rssiQ = quantizeVec(qv.rssiQ[:0], g.rssiDB, cols)
+func (it *quantItem) quantize(full bool) {
+	qv := &it.qv
+	qv.snrQ = quantizeVec(qv.snrQ[:0], it.snrDB, qv.cols)
+	qv.rssiQ = quantizeVec(qv.rssiQ[:0], it.rssiDB, qv.cols)
 	qv.full = full
 	if full {
 		qv.compact()
@@ -605,6 +576,7 @@ var ampTab = func() [ampTabN]float64 {
 // multiples subtract and scale exactly in binary (0.25 = 2⁻²), so the
 // lattice test is an exact float comparison and off-lattice or
 // out-of-range values fall through to the live math.Pow.
+//
 //talon:noalloc
 func ampCached(db float64) float64 {
 	i := (db - ampTabLoDB) * 4
@@ -616,19 +588,20 @@ func ampCached(db float64) float64 {
 	return amp(db)
 }
 
-// linearizeGather converts the gathered dB vectors to linear amplitudes
-// for the float epilogue. gatherQuantInto keeps the exact dB values
+// linearize converts the gathered dB vectors to linear amplitudes for
+// the float epilogue. gatherQuant keeps the exact dB values
 // gatherVectors would convert (including the minus-one imputation), so
 // the amplitudes here are bit-identical to the serial reference's
 // gather.
+//
 //talon:noalloc
-func linearizeGather(g *gatherScratch) {
-	g.snr, g.rssi = g.snr[:0], g.rssi[:0]
-	for _, v := range g.snrDB {
-		g.snr = append(g.snr, ampCached(v))
+func (it *quantItem) linearize() {
+	it.snr, it.rssi = it.snr[:0], it.rssi[:0]
+	for _, v := range it.snrDB {
+		it.snr = append(it.snr, ampCached(v))
 	}
-	for _, v := range g.rssiDB {
-		g.rssi = append(g.rssi, ampCached(v))
+	for _, v := range it.rssiDB {
+		it.rssi = append(it.rssi, ampCached(v))
 	}
 }
 
@@ -640,33 +613,32 @@ func linearizeGather(g *gatherScratch) {
 // picks the serial reference's cell (the common case the equivalence
 // suite gates), the reported Az/El/Corr are bit-identical to
 // EstimateAoASerial, and downstream near-tie decisions (Eq. 4 sector choice, the
-// FallbackCorr threshold) cannot flip on epsilon score differences.
+// fallback threshold) cannot flip on epsilon score differences.
+//
 //talon:noalloc
-func (e *Estimator) quantEpilogue(g *gatherScratch, cols []int16, bestA, bestE int, reported int) AoAEstimate {
+func (e *Estimator) quantEpilogue(it *quantItem, bestA, bestE int) AoAEstimate {
 	en := e.en
 	snrOnly := e.opts.SNROnly
-	linearizeGather(g)
+	it.linearize()
+	cols := it.qv.cols
 	numAz := len(en.az)
-	w := en.jointAt((bestE*numAz+bestA)*en.stride, cols, g.snr, g.rssi, snrOnly)
-	aoa := AoAEstimate{Az: en.az[bestA], El: en.el[bestE], Corr: w, Used: reported, Cell: cellOf(bestA, bestE)}
-	if !e.opts.NoRefine {
-		// The closures serve the already-computed centre value instead of
-		// re-deriving it; jointAt is deterministic, so this is only a
-		// recomputation skip.
-		//lint:allow noalloc -- closure captures only stack values; escape analysis keeps it off the heap (see TestEstimateZeroAllocSteadyState)
-		aoa.Az = refineAxis(en.az, bestA, func(i int) float64 {
-			if i == bestA {
-				return w
-			}
-			return en.jointAt((bestE*numAz+i)*en.stride, cols, g.snr, g.rssi, snrOnly)
-		})
-		//lint:allow noalloc -- closure captures only stack values; escape analysis keeps it off the heap (see TestEstimateZeroAllocSteadyState)
-		aoa.El = refineAxis(en.el, bestE, func(i int) float64 {
-			if i == bestE {
-				return w
-			}
-			return en.jointAt((i*numAz+bestA)*en.stride, cols, g.snr, g.rssi, snrOnly)
-		})
-	}
-	return aoa
+	w := en.jointAt((bestE*numAz+bestA)*en.stride, cols, it.snr, it.rssi, snrOnly)
+	// The closures serve the already-computed centre value instead of
+	// re-deriving it; jointAt is deterministic, so this is only a
+	// recomputation skip.
+	//lint:allow noalloc -- closure captures only stack values; escape analysis keeps it off the heap (see TestEstimateZeroAllocSteadyState)
+	az := refineAxis(en.az, bestA, func(i int) float64 {
+		if i == bestA {
+			return w
+		}
+		return en.jointAt((bestE*numAz+i)*en.stride, cols, it.snr, it.rssi, snrOnly)
+	})
+	//lint:allow noalloc -- closure captures only stack values; escape analysis keeps it off the heap (see TestEstimateZeroAllocSteadyState)
+	el := refineAxis(en.el, bestE, func(i int) float64 {
+		if i == bestE {
+			return w
+		}
+		return en.jointAt((i*numAz+bestA)*en.stride, cols, it.snr, it.rssi, snrOnly)
+	})
+	return AoAEstimate{Az: az, El: el, Corr: w, Used: it.reported, Cell: cellOf(bestA, bestE)}
 }

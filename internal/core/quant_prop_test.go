@@ -170,26 +170,23 @@ func TestQuantFastSlowParity(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		az := -60 + 120*rng.Float64()
 		probes := observe(t, gain, sector.TalonTX(), az, 20*rng.Float64(), quietModel(), rng)
-		g := &gatherScratch{}
-		if est.gatherQuantInto(g, probes) < 2 {
+		it := &quantItem{}
+		if est.gatherQuant(it, probes); it.reported < 2 {
 			t.Fatal("gather produced too few probes")
 		}
-		colBuf := en.probeCols(g.ids)
-		cols := *colBuf
-		quantizeGather(g, cols, true)
-		slow := g.qv
+		it.quantize(true)
+		slow := it.qv
 		slow.full = false
 		for _, snrOnly := range []bool{false, true} {
 			for pt := 0; pt < len(en.az)*len(en.el); pt++ {
 				base := pt * en.stride
-				fast := jointQ(en.dictQ, base, &g.qv, snrOnly)
+				fast := jointQ(en.dictQ, base, &it.qv, snrOnly)
 				ref := jointQ(en.dictQ, base, &slow, snrOnly)
 				if fast != ref {
 					t.Fatalf("trial %d pt %d snrOnly=%v: fast %v != slow %v", trial, pt, snrOnly, fast, ref)
 				}
 			}
 		}
-		en.putCols(colBuf)
 	}
 }
 

@@ -6,18 +6,20 @@ import (
 	"sync"
 )
 
-// Batch-major quantized selection.
+// Batch-major quantized estimation: the one estimate pipeline.
 //
-// The per-item batch path walks the whole coarse dictionary once per
-// item: with 64 items the dictionary is streamed from memory 64 times.
-// The batch-major pass inverts the loops — dictionary tile outer, batch
-// item inner — so one L1-resident tile of int16 codes serves every item
-// of a worker's chunk before the next tile is touched (the access shape
-// of a blocked GEMM, with coarseTopKQ's int32 accumulation as the inner
+// A per-item search walks the whole coarse dictionary once per item:
+// with 64 items the dictionary is streamed from memory 64 times. The
+// batch-major pass inverts the loops — dictionary tile outer, batch item
+// inner — so one L1-resident tile of int16 codes serves every item of a
+// worker's chunk before the next tile is touched (the access shape of a
+// blocked GEMM, with coarseTopKQ's int32 accumulation as the inner
 // product). Tiles are contiguous row-major point ranges and coarseTopKQ
-// folds them in ascending order, so each item's top-K is identical to
-// the single-item row-major scan: per-item results are bit-identical to
-// SelectSector, preserving the batch contract at any worker count.
+// folds them in ascending order, so each item's top-K is identical to a
+// single-item row-major scan, whatever the chunk: an item's result never
+// depends on which items share its sweep. The single-call entry points
+// (EstimateAoA, SelectSector, SelectSectorWarm) run the same chunk over
+// one item, so every entry point shares the same per-item stages.
 
 // tileBytes is the dictionary tile budget: half a typical 32 KiB L1D,
 // leaving room for the probe vectors and top-K state of the items
@@ -34,27 +36,38 @@ func tilePoints(stride int) int {
 	return pts
 }
 
-// quantItem is the per-item state of one batch-major selection.
+// quantItem is the per-item state of one quantized estimate: the
+// gathered readings in dB (snrDB/rssiDB) and as linear amplitudes for the
+// float epilogue (snr/rssi), the quantized code vectors with their column
+// map (qv), the coarse top-K candidates, and — once quantChunk has
+// resolved the item — its estimate or error.
 type quantItem struct {
-	g        gatherScratch
-	cols     []int16
-	sc       *hierScratch
-	reported int
-	kept     int
-	done     bool // result already written in phase 1 (gather error or warm hit)
+	snrDB, rssiDB []float64
+	snr, rssi     []float64
+	qv            quantVec
+	reported      int
+
+	cells  [topK]int32   // coarse candidate flat indices, descending score
+	scores [topK]float64 // candidate scores, parallel to cells
+	kept   int
+
+	done bool // aoa/err hold the item's result
+	aoa  AoAEstimate
+	err  error
 }
 
-// quantBatchScratch holds one worker chunk's items; pooled on the engine
-// so steady-state batches allocate nothing.
+// quantBatchScratch holds one chunk's items; pooled on the engine so
+// steady-state estimates and batches allocate nothing.
 type quantBatchScratch struct {
 	items []quantItem
 }
 
-// grow ensures capacity for n items with topK-sized candidate scratch.
-func (bs *quantBatchScratch) grow(n, topK int) {
+// take returns the first n items, growing the scratch as needed.
+func (bs *quantBatchScratch) take(n int) []quantItem {
 	for len(bs.items) < n {
-		bs.items = append(bs.items, quantItem{sc: newHierScratch(topK)})
+		bs.items = append(bs.items, quantItem{})
 	}
+	return bs.items[:n]
 }
 
 func (en *engine) getBatchScratch() *quantBatchScratch {
@@ -65,15 +78,15 @@ func (en *engine) getBatchScratch() *quantBatchScratch {
 func (en *engine) putBatchScratch(bs *quantBatchScratch) { en.batchScratch.Put(bs) }
 
 // selectBatchQuant runs the batch through the batch-major quantized
-// pipeline, filling out[i] with exactly what SelectSector would produce
-// for batch[i]. Items are split into contiguous per-worker chunks; the
-// split only affects which items share a dictionary sweep, never any
-// item's result. Returns non-nil only on context cancellation, in which
-// case out is discarded by the caller.
+// pipeline, filling out[i] with exactly what SelectSectorWarm would
+// produce for batch[i]. Items are split into contiguous per-worker
+// chunks; the split only affects which items share a dictionary sweep,
+// never any item's result. Returns non-nil only on context cancellation,
+// in which case out is discarded by the caller.
 func (e *Estimator) selectBatchQuant(ctx context.Context, batch []BatchItem, out []BatchResult, workers int) error {
 	n := len(batch)
 	if workers <= 1 {
-		return e.quantChunk(ctx, batch, out)
+		return e.selectChunk(ctx, batch, out)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -85,61 +98,70 @@ func (e *Estimator) selectBatchQuant(ctx context.Context, batch []BatchItem, out
 		go func(lo, hi int) {
 			defer wg.Done()
 			// Cancellation is surfaced via ctx.Err() below.
-			_ = e.quantChunk(ctx, batch[lo:hi], out[lo:hi])
+			_ = e.selectChunk(ctx, batch[lo:hi], out[lo:hi])
 		}(lo, hi)
 	}
 	wg.Wait()
 	return ctx.Err()
 }
 
-// quantChunk runs one contiguous chunk: gather and quantize every item,
-// resolve warm-hinted items from their local windows, sweep the coarse
-// dictionary tiles once for the remainder of the chunk, then refine and
-// finish each remaining item.
+// selectChunk estimates one contiguous chunk and finishes every item the
+// chunk resolved into its sector selection.
+//
 //talon:noalloc
-func (e *Estimator) quantChunk(ctx context.Context, batch []BatchItem, out []BatchResult) error {
+func (e *Estimator) selectChunk(ctx context.Context, batch []BatchItem, out []BatchResult) error {
+	bs := e.en.getBatchScratch()
+	defer e.en.putBatchScratch(bs)
+	items := bs.take(len(batch))
+	metSelectEngine.Add(int64(len(batch)))
+	tiles, err := e.quantChunk(ctx, batch, items)
+	metQuantBatchTiles.Add(int64(tiles))
+	for i := range items {
+		if it := &items[i]; it.done {
+			sel, serr := e.finishSelection(batch[i].Probes, it.aoa, it.err)
+			out[i] = BatchResult{Selection: sel, Err: serr}
+		}
+	}
+	return err
+}
+
+// quantChunk estimates one contiguous chunk into items (parallel to
+// batch): gather and quantize every item, resolve warm-hinted items from
+// their local windows, sweep the coarse dictionary tiles once for the
+// remainder of the chunk, then refine each remaining item. Every item it
+// resolves gets done set, with its estimate or its per-item error
+// (ErrTooFewProbes, ErrDegenerateSurface) in aoa/err. tiles counts the
+// coarse tiles swept; err is non-nil only on context cancellation, which
+// leaves the unresolved items without a result.
+//
+//talon:noalloc
+func (e *Estimator) quantChunk(ctx context.Context, batch []BatchItem, items []quantItem) (tiles int, err error) {
 	en := e.en
-	n := len(batch)
 	snrOnly := e.opts.SNROnly
-	warmRadius, warmThresh := e.opts.warmRadius(), e.warmThreshold()
-	bs := en.getBatchScratch()
-	defer en.putBatchScratch(bs)
-	bs.grow(n, en.topK)
-	items := bs.items[:n]
 
 	// Phase 1: gather + quantize each item's probe vector. Items that
 	// fail the gather — and hinted items whose local window passes the
-	// warm guards (see warm.go) — are finished here and skip the shared
+	// warm guards (see warm.go) — are resolved here and skip the shared
 	// sweep entirely.
 	live := 0
 	for i := range items {
 		it := &items[i]
-		metSelectEngine.Inc()
 		metEstimates.Inc()
 		metQuantEstimates.Inc()
-		it.kept, it.done = 0, false
-		it.reported = e.gatherQuantInto(&it.g, batch[i].Probes)
+		it.kept, it.done, it.aoa, it.err = 0, false, AoAEstimate{}, nil
+		e.gatherQuant(it, batch[i].Probes)
 		if it.reported < 2 {
 			//lint:allow noalloc -- cold error path; the steady state skips the formatting branch
-			gatherErr := fmt.Errorf("core: %w: need at least 2 reported probes, have %d", ErrTooFewProbes, it.reported)
-			sel, serr := e.finishSelection(batch[i].Probes, AoAEstimate{}, gatherErr)
-			out[i] = BatchResult{Selection: sel, Err: serr}
+			it.err = fmt.Errorf("core: %w: need at least 2 reported probes, have %d", ErrTooFewProbes, it.reported)
 			it.done = true
 			continue
 		}
-		it.cols = it.cols[:0]
-		for _, id := range it.g.ids {
-			it.cols = append(it.cols, en.cols[id])
-		}
-		quantizeGather(&it.g, it.cols, en.fullQ)
+		it.quantize(en.fullQ)
 		if hint := batch[i].Hint; hint != NoCell {
 			metWarmHints.Inc()
-			if bestA, bestE, _, ok := en.warmArgmaxQ(&it.g.qv, hint, snrOnly, warmRadius, warmThresh); ok {
+			if bestA, bestE, _, ok := en.warmArgmaxQ(&it.qv, hint, snrOnly); ok {
 				metWarmHits.Inc()
-				aoa := e.quantEpilogue(&it.g, it.cols, bestA, bestE, it.reported)
-				sel, serr := e.finishSelection(batch[i].Probes, aoa, nil)
-				out[i] = BatchResult{Selection: sel, Err: serr}
-				it.done = true
+				it.aoa, it.done = e.quantEpilogue(it, bestA, bestE), true
 				continue
 			}
 			metWarmFallbacks.Inc()
@@ -153,22 +175,20 @@ func (e *Estimator) quantChunk(ctx context.Context, batch []BatchItem, out []Bat
 		nPts := len(en.cAzIdx) * len(en.cElIdx)
 		for lo := 0; lo < nPts; lo += en.tilePts {
 			if err := ctx.Err(); err != nil {
-				return err
+				return tiles, err
 			}
-			metQuantBatchTiles.Inc()
+			tiles++
 			hi := min(lo+en.tilePts, nPts)
 			for i := range items {
-				it := &items[i]
-				if it.done {
-					continue
+				if it := &items[i]; !it.done {
+					en.coarseTopKQ(lo, hi, it, snrOnly)
 				}
-				it.kept = en.coarseTopKQ(lo, hi, &it.g.qv, snrOnly, it.sc.cells, it.sc.scores, it.kept)
 			}
 		}
 	}
 
-	// Phase 3: per-item dense refinement (or exhaustive fallback) and
-	// sector selection. Items finished in phase 1 already wrote out[i].
+	// Phase 3: per-item dense refinement, or the exhaustive scan when
+	// the coarse pass kept no candidate (always, under ExactSearch).
 	for i := range items {
 		it := &items[i]
 		if it.done {
@@ -181,24 +201,21 @@ func (e *Estimator) quantChunk(ctx context.Context, batch []BatchItem, out []Bat
 			if len(en.coarseQ) > 0 {
 				metQuantFallbacks.Inc()
 			}
-			bestA, bestE, bestW, err = en.denseArgmaxQ(ctx, &it.g.qv, snrOnly)
+			bestA, bestE, bestW, err = en.denseArgmaxQ(ctx, &it.qv, snrOnly)
 		} else {
-			bestA, bestE, bestW, err = en.refineQ(ctx, it.sc, it.kept, &it.g.qv, snrOnly)
+			bestA, bestE, bestW, err = en.refineQ(ctx, it, snrOnly)
 		}
 		if err != nil {
-			return err
+			return tiles, err
 		}
+		it.done = true
 		if bestW <= 0 {
 			metDegenerate.Inc()
 			//lint:allow noalloc -- cold error path; the steady state skips the formatting branch
-			degErr := fmt.Errorf("core: %w", ErrDegenerateSurface)
-			sel, serr := e.finishSelection(batch[i].Probes, AoAEstimate{}, degErr)
-			out[i] = BatchResult{Selection: sel, Err: serr}
+			it.err = fmt.Errorf("core: %w", ErrDegenerateSurface)
 			continue
 		}
-		aoa := e.quantEpilogue(&it.g, it.cols, bestA, bestE, it.reported)
-		sel, serr := e.finishSelection(batch[i].Probes, aoa, nil)
-		out[i] = BatchResult{Selection: sel, Err: serr}
+		it.aoa = e.quantEpilogue(it, bestA, bestE)
 	}
-	return nil
+	return tiles, nil
 }

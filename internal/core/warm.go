@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"fmt"
-)
+import "context"
 
 // Warm-start incremental re-estimation.
 //
@@ -32,7 +29,7 @@ import (
 //     local search would track a side lobe. Window edges clamped at the
 //     grid boundary count as interior: the dense grid itself ends there.
 //   - The winner's score must clear the correlation margin
-//     (DefaultWarmMargin × the FallbackCorr threshold): scores between
+//     (warmMargin × the fallbackCorr threshold): scores between
 //     the fallback threshold and the margin are kept on the full search,
 //     so warm-start cannot convert a borderline estimate into a
 //     different borderline estimate unseen.
@@ -64,68 +61,46 @@ func (c Cell) split() (ai, ei int, ok bool) {
 	return int(v & 0xffff), int(v >> 16), true
 }
 
-// Warm-start defaults.
+// Warm-start geometry and guard.
 const (
-	// DefaultWarmRadius is the half-width, in dense grid cells per axis,
-	// of the warm-start scan window. 4 covers the default hierarchy's
-	// refinement window (radius (decim+1)/2 = 2 at DefaultCoarseDecim)
-	// plus two cells of inter-round drift.
-	DefaultWarmRadius = 4
-	// DefaultWarmMargin scales the FallbackCorr threshold into the
-	// warm acceptance margin: local winners below
-	// DefaultWarmMargin × FallbackCorr are re-derived by the full
-	// search. 1.6 (correlation 0.40 at the default fallback threshold)
-	// sits just above the band where the impaired-channel equivalence
-	// suite shows local windows capturing side lobes — the one way a
-	// local search loses a moving station — while keeping about two
-	// thirds of fleet-sim hints on the fast path; every rejection costs
-	// a wasted window scan on top of the full sweep, so margins much
-	// higher than this make warm-start slower than running cold.
-	DefaultWarmMargin = 1.6
+	// warmRadius is the half-width, in dense grid cells per axis, of the
+	// warm-start scan window. 4 covers the hierarchy's refinement window
+	// (refineRadius = 2) plus two cells of inter-round drift.
+	warmRadius = 4
+	// warmMargin scales the fallbackCorr threshold into the warm
+	// acceptance margin: local winners below warmMargin × fallbackCorr
+	// are re-derived by the full search. 1.6 (correlation 0.40) sits just
+	// above the band where the impaired-channel equivalence suite shows
+	// local windows capturing side lobes — the one way a local search
+	// loses a moving station — while keeping about two thirds of
+	// fleet-sim hints on the fast path; every rejection costs a wasted
+	// window scan on top of the full sweep, so margins much higher than
+	// this make warm-start slower than running cold.
+	warmMargin = 1.6
+	// warmThreshold is the acceptance bar of the local winner's
+	// quantized score; being positive, it also rejects degenerate
+	// windows.
+	warmThreshold = warmMargin * fallbackCorr
 )
 
-func (o Options) warmRadius() int {
-	if o.WarmRadius > 0 {
-		return o.WarmRadius
-	}
-	return DefaultWarmRadius
-}
-
-func (o Options) warmMargin() float64 {
-	switch {
-	case o.WarmMargin < 0:
-		return 0
-	case o.WarmMargin == 0:
-		return DefaultWarmMargin
-	}
-	return o.WarmMargin
-}
-
-// warmThreshold is the acceptance bar of the local winner's quantized
-// score. It scales with the fallback threshold so disabling the fallback
-// (FallbackCorr < 0) also relaxes the warm guard to bare positivity.
-func (e *Estimator) warmThreshold() float64 {
-	return e.opts.warmMargin() * e.opts.fallbackCorr()
-}
-
-// warmArgmaxQ scans the dense (2·radius+1)² window centred on the hint
+// warmArgmaxQ scans the dense (2·warmRadius+1)² window centred on the hint
 // cell on the quantized dictionary and returns its argmax. ok is false —
 // and the caller must run the full search — when the hint does not fit
-// the grid, the window's best score is not positive, fails the margin
+// the grid, the window's best score fails the (positive) margin
 // threshold, or sits on a non-grid-edge window rim (see the file comment
 // for why rim winners are rejected). The scan is strictly row-major with
 // the strictly-greater update, matching every other quantized scan's
 // tie-break order.
 //
 //talon:noalloc
-func (en *engine) warmArgmaxQ(qv *quantVec, hint Cell, snrOnly bool, radius int, thresh float64) (bestA, bestE int, bestW float64, ok bool) {
+func (en *engine) warmArgmaxQ(qv *quantVec, hint Cell, snrOnly bool) (bestA, bestE int, bestW float64, ok bool) {
 	numAz, numEl := len(en.az), len(en.el)
 	ha, he, valid := hint.split()
 	if !valid || ha >= numAz || he >= numEl {
 		return 0, 0, 0, false
 	}
-	aLo, aHi := int(clampIdx(ha-radius, numAz)), int(clampIdx(ha+radius, numAz))
-	eLo, eHi := int(clampIdx(he-radius, numEl)), int(clampIdx(he+radius, numEl))
+	aLo, aHi := int(clampIdx(ha-warmRadius, numAz)), int(clampIdx(ha+warmRadius, numAz))
+	eLo, eHi := int(clampIdx(he-warmRadius, numEl)), int(clampIdx(he+warmRadius, numEl))
 	bestW = -1.0
 	for ei := eLo; ei <= eHi; ei++ {
 		base := ei * numAz * en.stride
@@ -136,7 +111,7 @@ func (en *engine) warmArgmaxQ(qv *quantVec, hint Cell, snrOnly bool, radius int,
 			}
 		}
 	}
-	if bestW <= 0 || bestW < thresh {
+	if bestW < warmThreshold {
 		return bestA, bestE, bestW, false
 	}
 	if (bestA == aLo && aLo > 0) || (bestA == aHi && aHi < numAz-1) ||
@@ -158,50 +133,4 @@ func (e *Estimator) SelectSectorWarm(ctx context.Context, probes []Probe, hint C
 		return Selection{}, err
 	}
 	return e.finishSelection(probes, aoa, err)
-}
-
-// estimateQuantHint runs one estimate on the quantized kernel with an
-// optional warm-start hint: after the shared gather+quantize prologue it
-// tries the local window first and falls back to the full quantized
-// search on any guard failure.
-//
-//talon:noalloc
-func (e *Estimator) estimateQuantHint(ctx context.Context, g *gatherScratch, probes []Probe, hint Cell) (AoAEstimate, error) {
-	metQuantEstimates.Inc()
-	reported := e.gatherQuantInto(g, probes)
-	if reported < 2 {
-		//lint:allow noalloc -- cold error path; the steady state returns before formatting
-		return AoAEstimate{}, fmt.Errorf("core: %w: need at least 2 reported probes, have %d", ErrTooFewProbes, reported)
-	}
-	en := e.en
-	colBuf := en.probeCols(g.ids)
-	defer en.putCols(colBuf)
-	cols := *colBuf
-	quantizeGather(g, cols, en.fullQ)
-	snrOnly := e.opts.SNROnly
-
-	if hint != NoCell {
-		metWarmHints.Inc()
-		if bestA, bestE, _, ok := en.warmArgmaxQ(&g.qv, hint, snrOnly, e.opts.warmRadius(), e.warmThreshold()); ok {
-			metWarmHits.Inc()
-			return e.quantEpilogue(g, cols, bestA, bestE, reported), nil
-		}
-		metWarmFallbacks.Inc()
-	}
-
-	var sc *hierScratch
-	if len(en.coarseQ) > 0 {
-		sc = en.getHierScratch()
-		defer en.putHierScratch(sc)
-	}
-	bestA, bestE, bestW, err := en.searchQuant(ctx, sc, &g.qv, snrOnly)
-	if err != nil {
-		return AoAEstimate{}, err
-	}
-	if bestW <= 0 {
-		metDegenerate.Inc()
-		//lint:allow noalloc -- cold error path; the steady state returns before formatting
-		return AoAEstimate{}, fmt.Errorf("core: %w", ErrDegenerateSurface)
-	}
-	return e.quantEpilogue(g, cols, bestA, bestE, reported), nil
 }

@@ -34,6 +34,7 @@ import (
 //
 // Step serializes against itself but is safe alongside concurrent
 // Arrive/Depart/Dispatch calls.
+//
 //talon:noalloc
 func (m *Manager) Step(ctx context.Context) error {
 	m.stepMu.Lock()
@@ -115,6 +116,7 @@ func (m *Manager) scanShards(epochStart, epochEnd time.Duration) {
 // station would not be tracking), so it cannot fire. Everything else
 // (any flag set, any other state, or a degrade-always threshold) takes
 // scanSlow, which reproduces the full per-station logic.
+//
 //talon:noalloc
 func (m *Manager) scanShard(i int, epochStart, epochEnd time.Duration) {
 	sh := m.shards[i]
@@ -171,6 +173,7 @@ func (m *Manager) scanShard(i int, epochStart, epochEnd time.Duration) {
 
 // scanSlow is the full per-station epoch scan: mobility drift, blockage
 // expiry and the state-machine actions for every lifecycle state.
+//
 //talon:noalloc
 func (m *Manager) scanSlow(sh *shard, i int, slot int32, epochStart, epochEnd time.Duration, dt float64, epochIx uint64, want uint32) {
 	st, h := &sh.recs[slot], &sh.hot[slot]

@@ -76,15 +76,6 @@ type CSSPolicy struct {
 	M int
 	// RNG draws the probing subsets.
 	RNG *stats.RNG
-	// Warm chains trainings through the warm-start path: each round
-	// hints the estimator with the previous round's grid cell (see
-	// core.Estimator.SelectSectorWarm). The first round — and every
-	// round after a failed one — runs cold.
-	Warm bool
-
-	// last is the previous successful round's grid cell, fed back as the
-	// next round's warm-start hint when Warm is set.
-	last core.Cell
 }
 
 // Name implements Policy.
@@ -101,17 +92,10 @@ func (p *CSSPolicy) Train(ctx context.Context, link *wil.Link, tx, rx *wil.Devic
 		return Outcome{}, err
 	}
 	probes := core.ProbesFromMeasurements(probeSet.IDs(), meas)
-	var sel core.Selection
-	if p.Warm {
-		sel, err = p.Estimator.SelectSectorWarm(ctx, probes, p.last)
-	} else {
-		sel, err = p.Estimator.SelectSector(ctx, probes)
-	}
+	sel, err := p.Estimator.SelectSector(ctx, probes)
 	if err != nil {
-		p.last = core.NoCell
 		return Outcome{Probes: p.M}, err
 	}
-	p.last = sel.AoA.Cell
 	return Outcome{
 		Sector:         sel.Sector,
 		Probes:         p.M,

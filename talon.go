@@ -259,8 +259,9 @@ func WithSeed(seed int64) TrainerOption {
 	return func(c *trainerConfig) { c.seed = seed }
 }
 
-// WithEstimatorOptions tunes the estimator the trainer builds over the
-// pattern set (SNR-only correlation, refinement, fallback threshold…).
+// WithEstimatorOptions configures the estimator the trainer builds over
+// the pattern set: SNR-only correlation (the Section 5 ablation) or the
+// exhaustive search (see also WithExactSearch).
 func WithEstimatorOptions(opts EstimatorOptions) TrainerOption {
 	return func(c *trainerConfig) { c.estOpts = opts }
 }
