@@ -105,7 +105,8 @@ func TestWarmZeroAllocSteadyState(t *testing.T) {
 // TestBatchZeroAllocSteadyState guards the batch-major quantized pass:
 // once the engine's batch scratch pool is warm, a whole
 // SelectSectorBatch performs exactly one allocation — the caller-visible
-// result slice — regardless of batch size. Per-item gather buffers,
+// result slice — regardless of batch size, and SelectSectorBatchInto
+// with a reused result buffer performs none. Per-item gather buffers,
 // quantized code vectors and top-K state all live in the pooled
 // quantBatchScratch.
 func TestBatchZeroAllocSteadyState(t *testing.T) {
@@ -141,5 +142,30 @@ func TestBatchZeroAllocSteadyState(t *testing.T) {
 	}
 	if allocs > 1 {
 		t.Fatalf("steady-state SelectSectorBatch allocates %.1f times per call, want <= 1 (the result slice)", allocs)
+	}
+
+	// With a reused result buffer the pass allocates nothing at all and
+	// returns exactly what SelectSectorBatch does.
+	want, err := est.SelectSectorBatch(ctx, items, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]BatchResult, 0, len(items))
+	allocs = testing.AllocsPerRun(50, func() {
+		buf, batchErr = est.SelectSectorBatchInto(ctx, items, 1, buf)
+	})
+	if batchErr != nil {
+		t.Fatal(batchErr)
+	}
+	if allocs != 0 {
+		t.Fatalf("steady-state SelectSectorBatchInto allocates %.1f times per call, want 0", allocs)
+	}
+	if len(buf) != len(want) {
+		t.Fatalf("SelectSectorBatchInto returned %d results, want %d", len(buf), len(want))
+	}
+	for i := range want {
+		if buf[i] != want[i] {
+			t.Fatalf("item %d: SelectSectorBatchInto %+v, SelectSectorBatch %+v", i, buf[i], want[i])
+		}
 	}
 }

@@ -49,6 +49,15 @@ func BatchOf(batch [][]Probe) []BatchItem {
 // cancellation the batch returns ctx.Err() and the results are
 // discarded.
 func (e *Estimator) SelectSectorBatch(ctx context.Context, batch []BatchItem, workers int) ([]BatchResult, error) {
+	return e.SelectSectorBatchInto(ctx, batch, workers, nil)
+}
+
+// SelectSectorBatchInto is SelectSectorBatch writing the results into
+// out's backing array when it has room for len(batch) of them, so a
+// caller serving batches in a loop reuses one buffer instead of
+// allocating a result slice per call. It returns out resliced (or, when
+// too small, replaced) to len(batch).
+func (e *Estimator) SelectSectorBatchInto(ctx context.Context, batch []BatchItem, workers int, out []BatchResult) ([]BatchResult, error) {
 	n := len(batch)
 	if n == 0 {
 		return nil, nil
@@ -70,7 +79,10 @@ func (e *Estimator) SelectSectorBatch(ctx context.Context, batch []BatchItem, wo
 	rounds := math.Ceil(float64(n) / float64(workers))
 	metBatchOccupancy.Set(float64(n) / (float64(workers) * rounds))
 
-	out := make([]BatchResult, n)
+	if cap(out) < n {
+		out = make([]BatchResult, n)
+	}
+	out = out[:n]
 	if err := e.selectBatchQuant(ctx, batch, out, workers); err != nil {
 		return nil, err
 	}

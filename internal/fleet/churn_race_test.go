@@ -12,11 +12,14 @@ import (
 // departures and dispatches across shards while Step runs — the -race
 // proof that the shard locking holds up. Outcomes are not asserted
 // deterministic here (the interleaving is real concurrency); the
-// invariant checked is that the manager survives and its population
-// matches what the churners did.
+// invariants checked are the manager's structural ones after every
+// Step (see checkInvariants) and that its population matches what the
+// churners did.
 func TestConcurrentChurn(t *testing.T) {
 	m, _ := testFleet(t, WithShards(8), WithSeed(99), WithQueueDepth(64))
 	ctx := context.Background()
+	inv := newInvariantChecker(m)
+	inv.concurrent = true
 
 	const churners = 4
 	const perChurner = 150
@@ -35,6 +38,10 @@ func TestConcurrentChurn(t *testing.T) {
 			default:
 			}
 			if err := m.Step(ctx); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := inv.err(); err != nil {
 				t.Error(err)
 				return
 			}
@@ -69,10 +76,12 @@ func TestConcurrentChurn(t *testing.T) {
 	stepper.Wait()
 
 	// Settle remaining queued events and in-flight rounds.
+	inv.concurrent = false
 	for i := 0; i < 5; i++ {
 		if err := m.Step(ctx); err != nil {
 			t.Fatal(err)
 		}
+		inv.check(t)
 	}
 	if got, want := m.Len(), int(alive.Load()); got != want {
 		t.Fatalf("population %d, want %d", got, want)

@@ -12,12 +12,14 @@
 // Everything is driven by virtual time in fixed epochs, so a fixed seed
 // reproduces the same fleet byte for byte at any shard or worker count.
 //
-// Station state is stored structure-of-arrays per shard: the per-epoch
-// scan walks a dense slice of 24-byte hot records (state, deadline, last
-// grid cell, sample residue, impairment flags) and touches the cold
-// ~130-byte station records only when something actually happens to a
-// link — so the steady-state epoch cost is one cache line per ~2.6
-// tracked stations instead of a map walk over full records.
+// Station state is stored structure-of-arrays per shard: 24-byte hot
+// records (state, deadline, last grid cell, sample residue, impairment
+// flags) beside 144-byte cold station records. The per-epoch scan is
+// event-driven: it visits only the stations with work due — arrivals,
+// stations an event touched, impaired stations and those whose deadline
+// fires, popped from a per-shard timer heap — and books the quiet
+// tracked epochs of every other station lazily, so a mostly static
+// fleet's epoch cost follows its activity, not its size.
 package fleet
 
 import (
@@ -25,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -149,9 +150,10 @@ func defaultConfig() config {
 	}
 }
 
-// Per-station impairment flags on the hot record. The epoch scan's fast
-// path requires flags == 0: no mobility drift, no active blockage and a
-// valid (non-NaN) cached serving gain — exactly the conditions under
+// Per-station impairment flags on the hot record. A station with any
+// flag set needs the per-station scan every epoch; with flags == 0 and
+// tracking it is quiet — no mobility drift, no active blockage and a
+// valid (non-NaN) cached serving gain, exactly the conditions under
 // which the degrade check provably cannot fire between trainings.
 const (
 	// flagDrift marks a nonzero mobility drift rate.
@@ -159,17 +161,20 @@ const (
 	// flagBlocked marks an active blockage (blockEpochsLeft > 0).
 	flagBlocked
 	// flagRecheck marks a serving gain that cached to NaN (the station
-	// sits off the measured pattern grid); the slow path re-runs the
-	// degrade check, which treats NaN as degraded.
+	// sits off the measured pattern grid); the scan re-runs the degrade
+	// check, which treats NaN as degraded.
 	flagRecheck
 )
 
-// hotStation is the 24-byte per-station record the per-epoch scan walks.
-// It carries exactly the fields the steady-state scan reads — lifecycle
-// state, the one deadline that can fire (retrain staleness while
-// tracking, backoff expiry while degraded), the loss-sample residue and
-// the warm-start hint cell — so a shard scan streams a dense slice
-// instead of chasing full station records through a map.
+// stateFree marks a hot record whose slot holds no station (departed,
+// awaiting reuse), so stale visit-list and timer entries can tell.
+const stateFree = numStates
+
+// hotStation is the 24-byte per-station record the epoch scan reads to
+// decide what a visited station does: lifecycle state, the one deadline
+// that can fire (retrain staleness while tracking, backoff expiry while
+// degraded), the loss-sample residue, the warm-start hint cell and the
+// impairment flags.
 type hotStation struct {
 	// deadline is the next scheduled scan action: while tracking, the
 	// staleness retrain (last training end + retrain interval); while
@@ -186,24 +191,55 @@ type hotStation struct {
 	flags     uint8
 }
 
+// timer is one timer-heap entry: the epoch at which the station in slot
+// has a deadline due. Entries are never removed early; one whose station
+// departed, retrained or was rescheduled is stale and skipped on pop.
+type timer struct {
+	fire uint64
+	slot int32
+}
+
+// visitKey is one entry of a scan's visit set, sorted by station ID so
+// training requests queue in ascending-ID order.
+type visitKey struct {
+	id   StationID
+	slot int32
+}
+
 // shard owns one slice of the station population, stored
-// structure-of-arrays: recs (cold full records) and hot (scan-hot
-// records) are parallel slot-indexed slices, index maps station IDs to
-// slots, free recycles departed slots, and order lists live slots in
-// ascending station-ID order so every scan visits stations
-// deterministically without sorting.
+// structure-of-arrays: recs (cold full records) and hot (scan records)
+// are parallel slot-indexed slices, index maps station IDs to slots and
+// free recycles departed slots. due and timers tell the scan which
+// stations to visit; every other station is quietly tracking, or has a
+// training round in flight.
 type shard struct {
 	mu    sync.Mutex
 	index map[StationID]int32
 	recs  []station
 	hot   []hotStation
 	free  []int32
-	order []int32
 	queue chan Event
 
-	// reqs and partial are the shard's per-Step scratch, written only by
-	// the one scan worker that owns the shard during that Step.
+	// due lists the slots the next scan visits whatever their deadline:
+	// arrivals, stations an event touched, and stations that need the
+	// per-station logic every epoch (impairment flags set, or tracking
+	// under a degrade-always threshold). It may hold duplicates and
+	// departed slots; the scan drops both.
+	due []int32
+	// timers is a min-heap on fire epoch holding an entry for every
+	// tracked or degraded station's deadline.
+	timers []timer
+	// cursor is the first epoch this shard has not scanned yet. Quiet
+	// tracked epochs accrue up to it when a station departs or the
+	// scorecard is read, whether or not a Step is in progress.
+	cursor uint64
+
+	// reqs and visit are per-scan scratch, written only by the one scan
+	// worker that owns the shard during a Step. partial collects the
+	// scan's tally and the accruals of departures; Step merges and
+	// resets it under the shard lock.
 	reqs    []request
+	visit   []visitKey
 	partial tally
 }
 
@@ -229,10 +265,6 @@ type Manager struct {
 	// pattern gains by it so refSNRDB means "an average sector, on
 	// boresight, at the reference distance".
 	gainRef float64
-	// fastScan gates the tracked-station fast path; a negative degrade
-	// threshold (degrade-always) forces every station through the full
-	// check.
-	fastScan bool
 
 	shards []*shard
 	mask   uint64
@@ -249,10 +281,11 @@ type Manager struct {
 
 	// Per-Step serve scratch reused across epochs (all guarded by
 	// stepMu): the probe arena sliced into per-round vectors, the batch
-	// item and live-index buffers, one reseedable round RNG and the
-	// probe-subset sample scratch.
+	// item, result and live-index buffers, one reseedable round RNG and
+	// the probe-subset sample scratch.
 	arena     []core.Probe
 	items     []core.BatchItem
+	results   []core.BatchResult
 	live      []int32
 	roundRNG  *stats.RNG
 	sampleIdx []int
@@ -302,7 +335,6 @@ func New(est *core.Estimator, patterns *pattern.Set, opts ...Option) (*Manager, 
 		patterns: patterns,
 		model:    radio.DefaultMeasurementModel(),
 		txIDs:    txIDs,
-		fastScan: cfg.degradeDropDB >= 0,
 		shards:   make([]*shard, cfg.shards),
 		mask:     uint64(cfg.shards - 1),
 		roundRNG: stats.NewFastRNG(0),
@@ -318,6 +350,7 @@ func New(est *core.Estimator, patterns *pattern.Set, opts ...Option) (*Manager, 
 			index: make(map[StationID]int32),
 			queue: make(chan Event, cfg.queueDepth),
 		}
+		m.shards[i].partial.init()
 	}
 	m.acc.init()
 	return m, nil
@@ -393,35 +426,10 @@ func (m *Manager) arriveLocked(sh *shard, ev Event) bool {
 		flags:     flags,
 	}
 	sh.index[ev.Station] = slot
-	sh.orderInsert(slot, ev.Station)
+	sh.due = append(sh.due, slot)
 	metArrivals.Inc()
 	metStations.Add(1)
 	return true
-}
-
-// orderInsert places slot into the ascending-ID scan order. Arrivals in
-// ID order (the simulator's monotonic IDs) append in O(1); out-of-order
-// IDs pay one binary search plus a copy.
-func (sh *shard) orderInsert(slot int32, id StationID) {
-	n := len(sh.order)
-	if n == 0 || sh.recs[sh.order[n-1]].id < id {
-		sh.order = append(sh.order, slot)
-		return
-	}
-	i := sort.Search(n, func(k int) bool { return sh.recs[sh.order[k]].id > id })
-	sh.order = append(sh.order, 0)
-	copy(sh.order[i+1:], sh.order[i:])
-	sh.order[i] = slot
-}
-
-// orderRemove drops the slot holding id from the scan order.
-func (sh *shard) orderRemove(id StationID) {
-	n := len(sh.order)
-	i := sort.Search(n, func(k int) bool { return sh.recs[sh.order[k]].id >= id })
-	if i < n && sh.recs[sh.order[i]].id == id {
-		copy(sh.order[i:], sh.order[i+1:])
-		sh.order = sh.order[:n-1]
-	}
 }
 
 // Depart removes a station synchronously. It returns false if the
@@ -439,13 +447,13 @@ func (m *Manager) departLocked(sh *shard, id StationID) bool {
 	if !ok {
 		return false
 	}
-	if inFlight(sh.hot[slot].state) {
-		metPending.Add(-1)
-	}
-	sh.orderRemove(id)
+	// Book the quiet tracked epochs up to the shard's scan cursor. A
+	// queued round stays pending: serve skips it and decrements the
+	// pending gauge then.
+	m.settle(&sh.recs[slot], sh.cursor, &sh.partial)
 	delete(sh.index, id)
 	sh.recs[slot] = station{}
-	sh.hot[slot] = hotStation{}
+	sh.hot[slot] = hotStation{state: stateFree}
 	sh.free = append(sh.free, slot)
 	metDepartures.Inc()
 	metStations.Add(-1)

@@ -48,6 +48,10 @@ var (
 
 	metStepSeconds = obs.NewHistogram("fleet_step_seconds",
 		"wall time per fleet epoch step", nil)
+	metScanSeconds = obs.NewHistogram("fleet_scan_seconds",
+		"wall time per fleet epoch step spent in the shard scan and tally merge", nil)
+	metScanVisits = obs.NewCounter("fleet_scan_visits_total",
+		"stations the epoch scan visited (due, evented, impaired or with a deadline firing)")
 	metSelectLatency = obs.NewHistogram("fleet_select_latency_virtual_seconds",
 		"virtual time from training trigger to applied selection", nil)
 )

@@ -191,11 +191,22 @@ type Scorecard struct {
 	Benchmarks []BenchEntry `json:"benchmarks"`
 }
 
-// scorecard assembles the Scorecard from the manager's accumulated tally.
+// scorecard assembles the Scorecard from the manager's accumulated tally,
+// first booking every quietly tracking station's pending epochs and the
+// accruals of stations that departed since the last Step.
 func (m *Manager) scorecard(cfg SimConfig, queueDrops int64) *Scorecard {
 	m.stepMu.Lock()
 	defer m.stepMu.Unlock()
 	t := &m.acc
+	for _, sh := range m.shards {
+		sh.mu.Lock()
+		for slot := range sh.recs {
+			m.settle(&sh.recs[slot], sh.cursor, &sh.partial)
+		}
+		t.merge(&sh.partial)
+		sh.partial.reset()
+		sh.mu.Unlock()
+	}
 	sc := &Scorecard{
 		Config:        cfg,
 		StationsFinal: 0, // filled by caller outside stepMu via Len

@@ -220,8 +220,9 @@ func (cfg *SimConfig) normalize() error {
 	return nil
 }
 
-// newSimManager builds the Manager exactly as RunSim configures it.
-func newSimManager(est *core.Estimator, patterns *pattern.Set, cfg SimConfig) (*Manager, error) {
+// newSimManager builds the Manager exactly as RunSim configures it; extra
+// options apply last.
+func newSimManager(est *core.Estimator, patterns *pattern.Set, cfg SimConfig, extra ...Option) (*Manager, error) {
 	opts := []Option{
 		WithSeed(cfg.Seed),
 		WithEpoch(time.Duration(cfg.EpochNs)),
@@ -235,7 +236,7 @@ func newSimManager(est *core.Estimator, patterns *pattern.Set, cfg SimConfig) (*
 	if cfg.Capacity > 0 {
 		opts = append(opts, WithCapacity(cfg.Capacity))
 	}
-	return New(est, patterns, opts...)
+	return New(est, patterns, append(opts, extra...)...)
 }
 
 // RunSim replays cfg's seeded workload against a fresh Manager over est

@@ -52,6 +52,12 @@ type station struct {
 	// Lifecycle bookkeeping (virtual time).
 	arrivedAt time.Duration
 	round     uint32 // completed + in-flight training rounds
+
+	// accruing marks an open accrual window: the station is quietly
+	// tracking and the scan skips it, so its tracked epochs from
+	// accrueFrom on are not booked yet (see Manager.settle).
+	accruing   bool
+	accrueFrom uint64
 }
 
 // Snapshot is the externally visible state of one station.
@@ -115,7 +121,7 @@ func (m *Manager) cachedBestGain(st *station) float64 {
 
 // refreshCurGain recomputes the serving-gain cache and maintains the
 // hot record's recheck flag: a NaN serving gain (station off the
-// measured grid) must keep the station on the scan's slow path so the
+// measured grid) must keep the station in the scan's visit set so the
 // degrade check sees it.
 func (m *Manager) refreshCurGain(st *station, h *hotStation) {
 	st.curGain = m.gainToward(st, st.sector)

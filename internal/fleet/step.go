@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,11 +15,15 @@ import (
 // Step advances the fleet by one epoch of virtual time:
 //
 //  1. Every shard drains its bounded event queue and applies the events,
-//     then scans its stations — advancing mobility drift, expiring
+//     then visits the stations with work due — arrivals, stations an
+//     event touched, impaired stations and those whose deadline fires —
+//     in ascending-ID order: advancing mobility drift, expiring
 //     blockages, degrading links whose serving gain collapsed and
-//     scheduling staleness/backoff retrains. Shards are scanned by a
-//     worker pool; each worker owns a shard exclusively while scanning
-//     it, writing requests and tally partials into shard-local scratch.
+//     scheduling staleness/backoff retrains. Every other station is
+//     quietly tracking (its tracked epochs accrue lazily) or has a round
+//     in flight. Shards are scanned by a worker pool; each worker owns a
+//     shard exclusively while scanning it, writing requests and tally
+//     partials into shard-local scratch.
 //  2. The per-shard request lists are concatenated in shard-index order
 //     (deterministic regardless of which worker finished first) and
 //     appended to the global FIFO pending queue.
@@ -31,6 +37,10 @@ import (
 //     and degrade. Virtual selection latency (queueing + training
 //     airtime) and SNR loss versus the ground-truth best sector feed the
 //     scorecard tally.
+//
+// A Step whose context is cancelled while serving still commits the
+// epoch: the chunks already applied leave the pending queue, the rest
+// stay queued for the next Step, and the error is returned.
 //
 // Step serializes against itself but is safe alongside concurrent
 // Arrive/Depart/Dispatch calls.
@@ -49,12 +59,20 @@ func (m *Manager) Step(ctx context.Context) error {
 	epochStart := time.Duration(m.now.Load())
 	epochEnd := epochStart + m.cfg.epoch
 
-	// Phase 1+2: parallel shard scan, deterministic merge.
+	// Phase 1+2: parallel shard scan, deterministic merge. Departures
+	// book accruals into the partials concurrently, hence the lock.
 	m.scanShards(epochStart, epochEnd)
+	visits := 0
 	for _, sh := range m.shards {
 		m.pending = append(m.pending, sh.reqs...)
+		visits += len(sh.visit)
+		sh.mu.Lock()
 		m.acc.merge(&sh.partial)
+		sh.partial.reset()
+		sh.mu.Unlock()
 	}
+	metScanVisits.Add(int64(visits))
+	metScanSeconds.ObserveSince(start)
 
 	// Phase 3+4: serve the head of the pending queue through the batch
 	// estimation funnel.
@@ -62,17 +80,13 @@ func (m *Manager) Step(ctx context.Context) error {
 	if m.cfg.capacity > 0 && serve > m.cfg.capacity {
 		serve = m.cfg.capacity
 	}
-	if serve > 0 {
-		if err := m.serve(ctx, m.pending[:serve], epochEnd); err != nil {
-			return err
-		}
-		n := copy(m.pending, m.pending[serve:])
-		m.pending = m.pending[:n]
-	}
+	served, err := m.serve(ctx, m.pending[:serve], epochEnd)
+	n := copy(m.pending, m.pending[served:])
+	m.pending = m.pending[:n]
 
 	m.now.Store(int64(epochEnd))
 	m.epoch++
-	return nil
+	return err
 }
 
 // scanShards runs phase 1 over all shards with the scan worker pool.
@@ -102,20 +116,21 @@ func (m *Manager) scanShards(epochStart, epochEnd time.Duration) {
 	wg.Wait()
 }
 
-// scanShard drains shard i's event queue and scans its stations in
-// ascending-ID order along the precomputed order slice. Holds the shard
-// lock throughout so concurrent Arrive/Depart stay safe.
+// scanShard drains shard i's event queue and visits the stations with
+// work due this epoch in ascending-ID order. Holds the shard lock
+// throughout so concurrent Arrive/Depart stay safe.
 //
-// The loop is split in two tiers. The fast path covers the steady state
-// — a tracked station with no impairment flags — and reads only the
-// 24-byte hot record: deadline compare, tracked-epoch count, sampled
-// loss observation from the cached gains. Skipping the degrade check
-// there is exact, not approximate: with no drift, no blockage and a
-// non-NaN serving gain, both sides of the check are unchanged since the
-// last slow-path scan or adoption (where it passed — otherwise the
-// station would not be tracking), so it cannot fire. Everything else
-// (any flag set, any other state, or a degrade-always threshold) takes
-// scanSlow, which reproduces the full per-station logic.
+// The visit set is the due list (arrivals, stations the drained events
+// touched, impaired stations and degrade-always trackers) plus the timer
+// entries firing now. Every other station is skipped, which is exact,
+// not approximate: a tracked station with no impairment flag under a
+// nonnegative degrade threshold has both sides of the degrade check
+// unchanged since the last visit or adoption (where it passed —
+// otherwise the station would not be tracking), so until its deadline
+// fires an epoch only adds one tracked epoch and, one epoch in stride,
+// the same loss sample; settle books those in bulk. A degraded
+// unimpaired station does nothing until its backoff timer fires, and a
+// station with a round in flight does nothing until serve applies it.
 //
 //talon:noalloc
 func (m *Manager) scanShard(i int, epochStart, epochEnd time.Duration) {
@@ -123,14 +138,11 @@ func (m *Manager) scanShard(i int, epochStart, epochEnd time.Duration) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.reqs = sh.reqs[:0]
-	if !sh.partial.latency.Initialized() {
-		sh.partial.init()
-	} else {
-		sh.partial.reset()
-	}
+	epochIx := m.epoch
 
 	// Drain the bounded queue. Only events queued before Step are
-	// guaranteed to apply this epoch.
+	// guaranteed to apply this epoch. Every station an event leaves in
+	// place lands on the due list.
 	for n := len(sh.queue); n > 0; n-- {
 		ev, ok := <-sh.queue
 		if !ok {
@@ -139,43 +151,47 @@ func (m *Manager) scanShard(i int, epochStart, epochEnd time.Duration) {
 		m.applyEventLocked(sh, ev)
 	}
 
+	vis := sh.visit[:0]
+	for _, slot := range sh.due {
+		if sh.hot[slot].state != stateFree {
+			vis = append(vis, visitKey{id: sh.recs[slot].id, slot: slot})
+		}
+	}
+	sh.due = sh.due[:0]
+	for len(sh.timers) > 0 && sh.timers[0].fire <= epochIx {
+		t := sh.popTimer()
+		if h := &sh.hot[t.slot]; armed(h) && m.fireEpoch(h.deadline) == t.fire {
+			vis = append(vis, visitKey{id: sh.recs[t.slot].id, slot: t.slot})
+		}
+	}
+	slices.SortFunc(vis, cmpVisit)
+	vis = slices.Compact(vis)
+	sh.visit = vis
+
 	dt := epochEnd.Seconds() - epochStart.Seconds()
-	epochIx := m.epoch
 	stride := m.cfg.lossSampleStride
 	// (id+epoch) % stride == 0  ⟺  id % stride == (stride - epoch%stride) % stride,
 	// so the per-station sampling test is one compare against this
 	// epoch-constant residue.
 	want := uint32((stride - epochIx%stride) % stride)
-	fast := m.fastScan
-	for _, slot := range sh.order {
-		h := &sh.hot[slot]
-		if fast && h.state == StateTracking && h.flags == 0 {
-			if epochStart >= h.deadline {
-				st := &sh.recs[slot]
-				m.toState(h, evRetrain)
-				sh.reqs = append(sh.reqs, request{
-					id: st.id, shardIx: i, retrain: true,
-					trigger: epochStart + triggerJitter(m.cfg.seed, st.id, epochIx, m.cfg.epoch),
-				})
-				metPending.Add(1)
-				continue
-			}
-			sh.partial.trackedEpochs++
-			if h.sampleRes == want {
-				st := &sh.recs[slot]
-				sh.partial.trackLoss.Observe(milliDB(m.cachedBestGain(st) - st.curGain))
-			}
-			continue
-		}
-		m.scanSlow(sh, i, slot, epochStart, epochEnd, dt, epochIx, want)
+	for _, v := range vis {
+		st := &sh.recs[v.slot]
+		m.settle(st, epochIx, &sh.partial)
+		st.accruing = false
+		m.scanStation(sh, i, v.slot, epochStart, epochEnd, dt, epochIx, want)
+		m.park(sh, v.slot, epochIx+1)
 	}
+	sh.cursor = epochIx + 1
+	m.compactTimers(sh)
 }
 
-// scanSlow is the full per-station epoch scan: mobility drift, blockage
+func cmpVisit(a, b visitKey) int { return cmp.Compare(a.id, b.id) }
+
+// scanStation is the per-station epoch scan: mobility drift, blockage
 // expiry and the state-machine actions for every lifecycle state.
 //
 //talon:noalloc
-func (m *Manager) scanSlow(sh *shard, i int, slot int32, epochStart, epochEnd time.Duration, dt float64, epochIx uint64, want uint32) {
+func (m *Manager) scanStation(sh *shard, i int, slot int32, epochStart, epochEnd time.Duration, dt float64, epochIx uint64, want uint32) {
 	st, h := &sh.recs[slot], &sh.hot[slot]
 	// Mobility drift and blockage expiry happen for every station,
 	// whatever its state.
@@ -211,6 +227,7 @@ func (m *Manager) scanSlow(sh *shard, i int, slot int32, epochStart, epochEnd ti
 			m.toState(h, evDegrade)
 			sh.partial.degrades++
 			h.deadline = epochEnd + m.cfg.degradedBackoff
+			sh.pushTimer(timer{fire: m.fireEpoch(h.deadline), slot: slot})
 			break
 		}
 		if epochStart >= h.deadline {
@@ -240,9 +257,124 @@ func (m *Manager) scanSlow(sh *shard, i int, slot int32, epochStart, epochEnd ti
 	}
 }
 
+// park files the station in slot after a visit or an applied outcome:
+// a station that needs the per-station logic every epoch (impairment
+// flags set, idle, or tracking under a degrade-always threshold) goes
+// back on the due list; a quiet tracked station opens its accrual
+// window at epoch from. Degraded and in-flight stations wait for their
+// timer or their round.
+func (m *Manager) park(sh *shard, slot int32, from uint64) {
+	h := &sh.hot[slot]
+	switch {
+	case h.flags != 0 || h.state == StateIdle || (h.state == StateTracking && m.cfg.degradeDropDB < 0):
+		sh.due = append(sh.due, slot)
+	case h.state == StateTracking:
+		st := &sh.recs[slot]
+		st.accruing, st.accrueFrom = true, from
+	}
+}
+
+// settle books the quiet tracked epochs [st.accrueFrom, to) of an open
+// accrual window into t and moves the window's start to to. Each such
+// epoch is one tracked epoch, and the epochs e with
+// (id+e) % lossSampleStride == 0 each sample the same loss: the serving
+// and best gains cannot change while the station stays quiet.
+func (m *Manager) settle(st *station, to uint64, t *tally) {
+	from := st.accrueFrom
+	if !st.accruing || to <= from {
+		return
+	}
+	st.accrueFrom = to
+	t.trackedEpochs += int64(to - from)
+	s := m.cfg.lossSampleStride
+	r := (s - uint64(st.id)%s) % s // sampled epochs are ≡ r (mod s)
+	if k := residuesBelow(to, r, s) - residuesBelow(from, r, s); k > 0 {
+		t.trackLoss.ObserveN(milliDB(m.cachedBestGain(st)-st.curGain), int64(k))
+	}
+}
+
+// residuesBelow counts the e in [0, n) with e % s == r, for r < s.
+func residuesBelow(n, r, s uint64) uint64 {
+	if n <= r {
+		return 0
+	}
+	return (n-r-1)/s + 1
+}
+
+// armed reports whether h's deadline is live: only tracked (staleness
+// retrain) and degraded (backoff expiry) stations have one.
+func armed(h *hotStation) bool { return h.state == StateTracking || h.state == StateDegraded }
+
+// fireEpoch returns the first epoch whose start reaches deadline — the
+// scan where `epochStart >= deadline` first holds.
+func (m *Manager) fireEpoch(deadline time.Duration) uint64 {
+	if deadline <= 0 {
+		return 0
+	}
+	e := uint64(deadline / m.cfg.epoch)
+	if deadline%m.cfg.epoch != 0 {
+		e++
+	}
+	return e
+}
+
+// pushTimer adds a timer-heap entry.
+func (sh *shard) pushTimer(t timer) {
+	sh.timers = append(sh.timers, t)
+	h := sh.timers
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p].fire <= h[i].fire {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+// popTimer removes and returns the earliest timer-heap entry.
+func (sh *shard) popTimer() timer {
+	h := sh.timers
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].fire < h[c].fire {
+			c = r
+		}
+		if h[i].fire <= h[c].fire {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	sh.timers = h
+	return top
+}
+
+// compactTimers rebuilds shard's timer heap from the live deadlines once
+// stale entries (left by retrains and departures) outnumber stations, so
+// the heap stays O(stations) over any horizon.
+func (m *Manager) compactTimers(sh *shard) {
+	if len(sh.timers) <= 2*len(sh.index)+64 {
+		return
+	}
+	sh.timers = sh.timers[:0]
+	for slot := range sh.hot {
+		if h := &sh.hot[slot]; armed(h) {
+			sh.pushTimer(timer{fire: m.fireEpoch(h.deadline), slot: int32(slot)})
+		}
+	}
+}
+
 // applyEventLocked applies one queued event to its shard, keeping the
 // hot records' impairment flags in sync with the cold fields they
-// summarize.
+// summarize and putting the touched station on the due list.
 func (m *Manager) applyEventLocked(sh *shard, ev Event) {
 	switch ev.Kind {
 	case EventArrival:
@@ -260,6 +392,7 @@ func (m *Manager) applyEventLocked(sh *shard, ev Event) {
 			} else {
 				sh.hot[slot].flags &^= flagDrift
 			}
+			sh.due = append(sh.due, slot)
 			metMobilityEvents.Inc()
 		}
 	case EventBlockage:
@@ -272,11 +405,13 @@ func (m *Manager) applyEventLocked(sh *shard, ev Event) {
 			}
 			st.blockEpochsLeft = epochs
 			sh.hot[slot].flags |= flagBlocked
+			sh.due = append(sh.due, slot)
 			metBlockages.Inc()
 		}
 	case EventFault:
 		if slot, ok := sh.index[ev.Station]; ok {
 			sh.recs[slot].faultLossFrac = ev.LossFrac
+			sh.due = append(sh.due, slot)
 			metFaultEvents.Inc()
 		}
 	}
@@ -307,21 +442,28 @@ func triggerJitter(seed int64, id StationID, epoch uint64, d time.Duration) time
 
 // serve runs phase 3+4 for the chosen requests: synthesize probe
 // vectors into the arena, push them through core.SelectSectorBatch in
-// bounded chunks and apply the outcomes.
-func (m *Manager) serve(ctx context.Context, reqs []request, epochEnd time.Duration) error {
-	for len(reqs) > 0 {
-		chunk := reqs
+// bounded chunks and apply the outcomes. It returns how many requests
+// it consumed — every chunk before the first failing one, whose rounds
+// stay queued.
+func (m *Manager) serve(ctx context.Context, reqs []request, epochEnd time.Duration) (int, error) {
+	done := 0
+	for done < len(reqs) {
+		chunk := reqs[done:]
 		if len(chunk) > m.cfg.maxBatch {
 			chunk = chunk[:m.cfg.maxBatch]
 		}
-		reqs = reqs[len(chunk):]
 		if err := m.serveChunk(ctx, chunk, epochEnd); err != nil {
-			return err
+			return done, err
 		}
+		done += len(chunk)
 	}
-	return nil
+	return done, nil
 }
 
+// serveChunk serves one chunk. A failed batch books nothing, so the
+// chunk can stay queued: departed or out-of-state stations are counted
+// as skipped only once the batch succeeded.
+//
 //talon:noalloc
 func (m *Manager) serveChunk(ctx context.Context, chunk []request, epochEnd time.Duration) error {
 	need := len(chunk) * m.cfg.probeBudget
@@ -343,8 +485,6 @@ func (m *Manager) serveChunk(ctx context.Context, chunk []request, epochEnd time
 		slot, ok := sh.index[r.id]
 		if !ok || !inFlight(sh.hot[slot].state) {
 			sh.mu.Unlock()
-			m.acc.skipped++
-			metPending.Add(-1)
 			continue
 		}
 		st := &sh.recs[slot]
@@ -359,38 +499,40 @@ func (m *Manager) serveChunk(ctx context.Context, chunk []request, epochEnd time
 		m.items = append(m.items, core.BatchItem{Probes: probes, Hint: hint})
 		m.live = append(m.live, int32(ci))
 	}
-	if len(m.items) == 0 {
-		return nil
-	}
-	metBatchItems.Add(int64(len(m.items)))
-	results, err := m.est.SelectSectorBatch(ctx, m.items, m.cfg.batchWorkers)
-	if err != nil {
-		return err
-	}
-
-	for bi, res := range results {
-		r := chunk[m.live[bi]]
-		sh := m.shards[r.shardIx]
-		sh.mu.Lock()
-		slot, ok := sh.index[r.id]
-		if !ok {
-			sh.mu.Unlock()
-			m.acc.skipped++
-			metPending.Add(-1)
-			continue
+	skipped := len(chunk) - len(m.items)
+	if len(m.items) > 0 {
+		metBatchItems.Add(int64(len(m.items)))
+		results, err := m.est.SelectSectorBatchInto(ctx, m.items, m.cfg.batchWorkers, m.results)
+		if err != nil {
+			return err
 		}
-		m.applyOutcome(&sh.recs[slot], &sh.hot[slot], m.items[bi].Probes, res, r, epochEnd)
-		sh.mu.Unlock()
-		metPending.Add(-1)
+		m.results = results
+		for bi, res := range results {
+			r := chunk[m.live[bi]]
+			sh := m.shards[r.shardIx]
+			sh.mu.Lock()
+			slot, ok := sh.index[r.id]
+			if !ok {
+				sh.mu.Unlock()
+				skipped++
+				continue
+			}
+			m.applyOutcome(sh, slot, m.items[bi].Probes, res, r, epochEnd)
+			sh.mu.Unlock()
+		}
 	}
+	m.acc.skipped += int64(skipped)
+	metPending.Add(-int64(len(chunk)))
 	return nil
 }
 
-// applyOutcome finishes one training round on its station (shard lock
-// held): adopt or fall back, arm the next deadline (staleness retrain on
-// success, degraded backoff on failure), refresh the warm-start hint
-// cell and the gain caches, and book the round's tally.
-func (m *Manager) applyOutcome(st *station, h *hotStation, probes []core.Probe, res core.BatchResult, r request, epochEnd time.Duration) {
+// applyOutcome finishes one training round on the station in slot
+// (shard lock held): adopt or fall back, arm the next deadline
+// (staleness retrain on success, degraded backoff on failure) and its
+// timer, refresh the warm-start hint cell and the gain caches, book the
+// round's tally and park the station for the next scan.
+func (m *Manager) applyOutcome(sh *shard, slot int32, probes []core.Probe, res core.BatchResult, r request, epochEnd time.Duration) {
+	st, h := &sh.recs[slot], &sh.hot[slot]
 	m.acc.trainings++
 	metTrainings.Inc()
 	if r.retrain {
@@ -429,4 +571,6 @@ func (m *Manager) applyOutcome(st *station, h *hotStation, probes []core.Probe, 
 		st.servedGain = g
 		m.acc.selLoss.Observe(milliDB(m.cachedBestGain(st) - st.curGain))
 	}
+	sh.pushTimer(timer{fire: m.fireEpoch(h.deadline), slot: slot})
+	m.park(sh, slot, sh.cursor)
 }

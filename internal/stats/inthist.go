@@ -26,14 +26,21 @@ func NewIntHist(bounds []int64) IntHist {
 }
 
 // Observe records one value.
-func (h *IntHist) Observe(v int64) {
+func (h *IntHist) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records v k times, exactly as k calls to Observe(v) would.
+// k <= 0 is a no-op.
+func (h *IntHist) ObserveN(v, k int64) {
+	if k <= 0 {
+		return
+	}
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i]++
-	h.sum += v
-	h.n++
+	h.counts[i] += k
+	h.sum += v * k
+	h.n += k
 	if v > h.max {
 		h.max = v
 	}
@@ -99,10 +106,6 @@ func (h *IntHist) Max() int64 { return h.max }
 
 // Sum returns the sum of all observations.
 func (h *IntHist) Sum() int64 { return h.sum }
-
-// Initialized reports whether the histogram was built with NewIntHist
-// (the zero value is unusable and must be initialized before Observe).
-func (h *IntHist) Initialized() bool { return h.counts != nil }
 
 // Counts returns a copy of the per-bucket counts, overflow bucket last.
 func (h *IntHist) Counts() []int64 {
