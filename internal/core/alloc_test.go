@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"talon/internal/sector"
@@ -106,9 +107,9 @@ func TestWarmZeroAllocSteadyState(t *testing.T) {
 // once the engine's batch scratch pool is warm, a whole
 // SelectSectorBatch performs exactly one allocation — the caller-visible
 // result slice — regardless of batch size, and SelectSectorBatchInto
-// with a reused result buffer performs none. Per-item gather buffers,
-// quantized code vectors and top-K state all live in the pooled
-// quantBatchScratch.
+// with a reused result buffer performs none, also for a batch that spans
+// several sub-chunks. Per-item gather buffers, quantized code vectors
+// and top-K state all live in the pooled quantBatchScratch.
 func TestBatchZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed under the race detector")
@@ -119,53 +120,100 @@ func TestBatchZeroAllocSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := stats.NewRNG(43)
-	batch := make([][]Probe, 24)
+	batch := make([][]Probe, 4*batchChunk+3)
 	for i := range batch {
 		az := -60 + 120*rng.Float64()
 		batch[i] = observe(t, gain, sector.TalonTX(), az, 7, quietModel(), rng)
 	}
 	ctx := context.Background()
-	items := BatchOf(batch)
-	// Warm the batch scratch pool (workers=1 keeps one chunk, so one
-	// pooled scratch serves every run).
-	for i := 0; i < 5; i++ {
-		if _, err := est.SelectSectorBatch(ctx, items, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var batchErr error
-	allocs := testing.AllocsPerRun(50, func() {
-		_, batchErr = est.SelectSectorBatch(ctx, items, 1)
-	})
-	if batchErr != nil {
-		t.Fatal(batchErr)
-	}
-	if allocs > 1 {
-		t.Fatalf("steady-state SelectSectorBatch allocates %.1f times per call, want <= 1 (the result slice)", allocs)
-	}
+	for _, n := range []int{24, len(batch)} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			items := BatchOf(batch[:n])
+			// Warm the batch scratch pool (workers=1 keeps one chunk, so
+			// one pooled scratch serves every run).
+			for i := 0; i < 5; i++ {
+				if _, err := est.SelectSectorBatch(ctx, items, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var batchErr error
+			allocs := testing.AllocsPerRun(50, func() {
+				_, batchErr = est.SelectSectorBatch(ctx, items, 1)
+			})
+			if batchErr != nil {
+				t.Fatal(batchErr)
+			}
+			if allocs > 1 {
+				t.Fatalf("steady-state SelectSectorBatch allocates %.1f times per call, want <= 1 (the result slice)", allocs)
+			}
 
-	// With a reused result buffer the pass allocates nothing at all and
-	// returns exactly what SelectSectorBatch does.
-	want, err := est.SelectSectorBatch(ctx, items, 1)
+			// With a reused result buffer the pass allocates nothing at
+			// all and returns exactly what SelectSectorBatch does.
+			want, err := est.SelectSectorBatch(ctx, items, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]BatchResult, 0, len(items))
+			allocs = testing.AllocsPerRun(50, func() {
+				buf, batchErr = est.SelectSectorBatchInto(ctx, items, 1, buf)
+			})
+			if batchErr != nil {
+				t.Fatal(batchErr)
+			}
+			if allocs != 0 {
+				t.Fatalf("steady-state SelectSectorBatchInto allocates %.1f times per call, want 0", allocs)
+			}
+			if len(buf) != len(want) {
+				t.Fatalf("SelectSectorBatchInto returned %d results, want %d", len(buf), len(want))
+			}
+			for i := range want {
+				if buf[i] != want[i] {
+					t.Fatalf("item %d: SelectSectorBatchInto %+v, SelectSectorBatch %+v", i, buf[i], want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestBatchScratchBounded holds the kernel scratch a worker keeps to
+// O(batchChunk), whatever the batch size: after a 16,384-item cold
+// batch the pooled scratch holds at most batchChunk items, each with
+// gather and code buffers no larger than append growth to the longest
+// probe vector allows.
+func TestBatchScratchBounded(t *testing.T) {
+	set, gain := synthSetup(t)
+	est, err := NewEstimator(set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]BatchResult, 0, len(items))
-	allocs = testing.AllocsPerRun(50, func() {
-		buf, batchErr = est.SelectSectorBatchInto(ctx, items, 1, buf)
-	})
-	if batchErr != nil {
-		t.Fatal(batchErr)
+	rng := stats.NewRNG(53)
+	const vectors = 16
+	pool := make([][]Probe, vectors)
+	for v := range pool {
+		pool[v] = observe(t, gain, sector.TalonTX(), -60+120*rng.Float64(), 12, quietModel(), rng)
 	}
-	if allocs != 0 {
-		t.Fatalf("steady-state SelectSectorBatchInto allocates %.1f times per call, want 0", allocs)
+	batch := make([]BatchItem, 16384)
+	for i := range batch {
+		batch[i].Probes = pool[i%vectors]
 	}
-	if len(buf) != len(want) {
-		t.Fatalf("SelectSectorBatchInto returned %d results, want %d", len(buf), len(want))
+	if _, err := est.SelectSectorBatch(context.Background(), batch, 1); err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if buf[i] != want[i] {
-			t.Fatalf("item %d: SelectSectorBatchInto %+v, SelectSectorBatch %+v", i, buf[i], want[i])
+
+	bs := est.en.getBatchScratch()
+	defer est.en.putBatchScratch(bs)
+	if n := len(bs.items); n > batchChunk {
+		t.Fatalf("pooled scratch holds %d items after a %d-item batch, want <= %d", n, len(batch), batchChunk)
+	}
+	// append grows a slice to at most twice the longest vector.
+	limit := 2 * len(sector.TalonTX())
+	for i := range bs.items {
+		it := &bs.items[i]
+		for _, c := range []int{cap(it.snrDB), cap(it.rssiDB), cap(it.snr), cap(it.rssi),
+			cap(it.qv.cols), cap(it.qv.snrQ), cap(it.qv.rssiQ), cap(it.qv.colsC), cap(it.qv.pack)} {
+			if c > limit {
+				t.Fatalf("item %d keeps a %d-entry buffer, want <= %d", i, c, limit)
+			}
 		}
 	}
 }

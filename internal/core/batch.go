@@ -37,17 +37,20 @@ func BatchOf(batch [][]Probe) []BatchItem {
 
 // SelectSectorBatch runs the full CSS pipeline over a batch of
 // independent probe vectors through the batch-major quantized pass
-// (tile.go): items are split into contiguous per-worker chunks, and each
-// chunk shares one tiled sweep of the coarse dictionary instead of
-// streaming it once per item as a SelectSector loop would. workers <= 0
+// (tile.go): items are split into contiguous per-worker chunks, each
+// worker walks its chunk 64 items at a time through one pooled scratch,
+// and each 64-item sub-chunk shares one tiled sweep of the coarse
+// dictionary instead of streaming it once per item as a SelectSector
+// loop would. The scratch a call holds is thus bounded by the worker
+// count, not the batch size. workers <= 0
 // picks GOMAXPROCS; any value is capped at GOMAXPROCS and at the batch
 // size. Per-item results are deterministic and identical to
 // SelectSector (or, for hinted items, SelectSectorWarm) at any worker
 // count.
 //
-// ctx is observed between items and inside each item's grid search; on
-// cancellation the batch returns ctx.Err() and the results are
-// discarded.
+// ctx is observed between sub-chunks and inside each sub-chunk's grid
+// search; on cancellation the batch returns ctx.Err() and the results
+// are discarded.
 func (e *Estimator) SelectSectorBatch(ctx context.Context, batch []BatchItem, workers int) ([]BatchResult, error) {
 	return e.SelectSectorBatchInto(ctx, batch, workers, nil)
 }

@@ -3,12 +3,25 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"talon/internal/radio"
 	"talon/internal/sector"
 	"talon/internal/stats"
 )
+
+// warmCounters reads the warm-start {hints, hits, fallbacks} counters.
+func warmCounters() [3]int64 {
+	return [3]int64{metWarmHints.Value(), metWarmHits.Value(), metWarmFallbacks.Value()}
+}
+
+// warmDelta is how far the warm-start counters advanced since before.
+func warmDelta(before [3]int64) [3]int64 {
+	after := warmCounters()
+	return [3]int64{after[0] - before[0], after[1] - before[1], after[2] - before[2]}
+}
 
 // TestBatchMatchesSelectSector checks the batch contract: item i of
 // SelectSectorBatch carries exactly what SelectSectorWarm returns for
@@ -68,20 +81,13 @@ func TestBatchMatchesSelectSector(t *testing.T) {
 		}
 	}
 
-	warmCounters := func() [3]int64 {
-		return [3]int64{metWarmHints.Value(), metWarmHits.Value(), metWarmFallbacks.Value()}
-	}
-	delta := func(before [3]int64) [3]int64 {
-		after := warmCounters()
-		return [3]int64{after[0] - before[0], after[1] - before[1], after[2] - before[2]}
-	}
 	want := make([]BatchResult, len(items))
 	before := warmCounters()
 	for i, it := range items {
 		sel, err := est.SelectSectorWarm(ctx, it.Probes, it.Hint)
 		want[i] = BatchResult{Selection: sel, Err: err}
 	}
-	wantWarm := delta(before)
+	wantWarm := warmDelta(before)
 	if wantWarm[1] == 0 || wantWarm[2] == 0 {
 		t.Fatalf("warm counters advanced by %v: the hints must exercise both hits and fallbacks", wantWarm)
 	}
@@ -92,7 +98,7 @@ func TestBatchMatchesSelectSector(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if d := delta(before); d != wantWarm {
+		if d := warmDelta(before); d != wantWarm {
 			t.Fatalf("workers=%d: warm {hints,hits,fallbacks} advanced by %v, per-call loop by %v", workers, d, wantWarm)
 		}
 		if len(got) != len(items) {
@@ -117,6 +123,154 @@ func TestBatchMatchesSelectSector(t *testing.T) {
 	}
 }
 
+// identicalResult reports whether two batch results match bit for bit:
+// the same selection (gains compared by their bits, so NaN fallback
+// gains match) and the same error text.
+func identicalResult(a, b BatchResult) bool {
+	if (a.Err == nil) != (b.Err == nil) || (a.Err != nil && a.Err.Error() != b.Err.Error()) {
+		return false
+	}
+	ga, gb := math.Float64bits(a.Selection.Gain), math.Float64bits(b.Selection.Gain)
+	a.Selection.Gain, b.Selection.Gain = 0, 0
+	return ga == gb && a.Selection == b.Selection
+}
+
+// mixedBatch returns n batch items cycling through every result class —
+// unhinted, hinted on the vector's own cold cell (warm hit), hinted far
+// across the grid (warm fallback), hinted outside the grid, too few
+// probes and a degenerate two-probe vector — with a class period (7)
+// prime to batchChunk, so every class lands on both sides of each
+// sub-chunk boundary.
+func mixedBatch(t *testing.T, est *Estimator, gain func(sector.ID, float64, float64) float64, n int) []BatchItem {
+	t.Helper()
+	ctx := context.Background()
+	rng := stats.NewRNG(2718)
+	model := radio.DefaultMeasurementModel()
+	const vectors = 23
+	pool := make([][]Probe, vectors)
+	cells := make([]Cell, vectors)
+	for v := range pool {
+		pool[v] = observe(t, gain, sector.TalonTX(), -70+140*rng.Float64(), 24*rng.Float64(), model, rng)
+		cold, err := est.SelectSector(ctx, pool[v])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells[v] = cold.AoA.Cell
+	}
+	silent := make([]Probe, len(pool[0]))
+	copy(silent, pool[0])
+	for i := range silent {
+		silent[i].OK = false
+	}
+	degenerate := make([]Probe, 2)
+	copy(degenerate, pool[1][:2])
+	degenerate[0].OK, degenerate[1].OK = true, true
+
+	numAz, numEl := len(est.en.az), len(est.en.el)
+	items := make([]BatchItem, n)
+	for i := range items {
+		v := i % vectors
+		probes := pool[v]
+		switch i % 7 {
+		case 0, 6:
+			items[i] = BatchItem{Probes: probes}
+		case 1:
+			items[i] = BatchItem{Probes: probes, Hint: cells[v]}
+		case 2:
+			ai, ei, _ := cells[v].split()
+			items[i] = BatchItem{Probes: probes, Hint: cellOf((ai+numAz/2)%numAz, (ei+numEl/2)%numEl)}
+		case 3:
+			items[i] = BatchItem{Probes: probes, Hint: cellOf(numAz, numEl)}
+		case 4:
+			items[i] = BatchItem{Probes: silent, Hint: cells[v]}
+		case 5:
+			items[i] = BatchItem{Probes: degenerate}
+		}
+	}
+	return items
+}
+
+// TestBatchChunkBoundaries checks the batch contract across sub-chunk
+// boundaries: for batch sizes around multiples of batchChunk and worker
+// counts that split them unevenly, every result equals the per-call
+// SelectSectorWarm result bit for bit, and the warm-start counters
+// advance exactly as much as the per-call loop.
+func TestBatchChunkBoundaries(t *testing.T) {
+	set, gain := synthSetup(t)
+	est, err := NewEstimator(set, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	items := mixedBatch(t, est, gain, 1000)
+
+	sawClass := map[string]bool{}
+	for _, n := range []int{1, batchChunk - 1, batchChunk, batchChunk + 1, 2*batchChunk + 3, 1000} {
+		batch := items[:n]
+		want := make([]BatchResult, n)
+		before := warmCounters()
+		for i, it := range batch {
+			sel, err := est.SelectSectorWarm(ctx, it.Probes, it.Hint)
+			want[i] = BatchResult{Selection: sel, Err: err}
+		}
+		wantWarm := warmDelta(before)
+		if n == len(items) && (wantWarm[1] == 0 || wantWarm[2] == 0) {
+			t.Fatalf("warm counters advanced by %v: the hints must exercise both hits and fallbacks", wantWarm)
+		}
+		for _, w := range want {
+			switch {
+			case errors.Is(w.Err, ErrTooFewProbes):
+				sawClass["too-few"] = true
+			case w.Err == nil && w.Selection.Fallback:
+				sawClass["fallback"] = true
+			case w.Err == nil:
+				sawClass["selected"] = true
+			}
+		}
+		for _, workers := range []int{1, 2, 3} {
+			t.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(t *testing.T) {
+				before := warmCounters()
+				got, err := est.SelectSectorBatch(ctx, batch, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := warmDelta(before); d != wantWarm {
+					t.Fatalf("warm {hints,hits,fallbacks} advanced by %v, per-call loop by %v", d, wantWarm)
+				}
+				if len(got) != n {
+					t.Fatalf("%d results for %d items", len(got), n)
+				}
+				for i := range got {
+					if !identicalResult(got[i], want[i]) {
+						t.Fatalf("item %d (hint %v): batch %+v, per-call %+v", i, batch[i].Hint, got[i], want[i])
+					}
+				}
+			})
+		}
+	}
+	for _, class := range []string{"too-few", "fallback", "selected"} {
+		if !sawClass[class] {
+			t.Errorf("no %s item in the mixed batch", class)
+		}
+	}
+}
+
+// cancelAfterFirstChunk is a context that reports cancellation once the
+// batch has written the last result of its first sub-chunk.
+type cancelAfterFirstChunk struct {
+	context.Context
+	out []BatchResult
+}
+
+var errUnwritten = errors.New("unwritten")
+
+func (c *cancelAfterFirstChunk) Err() error {
+	if c.out[batchChunk-1].Err != errUnwritten {
+		return context.Canceled
+	}
+	return nil
+}
+
 func TestBatchEmptyAndCancelled(t *testing.T) {
 	set, gain := synthSetup(t)
 	est, err := NewEstimator(set, Options{})
@@ -138,5 +292,32 @@ func TestBatchEmptyAndCancelled(t *testing.T) {
 	}
 	if res != nil {
 		t.Fatalf("cancelled batch returned results: %v", res)
+	}
+
+	// A cancel that lands between two sub-chunks: the first sub-chunk
+	// completes, the second never starts, and the batch fails whole —
+	// also when no item reaches the tile sweep, whose per-tile check
+	// would otherwise catch the cancel.
+	mixed := mixedBatch(t, est, gain, 2*batchChunk+3)
+	tooFew := make([]BatchItem, len(mixed))
+	for i := range tooFew {
+		tooFew[i].Probes = []Probe{{Sector: probes[0].Sector}}
+	}
+	for name, items := range map[string][]BatchItem{"mixed": mixed, "no-sweep": tooFew} {
+		out := make([]BatchResult, len(items))
+		for i := range out {
+			out[i].Err = errUnwritten
+		}
+		mid := &cancelAfterFirstChunk{Context: ctx, out: out}
+		res, err := est.SelectSectorBatchInto(mid, items, 1, out)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s batch cancelled after its first sub-chunk: err = %v, want context.Canceled", name, err)
+		}
+		if res != nil {
+			t.Fatalf("%s batch cancelled after its first sub-chunk returned results: %v", name, res)
+		}
+		if out[batchChunk].Err != errUnwritten {
+			t.Fatalf("%s batch: item %d was estimated after the cancel: %+v", name, batchChunk, out[batchChunk])
+		}
 	}
 }

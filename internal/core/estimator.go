@@ -239,15 +239,15 @@ func (e *Estimator) EstimateAoA(ctx context.Context, probes []Probe) (AoAEstimat
 }
 
 // estimate is the single-item estimate shared by EstimateAoA,
-// SelectSector and SelectSectorWarm: the batch-major chunk (tile.go) run
-// over one item, so every entry point shares the same per-item stages.
+// SelectSector and SelectSectorWarm: the batch-major sub-chunk (tile.go)
+// run over one item, so every entry point shares the same per-item stages.
 // hint is an optional warm-start cell (NoCell runs the full search).
 func (e *Estimator) estimate(ctx context.Context, probes []Probe, hint Cell) (AoAEstimate, error) {
 	start := time.Now() //lint:allow determinism -- estimate-latency histogram reads the wall clock by design
 	defer metEstimateSeconds.ObserveSince(start)
 	bs := e.en.getBatchScratch()
 	defer e.en.putBatchScratch(bs)
-	items := bs.take(1)
+	items := bs.items[:1]
 	batch := [1]BatchItem{{Probes: probes, Hint: hint}}
 	if _, err := e.quantChunk(ctx, batch[:], items); err != nil {
 		return AoAEstimate{}, err

@@ -12,14 +12,24 @@ import (
 // with 64 items the dictionary is streamed from memory 64 times. The
 // batch-major pass inverts the loops — dictionary tile outer, batch item
 // inner — so one L1-resident tile of int16 codes serves every item of a
-// worker's chunk before the next tile is touched (the access shape of a
+// sub-chunk before the next tile is touched (the access shape of a
 // blocked GEMM, with coarseTopKQ's int32 accumulation as the inner
 // product). Tiles are contiguous row-major point ranges and coarseTopKQ
 // folds them in ascending order, so each item's top-K is identical to a
 // single-item row-major scan, whatever the chunk: an item's result never
-// depends on which items share its sweep. The single-call entry points
-// (EstimateAoA, SelectSector, SelectSectorWarm) run the same chunk over
-// one item, so every entry point shares the same per-item stages.
+// depends on which items share its sweep. Each worker walks its chunk in
+// fixed sub-chunks of batchChunk items through one pooled scratch, so
+// the scratch a worker holds is O(batchChunk) whatever the batch size.
+// The single-call entry points (EstimateAoA, SelectSector,
+// SelectSectorWarm) run the same sub-chunk over one item, so every entry
+// point shares the same per-item stages.
+
+// batchChunk is how many items share one sweep of the coarse
+// dictionary, and so how many quantItems one pooled scratch holds. 32,
+// 64 and 128 measured the same per-item cost on a 1,024-item batch
+// (EXPERIMENTS.md "Bounded-memory estimate pipeline"); a larger
+// sub-chunk would only grow the scratch.
+const batchChunk = 64
 
 // tileBytes is the dictionary tile budget: half a typical 32 KiB L1D,
 // leaving room for the probe vectors and top-K state of the items
@@ -56,18 +66,13 @@ type quantItem struct {
 	err  error
 }
 
-// quantBatchScratch holds one chunk's items; pooled on the engine so
-// steady-state estimates and batches allocate nothing.
+// quantBatchScratch holds one sub-chunk's items; pooled on the engine
+// so steady-state estimates and batches allocate nothing. It has a fixed
+// size: a batch of any length passes through it batchChunk items at a
+// time, and each item's gather and code buffers keep the capacity of the
+// largest probe vector they have held.
 type quantBatchScratch struct {
-	items []quantItem
-}
-
-// take returns the first n items, growing the scratch as needed.
-func (bs *quantBatchScratch) take(n int) []quantItem {
-	for len(bs.items) < n {
-		bs.items = append(bs.items, quantItem{})
-	}
-	return bs.items[:n]
+	items [batchChunk]quantItem
 }
 
 func (en *engine) getBatchScratch() *quantBatchScratch {
@@ -105,34 +110,45 @@ func (e *Estimator) selectBatchQuant(ctx context.Context, batch []BatchItem, out
 	return ctx.Err()
 }
 
-// selectChunk estimates one contiguous chunk and finishes every item the
-// chunk resolved into its sector selection.
+// selectChunk estimates one worker's contiguous chunk, batchChunk items
+// at a time through one pooled scratch, and finishes every item into its
+// sector selection. ctx is observed before each sub-chunk (and inside
+// its sweep); a cancelled chunk returns ctx.Err() with out incomplete.
 //
 //talon:noalloc
 func (e *Estimator) selectChunk(ctx context.Context, batch []BatchItem, out []BatchResult) error {
 	bs := e.en.getBatchScratch()
 	defer e.en.putBatchScratch(bs)
-	items := bs.take(len(batch))
-	metSelectEngine.Add(int64(len(batch)))
-	tiles, err := e.quantChunk(ctx, batch, items)
-	metQuantBatchTiles.Add(int64(tiles))
-	for i := range items {
-		if it := &items[i]; it.done {
-			sel, serr := e.finishSelection(batch[i].Probes, it.aoa, it.err)
-			out[i] = BatchResult{Selection: sel, Err: serr}
+	for lo := 0; lo < len(batch); lo += batchChunk {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		hi := min(lo+batchChunk, len(batch))
+		items := bs.items[:hi-lo]
+		metSelectEngine.Add(int64(hi - lo))
+		tiles, err := e.quantChunk(ctx, batch[lo:hi], items)
+		metQuantBatchTiles.Add(int64(tiles))
+		if err != nil {
+			return err
+		}
+		for i := range items {
+			it := &items[i]
+			sel, serr := e.finishSelection(batch[lo+i].Probes, it.aoa, it.err)
+			out[lo+i] = BatchResult{Selection: sel, Err: serr}
 		}
 	}
-	return err
+	return nil
 }
 
-// quantChunk estimates one contiguous chunk into items (parallel to
-// batch): gather and quantize every item, resolve warm-hinted items from
-// their local windows, sweep the coarse dictionary tiles once for the
-// remainder of the chunk, then refine each remaining item. Every item it
-// resolves gets done set, with its estimate or its per-item error
-// (ErrTooFewProbes, ErrDegenerateSurface) in aoa/err. tiles counts the
-// coarse tiles swept; err is non-nil only on context cancellation, which
-// leaves the unresolved items without a result.
+// quantChunk estimates one sub-chunk into items (parallel to batch, at
+// most batchChunk long): gather and quantize every item, resolve
+// warm-hinted items from their local windows, sweep the coarse
+// dictionary tiles once for the remainder of the sub-chunk, then refine
+// each remaining item. Every item it resolves gets done set, with its
+// estimate or its per-item error (ErrTooFewProbes, ErrDegenerateSurface)
+// in aoa/err. tiles counts the coarse tiles swept; err is non-nil only
+// on context cancellation, which leaves the unresolved items without a
+// result.
 //
 //talon:noalloc
 func (e *Estimator) quantChunk(ctx context.Context, batch []BatchItem, items []quantItem) (tiles int, err error) {

@@ -306,6 +306,7 @@ type campaignTally struct {
 
 	probesList []core.BatchItem
 	probesBuf  []core.Probe
+	results    []core.BatchResult
 }
 
 func newCampaignTally() campaignTally {
@@ -501,10 +502,11 @@ func ReplayCampaign(ctx context.Context, p *Platform, cfg CampaignConfig) (*Camp
 		t.probesBuf = buf[:0]
 
 		// Inner workers stay 1: shard fan-out is the only parallelism.
-		results, err := p.Estimator.SelectSectorBatch(ctx, t.probesList, 1)
+		results, err := p.Estimator.SelectSectorBatchInto(ctx, t.probesList, 1, t.results)
 		if err != nil {
 			return err
 		}
+		t.results = results
 		for i := range recs {
 			rec := &recs[i]
 			t.trials++

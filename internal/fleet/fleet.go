@@ -49,7 +49,6 @@ type config struct {
 	degradedBackoff  time.Duration
 	capacity         int
 	batchWorkers     int
-	maxBatch         int
 	queueDepth       int
 	lossSampleStride uint64
 	refSNRDB         float64
@@ -101,10 +100,6 @@ func WithCapacity(n int) Option { return func(c *config) { c.capacity = n } }
 // (GOMAXPROCS).
 func WithBatchWorkers(n int) Option { return func(c *config) { c.batchWorkers = n } }
 
-// WithMaxBatch chunks each Step's served rounds into batches of at most
-// n probe vectors, bounding the arena a Step keeps live. Default 65536.
-func WithMaxBatch(n int) Option { return func(c *config) { c.maxBatch = n } }
-
 // WithQueueDepth sets the per-shard bounded event queue depth; Dispatch
 // drops (and counts) events beyond it. Default 1024.
 func WithQueueDepth(n int) Option { return func(c *config) { c.queueDepth = n } }
@@ -142,7 +137,6 @@ func defaultConfig() config {
 		degradedBackoff:  0, // resolved to one epoch in New
 		capacity:         0,
 		batchWorkers:     0,
-		maxBatch:         65536,
 		queueDepth:       1024,
 		lossSampleStride: 16,
 		refSNRDB:         8,
@@ -317,9 +311,6 @@ func New(est *core.Estimator, patterns *pattern.Set, opts ...Option) (*Manager, 
 	}
 	if cfg.lossSampleStride > math.MaxUint32 {
 		return nil, fmt.Errorf("fleet: loss sample stride %d exceeds 32 bits", cfg.lossSampleStride)
-	}
-	if cfg.maxBatch <= 0 {
-		cfg.maxBatch = 65536
 	}
 	if cfg.queueDepth <= 0 {
 		cfg.queueDepth = 1024

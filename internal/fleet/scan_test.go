@@ -10,7 +10,7 @@ import (
 
 // cancelAfterTrainings is a context that reports cancellation once the
 // process has applied at least n more training rounds than at base — a
-// cancel that lands between two WithMaxBatch chunks of one Step.
+// cancel that lands between two serve batches of one Step.
 type cancelAfterTrainings struct {
 	context.Context
 	base, n int64
@@ -23,21 +23,31 @@ func (c *cancelAfterTrainings) Err() error {
 	return nil
 }
 
-// TestCancelledStepCommitsEpoch is the regression test for a Step whose
-// serve phase is cancelled: the applied chunk must leave the pending
-// queue and the epoch must still advance, so the next Step neither
-// rescans the epoch (double-counting tracked epochs, ticking blockages
-// twice) nor re-serves applied rounds as skipped ones.
-func TestCancelledStepCommitsEpoch(t *testing.T) {
-	m, _ := testFleet(t, WithShards(2), WithSeed(4), WithMaxBatch(1), WithBatchWorkers(1))
-	inv := newInvariantChecker(m)
-	const n = 6
+// arriveSpread arrives n stations with IDs 0..n-1 spread across the
+// azimuth span.
+func arriveSpread(t *testing.T, m *Manager, n int) {
+	t.Helper()
 	for i := 0; i < n; i++ {
-		if !m.Arrive(Event{Kind: EventArrival, Station: StationID(i), AzDeg: -60 + 24*float64(i), ElDeg: 8, DistM: 3}) {
+		az := -60 + 120*float64(i)/float64(n)
+		if !m.Arrive(Event{Kind: EventArrival, Station: StationID(i), AzDeg: az, ElDeg: 8, DistM: 3}) {
 			t.Fatalf("arrival %d rejected", i)
 		}
 	}
-	ctx := &cancelAfterTrainings{Context: context.Background(), base: metTrainings.Value(), n: 1}
+}
+
+// TestCancelledStepCommitsEpoch is the regression test for a Step whose
+// serve phase is cancelled: the applied batch must leave the pending
+// queue and the epoch must still advance, so the next Step neither
+// rescans the epoch (double-counting tracked epochs, ticking blockages
+// twice) nor re-serves applied rounds as skipped ones. serveChunk+5
+// arrivals make the Step serve two batches; the cancel lands after the
+// first.
+func TestCancelledStepCommitsEpoch(t *testing.T) {
+	m, _ := testFleet(t, WithShards(2), WithSeed(4), WithBatchWorkers(1))
+	inv := newInvariantChecker(m)
+	const n = serveChunk + 5
+	arriveSpread(t, m, n)
+	ctx := &cancelAfterTrainings{Context: context.Background(), base: metTrainings.Value(), n: serveChunk}
 	if err := m.Step(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled Step returned %v, want context.Canceled", err)
 	}
@@ -45,8 +55,8 @@ func TestCancelledStepCommitsEpoch(t *testing.T) {
 	if got, want := m.Now(), 100*time.Millisecond; got != want {
 		t.Fatalf("clock after the cancelled Step = %v, want %v", got, want)
 	}
-	if got := m.Pending(); got != n-1 {
-		t.Fatalf("pending after the cancelled Step = %d, want %d (one chunk applied)", got, n-1)
+	if got := m.Pending(); got != n-serveChunk {
+		t.Fatalf("pending after the cancelled Step = %d, want %d (one batch applied)", got, n-serveChunk)
 	}
 
 	if err := m.Step(context.Background()); err != nil {
@@ -60,10 +70,42 @@ func TestCancelledStepCommitsEpoch(t *testing.T) {
 	if sc.Epochs != 2 || sc.Trainings != n || sc.Skipped != 0 {
 		t.Fatalf("epochs %d, trainings %d, skipped %d; want 2, %d, 0", sc.Epochs, sc.Trainings, sc.Skipped, n)
 	}
-	// The round applied in epoch 0 tracks through epoch 1 only (unless it
-	// failed and degraded); nothing tracks in epoch 0 itself.
-	if sc.TrackedEpochs > 1 {
-		t.Fatalf("tracked epochs %d after two epochs with one early adopter, want <= 1", sc.TrackedEpochs)
+	// The rounds applied in epoch 0 track through epoch 1 only (unless
+	// they failed and degraded); nothing tracks in epoch 0 itself.
+	if sc.TrackedEpochs > serveChunk {
+		t.Fatalf("tracked epochs %d after two epochs with %d early adopters, want <= %d", sc.TrackedEpochs, serveChunk, serveChunk)
+	}
+}
+
+// TestServeScratchBoundedByChunk holds the serve scratch to serveChunk
+// rounds: a burst Step that trains more than two batches' worth of
+// stations leaves the probe arena at <= serveChunk x M probes and the
+// batch item, live-index and result buffers at <= serveChunk entries.
+func TestServeScratchBoundedByChunk(t *testing.T) {
+	m, _ := testFleet(t, WithShards(4), WithSeed(6), WithBatchWorkers(1))
+	const n = 2*serveChunk + 37
+	arriveSpread(t, m, n)
+	before := metTrainings.Value()
+	if err := m.Step(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := metTrainings.Value() - before; got != n {
+		t.Fatalf("burst Step trained %d stations, want %d", got, n)
+	}
+	if got, bound := cap(m.arena), serveChunk*m.cfg.probeBudget; got > bound {
+		t.Fatalf("cap(arena) = %d probes, want <= %d", got, bound)
+	}
+	for _, c := range []struct {
+		name string
+		cap  int
+	}{
+		{"items", cap(m.items)},
+		{"live", cap(m.live)},
+		{"results", cap(m.results)},
+	} {
+		if c.cap > serveChunk {
+			t.Errorf("cap(%s) = %d, want <= %d", c.name, c.cap, serveChunk)
+		}
 	}
 }
 

@@ -29,9 +29,9 @@ import (
 //     appended to the global FIFO pending queue.
 //  3. Up to the configured capacity of pending rounds is served: probe
 //     vectors are synthesized into a reused arena and pushed through
-//     core.SelectSectorBatch in bounded chunks — the single estimation
-//     funnel for the whole fleet — each round hinted with its station's
-//     previous selection cell when warm-start is on.
+//     core.SelectSectorBatchInto serveChunk rounds at a time — the
+//     single estimation funnel for the whole fleet — each round hinted
+//     with its station's previous selection cell when warm-start is on.
 //  4. Outcomes are applied: successful selections adopt the sector and
 //     transition to tracking; failures fall back to the probed argmax
 //     and degrade. Virtual selection latency (queueing + training
@@ -39,7 +39,7 @@ import (
 //     scorecard tally.
 //
 // A Step whose context is cancelled while serving still commits the
-// epoch: the chunks already applied leave the pending queue, the rest
+// epoch: the batches already applied leave the pending queue, the rest
 // stay queued for the next Step, and the error is returned.
 //
 // Step serializes against itself but is safe alongside concurrent
@@ -440,19 +440,25 @@ func triggerJitter(seed int64, id StationID, epoch uint64, d time.Duration) time
 	return time.Duration(h % uint64(d))
 }
 
+// serveChunk is how many training rounds one batch serves. It bounds the
+// per-Step serve scratch — the probe arena at serveChunk × M probes, the
+// batch item, live-index and result buffers at serveChunk entries — so a
+// recovery burst that retrains every station in one epoch leaves no
+// burst-sized buffers behind. A round's outcome does not depend on which
+// batch serves it (its probes derive from its own round seed), so the
+// size shapes memory only.
+const serveChunk = 1024
+
 // serve runs phase 3+4 for the chosen requests: synthesize probe
-// vectors into the arena, push them through core.SelectSectorBatch in
-// bounded chunks and apply the outcomes. It returns how many requests
-// it consumed — every chunk before the first failing one, whose rounds
-// stay queued.
+// vectors into the arena, push them through core.SelectSectorBatchInto
+// serveChunk rounds at a time and apply the outcomes. It returns how
+// many requests it consumed — every batch before the first failing one,
+// whose rounds stay queued.
 func (m *Manager) serve(ctx context.Context, reqs []request, epochEnd time.Duration) (int, error) {
 	done := 0
 	for done < len(reqs) {
-		chunk := reqs[done:]
-		if len(chunk) > m.cfg.maxBatch {
-			chunk = chunk[:m.cfg.maxBatch]
-		}
-		if err := m.serveChunk(ctx, chunk, epochEnd); err != nil {
+		chunk := reqs[done:min(done+serveChunk, len(reqs))]
+		if err := m.serveBatch(ctx, chunk, epochEnd); err != nil {
 			return done, err
 		}
 		done += len(chunk)
@@ -460,22 +466,30 @@ func (m *Manager) serve(ctx context.Context, reqs []request, epochEnd time.Durat
 	return done, nil
 }
 
-// serveChunk serves one chunk. A failed batch books nothing, so the
-// chunk can stay queued: departed or out-of-state stations are counted
-// as skipped only once the batch succeeded.
+// serveBatch serves one batch of at most serveChunk rounds. A failed
+// batch books nothing, so its rounds can stay queued: departed or
+// out-of-state stations are counted as skipped only once the batch
+// succeeded.
 //
 //talon:noalloc
-func (m *Manager) serveChunk(ctx context.Context, chunk []request, epochEnd time.Duration) error {
+func (m *Manager) serveBatch(ctx context.Context, chunk []request, epochEnd time.Duration) error {
+	// The probe arena and the batch item and live-index buffers are
+	// manager scratch reused across batches and epochs. They grow only to
+	// the largest batch seen, so never past serveChunk rounds; appends
+	// below stay within the capacity set here.
 	need := len(chunk) * m.cfg.probeBudget
 	if cap(m.arena) < need {
-		//lint:allow noalloc -- grow-only: the probe arena is manager scratch that reaches its steady-state capacity on the first full chunk
+		//lint:allow noalloc -- grow-only: the probe arena reaches its steady-state capacity on the first full batch
 		m.arena = make([]core.Probe, need)
+		//lint:allow noalloc -- grow-only, together with the arena
+		m.items = make([]core.BatchItem, 0, len(chunk))
+		//lint:allow noalloc -- grow-only, together with the arena
+		m.live = make([]int32, 0, len(chunk))
 	}
 	m.arena = m.arena[:need]
 
 	// Synthesize under shard locks; departed or out-of-state stations
-	// are skipped. The batch item and live-index buffers are manager
-	// scratch reused across chunks and epochs.
+	// are skipped.
 	m.items = m.items[:0]
 	m.live = m.live[:0]
 	warm := m.cfg.warmStart
