@@ -217,3 +217,50 @@ func TestBatchScratchBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestBackupZeroAllocSteadyState guards the backup search: once the
+// scratch pool is warm, SelectWithBackup — production estimate,
+// cancellation rounds and masked int16 scans — must not allocate, on a
+// two-path scene that yields a backup and on a single-path one.
+func TestBackupZeroAllocSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed under the race detector")
+	}
+	set, gain := synthSetup(t)
+	est, err := NewEstimator(set, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(59)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name       string
+		probes     []Probe
+		wantBackup bool
+	}{
+		{"two-path", twoPathObserve(t, gain, sector.TalonTX(), -40, 5, 35, 10, 4, quietModel(), rng), true},
+		{"single-path", observe(t, gain, sector.TalonTX(), 10, 5, quietModel(), rng), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for i := 0; i < 5; i++ {
+				sel, err := est.SelectWithBackup(ctx, tc.probes, 18)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.wantBackup && !sel.HasBackup {
+					t.Fatal("two-path scene produced no backup; the test would miss the cancellation rounds")
+				}
+			}
+			var selErr error
+			allocs := testing.AllocsPerRun(100, func() {
+				_, selErr = est.SelectWithBackup(ctx, tc.probes, 18)
+			})
+			if selErr != nil {
+				t.Fatal(selErr)
+			}
+			if allocs != 0 {
+				t.Fatalf("steady-state SelectWithBackup allocates %.1f times per call, want 0", allocs)
+			}
+		})
+	}
+}

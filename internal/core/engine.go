@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"talon/internal/geom"
 	"talon/internal/pattern"
 )
 
@@ -25,8 +26,8 @@ type engine struct {
 	// point, laid out [(ei*numAz+ai)*stride + col]; NaN marks points the
 	// pattern does not cover (or covers with a non-finite sample).
 	// Values are amp(Pattern.At(az, el)) — the exact quantity the serial
-	// reference computes per call — so the float epilogue (quantEpilogue)
-	// and the multipath search reproduce the reference's arithmetic.
+	// reference computes per call — so the float epilogue (quantEpilogue),
+	// its only reader, reproduces the reference's arithmetic.
 	dict []float64
 
 	// Hierarchical coarse-to-fine search (see hier.go): the dense az/el
@@ -49,6 +50,8 @@ type engine struct {
 	fullQ   bool
 
 	batchScratch sync.Pool // *quantBatchScratch (see tile.go)
+
+	dirs []geom.Direction // unit vector of every dense grid cell, row-major (multipath.go)
 }
 
 // newEngine precomputes the dictionary from a non-empty pattern set;
@@ -70,6 +73,11 @@ func newEngine(set *pattern.Set, exact bool) *engine {
 		en.cols[id] = int16(col)
 	}
 	numAz, numEl := len(en.az), len(en.el)
+	for _, el := range en.el {
+		for _, az := range en.az {
+			en.dirs = append(en.dirs, geom.FromAngles(az, el))
+		}
+	}
 	en.dict = make([]float64, numAz*numEl*en.stride)
 	for col, id := range ids {
 		p := set.Get(id)

@@ -239,11 +239,26 @@ func BenchmarkSelectSectorBatch_Quant(b *testing.B) {
 	}
 }
 
+// BenchmarkEstimateMultipath_Engine times a two-peak multipath estimate:
+// the production estimate plus one cancellation round and masked int16
+// scan. BenchmarkSelectWithBackup times the backup selection (three
+// peaks, 18° separation) on the same probes; CI gates it against
+// BenchmarkSelectSector_Quant in the same run.
 func BenchmarkEstimateMultipath_Engine(b *testing.B) {
 	est, probes := benchEstimator(b, Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := est.EstimateMultipath(context.Background(), probes, 2, 15, 0.3); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSelectWithBackup(b *testing.B) {
+	est, probes := benchEstimator(b, Options{})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := est.SelectWithBackup(context.Background(), probes, 18); err != nil {
 			b.Fatal(err)
 		}
 	}

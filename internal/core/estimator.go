@@ -267,19 +267,10 @@ func (e *Estimator) EstimateAoASerial(probes []Probe) (AoAEstimate, error) {
 	if reported < 2 {
 		return AoAEstimate{}, fmt.Errorf("core: %w: need at least 2 reported probes, have %d", ErrTooFewProbes, reported)
 	}
-	anyPattern := e.patterns.Get(ids[0])
-	if anyPattern == nil {
-		for _, id := range e.patterns.IDs() {
-			if p := e.patterns.Get(id); p != nil {
-				anyPattern = p
-				break
-			}
-		}
-	}
-	if anyPattern == nil {
+	grid := e.patterns.Grid()
+	if grid == nil {
 		return AoAEstimate{}, errors.New("core: empty pattern set")
 	}
-	grid := anyPattern.Grid()
 	azAxis, elAxis := grid.Az(), grid.El()
 
 	// Correlation surface over the grid.
@@ -395,7 +386,8 @@ func (e *Estimator) SelectSectorSerial(probes []Probe) (Selection, error) {
 }
 
 func (e *Estimator) finishSelection(probes []Probe, aoa AoAEstimate, err error) (Selection, error) {
-	if err != nil || aoa.Corr < fallbackCorr {
+	// Negated, the test also falls back on a NaN correlation (NaN reading).
+	if err != nil || !(aoa.Corr >= fallbackCorr) {
 		id, ok := SweepSelect(probes)
 		if !ok {
 			if err != nil {

@@ -158,3 +158,35 @@ func TestMultipathDegenerateVector(t *testing.T) {
 		t.Fatal("backup equals primary")
 	}
 }
+
+// TestSelectSectorNaNReading feeds one reported probe whose SNR is NaN
+// among thirteen good readings. The serial oracle sees a NaN correlation
+// everywhere and falls back to the probed-sector argmax; the production
+// path must do the same, not pick a sector toward a NaN angle (which
+// failed with an untyped "no usable TX sector" error).
+func TestSelectSectorNaNReading(t *testing.T) {
+	set, gain := synthSetup(t)
+	est, _ := NewEstimator(set, Options{})
+	rng := stats.NewRNG(71)
+	ctx := context.Background()
+	for trial := 0; trial < 5; trial++ {
+		ps, err := RandomProbes(rng, sector.TalonTX(), 14)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes := observe(t, gain, ps.IDs(), -60+120*rng.Float64(), 12, quietModel(), rng)
+		probes[trial].Meas.SNR = math.NaN()
+		got, gotErr := est.SelectSector(ctx, probes)
+		want, wantErr := est.SelectSectorSerial(probes)
+		if !sameErrClass(gotErr, wantErr) {
+			t.Fatalf("trial %d: error class: production %v, oracle %v", trial, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			continue
+		}
+		if got.Sector != want.Sector || got.Fallback != want.Fallback {
+			t.Fatalf("trial %d: production %v (fallback %v), oracle %v (fallback %v)",
+				trial, got.Sector, got.Fallback, want.Sector, want.Fallback)
+		}
+	}
+}

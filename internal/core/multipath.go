@@ -2,24 +2,70 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
 	"talon/internal/geom"
-	"talon/internal/sector"
+	"talon/internal/pattern"
 )
 
 // EstimateMultipath extends the angle estimation to multiple propagation
 // paths (the compressive multi-path estimation of Marzi et al. that the
-// paper cites as related work): it extracts up to k ranked local maxima
-// of the correlation surface, suppressing everything within minSepDeg of
-// an already-accepted peak, and drops peaks below relThresh times the
-// main peak's correlation. ctx is observed between grid rows of every
-// cancellation round.
+// paper cites as related work). Peak 0 is the production estimate,
+// exactly what EstimateAoA returns; each later peak comes from
+// successive cancellation (peakSearch.next), with every grid cell within
+// minSepDeg of an accepted peak suppressed. A peak below relThresh times
+// peak 0's correlation ends the search, as does the k-th peak. ctx is
+// observed between grid rows of every scan.
 func (e *Estimator) EstimateMultipath(ctx context.Context, probes []Probe, k int, minSepDeg, relThresh float64) ([]AoAEstimate, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: multipath peak count %d must be positive", k)
+	}
+	bs := e.en.getBatchScratch()
+	defer e.en.putBatchScratch(bs)
+	s, err := e.startPeaks(ctx, bs, probes, minSepDeg, relThresh)
+	if err != nil {
+		return nil, err
+	}
+	peaks := []AoAEstimate{s.last}
+	for len(peaks) < k {
+		pk, ok, err := s.next(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
+		peaks = append(peaks, pk)
+	}
+	return peaks, nil
+}
+
+// peakSearch is a successive-cancellation search in progress on one
+// pooled scratch item. An estimate exists, so gatherQuant imputed every
+// unreported probe and the item's component i is probes[i].
+type peakSearch struct {
+	e       *Estimator
+	it      *quantItem
+	probes  []Probe
+	skip    []uint64 // bitset of suppressed grid cells, row-major
+	cosSep  float64  // cosine of the minimum peak separation
+	minCorr float64  // correlation a later peak must reach
+	last    AoAEstimate
+}
+
+// startPeaks runs the production estimate of probes in bs — the
+// one-item sub-chunk SelectSector runs — and returns the search with
+// that estimate as its last peak, or the estimate's error. minSepDeg <= 0
+// selects 15°, relThresh outside (0, 1) selects 0.35.
+func (e *Estimator) startPeaks(ctx context.Context, bs *quantBatchScratch, probes []Probe, minSepDeg, relThresh float64) (peakSearch, error) {
+	batch := [1]BatchItem{{Probes: probes}}
+	if _, err := e.quantChunk(ctx, batch[:], bs.items[:1]); err != nil {
+		return peakSearch{}, err
+	}
+	it := &bs.items[0]
+	if it.err != nil {
+		return peakSearch{}, it.err
 	}
 	if minSepDeg <= 0 {
 		minSepDeg = 15
@@ -27,103 +73,57 @@ func (e *Estimator) EstimateMultipath(ctx context.Context, probes []Probe, k int
 	if relThresh <= 0 || relThresh >= 1 {
 		relThresh = 0.35
 	}
-	ids, snrLin, rssiLin, reported := e.gatherVectors(probes)
-	if reported < 2 {
-		return nil, fmt.Errorf("core: %w: need at least 2 reported probes, have %d", ErrTooFewProbes, reported)
-	}
-	// The engine dictionary replaces per-point Pattern.At lookups inside
-	// the cancellation rounds; the vectors it correlates change per round,
-	// the dictionary does not.
-	en := e.en
-	azAxis, elAxis := en.az, en.el
-	cols := make([]int16, len(ids))
-	for i, id := range ids {
-		cols[i] = en.cols[id]
-	}
+	bs.skip = append(bs.skip[:0], make([]uint64, (len(e.en.dirs)+63)/64)...)
+	return peakSearch{e: e, it: it, probes: probes, skip: bs.skip, last: it.aoa,
+		cosSep: math.Cos(geom.Deg2Rad(minSepDeg)), minCorr: relThresh * it.aoa.Corr}, nil
+}
 
-	// Successive interference cancellation: after each detected path the
-	// path's power contribution is subtracted from the measurement
-	// vectors, exposing weaker paths that the dominant one masks in the
-	// raw correlation surface.
-	snr := append([]float64(nil), snrLin...)
-	rssi := append([]float64(nil), rssiLin...)
-	var peaks []AoAEstimate
-	suppressed := make([][]bool, len(elAxis))
-	for i := range suppressed {
-		suppressed[i] = make([]bool, len(azAxis))
-	}
-	mainCorr := 0.0
-	for len(peaks) < k {
-		bestA, bestE, bestW := -1, -1, 0.0
-		w := make([][]float64, len(elAxis))
-		for ei := range elAxis {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			row := make([]float64, len(azAxis))
-			for ai := range azAxis {
-				if suppressed[ei][ai] {
-					continue
-				}
-				v := en.jointAt((ei*len(azAxis)+ai)*en.stride, cols, snr, rssi, e.opts.SNROnly)
-				row[ai] = v
-				if v > bestW {
-					bestA, bestE, bestW = ai, ei, v
-				}
-			}
-			w[ei] = row
-		}
-		if bestA < 0 || bestW <= 0 {
-			break
-		}
-		if len(peaks) == 0 {
-			mainCorr = bestW
-		} else if bestW < relThresh*mainCorr {
-			break
-		}
-		az := refineAxis(azAxis, bestA, func(i int) float64 { return w[bestE][i] })
-		el := refineAxis(elAxis, bestE, func(i int) float64 { return w[i][bestA] })
-		peaks = append(peaks, AoAEstimate{Az: az, El: el, Corr: bestW, Used: reported})
-		// Cancel the detected path from both measurement vectors and
-		// suppress its angular neighbourhood against re-detection.
-		cancelPath(e, ids, snr, az, el)
-		cancelPath(e, ids, rssi, az, el)
-		for ei, elv := range elAxis {
-			for ai, azv := range azAxis {
-				if geom.SphereDist(azAxis[bestA], elAxis[bestE], azv, elv) < minSepDeg {
-					suppressed[ei][ai] = true
-				}
-			}
+// next suppresses the grid cells closer than the separation to the last
+// peak's cell (a dot product of unit vectors, the geom.SphereDist test)
+// and subtracts the last peak's path from both measurement vectors,
+// exposing weaker paths the dominant one masks. One exhaustive int16
+// scan of the unsuppressed cells and the float epilogue then give the
+// next peak; ok is false when it does not reach minCorr.
+func (s *peakSearch) next(ctx context.Context) (pk AoAEstimate, ok bool, err error) {
+	e, en, it := s.e, s.e.en, s.it
+	ai, ei, _ := s.last.Cell.split()
+	p := en.dirs[ei*len(en.az)+ai]
+	for i, d := range en.dirs {
+		if d.Dot(p) > s.cosSep {
+			s.skip[i>>6] |= 1 << (i & 63)
 		}
 	}
-	if len(peaks) == 0 {
-		return nil, fmt.Errorf("core: %w", ErrDegenerateSurface)
+	ix := e.patterns.Index()
+	l := ix.Locate(s.last.Az, s.last.El)
+	cancelPath(ix, l, s.probes, it.snrDB)
+	cancelPath(ix, l, s.probes, it.rssiDB)
+	it.quantize(en.fullQ)
+	bestA, bestE, bestW, err := en.denseArgmaxQ(ctx, &it.qv, s.skip, e.opts.SNROnly)
+	if err != nil || bestW <= 0 {
+		return AoAEstimate{}, false, err
 	}
-	return peaks, nil
+	pk = e.quantEpilogue(it, bestA, bestE)
+	if !(pk.Corr > 0 && pk.Corr >= s.minCorr) {
+		return AoAEstimate{}, false, nil
+	}
+	s.last = pk
+	return pk, true, nil
 }
 
 // cancelPath subtracts, in the power domain, the least-squares-scaled
-// pattern contribution of a path at (az, el) from the amplitude vector.
-// Components never drop below a small floor so later correlations stay
-// well defined.
-func cancelPath(e *Estimator, ids []sector.ID, ampVec []float64, az, el float64) {
-	var dot, nx float64
-	xPow := make([]float64, len(ids))
-	valid := make([]bool, len(ids))
-	maxPow := 0.0
-	for i, id := range ids {
-		p := e.patterns.Get(id)
-		if p == nil {
+// pattern contribution of a path at l from a gathered dB vector whose
+// component i is probes[i]. Components never drop below a small floor so
+// later correlations stay well defined.
+//
+//talon:noalloc
+func cancelPath(ix *pattern.Index, l pattern.Loc, probes []Probe, db []float64) {
+	var dot, nx, maxPow float64
+	for i, p := range probes {
+		x := math.Pow(10, ix.Gain(l, p.Sector)/10)
+		if math.IsNaN(x) {
 			continue
 		}
-		g := p.At(az, el)
-		if math.IsNaN(g) {
-			continue
-		}
-		x := math.Pow(10, g/10)
-		pw := ampVec[i] * ampVec[i]
-		xPow[i] = x
-		valid[i] = true
+		pw := math.Pow(10, db[i]/10)
 		dot += pw * x
 		nx += x * x
 		if pw > maxPow {
@@ -133,17 +133,17 @@ func cancelPath(e *Estimator, ids []sector.ID, ampVec []float64, az, el float64)
 	if nx == 0 || maxPow == 0 {
 		return
 	}
-	beta := dot / nx
-	floor := 1e-6 * maxPow
-	for i := range ids {
-		if !valid[i] {
+	beta, floor := dot/nx, 1e-6*maxPow
+	for i, p := range probes {
+		x := math.Pow(10, ix.Gain(l, p.Sector)/10)
+		if math.IsNaN(x) {
 			continue
 		}
-		residual := ampVec[i]*ampVec[i] - beta*xPow[i]
+		residual := math.Pow(10, db[i]/10) - beta*x
 		if residual < floor {
 			residual = floor
 		}
-		ampVec[i] = math.Sqrt(residual)
+		db[i] = 10 * math.Log10(residual)
 	}
 }
 
@@ -160,37 +160,37 @@ type BackupSelection struct {
 	HasBackup bool
 }
 
-// SelectWithBackup runs compressive selection and, when the correlation
-// surface exposes a distinct secondary path, also returns the best sector
-// toward it (guaranteed different from the primary sector). A cancelled
-// context propagates ctx.Err() instead of degrading to the single-sector
+// SelectWithBackup runs compressive selection and, when the multipath
+// search finds a distinct secondary path, also returns the best sector
+// toward it (guaranteed different from the primary sector). The primary
+// is exactly what SelectSector returns, fallbacks and errors included.
+// The secondary search runs whenever an estimate exists, even when the
+// primary falls back, and tries up to two secondary peaks. A cancelled
+// context propagates ctx.Err() instead of degrading to the sweep
 // fallback.
 func (e *Estimator) SelectWithBackup(ctx context.Context, probes []Probe, minSepDeg float64) (BackupSelection, error) {
-	peaks, err := e.EstimateMultipath(ctx, probes, 3, minSepDeg, 0.1)
-	if err != nil {
-		if isCtxErr(err) {
+	bs := e.en.getBatchScratch()
+	defer e.en.putBatchScratch(bs)
+	s, err := e.startPeaks(ctx, bs, probes, minSepDeg, 0.1)
+	if err != nil && isCtxErr(err) {
+		return BackupSelection{}, err
+	}
+	var out BackupSelection
+	if out.Primary, err = e.finishSelection(probes, s.last, err); err != nil || s.it == nil {
+		return out, err
+	}
+	for i := 0; i < 2; i++ {
+		pk, ok, err := s.next(ctx)
+		if err != nil {
 			return BackupSelection{}, err
 		}
-		// Degenerate surface: fall back like SelectSector does.
-		sel, serr := e.SelectSector(ctx, probes)
-		if serr != nil {
-			return BackupSelection{}, serr
+		if !ok {
+			break
 		}
-		return BackupSelection{Primary: sel}, nil
-	}
-	primaryID, primaryGain := e.patterns.BestSector(peaks[0].Az, peaks[0].El)
-	if math.IsNaN(primaryGain) {
-		return BackupSelection{}, errors.New("core: pattern set has no usable TX sector")
-	}
-	out := BackupSelection{Primary: Selection{Sector: primaryID, Gain: primaryGain, AoA: peaks[0]}}
-	for _, peak := range peaks[1:] {
-		id, gain := e.patterns.BestSector(peak.Az, peak.El)
-		if math.IsNaN(gain) || id == primaryID {
-			continue
+		if id, gain := e.patterns.BestSector(pk.Az, pk.El); !math.IsNaN(gain) && id != out.Primary.Sector {
+			out.Backup, out.HasBackup = Selection{Sector: id, Gain: gain, AoA: pk}, true
+			break
 		}
-		out.Backup = Selection{Sector: id, Gain: gain, AoA: peak}
-		out.HasBackup = true
-		break
 	}
 	return out, nil
 }

@@ -155,3 +155,69 @@ func TestSelectWithBackupSinglePath(t *testing.T) {
 		t.Fatal("backup equals primary")
 	}
 }
+
+// identicalSelection reports whether two selections are bit for bit the
+// same, NaN gains and angles included.
+func identicalSelection(a, b Selection) bool {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	return a.Sector == b.Sector && a.Fallback == b.Fallback && same(a.Gain, b.Gain) &&
+		same(a.AoA.Az, b.AoA.Az) && same(a.AoA.El, b.AoA.El) && same(a.AoA.Corr, b.AoA.Corr) &&
+		a.AoA.Used == b.AoA.Used && a.AoA.Cell == b.AoA.Cell &&
+		a.Degraded == b.Degraded && a.FallbackReason == b.FallbackReason
+}
+
+// checkBackupParity fails unless SelectWithBackup's primary is exactly
+// SelectSector's result for probes, error class included. It reports
+// whether the selection fell back.
+func checkBackupParity(t *testing.T, est *Estimator, label string, probes []Probe) (fallback bool) {
+	t.Helper()
+	ctx := context.Background()
+	want, wantErr := est.SelectSector(ctx, probes)
+	got, gotErr := est.SelectWithBackup(ctx, probes, 18)
+	if !sameErrClass(gotErr, wantErr) {
+		t.Fatalf("%s: SelectWithBackup error %v, SelectSector error %v", label, gotErr, wantErr)
+	}
+	if wantErr != nil {
+		return false
+	}
+	if !identicalSelection(got.Primary, want) {
+		t.Fatalf("%s: SelectWithBackup primary %+v, SelectSector %+v", label, got.Primary, want)
+	}
+	if got.HasBackup && got.Backup.Sector == got.Primary.Sector {
+		t.Fatalf("%s: backup equals primary %v", label, got.Primary.Sector)
+	}
+	return want.Fallback
+}
+
+// TestSelectWithBackupPrimaryParity holds SelectWithBackup's primary to
+// SelectSector's result on every trial of the clean (M = 8…32) and
+// Standard60GHz faulty equivalence generators, fallbacks included: the
+// backup search starts from the production estimate, so the two cannot
+// disagree.
+func TestSelectWithBackupPrimaryParity(t *testing.T) {
+	set, gain := synthSetup(t)
+	clean, err := NewEstimator(set, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty, faultyProbes := faultyTrials(t)
+	trials, fallbacks := 0, 0
+	for _, g := range []struct {
+		est    *Estimator
+		trials []probeTrial
+	}{
+		{clean, cleanTrials(t, gain)},
+		{faulty, faultyProbes},
+	} {
+		for _, tr := range g.trials {
+			trials++
+			if checkBackupParity(t, g.est, tr.label, tr.probes) {
+				fallbacks++
+			}
+		}
+	}
+	t.Logf("%d trials, %d fallbacks, 0 primary mismatches", trials, fallbacks)
+	if fallbacks == 0 {
+		t.Fatal("no trial fell back; the parity gate does not cover fallbacks")
+	}
+}

@@ -46,8 +46,8 @@ import (
 // divergence and one coarse-cell diagonal of AoA drift against the
 // float64 serial reference (EstimateAoASerial / SelectSectorSerial).
 //
-// The float64 dictionary always stays resident: the float epilogue reads
-// it, and the multipath / backup searches still run on it.
+// The float64 dictionary stays resident for the float epilogue alone;
+// every search, multipath and backup included, runs on the int16 codes.
 
 // Fixed-point geometry.
 const (
@@ -478,10 +478,11 @@ func (en *engine) refineQ(ctx context.Context, it *quantItem, snrOnly bool) (bes
 // denseArgmaxQ is the exhaustive quantized scan: every dense grid point
 // in row-major order with the strictly-greater update, so tie-breaks
 // match the serial reference's scan. No surface is materialized —
-// refinement re-evaluates the handful of neighbours it needs.
+// refinement re-evaluates the handful of neighbours it needs. It passes
+// over the row-major cells set in a non-nil skip bitset (multipath.go).
 //
 //talon:noalloc
-func (en *engine) denseArgmaxQ(ctx context.Context, qv *quantVec, snrOnly bool) (bestA, bestE int, bestW float64, err error) {
+func (en *engine) denseArgmaxQ(ctx context.Context, qv *quantVec, skip []uint64, snrOnly bool) (bestA, bestE int, bestW float64, err error) {
 	numAz, numEl := len(en.az), len(en.el)
 	bestW = -1.0
 	for ei := 0; ei < numEl; ei++ {
@@ -490,6 +491,9 @@ func (en *engine) denseArgmaxQ(ctx context.Context, qv *quantVec, snrOnly bool) 
 		}
 		base := ei * numAz * en.stride
 		for ai := 0; ai < numAz; ai++ {
+			if pt := ei*numAz + ai; skip != nil && skip[pt>>6]&(1<<(pt&63)) != 0 {
+				continue
+			}
 			v := jointQ(en.dictQ, base+ai*en.stride, qv, snrOnly)
 			if v > bestW {
 				bestA, bestE, bestW = ai, ei, v

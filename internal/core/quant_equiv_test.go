@@ -41,21 +41,9 @@ func TestQuantMatchesFloatClean(t *testing.T) {
 	diag := coarseDiag(t, est)
 
 	quantBefore := metQuantEstimates.Value()
-	model := radio.DefaultMeasurementModel()
-	rng := stats.NewRNG(37)
-	available := sector.TalonTX()
 	c := equivCounter{name: "quant-vs-oracle"}
-	for _, m := range []int{8, 14, 24, 32} {
-		for trial := 0; trial < 40; trial++ {
-			ps, err := RandomProbes(rng, available, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			az := -78 + 156*rng.Float64()
-			el := 28 * rng.Float64()
-			probes := observe(t, gain, ps.IDs(), az, el, model, rng)
-			c.compare(t, fmt.Sprintf("m=%d trial=%d", m, trial), production(est), oracle(est), probes, diag)
-		}
+	for _, tr := range cleanTrials(t, gain) {
+		c.compare(t, tr.label, production(est), oracle(est), tr.probes, diag)
 	}
 	c.assertRate(t, 120)
 	if metQuantEstimates.Value() == quantBefore {
@@ -69,6 +57,51 @@ func TestQuantMatchesFloatClean(t *testing.T) {
 // fault.Standard60GHz impairment chain injected — so the gate covers
 // burst loss, RSSI drift, stale feedback and imputed-missing vectors.
 func TestQuantMatchesFloatFaultyChannel(t *testing.T) {
+	est, trials := faultyTrials(t)
+	diag := coarseDiag(t, est)
+	c := equivCounter{name: "quant-vs-oracle"}
+	for _, tr := range trials {
+		c.compare(t, tr.label, production(est), oracle(est), tr.probes, diag)
+	}
+	c.assertRate(t, 139)
+}
+
+// probeTrial is one labelled probe vector of an equivalence generator.
+type probeTrial struct {
+	label  string
+	probes []Probe
+}
+
+// cleanTrials is the seeded clean-channel generator over synthSetup's
+// gains: 40 trials at each of M = 8, 14, 24 and 32 probes, default
+// measurement model.
+func cleanTrials(t *testing.T, gain func(sector.ID, float64, float64) float64) []probeTrial {
+	t.Helper()
+	model := radio.DefaultMeasurementModel()
+	rng := stats.NewRNG(37)
+	available := sector.TalonTX()
+	var out []probeTrial
+	for _, m := range []int{8, 14, 24, 32} {
+		for trial := 0; trial < 40; trial++ {
+			ps, err := RandomProbes(rng, available, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			az := -78 + 156*rng.Float64()
+			el := 28 * rng.Float64()
+			probes := observe(t, gain, ps.IDs(), az, el, model, rng)
+			out = append(out, probeTrial{fmt.Sprintf("m=%d trial=%d", m, trial), probes})
+		}
+	}
+	return out
+}
+
+// faultyTrials is the seeded faulty-channel generator: an estimator over
+// chamber-measured patterns and the probe vectors of 170 sweeps over a
+// lab channel with the fault.Standard60GHz chain injected (sweeps an
+// injected fault killed outright are left out).
+func faultyTrials(t *testing.T) (*Estimator, []probeTrial) {
+	t.Helper()
 	dut, err := wil.NewDevice(wil.Config{
 		Name: "quant-dut",
 		MAC:  dot11ad.MACAddr{0x50, 0xc7, 0xbf, 0, 0, 0x31},
@@ -106,7 +139,6 @@ func TestQuantMatchesFloatFaultyChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diag := coarseDiag(t, est)
 
 	dutPose, probePose := testbed.FacingPoses(3, 1.2)
 	dut.SetPose(dutPose)
@@ -116,7 +148,7 @@ func TestQuantMatchesFloatFaultyChannel(t *testing.T) {
 
 	rng := stats.NewRNG(41)
 	available := sector.TalonTX()
-	c := equivCounter{name: "quant-vs-oracle"}
+	var out []probeTrial
 	for trial := 0; trial < 170; trial++ {
 		// Swing the probe device on an arc so trials cover directions.
 		az := -60 + 120*rng.Float64()
@@ -137,10 +169,9 @@ func TestQuantMatchesFloatFaultyChannel(t *testing.T) {
 			// estimation; nothing to compare on this trial.
 			continue
 		}
-		probes := ProbesFromMeasurements(ps.IDs(), meas)
-		c.compare(t, fmt.Sprintf("trial=%d", trial), production(est), oracle(est), probes, diag)
+		out = append(out, probeTrial{fmt.Sprintf("trial=%d", trial), ProbesFromMeasurements(ps.IDs(), meas)})
 	}
-	c.assertRate(t, 139)
+	return est, out
 }
 
 // TestQuantDegenerateSurface pins the degenerate-surface parity: with

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"talon/internal/radio"
 	"talon/internal/sector"
 )
 
@@ -39,11 +38,4 @@ func OptimalSector(truth map[sector.ID]float64) (sector.ID, bool) {
 		}
 	}
 	return best, ok
-}
-
-// MeasurementsToProbes is a convenience for offline analysis of full
-// sweeps: it converts a measurement table into a probe vector over the
-// given sector order.
-func MeasurementsToProbes(order []sector.ID, meas map[sector.ID]radio.Measurement) []Probe {
-	return ProbesFromMeasurements(order, meas)
 }

@@ -73,6 +73,8 @@ type quantItem struct {
 // largest probe vector they have held.
 type quantBatchScratch struct {
 	items [batchChunk]quantItem
+	// skip is the multipath search's bitset of suppressed grid cells.
+	skip []uint64
 }
 
 func (en *engine) getBatchScratch() *quantBatchScratch {
@@ -217,7 +219,7 @@ func (e *Estimator) quantChunk(ctx context.Context, batch []BatchItem, items []q
 			if len(en.coarseQ) > 0 {
 				metQuantFallbacks.Inc()
 			}
-			bestA, bestE, bestW, err = en.denseArgmaxQ(ctx, &it.qv, snrOnly)
+			bestA, bestE, bestW, err = en.denseArgmaxQ(ctx, &it.qv, nil, snrOnly)
 		} else {
 			bestA, bestE, bestW, err = en.refineQ(ctx, it, snrOnly)
 		}

@@ -127,7 +127,7 @@ func Figure11(ctx context.Context, p *Platform, m int, sweeps int, rng *stats.RN
 				cssTp = append(cssTp, 0)
 			}
 			// Stock sweep over all sectors.
-			if id, ok := core.SweepSelect(core.MeasurementsToProbes(available, sweep)); ok {
+			if id, ok := core.SweepSelect(core.ProbesFromMeasurements(available, sweep)); ok {
 				snr := tr.TrueSNR[id]
 				sswTp = append(sswTp, model.AppThroughputMbps(snr, dot11ad.MutualTrainingTime(len(available))))
 			} else {

@@ -72,7 +72,7 @@ func EvaluateTraces(ctx context.Context, envName string, traces []testbed.Trace,
 	for _, tr := range traces {
 		var picks []sector.ID
 		for _, sweep := range tr.Sweeps {
-			probes := core.MeasurementsToProbes(available, sweep)
+			probes := core.ProbesFromMeasurements(available, sweep)
 			id, ok := core.SweepSelect(probes)
 			if !ok {
 				te.SSW.Failures++

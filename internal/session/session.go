@@ -61,7 +61,7 @@ func (SSWPolicy) Train(ctx context.Context, link *wil.Link, tx, rx *wil.Device) 
 	if err != nil {
 		return Outcome{}, err
 	}
-	id, ok := core.SweepSelect(core.MeasurementsToProbes(sector.TalonTX(), meas))
+	id, ok := core.SweepSelect(core.ProbesFromMeasurements(sector.TalonTX(), meas))
 	if !ok {
 		return Outcome{Probes: 34}, fmt.Errorf("session: sweep produced no measurements")
 	}

@@ -78,6 +78,33 @@ func TestRunDegradesToFullSweepOnPersistentWMIFault(t *testing.T) {
 	}
 }
 
+// TestRunWithBackupDegradedKeepsBackup holds RunResult.Backup's contract
+// on the degraded path: a WithBackup run that falls back to the full
+// sweep still returns a non-nil Backup, whose primary is the degraded
+// selection and which carries no backup sector.
+func TestRunWithBackupDegradedKeepsBackup(t *testing.T) {
+	trainer, link, dut, peer := buildTrainer(t, talon.AnechoicChamber(), talon.WithM(14), talon.WithSeed(8))
+	link.SetInjector(fault.NewWMIFlake(1, 3))
+
+	res, err := trainer.Run(context.Background(), dut, peer,
+		talon.WithBackup(18), talon.WithRetry(2, time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Degraded() {
+		t.Fatalf("run under persistent WMI faults did not degrade: %+v", res.Selection)
+	}
+	if res.Backup == nil {
+		t.Fatal("degraded WithBackup run returned a nil Backup")
+	}
+	if res.Backup.HasBackup {
+		t.Fatalf("full-sweep fallback reported a backup sector: %+v", res.Backup.Backup)
+	}
+	if res.Backup.Primary.Sector != res.Sector || !res.Backup.Primary.Degraded {
+		t.Fatalf("Backup.Primary = %+v, want the degraded selection %+v", res.Backup.Primary, res.Selection)
+	}
+}
+
 func TestRunSNRCheckSurfacesSentinelWithoutRetry(t *testing.T) {
 	trainer, _, dut, peer := buildTrainer(t, talon.AnechoicChamber(), talon.WithM(14), talon.WithSeed(9))
 	_, err := trainer.Run(context.Background(), dut, peer, talon.WithSNRCheck(1000))

@@ -370,6 +370,11 @@ func (t *Trainer) fallbackSweep(ctx context.Context, tx, rx *Device, cfg *runCon
 	}
 	res.Sector = id
 	res.Probed = probed
+	if cfg.backup {
+		// The sweep finds no secondary path, but Backup stays non-nil
+		// whenever WithBackup was requested.
+		res.Backup = &BackupSelection{Primary: res.Selection}
+	}
 
 	if rx.Firmware().OverrideEnabled() {
 		// Transient WMI faults must not sink an otherwise valid
