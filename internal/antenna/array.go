@@ -13,7 +13,6 @@ package antenna
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 
 	"talon/internal/geom"
 	"talon/internal/stats"
@@ -212,17 +211,73 @@ func (w Weights) Clone() Weights {
 // toward (az, el), in dB relative to a single ideal element. It includes
 // the element envelope, quantized phases, per-element hardware errors and
 // the chassis blockage mask. Directions the chassis fully shadows can go
-// strongly negative.
+// strongly negative. It is Steering.Gain through a one-shot Steering.
 func (a *Array) Gain(w Weights, az, el float64) float64 {
+	var s Steering
+	s.point(a, az, el)
+	return s.Gain(w)
+}
+
+// Steering holds the terms of Gain that depend only on the direction: the
+// geometric phase slopes, the element envelope, the chassis mask and the
+// front ripple. A reusable Steering (NewSteering) also caches the phasor
+// e^{iθ} of every (element, phase code) pair it has evaluated, since θ
+// depends only on the direction, the element and its phase code: a sector
+// sweep toward one direction then computes each of the 32×4 phasors once
+// instead of once per sector. Gain through a Steering runs the same
+// floating-point operations in the same order as Array.Gain, so the two
+// agree bit for bit. A Steering is not safe for concurrent use.
+type Steering struct {
+	a      *Array
+	az, el float64
+	// ky and kz are the phase advances per wavelength of position offset
+	// along y and z.
+	ky, kz                       float64
+	envelopeDB, maskDB, rippleDB float64
+	// phasor[k*PhaseStates()+code] is the cached phasor of element k at
+	// phase code, valid where filled is set. Both are nil in the one-shot
+	// Steering of Array.Gain, which computes every phasor afresh.
+	phasor []complex128
+	filled []bool
+}
+
+// NewSteering returns a reusable Steering of a pointed at boresight.
+func (a *Array) NewSteering() *Steering {
+	n := a.NumElements() * a.PhaseStates()
+	s := &Steering{phasor: make([]complex128, n), filled: make([]bool, n)}
+	s.point(a, 0, 0)
+	return s
+}
+
+// Point aims s at (az, el). Pointing at the direction s already holds
+// keeps the cached phasors; any other direction drops them.
+func (s *Steering) Point(az, el float64) {
+	if math.Float64bits(az) == math.Float64bits(s.az) && math.Float64bits(el) == math.Float64bits(s.el) {
+		return
+	}
+	s.point(s.a, az, el)
+	clear(s.filled)
+}
+
+// point evaluates the direction-only terms of a toward (az, el).
+func (s *Steering) point(a *Array, az, el float64) {
+	dir := geom.FromAngles(az, el)
+	s.a, s.az, s.el = a, az, el
+	s.ky = 2 * math.Pi * dir.Y
+	s.kz = 2 * math.Pi * dir.Z
+	s.envelopeDB = a.elementEnvelopeDB(az, el)
+	s.maskDB = a.chassisMaskDB(az, el)
+	s.rippleDB = a.frontRippleDB(az, el)
+}
+
+// Gain returns the array's gain driven with w toward the pointed direction:
+// Array.Gain(w, az, el) for the (az, el) of the last Point.
+func (s *Steering) Gain(w Weights) float64 {
+	a := s.a
 	n := a.NumElements()
 	if len(w.Phase) != n || len(w.On) != n {
 		return math.Inf(-1)
 	}
-	dir := geom.FromAngles(az, el)
-	// Phase advance per wavelength of position offset along y and z.
-	ky := 2 * math.Pi * dir.Y
-	kz := 2 * math.Pi * dir.Z
-	states := float64(a.PhaseStates())
 	if w.Amp != nil && len(w.Amp) != n {
 		return math.Inf(-1)
 	}
@@ -237,9 +292,7 @@ func (a *Array) Gain(w Weights, az, el float64) float64 {
 		if w.Amp != nil {
 			amp *= float64(w.Amp[k]+1) / AmpStates
 		}
-		phase := float64(w.Phase[k])/states*2*math.Pi + a.phaseErr[k]
-		geo := ky*a.posY[k] + kz*a.posZ[k]
-		sum += complex(amp, 0) * cmplx.Exp(complex(0, geo+phase))
+		sum += complex(amp, 0) * s.elementPhasor(k, w.Phase[k])
 	}
 	if active == 0 {
 		return math.Inf(-1)
@@ -248,10 +301,32 @@ func (a *Array) Gain(w Weights, az, el float64) float64 {
 	// 10·log10(N) above one element (power normalized per element).
 	p := real(sum)*real(sum) + imag(sum)*imag(sum)
 	gainDB := stats.DB(p / float64(active))
-	gainDB += a.elementEnvelopeDB(az, el)
-	gainDB += a.chassisMaskDB(az, el)
-	gainDB += a.frontRippleDB(az, el)
+	gainDB += s.envelopeDB
+	gainDB += s.maskDB
+	gainDB += s.rippleDB
 	return gainDB
+}
+
+// elementPhasor returns e^{iθ} for element k driven with phase code, θ
+// being its geometric phase toward the pointed direction plus the code's
+// phase and the element's static error. The sine and cosine are exactly
+// those cmplx.Exp(complex(0, θ)) returns.
+func (s *Steering) elementPhasor(k int, code uint8) complex128 {
+	a := s.a
+	states := a.PhaseStates()
+	i := k*states + int(code)
+	cached := s.filled != nil && int(code) < states
+	if cached && s.filled[i] {
+		return s.phasor[i]
+	}
+	phase := float64(code)/float64(states)*2*math.Pi + a.phaseErr[k]
+	geo := s.ky*a.posY[k] + s.kz*a.posZ[k]
+	sin, cos := math.Sincos(geo + phase)
+	ph := complex(cos, sin)
+	if cached {
+		s.phasor[i], s.filled[i] = ph, true
+	}
+	return ph
 }
 
 // elementEnvelopeDB is the per-element patch envelope: maximum at

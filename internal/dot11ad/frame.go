@@ -126,23 +126,30 @@ func bodyLen(t FrameType) (int, error) {
 	return 0, fmt.Errorf("dot11ad: unknown frame type %d", t)
 }
 
+// maxFrameLen is the wire length of the longest frame this package codes
+// (an SSW frame).
+const maxFrameLen = headerLen + 3 + 3 + fcsLen
+
 // Serialize encodes the frame into its wire form including the FCS.
 func (f *Frame) Serialize() ([]byte, error) {
+	return f.AppendBinary(make([]byte, 0, maxFrameLen))
+}
+
+// AppendBinary appends the frame's wire form, FCS included, to b
+// (encoding.BinaryAppender). A sender reusing one buffer across frames
+// passes buf[:0].
+func (f *Frame) AppendBinary(b []byte) ([]byte, error) {
 	fc, err := frameControl(f.Type)
 	if err != nil {
 		return nil, err
 	}
-	bl, err := bodyLen(f.Type)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 0, headerLen+bl+fcsLen)
+	start := len(b)
 	var hdr [headerLen]byte
 	binary.LittleEndian.PutUint16(hdr[0:2], fc)
 	binary.LittleEndian.PutUint16(hdr[2:4], f.Duration)
 	copy(hdr[4:10], f.RA[:])
 	copy(hdr[10:16], f.TA[:])
-	out = append(out, hdr[:]...)
+	b = append(b, hdr[:]...)
 
 	switch f.Type {
 	case TypeSSW:
@@ -154,52 +161,63 @@ func (f *Frame) Serialize() ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, ssw[:]...)
-		out = append(out, fb[:]...)
+		b = append(b, ssw[:]...)
+		b = append(b, fb[:]...)
 	case TypeSSWFeedback, TypeSSWAck:
 		fb, err := f.Feedback.Encode()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, fb[:]...)
+		b = append(b, fb[:]...)
 	case TypeDMGBeacon:
 		var bi [2]byte
 		binary.LittleEndian.PutUint16(bi[:], f.BeaconIntervalTU)
-		out = append(out, bi[:]...)
+		b = append(b, bi[:]...)
 		ssw, err := f.SSW.Encode()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, ssw[:]...)
+		b = append(b, ssw[:]...)
 	}
 
 	var fcs [fcsLen]byte
-	binary.LittleEndian.PutUint32(fcs[:], crc32.Checksum(out, castagnoli))
-	return append(out, fcs[:]...), nil
+	binary.LittleEndian.PutUint32(fcs[:], crc32.Checksum(b[start:], castagnoli))
+	return append(b, fcs[:]...), nil
 }
 
 // DecodeFrame parses a wire-form frame, verifying length and FCS.
 func DecodeFrame(b []byte) (*Frame, error) {
+	f := new(Frame)
+	if err := f.UnmarshalBinary(b); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// UnmarshalBinary parses a wire-form frame into f, verifying length and
+// FCS (encoding.BinaryUnmarshaler). Every field of f is overwritten on
+// success; on error f is unchanged.
+func (f *Frame) UnmarshalBinary(b []byte) error {
 	if len(b) < headerLen+fcsLen {
-		return nil, fmt.Errorf("dot11ad: frame too short (%d bytes)", len(b))
+		return fmt.Errorf("dot11ad: frame too short (%d bytes)", len(b))
 	}
 	payload, fcs := b[:len(b)-fcsLen], b[len(b)-fcsLen:]
 	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(fcs); got != want {
-		return nil, fmt.Errorf("dot11ad: FCS mismatch (got %08x want %08x)", got, want)
+		return fmt.Errorf("dot11ad: FCS mismatch (got %08x want %08x)", got, want)
 	}
 	fc := binary.LittleEndian.Uint16(payload[0:2])
 	t, err := frameTypeFromControl(fc)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	bl, err := bodyLen(t)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(payload) != headerLen+bl {
-		return nil, fmt.Errorf("dot11ad: %v frame body length %d, want %d", t, len(payload)-headerLen, bl)
+		return fmt.Errorf("dot11ad: %v frame body length %d, want %d", t, len(payload)-headerLen, bl)
 	}
-	f := &Frame{Type: t, Duration: binary.LittleEndian.Uint16(payload[2:4])}
+	*f = Frame{Type: t, Duration: binary.LittleEndian.Uint16(payload[2:4])}
 	copy(f.RA[:], payload[4:10])
 	copy(f.TA[:], payload[10:16])
 	body := payload[headerLen:]
@@ -213,7 +231,7 @@ func DecodeFrame(b []byte) (*Frame, error) {
 		f.BeaconIntervalTU = binary.LittleEndian.Uint16(body[0:2])
 		f.SSW = DecodeSSWField([3]byte(body[2:5]))
 	}
-	return f, nil
+	return nil
 }
 
 // NewSSWFrame builds a sector-sweep frame transmitted on sec with the given

@@ -3,16 +3,10 @@ package eval
 import "talon/internal/obs"
 
 // Evaluation-campaign metrics (see README, "Observability"). Trial counts
-// tick once per trial; utilization is recomputed once per parallelFor call.
+// tick once per trial, in batches where the trials run as one batch.
 var (
 	metTrials = obs.NewCounter("eval_trials_total",
 		"evaluation trials completed across all campaigns")
-	metWorkers = obs.NewGauge("eval_workers",
-		"worker goroutines used by the most recent trial loop")
-	metWorkerUtilization = obs.NewFloatGauge("eval_worker_utilization",
-		"busy fraction of the most recent trial loop (busy time / workers x wall time)")
-	metLoopSeconds = obs.NewHistogram("eval_loop_seconds",
-		"wall time of trial loops", obs.LatencyBuckets)
 	metBatchTrials = obs.NewCounter("eval_batch_trials_total",
 		"trace-evaluation trials run through the batched estimation path")
 )

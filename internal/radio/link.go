@@ -39,27 +39,66 @@ func DefaultBudget() Budget {
 	}
 }
 
-// TrueSNR combines every propagation ray between the posed devices with
-// the endpoint gain functions and returns the resulting SNR in dB.
-// Rays add up in power (the selection algorithm is non-coherent).
-func TrueSNR(env *channel.Environment, txPose, rxPose channel.Pose, txGain, rxGain GainFunc, b Budget) float64 {
-	rays := env.Rays(txPose.Pos, rxPose.Pos)
+// Path is one propagation ray resolved to both endpoints' local frames,
+// with its propagation loss and the endpoints' gains along it.
+type Path struct {
+	// TXAz/TXEl is the departure direction in the transmitter's frame;
+	// RXAz/RXEl the arrival direction in the receiver's.
+	TXAz, TXEl float64
+	RXAz, RXEl float64
+	// LossDB is the ray's propagation loss (free space plus reflection).
+	LossDB float64
+	// TXGainDB and RXGainDB are the endpoints' directive gains along the
+	// path. ResolvePaths leaves them zero; the caller fills them before
+	// PathSNR.
+	TXGainDB, RXGainDB float64
+}
+
+// ResolvePaths appends to dst every propagation ray between the posed
+// devices, resolved to their local frames. Everything it computes depends
+// on the poses only, so one resolution serves every frame exchanged
+// between unmoved devices.
+func ResolvePaths(dst []Path, env *channel.Environment, txPose, rxPose channel.Pose) []Path {
+	for _, r := range env.Rays(txPose.Pos, rxPose.Pos) {
+		var p Path
+		p.TXAz, p.TXEl = txPose.ToLocal(r.AoD)
+		p.RXAz, p.RXEl = rxPose.ToLocal(r.AoA)
+		p.LossDB = r.PathLossDB()
+		dst = append(dst, p)
+	}
+	return dst
+}
+
+// PathSNR sums the power received over paths and returns the resulting SNR
+// in dB. Paths add up in power (the selection algorithm is non-coherent);
+// a path with a -Inf or NaN gain carries none.
+func PathSNR(paths []Path, b Budget) float64 {
 	power := 0.0
-	for _, r := range rays {
-		azT, elT := txPose.ToLocal(r.AoD)
-		azR, elR := rxPose.ToLocal(r.AoA)
-		gt := txGain(azT, elT)
-		gr := rxGain(azR, elR)
+	for _, p := range paths {
+		gt, gr := p.TXGainDB, p.RXGainDB
 		if math.IsInf(gt, -1) || math.IsInf(gr, -1) || math.IsNaN(gt) || math.IsNaN(gr) {
 			continue
 		}
-		rxDBm := b.TxPowerDBm + gt - r.PathLossDB() + gr
+		rxDBm := b.TxPowerDBm + gt - p.LossDB + gr
 		power += stats.Lin(rxDBm)
 	}
 	if power <= 0 {
 		return math.Inf(-1)
 	}
 	return stats.DB(power) - b.NoiseFloorDBm
+}
+
+// TrueSNR combines every propagation ray between the posed devices with
+// the endpoint gain functions and returns the resulting SNR in dB: the
+// paths of ResolvePaths, their gains, then PathSNR.
+func TrueSNR(env *channel.Environment, txPose, rxPose channel.Pose, txGain, rxGain GainFunc, b Budget) float64 {
+	paths := ResolvePaths(nil, env, txPose, rxPose)
+	for i := range paths {
+		p := &paths[i]
+		p.TXGainDB = txGain(p.TXAz, p.TXEl)
+		p.RXGainDB = rxGain(p.RXAz, p.RXEl)
+	}
+	return PathSNR(paths, b)
 }
 
 // DominantRayAngles returns the angle of arrival (local to rxPose) of the

@@ -67,6 +67,10 @@ func (c *Campaign) MeasureTXPatterns(ctx context.Context, grid *geom.Grid) (*pat
 		raw[id] = pattern.New(grid)
 	}
 	slots := dot11ad.SweepSchedule()
+	fw := c.Probe.Firmware()
+	// sums[i] and counts[i] accumulate txIDs[i]'s readings at one point.
+	sums := make([]float64, len(txIDs))
+	counts := make([]int, len(txIDs))
 
 	for ei, el := range grid.El() {
 		for ai, az := range grid.Az() {
@@ -74,21 +78,22 @@ func (c *Campaign) MeasureTXPatterns(ctx context.Context, grid *geom.Grid) (*pat
 				return nil, err
 			}
 			c.Head.PointAt(c.DUT, az, el)
-			sums := make(map[sector.ID]float64, len(txIDs))
-			counts := make(map[sector.ID]int, len(txIDs))
+			clear(sums)
+			clear(counts)
 			for r := 0; r < c.Repeats; r++ {
-				meas, err := c.Link.RunTXSS(c.DUT, c.Probe, slots)
-				if err != nil {
+				if err := c.Link.Sweep(c.DUT, c.Probe, slots); err != nil {
 					return nil, fmt.Errorf("testbed: TXSS at (%v, %v): %w", az, el, err)
 				}
-				for id, m := range meas {
-					sums[id] += m.SNR
-					counts[id]++
+				for i, id := range txIDs {
+					if m, ok := fw.SweepMeasurement(id); ok {
+						sums[i] += m.SNR
+						counts[i]++
+					}
 				}
 			}
-			for _, id := range txIDs {
-				if n := counts[id]; n > 0 {
-					raw[id].Set(ai, ei, sums[id]/float64(n))
+			for i, id := range txIDs {
+				if n := counts[i]; n > 0 {
+					raw[id].Set(ai, ei, sums[i]/float64(n))
 				}
 			}
 		}
@@ -121,11 +126,10 @@ func (c *Campaign) MeasureRXPattern(ctx context.Context, grid *geom.Grid) (*patt
 			c.Head.PointAt(c.DUT, az, el)
 			sum, n := 0.0, 0
 			for r := 0; r < c.Repeats; r++ {
-				meas, err := c.Link.RunTXSS(c.Probe, c.DUT, slots)
-				if err != nil {
+				if err := c.Link.Sweep(c.Probe, c.DUT, slots); err != nil {
 					return nil, fmt.Errorf("testbed: RX measurement at (%v, %v): %w", az, el, err)
 				}
-				if m, ok := meas[63]; ok {
+				if m, ok := c.DUT.Firmware().SweepMeasurement(63); ok {
 					sum += m.SNR
 					n++
 				}

@@ -112,13 +112,16 @@ func (d *Device) TXGain(id sector.ID) (radio.GainFunc, error) {
 // RXGain returns the gain function of the quasi-omni receive sector (no
 // receive training is done on this hardware; the same sector is always
 // used for reception).
-func (d *Device) RXGain() radio.GainFunc {
+func (d *Device) RXGain() radio.GainFunc { return d.rxGainDB }
+
+// rxGainDB is the quasi-omni receive sector's gain toward (az, el).
+func (d *Device) rxGainDB(az, el float64) float64 {
 	w, ok := d.codebook.Weights(sector.RX)
 	if !ok {
 		// The Talon codebook always contains RX; this is defensive.
-		return func(az, el float64) float64 { return 0 }
+		return 0
 	}
-	return func(az, el float64) float64 { return d.array.Gain(w, az, el) }
+	return d.array.Gain(w, az, el)
 }
 
 // Jailbreak applies both firmware patches, turning the stock router into

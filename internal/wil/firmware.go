@@ -140,7 +140,7 @@ func (f *Firmware) OverrideEnabled() bool { return f.fwk.Applied(PatchNameSector
 // BeginRXSweep resets the per-sweep measurement state when a new incoming
 // sector sweep starts.
 func (f *Firmware) BeginRXSweep() {
-	f.sweep = make(map[sector.ID]radio.Measurement)
+	clear(f.sweep)
 }
 
 // RecordSSW processes one decoded SSW frame received on the quasi-omni
@@ -201,6 +201,13 @@ func (f *Firmware) BestSector() (sector.ID, bool) {
 		}
 	}
 	return best, ok
+}
+
+// SweepMeasurement returns the current sweep's measurement of sector id,
+// if one was recorded.
+func (f *Firmware) SweepMeasurement(id sector.ID) (radio.Measurement, bool) {
+	m, ok := f.sweep[id]
+	return m, ok
 }
 
 // SweepMeasurements returns a copy of the current sweep's per-sector
