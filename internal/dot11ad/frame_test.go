@@ -145,3 +145,41 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFrameBufferReuse drives the codec the way a sender and receiver
+// reuse one buffer and one Frame across frames: AppendBinary after a
+// prefix checksums only the appended frame, and UnmarshalBinary
+// overwrites every field a previous, different frame left behind, and
+// leaves the frame unchanged on a bad FCS.
+func TestFrameBufferReuse(t *testing.T) {
+	beacon := &Frame{Type: TypeDMGBeacon, RA: addrB, TA: addrA, BeaconIntervalTU: 100,
+		SSW: SSWField{CDOWN: 3, SectorID: 9}}
+	ssw := NewSSWFrame(addrA, addrB, DirectionInitiator, 7, 21, SSWFeedbackField{SectorSelect: 5, SNRReport: EncodeSNR(4)})
+	ssw.Duration = 77
+
+	prefix := []byte{0xde, 0xad}
+	buf, err := ssw.AppendBinary(prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := ssw.Serialize()
+	if !bytes.Equal(buf[:2], prefix) || !bytes.Equal(buf[2:], want) {
+		t.Fatalf("AppendBinary after a prefix = % x, want % x + % x", buf, prefix, want)
+	}
+
+	var got Frame
+	if err := got.UnmarshalBinary(buf[2:]); err != nil || got != *ssw {
+		t.Fatalf("decode SSW: %+v, %v", got, err)
+	}
+	raw, err := beacon.AppendBinary(buf[:0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.UnmarshalBinary(raw); err != nil || got != *beacon {
+		t.Fatalf("decode beacon into a used frame: %+v, %v; want %+v", got, err, *beacon)
+	}
+	raw[len(raw)-1] ^= 0xff
+	if err := got.UnmarshalBinary(raw); err == nil || got != *beacon {
+		t.Fatalf("bad FCS: err %v, frame %+v changed", err, got)
+	}
+}
