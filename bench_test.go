@@ -11,6 +11,7 @@ package talon_test
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -272,18 +273,19 @@ func BenchmarkCore_SelectSector(b *testing.B) {
 }
 
 // BenchmarkEval_TraceTrials times the bounded-parallel trial loop of
-// EvaluateTraces at the default worker count versus forced-serial
-// execution. Results are identical at any setting; only wall clock
-// differs (on multi-core hosts).
+// EvaluateTraces at the default worker count (GOMAXPROCS) versus
+// forced-serial execution (GOMAXPROCS 1). Results are identical at any
+// setting; only wall clock differs (on multi-core hosts).
 func BenchmarkEval_TraceTrials(b *testing.B) {
 	r := benchSetup(b)
 	for _, bc := range []struct {
-		name    string
-		workers int
+		name  string
+		procs int
 	}{{"serial", 1}, {"default", 0}} {
 		b.Run(bc.name, func(b *testing.B) {
-			eval.SetParallelism(bc.workers)
-			defer eval.SetParallelism(0)
+			if bc.procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(bc.procs))
+			}
 			rng := stats.NewRNG(12)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

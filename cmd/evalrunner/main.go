@@ -9,7 +9,7 @@
 //	evalrunner -record [-store DIR] [-trials N]
 //	evalrunner -replay [-store DIR] [-out DIR]
 //
-// Studies are registered in internal/eval's registry; -list enumerates
+// Studies live in internal/eval's study table; -list enumerates
 // them and -exp all runs every one in the canonical order. Each study
 // returns a typed report: the Table rendering goes to stdout, and with
 // -out DIR the runner additionally writes <study>.txt and <study>.json
@@ -27,8 +27,8 @@
 // (same selections on essentially all inputs, several times faster —
 // see DESIGN.md §12). Both run on the quantized int16 kernel, so neither
 // is bit-identical to the float64 serial reference (DESIGN.md §15).
-// -workers bounds the trial-loop parallelism; each estimate runs on the
-// goroutine of its trial worker.
+// -workers n sets GOMAXPROCS to n, which bounds every trial loop; each
+// estimate runs on the goroutine of its trial worker.
 //
 // Fault injection: -fault-rates sets the loss rates the faultsweep
 // study sweeps (comma-separated), -fault-burst the mean loss-burst
@@ -49,6 +49,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -64,7 +65,7 @@ var (
 	exp        = flag.String("exp", "all", "comma-separated studies to run (see -list)")
 	list       = flag.Bool("list", false, "list the registered studies and exit")
 	outDir     = flag.String("out", "", "also write <study>.txt and <study>.json artifacts to this directory")
-	workers    = flag.Int("workers", 0, "trial-loop worker count (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
+	workers    = flag.Int("workers", 0, "set GOMAXPROCS, which bounds every trial loop (0 = leave it, 1 = serial); results are identical at any setting")
 	exact      = flag.Bool("exact", false, "scan every grid point exhaustively instead of the hierarchical coarse-to-fine search (both on the quantized kernel)")
 	metricsOut = flag.String("metrics", "", "dump the metrics registry as JSON to this file on exit (\"-\" = stdout)")
 	debugAddr  = flag.String("debug", "", "serve /metrics and /debug/pprof on this address (e.g. localhost:6060)")
@@ -76,7 +77,6 @@ var (
 	trials       = flag.Int("trials", 0, "campaign trial count (0 = default)")
 	split        = flag.Uint64("split", 0, "campaign in/out-of-sample boundary seed (0 = 80% shard boundary)")
 	shardRecords = flag.Int("shard-records", 0, "campaign records per shard file (0 = default)")
-	mapped       = flag.Bool("mmap", false, "replay through memory-mapped shard readers (falls back to buffered reads per file; scorecard is identical either way)")
 
 	faultRates   = flag.String("fault-rates", "0,0.05,0.1,0.2", "faultsweep: comma-separated Gilbert–Elliott loss rates")
 	faultBurst   = flag.Float64("fault-burst", 4, "faultsweep: mean loss-burst length in frames")
@@ -86,7 +86,9 @@ var (
 
 func main() {
 	flag.Parse()
-	eval.SetParallelism(*workers)
+	if *workers > 0 {
+		runtime.GOMAXPROCS(*workers)
+	}
 	if *exact {
 		eval.SetEstimatorOptions(core.Options{ExactSearch: true})
 	}
@@ -141,8 +143,6 @@ func buildConfig(f eval.Fidelity) (eval.Config, error) {
 		Trials:          *trials,
 		SplitSeed:       *split,
 		RecordsPerShard: *shardRecords,
-		Workers:         eval.Parallelism(),
-		MappedIO:        *mapped,
 	}
 	return cfg, nil
 }
@@ -177,7 +177,7 @@ func run(ctx context.Context) error {
 		if !ok {
 			return eval.UnknownStudyError(name)
 		}
-		if eval.NeedsPlatform(study) && p == nil {
+		if study.NeedsPlatform && p == nil {
 			p, err = buildPlatform(ctx, f)
 			if err != nil {
 				return err
@@ -202,7 +202,7 @@ func run(ctx context.Context) error {
 
 // buildPlatform runs the chamber campaign once for every platform study.
 func buildPlatform(ctx context.Context, f eval.Fidelity) (*eval.Platform, error) {
-	fmt.Fprintf(os.Stderr, "building platform (%s fidelity, seed %d, %d workers)...\n", *fidelity, *seed, eval.Parallelism())
+	fmt.Fprintf(os.Stderr, "building platform (%s fidelity, seed %d, %d workers)...\n", *fidelity, *seed, runtime.GOMAXPROCS(0))
 	start := time.Now()
 	p, err := eval.NewPlatform(ctx, *seed, f.PatternGrid, f.CampaignRepeats)
 	if err != nil {
@@ -240,7 +240,7 @@ func runCampaignPipeline(ctx context.Context, cfg eval.Config) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "replay finished in %v (%d workers)\n", time.Since(start).Round(time.Millisecond), eval.Parallelism())
+	fmt.Fprintf(os.Stderr, "replay finished in %v (%d workers)\n", time.Since(start).Round(time.Millisecond), runtime.GOMAXPROCS(0))
 	fmt.Print(sc.Table())
 	return writeArtifacts("campaign", sc)
 }

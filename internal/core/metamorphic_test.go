@@ -29,8 +29,12 @@ func shiftProbes(probes []Probe, k int) []Probe {
 // invariant; quantizeVec moves each vector's maximum to the top of the
 // quantization window, so the shifted vector encodes to the same int16
 // codes and the fallback sweep's argmax over reported SNR is
-// shift-invariant too. It runs over the clean and Standard60GHz
-// generators of the equivalence suites.
+// shift-invariant too. The same holds on every production path:
+// SelectSector, SelectSectorBatch over cold items and over items hinted
+// with the unshifted cell, and SelectWithBackup (primary, HasBackup and
+// backup sector; the path cancellation is a power-domain fit, so a
+// common scale cancels out of it). It runs over the clean and
+// Standard60GHz generators of the equivalence suites.
 func TestSelectSectorShiftInvariant(t *testing.T) {
 	set, gain := synthSetup(t)
 	clean, err := NewEstimator(set, Options{})
@@ -46,28 +50,88 @@ func TestSelectSectorShiftInvariant(t *testing.T) {
 		{"clean", clean, cleanTrials(t, gain)},
 		{"faulty", faulty, faultyTr},
 	}
+	const minSepDeg = 18
 	ctx := context.Background()
 	for _, s := range suites {
 		t.Run(s.name, func(t *testing.T) {
-			checked, fallbacks := 0, 0
-			for _, tr := range s.trials {
-				base, baseErr := s.est.SelectSector(ctx, tr.probes)
-				if base.Fallback {
+			n := len(s.trials)
+			base := make([]Selection, n)
+			baseErr := make([]error, n)
+			baseBackup := make([]BackupSelection, n)
+			baseBackupErr := make([]error, n)
+			fallbacks, backups := 0, 0
+			for i, tr := range s.trials {
+				base[i], baseErr[i] = s.est.SelectSector(ctx, tr.probes)
+				if base[i].Fallback {
 					fallbacks++
 				}
-				for _, k := range []int{-40, -9, -1, 1, 6, 24} {
-					got, err := s.est.SelectSector(ctx, shiftProbes(tr.probes, k))
-					if !sameErrClass(err, baseErr) {
-						t.Fatalf("%s shift %+d quanta: error %v, unshifted %v", tr.label, k, err, baseErr)
+				baseBackup[i], baseBackupErr[i] = s.est.SelectWithBackup(ctx, tr.probes, minSepDeg)
+				if baseBackup[i].HasBackup {
+					backups++
+				}
+			}
+			// batch holds every trial twice: cold at i, and hinted with
+			// its unshifted cell at n+i.
+			batch := func(k int) []BatchResult {
+				t.Helper()
+				items := make([]BatchItem, 2*n)
+				for i, tr := range s.trials {
+					probes := shiftProbes(tr.probes, k)
+					hint := NoCell
+					if baseErr[i] == nil {
+						hint = base[i].AoA.Cell
 					}
-					if got.Sector != base.Sector || got.Fallback != base.Fallback || got.AoA.Cell != base.AoA.Cell {
+					items[i] = BatchItem{Probes: probes, Hint: NoCell}
+					items[n+i] = BatchItem{Probes: probes, Hint: hint}
+				}
+				res, err := s.est.SelectSectorBatch(ctx, items, 0)
+				if err != nil {
+					t.Fatalf("shift %+d quanta: batch: %v", k, err)
+				}
+				return res
+			}
+			baseBatch := batch(0)
+			same := func(a, b Selection) bool {
+				return a.Sector == b.Sector && a.Fallback == b.Fallback && a.AoA.Cell == b.AoA.Cell
+			}
+			checked := 0
+			for _, k := range []int{-40, -9, -1, 1, 6, 24} {
+				shifted := batch(k)
+				for i, tr := range s.trials {
+					probes := shiftProbes(tr.probes, k)
+					got, err := s.est.SelectSector(ctx, probes)
+					if !sameErrClass(err, baseErr[i]) {
+						t.Fatalf("%s shift %+d quanta: error %v, unshifted %v", tr.label, k, err, baseErr[i])
+					}
+					if !same(got, base[i]) {
 						t.Fatalf("%s shift %+d quanta: sector %v fallback %v cell %v, unshifted %v %v %v",
-							tr.label, k, got.Sector, got.Fallback, got.AoA.Cell, base.Sector, base.Fallback, base.AoA.Cell)
+							tr.label, k, got.Sector, got.Fallback, got.AoA.Cell, base[i].Sector, base[i].Fallback, base[i].AoA.Cell)
+					}
+					for _, j := range []int{i, n + i} {
+						path := "cold batch"
+						if j >= n {
+							path = "hinted batch"
+						}
+						g, b := shifted[j], baseBatch[j]
+						if !sameErrClass(g.Err, b.Err) || !same(g.Selection, b.Selection) {
+							t.Fatalf("%s shift %+d quanta: %s sector %v fallback %v cell %v err %v, unshifted %v %v %v err %v",
+								tr.label, k, path, g.Selection.Sector, g.Selection.Fallback, g.Selection.AoA.Cell, g.Err,
+								b.Selection.Sector, b.Selection.Fallback, b.Selection.AoA.Cell, b.Err)
+						}
+					}
+					bk, err := s.est.SelectWithBackup(ctx, probes, minSepDeg)
+					bb := baseBackup[i]
+					if !sameErrClass(err, baseBackupErr[i]) || !same(bk.Primary, bb.Primary) || bk.HasBackup != bb.HasBackup ||
+						(bk.HasBackup && bk.Backup.Sector != bb.Backup.Sector) {
+						t.Fatalf("%s shift %+d quanta: backup primary %v has %v backup %v err %v, unshifted %v %v %v err %v",
+							tr.label, k, bk.Primary.Sector, bk.HasBackup, bk.Backup.Sector, err,
+							bb.Primary.Sector, bb.HasBackup, bb.Backup.Sector, baseBackupErr[i])
 					}
 					checked++
 				}
 			}
-			t.Logf("%d shifted selections over %d trials (%d unshifted fallbacks) unchanged", checked, len(s.trials), fallbacks)
+			t.Logf("%d shifted trials over %d trials (%d unshifted fallbacks, %d backups) unchanged on SelectSector, cold and hinted batch, and SelectWithBackup",
+				checked, n, fallbacks, backups)
 		})
 	}
 }

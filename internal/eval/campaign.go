@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 
@@ -56,16 +57,11 @@ type CampaignConfig struct {
 	RecordsPerShard int `json:"records_per_shard"`
 	BlockRecords    int `json:"block_records"`
 	// Workers bounds record-time batch selection and replay-time shard
-	// fan-out (default Parallelism()). It is an execution detail, not
-	// part of the campaign's identity, so it is excluded from the
-	// scorecard JSON — the artifact must be byte-identical at any
-	// worker count.
+	// fan-out (default runtime.GOMAXPROCS(0)). It is an execution
+	// detail, not part of the campaign's identity, so it is excluded
+	// from the scorecard JSON — the artifact must be byte-identical at
+	// any worker count.
 	Workers int `json:"-"`
-	// MappedIO replays through memory-mapped shard readers
-	// (tracestore.ReplayShardsMapped). Like Workers it only shapes
-	// execution — the records, and so the scorecard bytes, are
-	// identical on either read path — so it too stays out of the JSON.
-	MappedIO bool `json:"-"`
 }
 
 func (c *CampaignConfig) defaults() {
@@ -91,7 +87,7 @@ func (c *CampaignConfig) defaults() {
 		c.BlockRecords = 2048
 	}
 	if c.Workers <= 0 {
-		c.Workers = Parallelism()
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.SplitSeed == 0 {
 		rps := uint64(c.RecordsPerShard)
@@ -469,11 +465,7 @@ func ReplayCampaign(ctx context.Context, p *Platform, cfg CampaignConfig) (*Camp
 		partials[i] = newCampaignTally()
 	}
 
-	replay := tracestore.ReplayShards[tracestore.Trial]
-	if cfg.MappedIO {
-		replay = tracestore.ReplayShardsMapped[tracestore.Trial]
-	}
-	err = replay(ctx, codec, shards, cfg.Workers, func(shard int, recs []tracestore.Trial) error {
+	err = tracestore.ReplayShards(ctx, codec, shards, cfg.Workers, func(shard int, recs []tracestore.Trial) error {
 		t := &partials[shard]
 		// Rebuild the probe vectors into the tally's reusable arena.
 		need := 0

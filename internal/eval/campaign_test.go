@@ -126,9 +126,9 @@ func TestCampaignRecordOverwritesStaleShards(t *testing.T) {
 	}
 }
 
-// TestStudyRegistry pins the registry surface: every canonical study
-// resolves, the order is stable, and unknown names produce a helpful
-// error.
+// TestStudyRegistry pins the registry surface: names are unique, every
+// canonical study resolves, the order is stable, and unknown names
+// produce a helpful error.
 func TestStudyRegistry(t *testing.T) {
 	want := []string{
 		"table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
@@ -139,6 +139,13 @@ func TestStudyRegistry(t *testing.T) {
 	if len(names) != len(want) {
 		t.Fatalf("registry has %d studies, want %d: %v", len(names), len(want), names)
 	}
+	seen := map[string]bool{}
+	for _, name := range names {
+		if seen[name] {
+			t.Fatalf("duplicate study name %q", name)
+		}
+		seen[name] = true
+	}
 	for i, name := range want {
 		if names[i] != name {
 			t.Fatalf("study[%d] = %q, want %q", i, names[i], name)
@@ -147,8 +154,11 @@ func TestStudyRegistry(t *testing.T) {
 		if !ok {
 			t.Fatalf("Lookup(%q) failed", name)
 		}
-		if s.Name() != name {
-			t.Fatalf("study %q reports Name() = %q", name, s.Name())
+		if s.Name != name {
+			t.Fatalf("Lookup(%q) returned study %q", name, s.Name)
+		}
+		if s.Run == nil {
+			t.Fatalf("study %q has no Run", name)
 		}
 	}
 	if _, ok := Lookup("nope"); ok {
@@ -168,7 +178,7 @@ func TestRegistryRunStandalone(t *testing.T) {
 		if !ok {
 			t.Fatalf("Lookup(%q) failed", name)
 		}
-		if NeedsPlatform(s) {
+		if s.NeedsPlatform {
 			t.Fatalf("standalone study %q claims to need a platform", name)
 		}
 		rep, err := s.Run(context.Background(), nil, cfg)

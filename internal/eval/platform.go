@@ -52,10 +52,9 @@ var (
 // hierarchical coarse-to-fine search; core.Options{ExactSearch: true}
 // scans every grid point instead). Both run on the quantized int16
 // kernel: ExactSearch removes the top-K pruning, not the quantization,
-// so it is not bit-identical to the float64 serial reference. Like
-// SetParallelism it is a campaign-level knob, surfaced as evalrunner's
-// -exact flag; set it before building platforms, not concurrently with
-// them.
+// so it is not bit-identical to the float64 serial reference. It is a
+// campaign-level knob, surfaced as evalrunner's -exact flag; set it
+// before building platforms, not concurrently with them.
 func SetEstimatorOptions(opts core.Options) {
 	estimatorOptsMu.Lock()
 	defer estimatorOptsMu.Unlock()

@@ -23,17 +23,21 @@ type Report interface {
 	json.Marshaler
 }
 
-// Study is one experiment of the evaluation suite. All ~16 entry points
-// that used to be ad-hoc exported functions register a Study under a
-// stable name; evalrunner dispatches through Lookup instead of a
-// hand-written switch.
-type Study interface {
+// Study is one experiment of the evaluation suite. Every study sits in
+// the static studies table under a stable name; evalrunner dispatches
+// through Lookup instead of a hand-written switch.
+type Study struct {
 	// Name is the registry key and the -exp argument.
-	Name() string
-	// Run executes the experiment. p is the shared experiment rig
-	// (nil for standalone studies — see NeedsPlatform); cfg carries
-	// fidelity, seeds and campaign knobs.
-	Run(ctx context.Context, p *Platform, cfg Config) (Report, error)
+	Name string
+	// NeedsPlatform reports whether the study wants the shared
+	// Platform. Standalone studies (table1, fig5/6/10, density,
+	// densify, css) build their own rigs or none at all, so a runner
+	// can skip the chamber campaign when only those are selected.
+	NeedsPlatform bool
+	// Run executes the experiment. p is the shared experiment rig (nil
+	// for standalone studies); cfg carries fidelity, seeds and
+	// campaign knobs.
+	Run func(ctx context.Context, p *Platform, cfg Config) (Report, error)
 }
 
 // Config carries the cross-study experiment configuration. Construct
@@ -80,69 +84,24 @@ func (c Config) Env(ctx context.Context, p *Platform) (*EnvironmentStudy, error)
 	return c.env.study, c.env.err
 }
 
-// studyFunc adapts a function to the Study interface.
-type studyFunc struct {
-	name     string
-	platform bool
-	run      func(ctx context.Context, p *Platform, cfg Config) (Report, error)
-}
-
-func (s studyFunc) Name() string { return s.name }
-
-func (s studyFunc) Run(ctx context.Context, p *Platform, cfg Config) (Report, error) {
-	return s.run(ctx, p, cfg)
-}
-
-func (s studyFunc) NeedsPlatform() bool { return s.platform }
-
-// NeedsPlatform reports whether a study wants the shared Platform.
-// Standalone studies (table1, fig5/6/10, density, densify, css) build
-// their own rigs or none at all, so a runner can skip the chamber
-// campaign when only those are selected.
-func NeedsPlatform(s Study) bool {
-	if np, ok := s.(interface{ NeedsPlatform() bool }); ok {
-		return np.NeedsPlatform()
-	}
-	return true
-}
-
-var (
-	registryMu sync.Mutex
-	registry   = map[string]Study{}
-	studyOrder []string
-)
-
-// Register adds a study to the registry. Registering a duplicate name
-// is a programming error and panics.
-func Register(s Study) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[s.Name()]; dup {
-		panic(fmt.Sprintf("eval: duplicate study %q", s.Name()))
-	}
-	registry[s.Name()] = s
-	studyOrder = append(studyOrder, s.Name())
-}
-
-// register wires a function-backed study.
-func register(name string, platform bool, run func(ctx context.Context, p *Platform, cfg Config) (Report, error)) {
-	Register(studyFunc{name: name, platform: platform, run: run})
-}
-
-// Lookup resolves a registered study by name.
+// Lookup resolves a study by name.
 func Lookup(name string) (Study, bool) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	s, ok := registry[name]
-	return s, ok
+	for _, s := range studies {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return Study{}, false
 }
 
-// StudyNames lists the registered studies in registration order — the
-// canonical "run everything" order, matching the paper's presentation.
+// StudyNames lists the studies in table order — the canonical "run
+// everything" order, matching the paper's presentation.
 func StudyNames() []string {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	return append([]string(nil), studyOrder...)
+	names := make([]string, len(studies))
+	for i, s := range studies {
+		names[i] = s.Name
+	}
+	return names
 }
 
 // sortedStudyNames returns the names alphabetically, for error messages.
@@ -158,89 +117,89 @@ func UnknownStudyError(name string) error {
 	return fmt.Errorf("eval: unknown study %q (available: %v)", name, sortedStudyNames())
 }
 
-// The registry, in the canonical run-all order.
-func init() {
-	register("table1", false, func(ctx context.Context, _ *Platform, _ Config) (Report, error) {
+// studies is the registry, in the canonical run-all order.
+var studies = []Study{
+	{"table1", false, func(ctx context.Context, _ *Platform, _ Config) (Report, error) {
 		return Table1(), nil
-	})
-	register("fig5", false, func(ctx context.Context, _ *Platform, cfg Config) (Report, error) {
+	}},
+	{"fig5", false, func(ctx context.Context, _ *Platform, cfg Config) (Report, error) {
 		azStep, repeats := 0.9, 3
 		if cfg.Fidelity.Quick() {
 			azStep, repeats = 4.5, 1
 		}
 		return Figure5(ctx, cfg.Seed, azStep, repeats)
-	})
-	register("fig6", false, func(ctx context.Context, _ *Platform, cfg Config) (Report, error) {
+	}},
+	{"fig6", false, func(ctx context.Context, _ *Platform, cfg Config) (Report, error) {
 		azStep, elStep, repeats := 1.8, 3.6, 3
 		if cfg.Fidelity.Quick() {
 			azStep, elStep, repeats = 9, 10.8, 1
 		}
 		return Figure6(ctx, cfg.Seed, azStep, elStep, repeats)
-	})
-	register("fig7", true, func(ctx context.Context, p *Platform, cfg Config) (Report, error) {
+	}},
+	{"fig7", true, func(ctx context.Context, p *Platform, cfg Config) (Report, error) {
 		s, err := cfg.Env(ctx, p)
 		if err != nil {
 			return nil, err
 		}
 		return s.Figure7(), nil
-	})
-	register("fig8", true, func(ctx context.Context, p *Platform, cfg Config) (Report, error) {
+	}},
+	{"fig8", true, func(ctx context.Context, p *Platform, cfg Config) (Report, error) {
 		s, err := cfg.Env(ctx, p)
 		if err != nil {
 			return nil, err
 		}
 		return s.Figure8(), nil
-	})
-	register("fig9", true, func(ctx context.Context, p *Platform, cfg Config) (Report, error) {
+	}},
+	{"fig9", true, func(ctx context.Context, p *Platform, cfg Config) (Report, error) {
 		s, err := cfg.Env(ctx, p)
 		if err != nil {
 			return nil, err
 		}
 		return s.Figure9(), nil
-	})
-	register("fig10", false, func(ctx context.Context, _ *Platform, _ Config) (Report, error) {
+	}},
+	{"fig10", false, func(ctx context.Context, _ *Platform, _ Config) (Report, error) {
 		return Figure10(ctx)
-	})
-	register("fig11", true, func(ctx context.Context, p *Platform, cfg Config) (Report, error) {
+	}},
+	{"fig11", true, func(ctx context.Context, p *Platform, cfg Config) (Report, error) {
 		sweeps := 10
 		if cfg.Fidelity.Quick() {
 			sweeps = 4
 		}
 		return Figure11(ctx, p, 14, sweeps, studyRNG(cfg, "fig11"))
-	})
-	register("headline", true, func(ctx context.Context, p *Platform, cfg Config) (Report, error) {
+	}},
+	{"headline", true, func(ctx context.Context, p *Platform, cfg Config) (Report, error) {
 		s, err := cfg.Env(ctx, p)
 		if err != nil {
 			return nil, err
 		}
 		return ComputeHeadline(ctx, s)
-	})
-	register("ablations", true, runAblationStudies)
-	register("retraining", true, func(ctx context.Context, p *Platform, cfg Config) (Report, error) {
+	}},
+	{"ablations", true, runAblationStudies},
+	{"retraining", true, func(ctx context.Context, p *Platform, cfg Config) (Report, error) {
 		dur := fullRetrainingDuration
 		if cfg.Fidelity.Quick() {
 			dur = quickRetrainingDuration
 		}
 		return RetrainingStudy(ctx, p, 20, dur, studyRNG(cfg, "retraining"))
-	})
-	register("blockage", true, func(ctx context.Context, p *Platform, cfg Config) (Report, error) {
+	}},
+	{"blockage", true, func(ctx context.Context, p *Platform, cfg Config) (Report, error) {
 		rounds := 30
 		if cfg.Fidelity.Quick() {
 			rounds = 10
 		}
 		return BlockageStudy(ctx, p, 24, rounds, studyRNG(cfg, "blockage"))
-	})
-	register("density", false, func(ctx context.Context, _ *Platform, _ Config) (Report, error) {
+	}},
+	{"density", false, func(ctx context.Context, _ *Platform, _ Config) (Report, error) {
 		return DensityStudy(ctx, 14, 5.5, nil)
-	})
-	register("densify", false, func(ctx context.Context, _ *Platform, cfg Config) (Report, error) {
+	}},
+	{"densify", false, func(ctx context.Context, _ *Platform, cfg Config) (Report, error) {
 		trials := 120
 		if cfg.Fidelity.Quick() {
 			trials = 30
 		}
 		return DensifyStudy(ctx, cfg.Seed, 14, nil, trials, studyRNG(cfg, "densify"))
-	})
-	register("faultsweep", true, func(ctx context.Context, p *Platform, cfg Config) (Report, error) {
+	}},
+	{"faultsweep", true, func(ctx context.Context, p *Platform, cfg Config) (Report, error) {
 		fc := cfg.Fault
 		if fc.Seed == 0 {
 			fc.Seed = cfg.Seed
@@ -252,15 +211,15 @@ func init() {
 			}
 		}
 		return FaultSweep(ctx, p, fc)
-	})
-	register("css", false, func(ctx context.Context, _ *Platform, cfg Config) (Report, error) {
+	}},
+	{"css", false, func(ctx context.Context, _ *Platform, cfg Config) (Report, error) {
 		return RunCSS(ctx, cfg.Seed, cfg.Fidelity)
-	})
-	register("campaign", true, func(ctx context.Context, p *Platform, cfg Config) (Report, error) {
+	}},
+	{"campaign", true, func(ctx context.Context, p *Platform, cfg Config) (Report, error) {
 		cc := cfg.Campaign
 		if cc.Trials <= 0 && cfg.Fidelity.Quick() {
 			cc.Trials = 2000
 		}
 		return RunCampaign(ctx, p, cc)
-	})
+	}},
 }

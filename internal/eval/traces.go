@@ -53,11 +53,12 @@ type TraceEval struct {
 // M. The estimator must be built from the same device's measured
 // patterns.
 //
-// Trials are independent, so the CSS selections run on a bounded worker
-// pool (see SetParallelism). Results are identical to a serial run at any
-// worker count: every probing subset is drawn from rng up front in the
-// canonical (M, trace, sweep, subset) order, and aggregation replays that
-// order after the parallel phase. The context is observed between trials.
+// Trials are independent, so the CSS selections run on a pool of
+// runtime.GOMAXPROCS(0) workers. Results are identical to a serial run
+// at any worker count: every probing subset is drawn from rng up front
+// in the canonical (M, trace, sweep, subset) order, and aggregation
+// replays that order after the parallel phase. The context is observed
+// between trials.
 func EvaluateTraces(ctx context.Context, envName string, traces []testbed.Trace, est *core.Estimator, ms []int, subsets int, rng *stats.RNG) (*TraceEval, error) {
 	if len(traces) == 0 {
 		return nil, fmt.Errorf("eval: no traces for %s", envName)
@@ -122,7 +123,7 @@ func EvaluateTraces(ctx context.Context, envName string, traces []testbed.Trace,
 	for i := range jobs {
 		probesList[i].Probes = jobs[i].probes
 	}
-	results, err := est.SelectSectorBatch(ctx, probesList, Parallelism())
+	results, err := est.SelectSectorBatch(ctx, probesList, 0)
 	if err != nil {
 		return nil, err
 	}

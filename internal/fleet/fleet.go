@@ -46,12 +46,10 @@ type config struct {
 	probeBudget      int
 	retrainInterval  time.Duration
 	degradeDropDB    float64
-	degradedBackoff  time.Duration
 	capacity         int
 	batchWorkers     int
 	queueDepth       int
 	lossSampleStride uint64
-	refSNRDB         float64
 	warmStart        bool
 }
 
@@ -84,12 +82,6 @@ func WithRetrainInterval(d time.Duration) Option {
 // Default 3dB.
 func WithDegradeDropDB(db float64) Option { return func(c *config) { c.degradeDropDB = db } }
 
-// WithDegradedBackoff sets how long a degraded link waits before its
-// retrain is scheduled. Default one epoch.
-func WithDegradedBackoff(d time.Duration) Option {
-	return func(c *config) { c.degradedBackoff = d }
-}
-
 // WithCapacity caps how many training rounds one Step may serve;
 // overflow waits in FIFO order for later epochs (that queueing is what
 // puts mass in the latency tail). 0 (default) serves everything.
@@ -112,11 +104,6 @@ func WithLossSampleStride(n int) Option {
 	return func(c *config) { c.lossSampleStride = uint64(n) }
 }
 
-// WithRefSNR sets the true SNR (dB, before the measurement model) a
-// station at the reference distance sees on a mean-peak-gain sector.
-// Default 8dB.
-func WithRefSNR(db float64) Option { return func(c *config) { c.refSNRDB = db } }
-
 // WithWarmStart toggles warm-start re-estimation: when on (the default),
 // every training round carries the station's previous selection cell as
 // a core.BatchItem hint, letting the quantized kernel score only the
@@ -134,12 +121,10 @@ func defaultConfig() config {
 		probeBudget:      14,
 		retrainInterval:  time.Second,
 		degradeDropDB:    3,
-		degradedBackoff:  0, // resolved to one epoch in New
 		capacity:         0,
 		batchWorkers:     0,
 		queueDepth:       1024,
 		lossSampleStride: 16,
-		refSNRDB:         8,
 		warmStart:        true,
 	}
 }
@@ -302,9 +287,6 @@ func New(est *core.Estimator, patterns *pattern.Set, opts ...Option) (*Manager, 
 	}
 	if cfg.epoch <= 0 {
 		return nil, errors.New("fleet: epoch must be positive")
-	}
-	if cfg.degradedBackoff <= 0 {
-		cfg.degradedBackoff = cfg.epoch
 	}
 	if cfg.lossSampleStride == 0 {
 		cfg.lossSampleStride = 1

@@ -85,9 +85,13 @@ func roundSeed(fleetSeed int64, id StationID, round uint32) int64 {
 	return int64(h)
 }
 
-// refDistM anchors the fleet link budget: a station at refDistM with a
-// sector of mean peak gain sees cfg.refSNRDB before impairments.
-const refDistM = 3.0
+// The fleet link budget: a station at refDistM with a sector of mean
+// peak gain sees refSNRDB (the true SNR, before the measurement model)
+// before impairments.
+const (
+	refSNRDB = 8.0
+	refDistM = 3.0
+)
 
 // trueSNR returns the noiseless SNR toward st of a sector whose pattern
 // gain toward it is g, under the fleet's lightweight single-path channel:
@@ -98,7 +102,7 @@ func (m *Manager) trueSNR(st *station, g float64) float64 {
 	if math.IsNaN(g) {
 		return math.Inf(-1)
 	}
-	snr := m.cfg.refSNRDB - st.pathlossDB + g - m.gainRef
+	snr := refSNRDB - st.pathlossDB + g - m.gainRef
 	if st.blockEpochsLeft > 0 {
 		snr -= st.blockAttenDB
 	}

@@ -226,7 +226,7 @@ func (m *Manager) scanStation(sh *shard, i int, slot int32, epochStart, epochEnd
 		if st.servedGain-g > m.cfg.degradeDropDB || g != g { // g!=g: NaN (drifted off the pattern grid)
 			m.toState(h, evDegrade)
 			sh.partial.degrades++
-			h.deadline = epochEnd + m.cfg.degradedBackoff
+			h.deadline = epochEnd + m.cfg.epoch
 			sh.pushTimer(timer{fire: m.fireEpoch(h.deadline), slot: slot})
 			break
 		}
@@ -574,7 +574,7 @@ func (m *Manager) applyOutcome(sh *shard, slot int32, probes []core.Probe, res c
 		}
 		m.toState(h, evSelectFail)
 		h.cell = core.NoCell
-		h.deadline = epochEnd + m.cfg.degradedBackoff
+		h.deadline = epochEnd + m.cfg.epoch
 	}
 	if adopted {
 		m.refreshCurGain(st, h)

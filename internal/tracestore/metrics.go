@@ -18,8 +18,4 @@ var (
 		"compressed blocks decoded by readers")
 	metRecordsRead = obs.NewCounter("tracestore_records_read_total",
 		"records decoded by readers")
-	metMmapOpens = obs.NewCounter("tracestore_mmap_opens_total",
-		"shard files served through a memory mapping")
-	metMmapFallbacks = obs.NewCounter("tracestore_mmap_fallbacks_total",
-		"mapped opens that fell back to buffered reads")
 )

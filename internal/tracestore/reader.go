@@ -19,26 +19,11 @@ import (
 // are owned by the Reader and reused across blocks, so memory stays
 // bounded by one block regardless of shard size. Not safe for
 // concurrent use; the replayer gives each worker its own Reader.
-//
-// Two read paths share the Reader: the default buffered path (bufio
-// over the file) and an optional memory-mapped path (OpenReaderMapped)
-// that serves block payloads zero-copy out of the page cache. The
-// mapped path is a per-file best effort — any mmap failure, including
-// an unsupported platform, falls back to the buffered path for that
-// file and the decode behaviour is bit-identical either way.
 type Reader[T any] struct {
 	codec Codec[T]
 	f     *os.File
 	br    *bufio.Reader
 	hdr   Header
-
-	// wantMap records the caller's OpenReaderMapped preference so
-	// Reopen re-attempts the mapping per file; data/off/unmap are live
-	// only while the current file is actually mapped.
-	wantMap bool
-	data    []byte
-	off     int
-	unmap   func() error
 
 	zr        io.ReadCloser // zlib stream, reused via zlib.Resetter
 	frame     [blockHeaderSize]byte
@@ -51,25 +36,11 @@ type Reader[T any] struct {
 
 // OpenReader opens one shard and verifies its header against the codec.
 func OpenReader[T any](codec Codec[T], path string) (*Reader[T], error) {
-	return openReader(codec, path, false)
-}
-
-// OpenReaderMapped opens one shard for memory-mapped reading: block
-// payloads are sliced straight out of the mapping instead of being
-// copied through a read buffer. When the file cannot be mapped (empty
-// file, exotic filesystem, non-linux platform) the Reader silently
-// falls back to the buffered path — the records delivered are
-// bit-identical on both paths.
-func OpenReaderMapped[T any](codec Codec[T], path string) (*Reader[T], error) {
-	return openReader(codec, path, true)
-}
-
-func openReader[T any](codec Codec[T], path string, mapped bool) (*Reader[T], error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	r := &Reader[T]{codec: codec, f: f, wantMap: mapped}
+	r := &Reader[T]{codec: codec, f: f}
 	if err := r.attach(path); err != nil {
 		f.Close()
 		return nil, err
@@ -77,32 +48,15 @@ func openReader[T any](codec Codec[T], path string, mapped bool) (*Reader[T], er
 	return r, nil
 }
 
-// attach maps or buffers r.f (honouring wantMap with per-file
-// fallback), then reads and verifies the header against the codec.
+// attach buffers r.f, then reads and verifies the header against the
+// codec.
 func (r *Reader[T]) attach(path string) error {
-	r.data, r.off, r.unmap = nil, 0, nil
-	if r.wantMap {
-		if data, unmap, err := mapFile(r.f); err == nil {
-			r.data, r.unmap = data, unmap
-			metMmapOpens.Inc()
-		} else {
-			metMmapFallbacks.Inc()
-		}
-	}
-	var h Header
-	var err error
-	if r.data != nil {
-		src := bytesReader{b: r.data}
-		h, err = readHeaderFrom(&src)
-		r.off = src.i
+	if r.br == nil {
+		r.br = bufio.NewReaderSize(r.f, 1<<16)
 	} else {
-		if r.br == nil {
-			r.br = bufio.NewReaderSize(r.f, 1<<16)
-		} else {
-			r.br.Reset(r.f)
-		}
-		h, err = readHeaderFrom(r.br)
+		r.br.Reset(r.f)
 	}
+	h, err := readHeaderFrom(r.br)
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
@@ -129,12 +83,6 @@ func (r *Reader[T]) Next() ([]T, error) {
 			return nil, fmt.Errorf("%w: header promises %d records, blocks held %d", ErrCorrupt, r.hdr.Records, r.recsGot)
 		}
 		// The framed blocks are exhausted; anything further is junk.
-		if r.data != nil {
-			if r.off != len(r.data) {
-				return nil, fmt.Errorf("%w: trailing bytes after final block", ErrCorrupt)
-			}
-			return nil, io.EOF
-		}
 		if _, err := r.br.ReadByte(); err == nil {
 			return nil, fmt.Errorf("%w: trailing bytes after final block", ErrCorrupt)
 		} else if !errors.Is(err, io.EOF) {
@@ -142,49 +90,28 @@ func (r *Reader[T]) Next() ([]T, error) {
 		}
 		return nil, io.EOF
 	}
-	var frame, payload []byte
-	if r.data != nil {
-		if len(r.data)-r.off < blockHeaderSize {
-			return nil, fmt.Errorf("%w: truncated block frame: %w", ErrCorrupt, io.ErrUnexpectedEOF)
-		}
-		frame = r.data[r.off : r.off+blockHeaderSize]
-		r.off += blockHeaderSize
-	} else {
-		if _, err := io.ReadFull(r.br, r.frame[:]); err != nil {
-			return nil, fmt.Errorf("%w: truncated block frame: %w", ErrCorrupt, err)
-		}
-		frame = r.frame[:]
+	if _, err := io.ReadFull(r.br, r.frame[:]); err != nil {
+		return nil, fmt.Errorf("%w: truncated block frame: %w", ErrCorrupt, err)
 	}
-	nrecs := binary.LittleEndian.Uint32(frame[0:])
-	rawLen := binary.LittleEndian.Uint32(frame[4:])
-	compLen := binary.LittleEndian.Uint32(frame[8:])
-	wantCRC := binary.LittleEndian.Uint32(frame[12:])
+	nrecs := binary.LittleEndian.Uint32(r.frame[0:])
+	rawLen := binary.LittleEndian.Uint32(r.frame[4:])
+	compLen := binary.LittleEndian.Uint32(r.frame[8:])
+	wantCRC := binary.LittleEndian.Uint32(r.frame[12:])
 	if nrecs == 0 || nrecs > maxBlockRecords || rawLen > maxBlockBytes || compLen > maxBlockBytes {
 		return nil, fmt.Errorf("%w: implausible block frame (nrecs=%d raw=%d comp=%d)", ErrCorrupt, nrecs, rawLen, compLen)
 	}
-	if r.data != nil {
-		// Zero-copy: the compressed payload is served straight from the
-		// mapping; zlib reads it through a throwaway bytesReader.
-		if len(r.data)-r.off < int(compLen) {
-			return nil, fmt.Errorf("%w: truncated block payload: %w", ErrCorrupt, io.ErrUnexpectedEOF)
-		}
-		payload = r.data[r.off : r.off+int(compLen)]
-		r.off += int(compLen)
-	} else {
-		if cap(r.comp) < int(compLen) {
-			r.comp = make([]byte, compLen)
-		}
-		r.comp = r.comp[:compLen]
-		if _, err := io.ReadFull(r.br, r.comp); err != nil {
-			return nil, fmt.Errorf("%w: truncated block payload: %w", ErrCorrupt, err)
-		}
-		payload = r.comp
+	if cap(r.comp) < int(compLen) {
+		r.comp = make([]byte, compLen)
+	}
+	r.comp = r.comp[:compLen]
+	if _, err := io.ReadFull(r.br, r.comp); err != nil {
+		return nil, fmt.Errorf("%w: truncated block payload: %w", ErrCorrupt, err)
 	}
 	if cap(r.raw) < int(rawLen) {
 		r.raw = make([]byte, rawLen)
 	}
 	r.raw = r.raw[:rawLen]
-	if err := r.inflate(payload); err != nil {
+	if err := r.inflate(); err != nil {
 		return nil, fmt.Errorf("%w: zlib: %w", ErrCorrupt, err)
 	}
 	if got := crc32.ChecksumIEEE(r.raw); got != wantCRC {
@@ -202,11 +129,10 @@ func (r *Reader[T]) Next() ([]T, error) {
 	return recs, nil
 }
 
-// inflate decompresses the framed payload into r.raw, reusing the zlib
-// stream. payload is r.comp on the buffered path or a slice of the
-// mapping on the mapped path.
-func (r *Reader[T]) inflate(payload []byte) error {
-	src := bytesReader{b: payload}
+// inflate decompresses the framed payload r.comp into r.raw, reusing
+// the zlib stream.
+func (r *Reader[T]) inflate() error {
+	src := bytesReader{b: r.comp}
 	if r.zr == nil {
 		zr, err := zlib.NewReader(&src)
 		if err != nil {
@@ -247,35 +173,14 @@ func (s *bytesReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// Close releases the shard file and, on the mapped path, its mapping.
-func (r *Reader[T]) Close() error {
-	err := r.release()
-	if cerr := r.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// release drops the current mapping, if any.
-func (r *Reader[T]) release() error {
-	if r.unmap == nil {
-		return nil
-	}
-	err := r.unmap()
-	r.data, r.off, r.unmap = nil, 0, nil
-	return err
-}
+// Close releases the shard file.
+func (r *Reader[T]) Close() error { return r.f.Close() }
 
 // Reopen switches the Reader to another shard, keeping every decode
 // buffer (compressed frame, raw block, record slice, zlib stream) so a
 // replay worker touches steady-state memory no matter how many shards
-// it consumes. The previous file (and mapping) is closed first; a
-// Reader opened with OpenReaderMapped re-attempts the mapping on every
-// file, falling back to buffered reads per file.
+// it consumes. The previous file is closed first.
 func (r *Reader[T]) Reopen(path string) error {
-	if err := r.release(); err != nil {
-		return err
-	}
 	if err := r.f.Close(); err != nil {
 		return err
 	}
@@ -299,19 +204,6 @@ func (r *Reader[T]) Reopen(path string) error {
 // concurrent calls on distinct shards; ctx is observed between blocks.
 // The first error (or ctx cancellation) stops all workers.
 func ReplayShards[T any](ctx context.Context, codec Codec[T], shards []Shard, workers int, fn func(shard int, recs []T) error) error {
-	return replayShards(ctx, codec, shards, workers, false, fn)
-}
-
-// ReplayShardsMapped is ReplayShards over memory-mapped readers: each
-// worker's shards are mmap'ed (falling back to buffered reads per file
-// when mapping fails) so block payloads come zero-copy from the page
-// cache. The records delivered to fn are bit-identical to
-// ReplayShards'.
-func ReplayShardsMapped[T any](ctx context.Context, codec Codec[T], shards []Shard, workers int, fn func(shard int, recs []T) error) error {
-	return replayShards(ctx, codec, shards, workers, true, fn)
-}
-
-func replayShards[T any](ctx context.Context, codec Codec[T], shards []Shard, workers int, mapped bool, fn func(shard int, recs []T) error) error {
 	if workers < 1 {
 		workers = 1
 	}
@@ -336,7 +228,7 @@ func replayShards[T any](ctx context.Context, codec Codec[T], shards []Shard, wo
 				if i >= len(shards) {
 					return
 				}
-				if err := replayShard(ctx, codec, shards[i], i, mapped, &r, fn); err != nil {
+				if err := replayShard(ctx, codec, shards[i], i, &r, fn); err != nil {
 					errs[w] = err
 					cursor.Store(int64(len(shards))) // stop the other workers
 					return
@@ -355,9 +247,9 @@ func replayShards[T any](ctx context.Context, codec Codec[T], shards []Shard, wo
 
 // replayShard streams one shard block by block through fn, reusing the
 // worker's Reader (created on the worker's first shard).
-func replayShard[T any](ctx context.Context, codec Codec[T], s Shard, ix int, mapped bool, rp **Reader[T], fn func(int, []T) error) error {
+func replayShard[T any](ctx context.Context, codec Codec[T], s Shard, ix int, rp **Reader[T], fn func(int, []T) error) error {
 	if *rp == nil {
-		r, err := openReader(codec, s.Path, mapped)
+		r, err := OpenReader(codec, s.Path)
 		if err != nil {
 			return err
 		}

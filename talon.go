@@ -241,7 +241,6 @@ type trainerConfig struct {
 	m       int
 	seed    int64
 	estOpts EstimatorOptions
-	exact   bool
 }
 
 // DefaultM is the probe budget a Trainer uses unless WithM overrides it:
@@ -261,20 +260,9 @@ func WithSeed(seed int64) TrainerOption {
 
 // WithEstimatorOptions configures the estimator the trainer builds over
 // the pattern set: SNR-only correlation (the Section 5 ablation) or the
-// exhaustive search (see also WithExactSearch).
+// exhaustive search (ExactSearch).
 func WithEstimatorOptions(opts EstimatorOptions) TrainerOption {
 	return func(c *trainerConfig) { c.estOpts = opts }
-}
-
-// WithExactSearch forces the exhaustive scan of every grid point
-// instead of the default hierarchical coarse-to-fine search, so no top-K
-// pruning can miss the correlation maximum. Both run on the quantized
-// int16 kernel, so neither is bit-identical to the float64 serial
-// reference: int16 rounding can move the argmax on near-tied surfaces
-// (see DESIGN.md §12 and §15 for the measured divergence). Composes with
-// WithEstimatorOptions regardless of option order.
-func WithExactSearch() TrainerOption {
-	return func(c *trainerConfig) { c.exact = true }
 }
 
 // NewTrainer builds a trainer over link using the transmitter's measured
@@ -288,9 +276,6 @@ func NewTrainer(link *Link, patterns *PatternSet, opts ...TrainerOption) (*Train
 	cfg := trainerConfig{m: DefaultM, seed: 1}
 	for _, opt := range opts {
 		opt(&cfg)
-	}
-	if cfg.exact {
-		cfg.estOpts.ExactSearch = true
 	}
 	if link == nil {
 		return nil, fmt.Errorf("talon: trainer needs a link")
