@@ -11,7 +11,7 @@ import (
 
 // TestEstimateZeroAllocSteadyState is the allocation-regression guard of
 // the estimate hot path: after the scratch pools are warm, one
-// EstimateAoA — hierarchical or exhaustive — must not allocate at all.
+// estimate — hierarchical or exhaustive — must not allocate at all.
 func TestEstimateZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed under the race detector")
@@ -35,28 +35,28 @@ func TestEstimateZeroAllocSteadyState(t *testing.T) {
 			}
 			// Warm the scratch pools.
 			for i := 0; i < 5; i++ {
-				if _, err := est.EstimateAoA(ctx, probes); err != nil {
+				if _, err := est.estimate(ctx, probes, NoCell); err != nil {
 					t.Fatal(err)
 				}
 			}
 			var estErr error
 			allocs := testing.AllocsPerRun(100, func() {
-				_, estErr = est.EstimateAoA(ctx, probes)
+				_, estErr = est.estimate(ctx, probes, NoCell)
 			})
 			if estErr != nil {
 				t.Fatal(estErr)
 			}
 			if allocs != 0 {
-				t.Fatalf("steady-state EstimateAoA allocates %.1f times per call, want 0", allocs)
+				t.Fatalf("steady-state estimate allocates %.1f times per call, want 0", allocs)
 			}
 		})
 	}
 }
 
-// TestWarmZeroAllocSteadyState guards the warm-start path: a
-// SelectSectorWarm with a live hint — whether the dense window accepts
-// or the margin guard falls back to the full search — must not
-// allocate once the scratch pools are warm.
+// TestWarmZeroAllocSteadyState guards the warm-start path: a hinted
+// estimate and its selection — whether the dense window accepts or the
+// margin guard falls back to the full search — must not allocate once
+// the scratch pools are warm.
 func TestWarmZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed under the race detector")
@@ -85,19 +85,21 @@ func TestWarmZeroAllocSteadyState(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for i := 0; i < 5; i++ {
-				if _, err := est.SelectSectorWarm(ctx, probes, tc.hint); err != nil {
+				aoa, err := est.estimate(ctx, probes, tc.hint)
+				if _, err := est.finishSelection(probes, aoa, err); err != nil {
 					t.Fatal(err)
 				}
 			}
 			var warmErr error
 			allocs := testing.AllocsPerRun(100, func() {
-				_, warmErr = est.SelectSectorWarm(ctx, probes, tc.hint)
+				aoa, err := est.estimate(ctx, probes, tc.hint)
+				_, warmErr = est.finishSelection(probes, aoa, err)
 			})
 			if warmErr != nil {
 				t.Fatal(warmErr)
 			}
 			if allocs != 0 {
-				t.Fatalf("steady-state SelectSectorWarm allocates %.1f times per call, want 0", allocs)
+				t.Fatalf("steady-state warm selection allocates %.1f times per call, want 0", allocs)
 			}
 		})
 	}

@@ -17,9 +17,9 @@ type BatchResult struct {
 
 // BatchItem is one independent selection of a batch: a probe vector plus
 // an optional warm-start hint (the Cell of the item's previous
-// selection; NoCell runs the full search). Hints follow the same
-// contract as SelectSectorWarm — they can only change cost, never the
-// selection beyond the equivalence budget.
+// selection; NoCell runs the full search). Hints follow the warm-start
+// contract (warm.go) — they can only change cost, never the selection
+// beyond the equivalence budget.
 type BatchItem struct {
 	Probes []Probe
 	Hint   Cell
@@ -44,9 +44,10 @@ func BatchOf(batch [][]Probe) []BatchItem {
 // loop would. The scratch a call holds is thus bounded by the worker
 // count, not the batch size. workers <= 0
 // picks GOMAXPROCS; any value is capped at GOMAXPROCS and at the batch
-// size. Per-item results are deterministic and identical to
-// SelectSector (or, for hinted items, SelectSectorWarm) at any worker
-// count.
+// size. Per-item results are deterministic at any worker count; a
+// hintless item's result is identical to SelectSector's, and a hinted
+// item falls back to exactly that search when the warm guards reject
+// its hint.
 //
 // ctx is observed between sub-chunks and inside each sub-chunk's grid
 // search; on cancellation the batch returns ctx.Err() and the results

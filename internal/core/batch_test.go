@@ -24,8 +24,8 @@ func warmDelta(before [3]int64) [3]int64 {
 }
 
 // TestBatchMatchesSelectSector checks the batch contract: item i of
-// SelectSectorBatch carries exactly what SelectSectorWarm returns for
-// batch[i]'s probes and hint (SelectSector for unhinted items),
+// SelectSectorBatch carries exactly what the per-item estimate and
+// finishSelection return for batch[i]'s probes and hint,
 // including per-item errors, at any worker count, and advances the
 // warm-start counters by exactly as much as the per-call loop.
 func TestBatchMatchesSelectSector(t *testing.T) {
@@ -84,7 +84,8 @@ func TestBatchMatchesSelectSector(t *testing.T) {
 	want := make([]BatchResult, len(items))
 	before := warmCounters()
 	for i, it := range items {
-		sel, err := est.SelectSectorWarm(ctx, it.Probes, it.Hint)
+		aoa, err := est.estimate(ctx, it.Probes, it.Hint)
+		sel, err := est.finishSelection(it.Probes, aoa, err)
 		want[i] = BatchResult{Selection: sel, Err: err}
 	}
 	wantWarm := warmDelta(before)
@@ -192,8 +193,8 @@ func mixedBatch(t *testing.T, est *Estimator, gain func(sector.ID, float64, floa
 
 // TestBatchChunkBoundaries checks the batch contract across sub-chunk
 // boundaries: for batch sizes around multiples of batchChunk and worker
-// counts that split them unevenly, every result equals the per-call
-// SelectSectorWarm result bit for bit, and the warm-start counters
+// counts that split them unevenly, every result equals the per-item
+// estimate and finishSelection bit for bit, and the warm-start counters
 // advance exactly as much as the per-call loop.
 func TestBatchChunkBoundaries(t *testing.T) {
 	set, gain := synthSetup(t)
@@ -210,7 +211,8 @@ func TestBatchChunkBoundaries(t *testing.T) {
 		want := make([]BatchResult, n)
 		before := warmCounters()
 		for i, it := range batch {
-			sel, err := est.SelectSectorWarm(ctx, it.Probes, it.Hint)
+			aoa, err := est.estimate(ctx, it.Probes, it.Hint)
+			sel, err := est.finishSelection(it.Probes, aoa, err)
 			want[i] = BatchResult{Selection: sel, Err: err}
 		}
 		wantWarm := warmDelta(before)

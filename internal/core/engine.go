@@ -9,7 +9,7 @@ import (
 	"talon/internal/pattern"
 )
 
-// engine is the precomputed correlation engine behind EstimateAoA: a
+// engine is the precomputed correlation engine behind every estimate: a
 // flat, cache-friendly [gridPoint][sector] dictionary of linear pattern
 // amplitudes, built once per Estimator. The serial reference path calls
 // Pattern.At (two binary-search brackets plus a bilinear interpolation)

@@ -78,7 +78,7 @@ func BenchmarkEstimateAoA_Quant(b *testing.B) {
 	est, probes := benchEstimator(b, Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.EstimateAoA(context.Background(), probes); err != nil {
+		if _, err := est.estimate(context.Background(), probes, NoCell); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -88,7 +88,7 @@ func BenchmarkEstimateAoA_QuantDense(b *testing.B) {
 	est, probes := benchEstimator(b, Options{ExactSearch: true})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.EstimateAoA(context.Background(), probes); err != nil {
+		if _, err := est.estimate(context.Background(), probes, NoCell); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -166,8 +166,13 @@ func BenchmarkSelectSector_Warm(b *testing.B) {
 	if sel.AoA.Cell == NoCell || sel.Fallback {
 		b.Fatalf("cold selection did not converge (cell %d, fallback %v)", sel.AoA.Cell, sel.Fallback)
 	}
+	selectWarm := func() error {
+		aoa, err := est.estimate(context.Background(), probes, sel.AoA.Cell)
+		_, err = est.finishSelection(probes, aoa, err)
+		return err
+	}
 	hits := metWarmHits.Value()
-	if _, err := est.SelectSectorWarm(context.Background(), probes, sel.AoA.Cell); err != nil {
+	if err := selectWarm(); err != nil {
 		b.Fatal(err)
 	}
 	if metWarmHits.Value() == hits {
@@ -175,7 +180,7 @@ func BenchmarkSelectSector_Warm(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.SelectSectorWarm(context.Background(), probes, sel.AoA.Cell); err != nil {
+		if err := selectWarm(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -239,21 +244,10 @@ func BenchmarkSelectSectorBatch_Quant(b *testing.B) {
 	}
 }
 
-// BenchmarkEstimateMultipath_Engine times a two-peak multipath estimate:
-// the production estimate plus one cancellation round and masked int16
-// scan. BenchmarkSelectWithBackup times the backup selection (three
-// peaks, 18° separation) on the same probes; CI gates it against
-// BenchmarkSelectSector_Quant in the same run.
-func BenchmarkEstimateMultipath_Engine(b *testing.B) {
-	est, probes := benchEstimator(b, Options{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := est.EstimateMultipath(context.Background(), probes, 2, 15, 0.3); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkSelectWithBackup times the backup selection (the production
+// estimate, then up to two cancellation rounds and masked int16 scans at
+// 18° separation); CI gates it against BenchmarkSelectSector_Quant in the
+// same run.
 func BenchmarkSelectWithBackup(b *testing.B) {
 	est, probes := benchEstimator(b, Options{})
 	b.ResetTimer()

@@ -110,7 +110,7 @@ func TestEngineMatchesSerial(t *testing.T) {
 					probes := observe(t, gain, ps.IDs(), az, el, model, rng)
 					label := fmt.Sprintf("m=%d trial=%d", m, trial)
 
-					gotAoA, gotErr := est.EstimateAoA(ctx, probes)
+					gotAoA, gotErr := est.estimate(ctx, probes, NoCell)
 					refAoA, refErr := est.EstimateAoASerial(probes)
 					if !sameErrClass(gotErr, refErr) {
 						t.Fatalf("%s: engine err %v, serial err %v", label, gotErr, refErr)
@@ -192,7 +192,7 @@ func TestEngineMatchesSerialWithHoles(t *testing.T) {
 			})
 		}
 		label := fmt.Sprintf("trial=%d", trial)
-		gotAoA, gotErr := est.EstimateAoA(ctx, probes)
+		gotAoA, gotErr := est.estimate(ctx, probes, NoCell)
 		refAoA, refErr := est.EstimateAoASerial(probes)
 		if !sameErrClass(gotErr, refErr) {
 			t.Fatalf("%s: engine err %v, serial err %v", label, gotErr, refErr)
@@ -213,7 +213,7 @@ func TestEngineErrorParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	tooFew := []Probe{{Sector: 1, Meas: radio.Measurement{SNR: 5, RSSI: -60}, OK: true}}
-	_, engineErr := est.EstimateAoA(context.Background(), tooFew)
+	_, engineErr := est.estimate(context.Background(), tooFew, NoCell)
 	_, serialErr := est.EstimateAoASerial(tooFew)
 	if !errors.Is(engineErr, ErrTooFewProbes) {
 		t.Fatalf("engine: want ErrTooFewProbes, got %v", engineErr)
@@ -237,21 +237,18 @@ func TestEstimateCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := est.EstimateAoA(ctx, probes); !errors.Is(err, context.Canceled) {
-		t.Fatalf("EstimateAoA: want context.Canceled, got %v", err)
+	if _, err := est.estimate(ctx, probes, NoCell); !errors.Is(err, context.Canceled) {
+		t.Fatalf("estimate: want context.Canceled, got %v", err)
 	}
 	if _, err := est.SelectSector(ctx, probes); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SelectSector: want context.Canceled, got %v", err)
-	}
-	if _, err := est.EstimateMultipath(ctx, probes, 2, 15, 0.5); !errors.Is(err, context.Canceled) {
-		t.Fatalf("EstimateMultipath: want context.Canceled, got %v", err)
 	}
 	if _, err := est.SelectWithBackup(ctx, probes, 15); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SelectWithBackup: want context.Canceled, got %v", err)
 	}
 
 	// A live context must not be affected.
-	if _, err := est.EstimateAoA(context.Background(), probes); err != nil {
+	if _, err := est.estimate(context.Background(), probes, NoCell); err != nil {
 		t.Fatalf("live context: %v", err)
 	}
 }
@@ -282,14 +279,16 @@ func TestEngineConcurrentUse(t *testing.T) {
 			// Odd sets chain the previous set's cell as a warm hint.
 			hints[i] = want[i-1].sel.AoA.Cell
 		}
-		sel, err := est.SelectSectorWarm(ctx, probeSets[i], hints[i])
+		aoa, err := est.estimate(ctx, probeSets[i], hints[i])
+		sel, err := est.finishSelection(probeSets[i], aoa, err)
 		want[i] = result{sel, err}
 	}
 	got := make([]result, len(probeSets))
 	done := make(chan int, len(probeSets))
 	for i := range probeSets {
 		go func(i int) {
-			sel, err := est.SelectSectorWarm(ctx, probeSets[i], hints[i])
+			aoa, err := est.estimate(ctx, probeSets[i], hints[i])
+			sel, err := est.finishSelection(probeSets[i], aoa, err)
 			got[i] = result{sel, err}
 			done <- i
 		}(i)

@@ -112,7 +112,7 @@ type AoAEstimate struct {
 	// Used is the number of probes that carried a measurement.
 	Used int
 	// Cell is the dense grid cell of the argmax, usable as the
-	// warm-start hint of a later estimate (see SelectSectorWarm). Cell
+	// warm-start hint of a later estimate (see BatchItem.Hint). Cell
 	// is diagnostic state, not part of the wire format: it is excluded
 	// from JSON serialization.
 	Cell Cell
@@ -213,35 +213,18 @@ func (e *Estimator) correlate(ids []sector.ID, lin []float64, az, el float64) fl
 	return w
 }
 
-// Correlation evaluates the (joint) correlation of probes at one
-// direction: Eq. 2 on SNR, multiplied by the RSSI correlation per Eq. 5
-// unless SNROnly is set.
-func (e *Estimator) Correlation(probes []Probe, az, el float64) float64 {
-	ids, snrLin, rssiLin, _ := e.gatherVectors(probes)
-	w := e.correlate(ids, snrLin, az, el)
-	if e.opts.SNROnly {
-		return w
-	}
-	return w * e.correlate(ids, rssiLin, az, el)
-}
-
-// EstimateAoA maximizes the correlation over the pattern grid (Eq. 3),
-// refining the maximum between grid points. The search runs on the
-// quantized correlation engine: hierarchically (coarse pass, top-K dense
+// estimate maximizes the correlation over the pattern grid (Eq. 3),
+// refining the maximum between grid points: the batch-major sub-chunk
+// (tile.go) run over one item, so SelectSector shares the per-item
+// stages of SelectSectorBatch. The search runs on the quantized
+// correlation engine: hierarchically (coarse pass, top-K dense
 // refinement, exhaustive fallback — see hier.go) unless
 // Options.ExactSearch pins it to the exhaustive dense scan. A float
 // epilogue re-scores the winning cell on the float64 dictionary, so
 // whenever the search picks the serial reference's cell the estimate is
-// bit-identical to EstimateAoASerial (see quantEpilogue). ctx is
+// bit-identical to EstimateAoASerial (see quantEpilogue). hint is an
+// optional warm-start cell (NoCell runs the full search). ctx is
 // observed between grid rows, and a cancelled search returns ctx.Err().
-func (e *Estimator) EstimateAoA(ctx context.Context, probes []Probe) (AoAEstimate, error) {
-	return e.estimate(ctx, probes, NoCell)
-}
-
-// estimate is the single-item estimate shared by EstimateAoA,
-// SelectSector and SelectSectorWarm: the batch-major sub-chunk (tile.go)
-// run over one item, so every entry point shares the same per-item stages.
-// hint is an optional warm-start cell (NoCell runs the full search).
 func (e *Estimator) estimate(ctx context.Context, probes []Probe, hint Cell) (AoAEstimate, error) {
 	start := time.Now() //lint:allow determinism -- estimate-latency histogram reads the wall clock by design
 	defer metEstimateSeconds.ObserveSince(start)
@@ -259,8 +242,8 @@ func (e *Estimator) estimate(ctx context.Context, probes []Probe, hint Cell) (Ao
 // grid search: per-point Pattern.At interpolation and amplitude
 // conversion in float64, exhaustive scan, no precomputation, no
 // concurrency. It is the test oracle of the production kernel: the
-// equivalence suites (and anyone auditing the engine) check EstimateAoA
-// against it.
+// equivalence suites (and anyone auditing the engine) check the
+// production estimate against it.
 func (e *Estimator) EstimateAoASerial(probes []Probe) (AoAEstimate, error) {
 	metEstimatesSerial.Inc()
 	ids, snrLin, rssiLin, reported := e.gatherVectors(probes)
@@ -374,7 +357,12 @@ const (
 // over the probed sectors. A cancelled context propagates ctx.Err()
 // instead of degrading to the sweep fallback.
 func (e *Estimator) SelectSector(ctx context.Context, probes []Probe) (Selection, error) {
-	return e.SelectSectorWarm(ctx, probes, NoCell)
+	metSelectEngine.Inc()
+	aoa, err := e.estimate(ctx, probes, NoCell)
+	if err != nil && isCtxErr(err) {
+		return Selection{}, err
+	}
+	return e.finishSelection(probes, aoa, err)
 }
 
 // SelectSectorSerial runs the pipeline on the serial reference estimator;

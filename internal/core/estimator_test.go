@@ -88,7 +88,7 @@ func TestEstimateAoANoiseless(t *testing.T) {
 		{0, 0}, {-40, 6}, {33, 12}, {70, 3}, {-66, 21},
 	} {
 		probes := observe(t, gain, sector.TalonTX(), truth.az, truth.el, model, rng)
-		aoa, err := est.EstimateAoA(context.Background(), probes)
+		aoa, err := est.estimate(context.Background(), probes, NoCell)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestEstimateAoACompressive(t *testing.T) {
 			t.Fatal(err)
 		}
 		probes := observe(t, gain, probeSet.IDs(), truthAz, truthEl, model, rng)
-		aoa, err := est.EstimateAoA(context.Background(), probes)
+		aoa, err := est.estimate(context.Background(), probes, NoCell)
 		if err != nil {
 			continue // all probes missed: counted as failure below
 		}
@@ -153,10 +153,10 @@ func TestJointCorrelationBeatsOutliers(t *testing.T) {
 		truthAz := rng.Uniform(-60, 60)
 		probeSet, _ := RandomProbes(rng, sector.TalonTX(), 14)
 		probes := observe(t, gain, probeSet.IDs(), truthAz, 5, model, rng)
-		if a, err := joint.EstimateAoA(context.Background(), probes); err == nil {
+		if a, err := joint.estimate(context.Background(), probes, NoCell); err == nil {
 			errJoint = append(errJoint, math.Abs(a.Az-truthAz))
 		}
-		if a, err := snrOnly.EstimateAoA(context.Background(), probes); err == nil {
+		if a, err := snrOnly.estimate(context.Background(), probes, NoCell); err == nil {
 			errSNR = append(errSNR, math.Abs(a.Az-truthAz))
 		}
 	}
@@ -232,12 +232,12 @@ func TestEstimateAoAMissingProbes(t *testing.T) {
 			probes[i].OK = false
 		}
 	}
-	if _, err := est.EstimateAoA(context.Background(), probes); err != nil {
+	if _, err := est.estimate(context.Background(), probes, NoCell); err != nil {
 		t.Fatalf("3 valid probes should still estimate: %v", err)
 	}
 	probes[2].OK = false
 	probes[1].OK = false
-	if _, err := est.EstimateAoA(context.Background(), probes); err == nil {
+	if _, err := est.estimate(context.Background(), probes, NoCell); err == nil {
 		t.Fatal("single probe accepted")
 	}
 	// SelectSector still works by falling back to the probed argmax.
@@ -252,9 +252,13 @@ func TestCorrelationPeaksAtTruth(t *testing.T) {
 	est, _ := NewEstimator(set, Options{})
 	rng := stats.NewRNG(7)
 	probes := observe(t, gain, sector.TalonTX(), -30, 9, quietModel(), rng)
-	atTruth := est.Correlation(probes, -30, 9)
+	ids, snr, rssi, _ := est.gatherVectors(probes)
+	joint := func(az, el float64) float64 {
+		return est.correlate(ids, snr, az, el) * est.correlate(ids, rssi, az, el)
+	}
+	atTruth := joint(-30, 9)
 	for _, off := range []struct{ az, el float64 }{{30, 9}, {-30, 25}, {60, 0}} {
-		if v := est.Correlation(probes, off.az, off.el); v >= atTruth {
+		if v := joint(off.az, off.el); v >= atTruth {
 			t.Fatalf("correlation at (%v,%v)=%v >= truth %v", off.az, off.el, v, atTruth)
 		}
 	}
@@ -275,8 +279,10 @@ func TestCorrelationScaleInvariance(t *testing.T) {
 	for i := range shifted {
 		shifted[i].Meas.SNR += 7 // constant offset
 	}
-	a := est.Correlation(probes, 10, 5)
-	b := est.Correlation(shifted, 10, 5)
+	ids, a0, _, _ := est.gatherVectors(probes)
+	_, b0, _, _ := est.gatherVectors(shifted)
+	a := est.correlate(ids, a0, 10, 5)
+	b := est.correlate(ids, b0, 10, 5)
 	if math.Abs(a-b) > 1e-9 {
 		t.Fatalf("correlation not offset-invariant: %v vs %v", a, b)
 	}
@@ -294,7 +300,7 @@ func TestRefinementImprovesResolution(t *testing.T) {
 	for trial := 0; trial < 80; trial++ {
 		truthAz := rng.Uniform(-60, 60)
 		probes := observe(t, gain, sector.TalonTX(), truthAz, 5, model, rng)
-		a, err := est.EstimateAoA(context.Background(), probes)
+		a, err := est.estimate(context.Background(), probes, NoCell)
 		if err != nil {
 			continue
 		}

@@ -22,7 +22,7 @@ func TestEstimatorAllProbesMissing(t *testing.T) {
 	for i := range probes {
 		probes[i] = Probe{Sector: sector.ID(i + 1)}
 	}
-	if _, err := est.EstimateAoA(context.Background(), probes); err == nil {
+	if _, err := est.estimate(context.Background(), probes, NoCell); err == nil {
 		t.Fatal("all-missing probes estimated")
 	}
 	if _, err := est.SelectSector(context.Background(), probes); err == nil {
@@ -109,7 +109,7 @@ func TestEstimatorPatternsWithHoles(t *testing.T) {
 		{Sector: 6, Meas: radio.Measurement{SNR: -2, RSSI: -74}, OK: true},
 		{Sector: 8, Meas: radio.Measurement{SNR: -6, RSSI: -78}, OK: true},
 	}
-	if _, err := est.EstimateAoA(context.Background(), probes); err != nil {
+	if _, err := est.estimate(context.Background(), probes, NoCell); err != nil {
 		t.Fatalf("holey patterns: %v", err)
 	}
 }
@@ -122,7 +122,7 @@ func TestEstimatorProbeForUnknownSector(t *testing.T) {
 	rng := stats.NewRNG(2)
 	probes := observe(t, gain, sector.TalonTX()[:8], -60, 5, quietModel(), rng)
 	probes = append(probes, Probe{Sector: 50, Meas: radio.Measurement{SNR: 11}, OK: true})
-	if _, err := est.EstimateAoA(context.Background(), probes); err != nil {
+	if _, err := est.estimate(context.Background(), probes, NoCell); err != nil {
 		t.Fatalf("unknown-sector probe: %v", err)
 	}
 }
@@ -146,10 +146,7 @@ func TestMultipathDegenerateVector(t *testing.T) {
 		{Sector: 2, Meas: radio.Measurement{SNR: 0, RSSI: -70}, OK: true},
 		{Sector: 3, Meas: radio.Measurement{SNR: 0, RSSI: -70}, OK: true},
 	}
-	if _, err := est.EstimateMultipath(context.Background(), probes, 3, 15, 0.2); err == nil {
-		t.Log("degenerate multipath accepted (flat surface) — acceptable if peaks are sane")
-	}
-	// SelectWithBackup must degrade gracefully either way.
+	// SelectWithBackup must degrade gracefully on a flat surface.
 	sel, err := est.SelectWithBackup(context.Background(), probes, 15)
 	if err != nil {
 		t.Fatalf("SelectWithBackup on degenerate vector: %v", err)

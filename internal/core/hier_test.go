@@ -254,8 +254,8 @@ func TestHierDegenerateSurface(t *testing.T) {
 		{Sector: ids[5], Meas: radio.Measurement{SNR: 9, RSSI: -52}, OK: true},
 	}
 	fallbacksBefore := metQuantFallbacks.Value()
-	_, hErr := hier.EstimateAoA(context.Background(), probes)
-	_, xErr := exact.EstimateAoA(context.Background(), probes)
+	_, hErr := hier.estimate(context.Background(), probes, NoCell)
+	_, xErr := exact.estimate(context.Background(), probes, NoCell)
 	if !errors.Is(hErr, ErrDegenerateSurface) {
 		t.Fatalf("hier: want ErrDegenerateSurface, got %v", hErr)
 	}
@@ -289,8 +289,8 @@ func TestHierMinimumProbes(t *testing.T) {
 
 	for n := 1; n <= 2; n++ {
 		probes := observe(t, gain, ids[:n], 10, 6, model, rng)
-		_, hErr := hier.EstimateAoA(context.Background(), probes)
-		_, xErr := exact.EstimateAoA(context.Background(), probes)
+		_, hErr := hier.estimate(context.Background(), probes, NoCell)
+		_, xErr := exact.estimate(context.Background(), probes, NoCell)
 		want := ErrTooFewProbes
 		if n == 2 {
 			want = ErrDegenerateSurface

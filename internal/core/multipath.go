@@ -2,44 +2,22 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"talon/internal/geom"
 	"talon/internal/pattern"
 )
 
-// EstimateMultipath extends the angle estimation to multiple propagation
-// paths (the compressive multi-path estimation of Marzi et al. that the
-// paper cites as related work). Peak 0 is the production estimate,
-// exactly what EstimateAoA returns; each later peak comes from
-// successive cancellation (peakSearch.next), with every grid cell within
-// minSepDeg of an accepted peak suppressed. A peak below relThresh times
-// peak 0's correlation ends the search, as does the k-th peak. ctx is
-// observed between grid rows of every scan.
-func (e *Estimator) EstimateMultipath(ctx context.Context, probes []Probe, k int, minSepDeg, relThresh float64) ([]AoAEstimate, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("core: multipath peak count %d must be positive", k)
-	}
-	bs := e.en.getBatchScratch()
-	defer e.en.putBatchScratch(bs)
-	s, err := e.startPeaks(ctx, bs, probes, minSepDeg, relThresh)
-	if err != nil {
-		return nil, err
-	}
-	peaks := []AoAEstimate{s.last}
-	for len(peaks) < k {
-		pk, ok, err := s.next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		peaks = append(peaks, pk)
-	}
-	return peaks, nil
-}
+// Successive-cancellation multipath search (the compressive multi-path
+// estimation of Marzi et al. that the paper cites as related work),
+// behind SelectWithBackup. Peak 0 is the production estimate; each
+// later peak comes from cancelling the previous one (peakSearch.next),
+// with every grid cell within the minimum separation of an accepted peak
+// suppressed.
+
+// peakRelThresh ends the search at the first later peak whose
+// correlation falls below this fraction of peak 0's.
+const peakRelThresh = 0.1
 
 // peakSearch is a successive-cancellation search in progress on one
 // pooled scratch item. An estimate exists, so gatherQuant imputed every
@@ -57,8 +35,8 @@ type peakSearch struct {
 // startPeaks runs the production estimate of probes in bs — the
 // one-item sub-chunk SelectSector runs — and returns the search with
 // that estimate as its last peak, or the estimate's error. minSepDeg <= 0
-// selects 15°, relThresh outside (0, 1) selects 0.35.
-func (e *Estimator) startPeaks(ctx context.Context, bs *quantBatchScratch, probes []Probe, minSepDeg, relThresh float64) (peakSearch, error) {
+// selects 15°.
+func (e *Estimator) startPeaks(ctx context.Context, bs *quantBatchScratch, probes []Probe, minSepDeg float64) (peakSearch, error) {
 	batch := [1]BatchItem{{Probes: probes}}
 	if _, err := e.quantChunk(ctx, batch[:], bs.items[:1]); err != nil {
 		return peakSearch{}, err
@@ -70,12 +48,9 @@ func (e *Estimator) startPeaks(ctx context.Context, bs *quantBatchScratch, probe
 	if minSepDeg <= 0 {
 		minSepDeg = 15
 	}
-	if relThresh <= 0 || relThresh >= 1 {
-		relThresh = 0.35
-	}
 	bs.skip = append(bs.skip[:0], make([]uint64, (len(e.en.dirs)+63)/64)...)
 	return peakSearch{e: e, it: it, probes: probes, skip: bs.skip, last: it.aoa,
-		cosSep: math.Cos(geom.Deg2Rad(minSepDeg)), minCorr: relThresh * it.aoa.Corr}, nil
+		cosSep: math.Cos(geom.Deg2Rad(minSepDeg)), minCorr: peakRelThresh * it.aoa.Corr}, nil
 }
 
 // next suppresses the grid cells closer than the separation to the last
@@ -171,7 +146,7 @@ type BackupSelection struct {
 func (e *Estimator) SelectWithBackup(ctx context.Context, probes []Probe, minSepDeg float64) (BackupSelection, error) {
 	bs := e.en.getBatchScratch()
 	defer e.en.putBatchScratch(bs)
-	s, err := e.startPeaks(ctx, bs, probes, minSepDeg, 0.1)
+	s, err := e.startPeaks(ctx, bs, probes, minSepDeg)
 	if err != nil && isCtxErr(err) {
 		return BackupSelection{}, err
 	}

@@ -28,6 +28,32 @@ func twoPathObserve(t testing.TB, gain func(sector.ID, float64, float64) float64
 	return probes
 }
 
+// searchPeaks runs SelectWithBackup's successive-cancellation search
+// over probes and returns its first k peaks, the production estimate
+// first.
+func searchPeaks(t *testing.T, est *Estimator, probes []Probe, k int, minSepDeg float64) []AoAEstimate {
+	t.Helper()
+	ctx := context.Background()
+	bs := est.en.getBatchScratch()
+	defer est.en.putBatchScratch(bs)
+	s, err := est.startPeaks(ctx, bs, probes, minSepDeg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peaks := []AoAEstimate{s.last}
+	for len(peaks) < k {
+		pk, ok, err := s.next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		peaks = append(peaks, pk)
+	}
+	return peaks
+}
+
 func TestEstimateMultipathTwoPaths(t *testing.T) {
 	set, gain := synthSetup(t)
 	est, err := NewEstimator(set, Options{})
@@ -42,13 +68,7 @@ func TestEstimateMultipathTwoPaths(t *testing.T) {
 	const trials = 20
 	for i := 0; i < trials; i++ {
 		probes := twoPathObserve(t, gain, sector.TalonTX(), az1, el1, az2, el2, 4, model, rng)
-		peaks, err := est.EstimateMultipath(context.Background(), probes, 3, 20, 0.1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(peaks) < 1 {
-			t.Fatal("no peaks")
-		}
+		peaks := searchPeaks(t, est, probes, 3, 20)
 		// Peaks come in detection order; each must carry a positive
 		// correlation. (After interference cancellation a later peak's
 		// correlation may legitimately exceed the first one's.)
@@ -79,9 +99,9 @@ func TestEstimateMultipathSeparation(t *testing.T) {
 	est, _ := NewEstimator(set, Options{})
 	rng := stats.NewRNG(2)
 	probes := twoPathObserve(t, gain, sector.TalonTX(), -30, 5, 40, 8, 5, quietModel(), rng)
-	peaks, err := est.EstimateMultipath(context.Background(), probes, 3, 25, 0.05)
-	if err != nil {
-		t.Fatal(err)
+	peaks := searchPeaks(t, est, probes, 3, 25)
+	if len(peaks) < 2 {
+		t.Fatalf("%d peak(s): the separation check needs two", len(peaks))
 	}
 	for i := 0; i < len(peaks); i++ {
 		for j := i + 1; j < len(peaks); j++ {
@@ -90,17 +110,6 @@ func TestEstimateMultipathSeparation(t *testing.T) {
 				t.Fatalf("peaks %d and %d too close: %+v %+v", i, j, peaks[i], peaks[j])
 			}
 		}
-	}
-}
-
-func TestEstimateMultipathValidation(t *testing.T) {
-	set, _ := synthSetup(t)
-	est, _ := NewEstimator(set, Options{})
-	if _, err := est.EstimateMultipath(context.Background(), nil, 0, 10, 0.3); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := est.EstimateMultipath(context.Background(), nil, 2, 10, 0.3); err == nil {
-		t.Error("no probes accepted")
 	}
 }
 

@@ -107,17 +107,6 @@ func TestSweepSelect(t *testing.T) {
 	}
 }
 
-func TestOptimalSector(t *testing.T) {
-	truth := map[sector.ID]float64{1: 3, 20: 11, 63: 9}
-	id, ok := OptimalSector(truth)
-	if !ok || id != 20 {
-		t.Fatalf("OptimalSector = %v, %v", id, ok)
-	}
-	if _, ok := OptimalSector(nil); ok {
-		t.Fatal("empty truth produced an optimum")
-	}
-}
-
 func TestAdaptiveController(t *testing.T) {
 	c := NewAdaptiveController(6, 30)
 	if c.M() != 30 {

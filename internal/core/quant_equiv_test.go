@@ -192,7 +192,7 @@ func TestQuantDegenerateSurface(t *testing.T) {
 	}
 	fallbacksBefore := metQuantFallbacks.Value()
 	degenerateBefore := metDegenerate.Value()
-	_, qErr := quant.EstimateAoA(context.Background(), probes)
+	_, qErr := quant.estimate(context.Background(), probes, NoCell)
 	_, sErr := quant.EstimateAoASerial(probes)
 	if !errors.Is(qErr, ErrDegenerateSurface) {
 		t.Fatalf("quant: want ErrDegenerateSurface, got %v", qErr)
@@ -232,7 +232,7 @@ func TestQuantMinimumProbes(t *testing.T) {
 
 	for n := 1; n <= 2; n++ {
 		probes := observe(t, gain, ids[:n], 10, 6, model, rng)
-		_, qErr := quant.EstimateAoA(context.Background(), probes)
+		_, qErr := quant.estimate(context.Background(), probes, NoCell)
 		_, fErr := quant.EstimateAoASerial(probes)
 		want := ErrTooFewProbes
 		if n == 2 {
@@ -337,7 +337,7 @@ func TestQuantBatchMatchesSelectSector(t *testing.T) {
 
 // TestQuantConcurrentUse runs many concurrent quantized estimates
 // through one estimator, checking the pooled gather scratch under the
-// race detector and that concurrent EstimateAoA results equal
+// race detector and that concurrent estimates equal
 // sequential ones bit for bit.
 func TestQuantConcurrentUse(t *testing.T) {
 	set, gain := synthSetup(t)
@@ -351,7 +351,7 @@ func TestQuantConcurrentUse(t *testing.T) {
 	for i := range probeSets {
 		az := -70 + 140*rng.Float64()
 		probeSets[i] = observe(t, gain, sector.TalonTX(), az, 5, quietModel(), rng)
-		aoa, err := est.EstimateAoA(context.Background(), probeSets[i])
+		aoa, err := est.estimate(context.Background(), probeSets[i], NoCell)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,7 +360,7 @@ func TestQuantConcurrentUse(t *testing.T) {
 	done := make(chan error, len(probeSets))
 	for i := range probeSets {
 		go func(i int) {
-			aoa, err := est.EstimateAoA(context.Background(), probeSets[i])
+			aoa, err := est.estimate(context.Background(), probeSets[i], NoCell)
 			if err == nil && !sameAoA(aoa, want[i]) {
 				err = fmt.Errorf("probe set %d: %+v != %+v", i, aoa, want[i])
 			}
@@ -469,7 +469,7 @@ func TestQuantHoleyDictionary(t *testing.T) {
 			})
 		}
 		label := fmt.Sprintf("garbage trial=%d", trial)
-		gotAoA, gotErr := est.EstimateAoA(ctx, probes)
+		gotAoA, gotErr := est.estimate(ctx, probes, NoCell)
 		refAoA, refErr := est.EstimateAoASerial(probes)
 		if !sameErrClass(gotErr, refErr) {
 			t.Fatalf("%s: engine err %v, serial err %v", label, gotErr, refErr)
@@ -516,7 +516,7 @@ func TestQuantNonFiniteDictionary(t *testing.T) {
 		for i, id := range ids[:8] {
 			probes = append(probes, Probe{Sector: id, Meas: radio.Measurement{SNR: float64(i), RSSI: -70 + float64(i)}, OK: true})
 		}
-		_, qErr := est.EstimateAoA(ctx, probes)
+		_, qErr := est.estimate(ctx, probes, NoCell)
 		_, sErr := est.EstimateAoASerial(probes)
 		if !errors.Is(qErr, ErrDegenerateSurface) || !sameErrClass(qErr, sErr) {
 			t.Fatalf("want ErrDegenerateSurface on both paths, got quant %v, serial %v", qErr, sErr)
@@ -550,7 +550,7 @@ func TestQuantNonFiniteDictionary(t *testing.T) {
 				t.Fatal(err)
 			}
 			probes := observe(t, gain, ps.IDs(), -78+156*rng.Float64(), 28*rng.Float64(), model, rng)
-			_, qErr := est.EstimateAoA(ctx, probes)
+			_, qErr := est.estimate(ctx, probes, NoCell)
 			_, sErr := est.EstimateAoASerial(probes)
 			if !sameErrClass(qErr, sErr) {
 				t.Fatalf("trial %d: estimate error parity broken: quant %v, serial %v", trial, qErr, sErr)

@@ -22,20 +22,3 @@ func SweepSelect(probes []Probe) (id sector.ID, ok bool) {
 	}
 	return id, ok
 }
-
-// OptimalSector returns the probed sector with the highest *true* SNR
-// according to truth — the evaluation oracle for SNR-loss (Section 6.3),
-// not available to any protocol.
-func OptimalSector(truth map[sector.ID]float64) (sector.ID, bool) {
-	best, bestSNR, ok := sector.ID(0), math.Inf(-1), false
-	for _, id := range sector.TalonTX() {
-		snr, have := truth[id]
-		if !have {
-			continue
-		}
-		if snr > bestSNR {
-			best, bestSNR, ok = id, snr, true
-		}
-	}
-	return best, ok
-}

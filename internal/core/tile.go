@@ -20,9 +20,9 @@ import (
 // depends on which items share its sweep. Each worker walks its chunk in
 // fixed sub-chunks of batchChunk items through one pooled scratch, so
 // the scratch a worker holds is O(batchChunk) whatever the batch size.
-// The single-call entry points (EstimateAoA, SelectSector,
-// SelectSectorWarm) run the same sub-chunk over one item, so every entry
-// point shares the same per-item stages.
+// The single-call entry points (SelectSector, SelectWithBackup) run the
+// same sub-chunk over one item, so every entry point shares the same
+// per-item stages.
 
 // batchChunk is how many items share one sweep of the coarse
 // dictionary, and so how many quantItems one pooled scratch holds. 32,
@@ -85,11 +85,12 @@ func (en *engine) getBatchScratch() *quantBatchScratch {
 func (en *engine) putBatchScratch(bs *quantBatchScratch) { en.batchScratch.Put(bs) }
 
 // selectBatchQuant runs the batch through the batch-major quantized
-// pipeline, filling out[i] with exactly what SelectSectorWarm would
-// produce for batch[i]. Items are split into contiguous per-worker
-// chunks; the split only affects which items share a dictionary sweep,
-// never any item's result. Returns non-nil only on context cancellation,
-// in which case out is discarded by the caller.
+// pipeline, filling out[i] with batch[i]'s selection: SelectSector's
+// for a hintless item, the warm path's (warm.go) for a hinted one.
+// Items are split into contiguous per-worker chunks; the split only
+// affects which items share a dictionary sweep, never any item's result.
+// Returns non-nil only on context cancellation, in which case out is
+// discarded by the caller.
 func (e *Estimator) selectBatchQuant(ctx context.Context, batch []BatchItem, out []BatchResult, workers int) error {
 	n := len(batch)
 	if workers <= 1 {

@@ -1,7 +1,5 @@
 package core
 
-import "context"
-
 // Warm-start incremental re-estimation.
 //
 // A tracked station's angle of arrival moves at most a grid cell or two
@@ -119,18 +117,4 @@ func (en *engine) warmArgmaxQ(qv *quantVec, hint Cell, snrOnly bool) (bestA, bes
 		return bestA, bestE, bestW, false
 	}
 	return bestA, bestE, bestW, true
-}
-
-// SelectSectorWarm is SelectSector seeded with the grid cell of a
-// previous selection (Selection.AoA.Cell): when the local window around
-// the hint passes the warm guards, the coarse pass is skipped entirely.
-// On any guard failure — or with hint == NoCell — the call is
-// bit-identical to SelectSector.
-func (e *Estimator) SelectSectorWarm(ctx context.Context, probes []Probe, hint Cell) (Selection, error) {
-	metSelectEngine.Inc()
-	aoa, err := e.estimate(ctx, probes, hint)
-	if err != nil && isCtxErr(err) {
-		return Selection{}, err
-	}
-	return e.finishSelection(probes, aoa, err)
 }

@@ -36,7 +36,8 @@ func (c *warmEquivCounter) compare(t *testing.T, label string, est *Estimator, p
 	t.Helper()
 	ctx := context.Background()
 	cold, cErr := est.SelectSector(ctx, probes)
-	warm, wErr := est.SelectSectorWarm(ctx, probes, hint)
+	aoa, wErr := est.estimate(ctx, probes, hint)
+	warm, wErr := est.finishSelection(probes, aoa, wErr)
 	if (cErr == nil) != (wErr == nil) {
 		t.Fatalf("%s: error parity broken: cold %v, warm %v", label, cErr, wErr)
 	}
@@ -266,7 +267,8 @@ func TestQuantWarmMarginFallback(t *testing.T) {
 			continue
 		}
 		hintsBefore, hitsBefore, fallsBefore := metWarmHints.Value(), metWarmHits.Value(), metWarmFallbacks.Value()
-		warm, wErr := est.SelectSectorWarm(ctx, probes, cold.AoA.Cell)
+		aoa, wErr := est.estimate(ctx, probes, cold.AoA.Cell)
+		warm, wErr := est.finishSelection(probes, aoa, wErr)
 		if wErr != nil {
 			t.Fatalf("trial=%d: warm errored where cold succeeded: %v", trial, wErr)
 		}

@@ -19,20 +19,12 @@ import (
 	"talon/internal/wil"
 )
 
-// Outcome is the typed result of one training round. It mirrors the
-// fields talon.Selection exposes for degraded selections, so session
-// results and trainer results serialize consistently.
+// Outcome is the typed result of one training round.
 type Outcome struct {
 	// Sector is the chosen transmit sector.
 	Sector sector.ID `json:"sector"`
 	// Probes is the number of over-the-air probes the round spent.
 	Probes int `json:"probes"`
-	// Degraded marks rounds whose selection abandoned the compressive
-	// estimate (matching talon.Selection.Degraded).
-	Degraded bool `json:"degraded,omitempty"`
-	// FallbackReason classifies why a degraded round abandoned CSS;
-	// core.FallbackNone otherwise.
-	FallbackReason core.FallbackReason `json:"fallback_reason,omitempty"`
 }
 
 // Policy decides how one training round runs.
@@ -96,12 +88,7 @@ func (p *CSSPolicy) Train(ctx context.Context, link *wil.Link, tx, rx *wil.Devic
 	if err != nil {
 		return Outcome{Probes: p.M}, err
 	}
-	return Outcome{
-		Sector:         sel.Sector,
-		Probes:         p.M,
-		Degraded:       sel.Degraded,
-		FallbackReason: sel.FallbackReason,
-	}, nil
+	return Outcome{Sector: sel.Sector, Probes: p.M}, nil
 }
 
 // EnsembleCSSPolicy is compressive selection hardened by a leave-one-out
@@ -171,32 +158,7 @@ func (p *EnsembleCSSPolicy) Train(ctx context.Context, link *wil.Link, tx, rx *w
 			best = sector.ID(id)
 		}
 	}
-	return Outcome{
-		Sector:         best,
-		Probes:         p.M,
-		Degraded:       results[0].Selection.Degraded,
-		FallbackReason: results[0].Selection.FallbackReason,
-	}, nil
-}
-
-// AdaptiveCSSPolicy wraps CSS with the adaptive probe-count controller.
-type AdaptiveCSSPolicy struct {
-	Estimator  *core.Estimator
-	Controller *core.AdaptiveController
-	RNG        *stats.RNG
-}
-
-// Name implements Policy.
-func (p *AdaptiveCSSPolicy) Name() string { return "CSS-adaptive" }
-
-// Train implements Policy.
-func (p *AdaptiveCSSPolicy) Train(ctx context.Context, link *wil.Link, tx, rx *wil.Device) (Outcome, error) {
-	inner := &CSSPolicy{Estimator: p.Estimator, M: p.Controller.M(), RNG: p.RNG}
-	out, err := inner.Train(ctx, link, tx, rx)
-	if err == nil {
-		p.Controller.Observe(out.Sector)
-	}
-	return out, err
+	return Outcome{Sector: best, Probes: p.M}, nil
 }
 
 // config shapes a session run; callers set it through Options.
@@ -205,7 +167,6 @@ type config struct {
 	trainingInterval time.Duration
 	mobility         func(t time.Duration, tx, rx *wil.Device)
 	evalStep         time.Duration
-	throughput       mcs.ThroughputModel
 }
 
 // Option configures Run, matching the Trainer.Run(...RunOption) idiom of
@@ -239,12 +200,6 @@ func WithEvalStep(d time.Duration) Option {
 	return func(c *config) { c.evalStep = d }
 }
 
-// WithThroughputModel overrides the rate model (default
-// mcs.DefaultThroughputModel).
-func WithThroughputModel(m mcs.ThroughputModel) Option {
-	return func(c *config) { c.throughput = m }
-}
-
 // Point is one training interval of the session.
 type Point struct {
 	// T is the interval's start time.
@@ -261,9 +216,6 @@ type Point struct {
 	// TrainFailed marks intervals whose training produced no selection
 	// (the previous sector stays in use).
 	TrainFailed bool
-	// Degraded marks intervals whose training abandoned the compressive
-	// estimate (see Outcome.Degraded).
-	Degraded bool
 }
 
 // Result summarizes a session.
@@ -301,10 +253,7 @@ func Run(ctx context.Context, link *wil.Link, tx, rx *wil.Device, policy Policy,
 	if cfg.trainingInterval <= 0 {
 		cfg.trainingInterval = dot11ad.SweepInterval
 	}
-	model := cfg.throughput
-	if model.TCPEfficiency == 0 {
-		model = mcs.DefaultThroughputModel()
-	}
+	model := mcs.DefaultThroughputModel()
 	model.TrainingInterval = cfg.trainingInterval
 	evalStep := cfg.evalStep
 	if evalStep <= 0 {
@@ -343,7 +292,7 @@ func Run(ctx context.Context, link *wil.Link, tx, rx *wil.Device, policy Policy,
 			if cfg.mobility != nil {
 				cfg.mobility(te, tx, rx)
 			}
-			pt := Point{T: te, Probes: out.Probes, TrainFailed: trainFailed, Degraded: out.Degraded}
+			pt := Point{T: te, Probes: out.Probes, TrainFailed: trainFailed}
 			if !haveSector {
 				res.Points = append(res.Points, pt)
 				continue

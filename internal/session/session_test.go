@@ -152,35 +152,6 @@ func TestMobilitySession(t *testing.T) {
 	}
 }
 
-func TestAdaptivePolicySavesProbes(t *testing.T) {
-	// A fresh fixture keeps this test deterministic: the flip rate of
-	// selections (and therefore the controller's budget) depends on the
-	// devices' noise stream state.
-	cached = nil
-	f := setup(t)
-	// Static scene: the adaptive controller should spend far fewer
-	// probes than the full sweep.
-	adaptive := &AdaptiveCSSPolicy{
-		Estimator:  f.est,
-		Controller: core.NewAdaptiveController(8, 34),
-		RNG:        stats.NewRNG(7),
-	}
-	if adaptive.Name() != "CSS-adaptive" {
-		t.Fatalf("name = %q", adaptive.Name())
-	}
-	res, err := Run(context.Background(), f.link, f.tx, f.rx, adaptive,
-		WithDuration(30*time.Second),
-		WithTrainingInterval(time.Second),
-		WithEvalStep(time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalProbes >= 30*34*3/4 {
-		t.Fatalf("adaptive spent %d probes on a static scene", res.TotalProbes)
-	}
-	cached = nil // do not leak the consumed fixture into later tests
-}
-
 func TestFasterRetrainingHelpsUnderMobility(t *testing.T) {
 	f := setup(t)
 	// The Section 7 argument: with mobility, CSS's cheap trainings can

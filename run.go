@@ -29,13 +29,10 @@ type (
 	TraceRecorder = obs.Recorder
 )
 
-// NopTracer returns the no-op Tracer Run uses by default.
-func NopTracer() Tracer { return obs.Nop() }
-
 // Trainer metrics (see README, "Observability").
 var (
 	metTrainings = obs.NewCounter("trainer_trainings_total",
-		"training rounds started (Run and its Train* wrappers)")
+		"training rounds started (Trainer.Run calls)")
 	metRetrains = obs.NewCounter("trainer_retrains_total",
 		"training rounds beyond the first on the same Trainer")
 	metProbesIssued = obs.NewCounter("trainer_probes_issued_total",
@@ -83,21 +80,21 @@ type runConfig struct {
 // Mutual extends the run to the full protocol exchange: after the
 // compressive selection, both sides sweep the probed subset inside one
 // sector-level sweep with the choice injected into the feedback fields
-// (what TrainMutual did).
+// through the firmware override.
 func Mutual() RunOption {
 	return func(c *runConfig) { c.mutual = true }
 }
 
 // WithBackup additionally extracts a backup sector toward a secondary
 // propagation path at least minSepDeg degrees away from the primary
-// (what TrainWithBackup did with minSepDeg = 18). The result's Backup
+// (DefaultBackupSeparationDeg is the usual choice). The result's Backup
 // field is populated; check Backup.HasBackup before using it.
 func WithBackup(minSepDeg float64) RunOption {
 	return func(c *runConfig) { c.backup, c.backupSep = true, minSepDeg }
 }
 
 // WithTracer attaches a Tracer to the run; every stage reports a span.
-// The default is NopTracer.
+// The default is a zero-allocation no-op.
 func WithTracer(tr Tracer) RunOption {
 	return func(c *runConfig) {
 		if tr != nil {
@@ -152,10 +149,19 @@ func (c *runConfig) mode() string {
 	return "train"
 }
 
-// RunResult is the outcome of one Trainer.Run: the TrainResult of the
-// plain training plus the optional extras the options enabled.
+// RunResult is the outcome of one Trainer.Run: the compressive training
+// round plus the optional extras the options enabled.
 type RunResult struct {
-	TrainResult
+	// Selection is the CSS outcome for the transmitter's sector.
+	Selection Selection
+	// Sector is the chosen transmit sector (shorthand for
+	// Selection.Sector).
+	Sector SectorID
+	// Probed lists the sectors that were probed.
+	Probed []SectorID
+	// SLS carries the protocol-level result when the run included the
+	// full sector-level sweep (Mutual).
+	SLS *SLSResult
 	// Backup holds the multipath backup selection when WithBackup was
 	// requested, nil otherwise.
 	Backup *BackupSelection
@@ -169,9 +175,8 @@ type RunResult struct {
 // full sector sweep (shorthand for Selection.Degraded).
 func (r *RunResult) Degraded() bool { return r.Selection.Degraded }
 
-// Run performs one compressive training round from tx toward rx and is
-// the single entry point behind Train, TrainMutual and TrainWithBackup:
-// it probes a random M-sector subset, estimates the departure angle,
+// Run performs one compressive training round from tx toward rx: it
+// probes a random M-sector subset, estimates the departure angle,
 // selects the best transmit sector and (when rx is jailbroken) arms rx's
 // feedback override with the choice. Options extend the round — Mutual
 // runs the full sweep handshake afterwards, WithBackup extracts a backup

@@ -70,39 +70,8 @@ func TestRunTracerOrdering(t *testing.T) {
 	}
 }
 
-// TestRunMatchesTrain checks that the delegating wrappers and Run draw
-// the same RNG stream: two trainers with identical seeds must make
-// identical choices whichever entry point is used.
-func TestRunMatchesTrain(t *testing.T) {
-	t1, _, dut1, peer1 := buildTrainer(t, talon.AnechoicChamber(), talon.WithM(14), talon.WithSeed(33))
-	t2, _, dut2, peer2 := buildTrainer(t, talon.AnechoicChamber(), talon.WithM(14), talon.WithSeed(33))
-
-	legacy, err := t1.Train(context.Background(), dut1, peer1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unified, err := t2.Run(context.Background(), dut2, peer2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Sector != unified.Sector {
-		t.Fatalf("Train chose %v, Run chose %v", legacy.Sector, unified.Sector)
-	}
-	if len(legacy.Probed) != len(unified.Probed) {
-		t.Fatalf("probe counts differ: %d vs %d", len(legacy.Probed), len(unified.Probed))
-	}
-	for i := range legacy.Probed {
-		if legacy.Probed[i] != unified.Probed[i] {
-			t.Fatalf("probe %d: %v vs %v", i, legacy.Probed[i], unified.Probed[i])
-		}
-	}
-	if unified.Backup != nil {
-		t.Fatal("plain Run populated Backup")
-	}
-}
-
 // TestRunWithBackup checks the WithBackup option populates the backup
-// selection the way TrainWithBackup reports it.
+// selection and leaves SLS unset on a non-mutual run.
 func TestRunWithBackup(t *testing.T) {
 	trainer, _, dut, peer := buildTrainer(t, talon.ConferenceRoom(), talon.WithM(24), talon.WithSeed(4))
 	res, err := trainer.Run(context.Background(), dut, peer, talon.WithBackup(talon.DefaultBackupSeparationDeg))

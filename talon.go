@@ -30,16 +30,15 @@
 //
 // Trainer.Run is the single training entry point; options extend the
 // round: Mutual adds the full sweep handshake, WithBackup extracts a
-// backup sector toward a secondary path, WithTracer observes the stages.
-// Train, TrainMutual and TrainWithBackup survive as thin wrappers over
-// Run with the corresponding options.
+// backup sector toward a secondary path, WithTracer observes the stages,
+// WithRetry and WithSNRCheck make the round resilient.
 //
 // # Cancellation
 //
-// Every long-running entry point — MeasurePatterns, Trainer.Run and its
-// Train* wrappers, and the campaign drivers in internal/eval — takes a
-// context.Context as its first parameter and returns ctx.Err() promptly
-// when it is cancelled (checked between grid points, probes and trials).
+// Every long-running entry point — MeasurePatterns, Trainer.Run and the
+// campaign drivers in internal/eval — takes a context.Context as its
+// first parameter and returns ctx.Err() promptly when it is cancelled
+// (checked between grid points, probes and trials).
 //
 // # Construction
 //
@@ -207,20 +206,6 @@ func NewEstimator(patterns *PatternSet, opts EstimatorOptions) (*Estimator, erro
 	return core.NewEstimator(patterns, opts)
 }
 
-// TrainResult is the outcome of one compressive training round.
-type TrainResult struct {
-	// Selection is the CSS outcome for the transmitter's sector.
-	Selection Selection
-	// Sector is the chosen transmit sector (shorthand for
-	// Selection.Sector).
-	Sector SectorID
-	// Probed lists the sectors that were probed.
-	Probed []SectorID
-	// SLS carries the protocol-level result when the training ran the
-	// full sector-level sweep.
-	SLS *SLSResult
-}
-
 // Trainer performs compressive beamtraining over a link: it probes a
 // random M-of-N sector subset, estimates the departure angle against the
 // transmitter's measured patterns, selects the best sector and arms the
@@ -305,36 +290,6 @@ func (t *Trainer) SetM(m int) error {
 // Estimator exposes the underlying CSS estimator.
 func (t *Trainer) Estimator() *Estimator { return t.est }
 
-// Train selects tx's transmit sector toward rx: it sweeps a random
-// M-sector subset from tx, reads rx's measurement dump, runs compressive
-// selection, and (when rx is jailbroken) arms rx's feedback override with
-// the choice so subsequent sweeps feed it back. The context is observed
-// between the stages and inside the correlation grid search; a cancelled
-// training returns ctx.Err().
-//
-// Train is a thin wrapper over Run with no options.
-func (t *Trainer) Train(ctx context.Context, tx, rx *Device) (*TrainResult, error) {
-	res, err := t.Run(ctx, tx, rx)
-	if err != nil {
-		return nil, err
-	}
-	return &res.TrainResult, nil
-}
-
-// TrainMutual runs the full protocol exchange: both sides sweep the same
-// probing subset inside one sector-level sweep, with the compressive
-// choice injected into the feedback fields through the firmware override.
-// The context is observed between the stages.
-//
-// TrainMutual is a thin wrapper over Run with the Mutual option.
-func (t *Trainer) TrainMutual(ctx context.Context, initiator, responder *Device) (*TrainResult, error) {
-	res, err := t.Run(ctx, initiator, responder, Mutual())
-	if err != nil {
-		return nil, err
-	}
-	return &res.TrainResult, nil
-}
-
 // TalonTXSectors lists the 34 predefined transmit sectors.
 func TalonTXSectors() []SectorID { return sector.TalonTX() }
 
@@ -349,23 +304,6 @@ func MutualTrainingTime(m int) float64 {
 type BackupSelection = core.BackupSelection
 
 // DefaultBackupSeparationDeg is the minimum angular separation (degrees)
-// between primary and backup paths that TrainWithBackup requires — wide
-// enough that the backup survives a blockage of the primary.
+// between primary and backup paths, the usual argument of WithBackup —
+// wide enough that the backup survives a blockage of the primary.
 const DefaultBackupSeparationDeg = 18
-
-// TrainWithBackup selects tx's transmit sector toward rx and, when the
-// correlation surface exposes a distinct secondary path (e.g. a wall
-// reflection), also returns a backup sector: if the primary path gets
-// blocked, switching to the backup keeps the link alive without a new
-// training round. The context is observed between the stages and inside
-// the correlation searches.
-//
-// TrainWithBackup is a thin wrapper over Run with
-// WithBackup(DefaultBackupSeparationDeg).
-func (t *Trainer) TrainWithBackup(ctx context.Context, tx, rx *Device) (*TrainResult, BackupSelection, error) {
-	res, err := t.Run(ctx, tx, rx, WithBackup(DefaultBackupSeparationDeg))
-	if err != nil {
-		return nil, BackupSelection{}, err
-	}
-	return &res.TrainResult, *res.Backup, nil
-}

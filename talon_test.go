@@ -60,12 +60,15 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := trainer.Train(context.Background(), dut, peer)
+	res, err := trainer.Run(context.Background(), dut, peer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Probed) != 14 {
 		t.Fatalf("probed %d sectors", len(res.Probed))
+	}
+	if res.Backup != nil || res.SLS != nil {
+		t.Fatal("plain Run populated Backup or SLS")
 	}
 	// The choice must be a valid predefined TX sector with a usable link.
 	valid := false
@@ -104,7 +107,7 @@ func TestTrainMutual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := trainer.TrainMutual(context.Background(), dut, peer)
+	res, err := trainer.Run(context.Background(), dut, peer, talon.Mutual())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +187,11 @@ func TestTrainWithBackup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, backup, err := trainer.TrainWithBackup(context.Background(), dut, peer)
+	res, err := trainer.Run(context.Background(), dut, peer, talon.WithBackup(talon.DefaultBackupSeparationDeg))
 	if err != nil {
 		t.Fatal(err)
 	}
+	backup := res.Backup
 	if res.Sector != backup.Primary.Sector {
 		t.Fatal("result and primary disagree")
 	}
@@ -221,18 +225,18 @@ func TestTrainCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := trainer.Train(ctx, dut, peer); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Train: want context.Canceled, got %v", err)
+	if _, err := trainer.Run(ctx, dut, peer); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run: want context.Canceled, got %v", err)
 	}
-	if _, err := trainer.TrainMutual(ctx, dut, peer); !errors.Is(err, context.Canceled) {
-		t.Fatalf("TrainMutual: want context.Canceled, got %v", err)
+	if _, err := trainer.Run(ctx, dut, peer, talon.Mutual()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run(Mutual): want context.Canceled, got %v", err)
 	}
-	if _, _, err := trainer.TrainWithBackup(ctx, dut, peer); !errors.Is(err, context.Canceled) {
-		t.Fatalf("TrainWithBackup: want context.Canceled, got %v", err)
+	if _, err := trainer.Run(ctx, dut, peer, talon.WithBackup(talon.DefaultBackupSeparationDeg)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run(WithBackup): want context.Canceled, got %v", err)
 	}
 	// The same trainer still works once the pressure is off.
-	if _, err := trainer.Train(context.Background(), dut, peer); err != nil {
-		t.Fatalf("post-cancel Train: %v", err)
+	if _, err := trainer.Run(context.Background(), dut, peer); err != nil {
+		t.Fatalf("post-cancel Run: %v", err)
 	}
 }
 
