@@ -3,8 +3,8 @@
 // fixed probe records sector-sweep frames, producing the 3D radiation
 // patterns of all 35 predefined sectors.
 //
-// Output goes to a pattern file (CSV or the compact binary format,
-// chosen by extension) plus a per-sector summary on stdout.
+// Output goes to a CSV pattern file plus a per-sector summary on
+// stdout.
 //
 // The paper's exact resolutions:
 //
@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
 	"talon/internal/channel"
@@ -40,7 +39,7 @@ var (
 	elMax   = flag.Float64("el-max", 32.4, "elevation range end (degrees)")
 	elStep  = flag.Float64("el-step", 3.6, "elevation step (degrees)")
 	repeats = flag.Int("repeats", 3, "sweeps averaged per grid point")
-	out     = flag.String("o", "", "output file (.csv or .pat binary); omit for summary only")
+	out     = flag.String("o", "", "output CSV pattern file; omit for summary only")
 
 	metricsOut = flag.String("metrics", "", "dump the metrics registry as JSON to this file on exit (\"-\" = stdout)")
 	debugAddr  = flag.String("debug", "", "serve /metrics and /debug/pprof on this address (e.g. localhost:6060)")
@@ -123,13 +122,11 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if strings.HasSuffix(*out, ".csv") {
-		err = set.WriteCSV(f)
-	} else {
-		err = set.WriteBinary(f)
+	if err := set.WriteCSV(f); err != nil {
+		f.Close()
+		return err
 	}
-	if err != nil {
+	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "patterns written to %s\n", *out)
@@ -143,12 +140,7 @@ func verifyRoundTrip(path string, want *pattern.Set) error {
 		return err
 	}
 	defer f.Close()
-	var got *pattern.Set
-	if strings.HasSuffix(path, ".csv") {
-		got, err = pattern.ReadCSV(f)
-	} else {
-		got, err = pattern.ReadBinary(f)
-	}
+	got, err := pattern.ReadCSV(f)
 	if err != nil {
 		return fmt.Errorf("verify %s: %w", path, err)
 	}

@@ -14,7 +14,6 @@ import (
 
 	"talon/internal/core"
 	"talon/internal/geom"
-	"talon/internal/pattern"
 	"talon/internal/radio"
 	"talon/internal/sector"
 	"talon/internal/stats"
@@ -95,19 +94,6 @@ func (c *CampaignConfig) defaults() {
 	}
 }
 
-// codebookGainRef returns the codebook's mean peak gain, the
-// normalization anchor of the campaign link budget (see fleet's
-// equivalent).
-func codebookGainRef(set *pattern.Set) float64 {
-	ids := set.TXIDs()
-	sum := 0.0
-	for _, id := range ids {
-		_, _, peak := set.Get(id).Peak()
-		sum += peak
-	}
-	return sum / float64(len(ids))
-}
-
 // campaignTrueSNR is the noiseless SNR toward the trial's channel state of
 // a sector whose pattern gain toward the trial direction is g (NaN when
 // missing, giving -Inf). linkSNR already folds in the distance pathloss;
@@ -167,7 +153,7 @@ func RecordCampaign(ctx context.Context, p *Platform, cfg CampaignConfig) ([]tra
 
 	txIDs := p.Patterns.TXIDs()
 	ix := p.Patterns.Index()
-	gainRef := codebookGainRef(p.Patterns)
+	gainRef := p.Patterns.MeanPeakGain()
 	model := radio.DefaultMeasurementModel()
 
 	// Trials accumulate into bounded batches: one SelectSectorBatch call
@@ -459,7 +445,7 @@ func ReplayCampaign(ctx context.Context, p *Platform, cfg CampaignConfig) (*Camp
 	}
 
 	ix := p.Patterns.Index()
-	gainRef := codebookGainRef(p.Patterns)
+	gainRef := p.Patterns.MeanPeakGain()
 	partials := make([]campaignTally, len(shards))
 	for i := range partials {
 		partials[i] = newCampaignTally()

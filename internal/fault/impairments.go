@@ -92,9 +92,6 @@ func (g *GilbertElliott) DropFrame(FrameEvent) bool {
 	return g.rng.Bool(p)
 }
 
-// InBadState exposes the channel state for tests and diagnostics.
-func (g *GilbertElliott) InBadState() bool { return g.bad }
-
 // RSSIBias shifts every reported RSSI by a constant offset — a
 // miscalibrated detector. SNR readings are untouched, which decorrelates
 // the two paths beyond the stock measurement model and stresses the

@@ -311,13 +311,8 @@ func New(est *core.Estimator, patterns *pattern.Set, opts ...Option) (*Manager, 
 		shards:   make([]*shard, cfg.shards),
 		mask:     uint64(cfg.shards - 1),
 		roundRNG: stats.NewFastRNG(0),
+		gainRef:  patterns.MeanPeakGain(),
 	}
-	var sum float64
-	for _, id := range txIDs {
-		_, _, peak := patterns.Get(id).Peak()
-		sum += peak
-	}
-	m.gainRef = sum / float64(len(txIDs))
 	for i := range m.shards {
 		m.shards[i] = &shard{
 			index: make(map[StationID]int32),

@@ -2,7 +2,6 @@ package pattern
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -13,13 +12,10 @@ import (
 	"talon/internal/sector"
 )
 
-// The on-disk formats:
-//
-//   - CSV: one header row "sector,az,el,gain" followed by one row per stored
-//     sample. Missing samples are written as "nan". Human-inspectable and
-//     matches the per-sample layout of the published talon-tools traces.
-//   - Binary: a compact little-endian format for fast loading, with magic
-//     "TALONPAT", version, grid axes and per-sector sample blocks.
+// The on-disk format is CSV: one header row "sector,az,el,gain" followed
+// by one row per stored sample. Gains are written exactly (shortest
+// round-trip form) and missing samples as "nan". Human-inspectable and
+// matches the per-sample layout of the published talon-tools traces.
 
 // WriteCSV writes the set in CSV form.
 func (s *Set) WriteCSV(w io.Writer) error {
@@ -144,105 +140,4 @@ func sortedKeys(m map[float64]bool) []float64 {
 		}
 	}
 	return out
-}
-
-const (
-	binaryMagic   = "TALONPAT"
-	binaryVersion = 1
-)
-
-// WriteBinary writes the set in the compact binary format.
-func (s *Set) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	var grid *geom.Grid
-	if p := s.anyPattern(); p != nil {
-		grid = p.grid
-	}
-	if grid == nil {
-		return fmt.Errorf("pattern: WriteBinary on empty set")
-	}
-	hdr := []uint32{binaryVersion, uint32(grid.NumAz()), uint32(grid.NumEl()), uint32(s.Len())}
-	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	writeAxis := func(axis []float64) error {
-		return binary.Write(bw, binary.LittleEndian, axis)
-	}
-	if err := writeAxis(grid.Az()); err != nil {
-		return err
-	}
-	if err := writeAxis(grid.El()); err != nil {
-		return err
-	}
-	for _, id := range s.IDs() {
-		if err := bw.WriteByte(byte(id)); err != nil {
-			return err
-		}
-		p := s.patterns[id]
-		for _, row := range p.gain {
-			if err := binary.Write(bw, binary.LittleEndian, row); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary parses a set written by WriteBinary.
-func ReadBinary(r io.Reader) (*Set, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("pattern: binary magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("pattern: bad magic %q", magic)
-	}
-	var version, numAz, numEl, numSectors uint32
-	for _, p := range []*uint32{&version, &numAz, &numEl, &numSectors} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, err
-		}
-	}
-	if version != binaryVersion {
-		return nil, fmt.Errorf("pattern: unsupported version %d", version)
-	}
-	const maxAxis = 1 << 20
-	if numAz == 0 || numEl == 0 || numAz > maxAxis || numEl > maxAxis || numSectors > uint32(sector.MaxID)+1 {
-		return nil, fmt.Errorf("pattern: implausible header (az=%d el=%d sectors=%d)", numAz, numEl, numSectors)
-	}
-	az := make([]float64, numAz)
-	el := make([]float64, numEl)
-	if err := binary.Read(br, binary.LittleEndian, az); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, el); err != nil {
-		return nil, err
-	}
-	grid, err := geom.NewGrid(az, el)
-	if err != nil {
-		return nil, err
-	}
-	set := NewSet()
-	for i := uint32(0); i < numSectors; i++ {
-		idb, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		p := New(grid)
-		for e := range p.gain {
-			if err := binary.Read(br, binary.LittleEndian, p.gain[e]); err != nil {
-				return nil, err
-			}
-		}
-		if err := set.Put(sector.ID(idb), p); err != nil {
-			return nil, err
-		}
-	}
-	return set, nil
 }

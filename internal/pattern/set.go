@@ -99,6 +99,19 @@ func (s *Set) TXIDs() []sector.ID {
 	return out
 }
 
+// MeanPeakGain returns the mean of the TX patterns' peak gains, summed
+// in TXIDs order: the link-budget anchor that lets a reference SNR mean
+// "an average sector, on boresight". NaN when the set has no TX pattern.
+func (s *Set) MeanPeakGain() float64 {
+	ids := s.TXIDs()
+	sum := 0.0
+	for _, id := range ids {
+		_, _, peak := s.patterns[id].Peak()
+		sum += peak
+	}
+	return sum / float64(len(ids))
+}
+
 // GainVector evaluates the patterns of ids at direction (az, el) and
 // returns the gains, in the order of ids. Missing patterns or samples yield
 // NaN entries.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"talon/internal/dot11ad"
-	"talon/internal/geom"
 	"talon/internal/radio"
 	"talon/internal/sector"
 	"talon/internal/wil"
@@ -104,23 +103,4 @@ func RunScan(ctx context.Context, link *wil.Link, dut, probe *wil.Device, head *
 		}
 	}
 	return traces, nil
-}
-
-// ScanGrid returns the azimuth×elevation grid a scan visits, useful for
-// sizing result containers.
-func ScanGrid(cfg ScanConfig) (*geom.Grid, error) {
-	els := cfg.Elevations
-	if len(els) == 1 {
-		g, err := geom.UniformGrid(cfg.AzMin, cfg.AzMax, cfg.AzStep, els[0], els[0], 1)
-		return g, err
-	}
-	return geom.NewGrid(axisFromRange(cfg.AzMin, cfg.AzMax, cfg.AzStep), els)
-}
-
-func axisFromRange(lo, hi, step float64) []float64 {
-	var out []float64
-	for v := lo; v <= hi+1e-9; v += step {
-		out = append(out, v)
-	}
-	return out
 }

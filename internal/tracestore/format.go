@@ -47,11 +47,20 @@ const headerSize = 8 + 2 + 2 + 4 + 8 + 8 + 8 + 4 + 4
 const blockHeaderSize = 4 + 4 + 4 + 4
 
 // maxBlockRecords bounds nrecs so a corrupt frame cannot provoke a huge
-// allocation; maxBlockBytes does the same for the raw payload.
+// allocation; maxBlockBytes does the same for the raw payload and
+// maxMetaBytes for the codec schema, which the header CRC covers and so
+// is read before it can be verified.
 const (
 	maxBlockRecords = 1 << 22
 	maxBlockBytes   = 1 << 30
+	maxMetaBytes    = 1 << 16
 )
+
+// maxInflateRatio is DEFLATE's largest possible expansion (a 258-byte
+// match costs at least two bits, about 1032:1). A frame whose rawLen
+// exceeds it for its compLen is corrupt, so the reader rejects it before
+// allocating rawLen bytes.
+const maxInflateRatio = 1032
 
 // Typed sentinel errors of the store.
 var (
@@ -139,7 +148,7 @@ func decodeHeader(buf []byte) (Header, uint32, error) {
 	h.Records = binary.LittleEndian.Uint64(buf[32:])
 	h.Blocks = binary.LittleEndian.Uint32(buf[40:])
 	crc := binary.LittleEndian.Uint32(buf[44:])
-	if metaLen > maxBlockBytes {
+	if metaLen > maxMetaBytes {
 		return h, 0, fmt.Errorf("%w: meta length %d", ErrCorrupt, metaLen)
 	}
 	h.Meta = make([]byte, metaLen)

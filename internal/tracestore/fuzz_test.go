@@ -3,9 +3,14 @@ package tracestore
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"talon/internal/sector"
+	"talon/internal/stats"
 )
 
 // FuzzDecodeRecord round-trips the trial codec through arbitrary-ish
@@ -81,4 +86,122 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatal("padded raw block decoded without error")
 		}
 	})
+}
+
+// FuzzReadShard feeds arbitrary bytes to the reader as a whole shard
+// file: OpenReader, then Next until io.EOF or an error. The reader must
+// never panic, every error must carry one of the store's sentinels, and
+// the records it returns must never exceed the header's count. The seed
+// corpus is a valid two-block shard, which must decode to exactly its
+// records, plus truncations of it.
+func FuzzReadShard(f *testing.F) {
+	const m = 3
+	codec, err := NewTrialCodec(m)
+	if err != nil {
+		f.Fatal(err)
+	}
+	dir := f.TempDir()
+	w, err := NewWriter(codec, dir, "seed", WriterOptions{BlockRecords: 4})
+	if err != nil {
+		f.Fatal(err)
+	}
+	rng := stats.NewRNG(5)
+	want := make([]Trial, 6) // one full block of 4, one of 2
+	for i := range want {
+		want[i] = mkTrial(rng, uint64(i), m)
+		if err := w.Append(want[i].Seed, want[i]); err != nil {
+			f.Fatal(err)
+		}
+	}
+	shards, err := w.Close()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if len(shards) != 1 || shards[0].Header.Blocks != 2 {
+		f.Fatalf("seed shard layout %+v, want one shard of two blocks", shards)
+	}
+	valid, err := os.ReadFile(shards[0].Path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	got, err := readShardFile(codec, shards[0].Path)
+	if err != nil {
+		f.Fatalf("valid seed shard: %v", err)
+	}
+	if len(got) != len(want) {
+		f.Fatalf("valid seed shard decoded %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !trialsEqual(got[i], want[i]) {
+			f.Fatalf("valid seed shard record %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+
+	f.Add(valid)
+	firstBlock := headerSize + len(codec.Meta())
+	for _, n := range []int{0, 8, headerSize - 1, firstBlock, firstBlock + blockHeaderSize + 3, len(valid) - 1} {
+		f.Add(valid[:n])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "shard.bin")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenReader(codec, path)
+		if err != nil {
+			checkShardErr(t, err)
+			return
+		}
+		defer r.Close()
+		var n uint64
+		for {
+			recs, err := r.Next()
+			if errors.Is(err, io.EOF) {
+				return
+			}
+			if err != nil {
+				checkShardErr(t, err)
+				return
+			}
+			if n += uint64(len(recs)); n > r.Header().Records {
+				t.Fatalf("read %d records, header promises %d", n, r.Header().Records)
+			}
+		}
+	})
+}
+
+// readShardFile decodes every record of one shard, copying each out of
+// the reader's reused buffers.
+func readShardFile(codec *TrialCodec, path string) ([]Trial, error) {
+	r, err := OpenReader(codec, path)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	var out []Trial
+	for {
+		recs, err := r.Next()
+		if errors.Is(err, io.EOF) {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		for _, rec := range recs {
+			rec.Probes = append([]ProbeSample(nil), rec.Probes...)
+			out = append(out, rec)
+		}
+	}
+}
+
+// checkShardErr fails unless err carries one of the sentinels a damaged
+// or foreign shard may produce.
+func checkShardErr(t *testing.T, err error) {
+	t.Helper()
+	for _, want := range []error{ErrBadMagic, ErrVersion, ErrKindMismatch, ErrCorrupt} {
+		if errors.Is(err, want) {
+			return
+		}
+	}
+	t.Fatalf("error carries no shard sentinel: %v", err)
 }

@@ -32,6 +32,7 @@ type Reader[T any] struct {
 	recs      []T
 	blocksGot uint32
 	recsGot   uint64
+	left      int64 // file bytes after the header not yet consumed
 }
 
 // OpenReader opens one shard and verifies its header against the codec.
@@ -56,6 +57,10 @@ func (r *Reader[T]) attach(path string) error {
 	} else {
 		r.br.Reset(r.f)
 	}
+	fi, err := r.f.Stat()
+	if err != nil {
+		return err
+	}
 	h, err := readHeaderFrom(r.br)
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
@@ -68,6 +73,7 @@ func (r *Reader[T]) attach(path string) error {
 	}
 	r.hdr = h
 	r.blocksGot, r.recsGot = 0, 0
+	r.left = fi.Size() - int64(headerSize+len(h.Meta))
 	return nil
 }
 
@@ -97,9 +103,12 @@ func (r *Reader[T]) Next() ([]T, error) {
 	rawLen := binary.LittleEndian.Uint32(r.frame[4:])
 	compLen := binary.LittleEndian.Uint32(r.frame[8:])
 	wantCRC := binary.LittleEndian.Uint32(r.frame[12:])
-	if nrecs == 0 || nrecs > maxBlockRecords || rawLen > maxBlockBytes || compLen > maxBlockBytes {
-		return nil, fmt.Errorf("%w: implausible block frame (nrecs=%d raw=%d comp=%d)", ErrCorrupt, nrecs, rawLen, compLen)
+	r.left -= blockHeaderSize
+	if nrecs == 0 || nrecs > maxBlockRecords || rawLen > maxBlockBytes || compLen > maxBlockBytes ||
+		int64(compLen) > r.left || uint64(rawLen) > maxInflateRatio*uint64(compLen) {
+		return nil, fmt.Errorf("%w: implausible block frame (nrecs=%d raw=%d comp=%d, %d bytes left)", ErrCorrupt, nrecs, rawLen, compLen, r.left)
 	}
+	r.left -= int64(compLen)
 	if cap(r.comp) < int(compLen) {
 		r.comp = make([]byte, compLen)
 	}

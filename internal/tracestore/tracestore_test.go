@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -244,6 +245,44 @@ func TestErrorPaths(t *testing.T) {
 	}
 	if _, err := OpenReader(codec, ShardPath(dir, "other", 0)); !errors.Is(err, ErrKindMismatch) {
 		t.Fatalf("meta mismatch: got %v, want ErrKindMismatch", err)
+	}
+}
+
+// TestOversizedFieldsAllocateNothing patches each size field a damaged
+// shard can inflate — the meta length and a block's raw and compressed
+// lengths — to 64 MiB. Each must fail as ErrCorrupt before the reader
+// allocates a buffer of that size.
+func TestOversizedFieldsAllocateNothing(t *testing.T) {
+	codec, _ := NewTrialCodec(6)
+	orig, err := os.ReadFile(writeOneShard(t, t.TempDir(), 100, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := headerSize + len(codec.Meta())
+	for _, tc := range []struct {
+		name string
+		off  int
+	}{
+		{"meta length", 12},
+		{"block raw length", block + 4},
+		{"block compressed length", block + 8},
+	} {
+		b := append([]byte(nil), orig...)
+		binary.LittleEndian.PutUint32(b[tc.off:], 1<<26)
+		p := filepath.Join(t.TempDir(), "big-00000.bin")
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := readShardFile(codec, p)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", tc.name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: reader allocated %d bytes before failing", tc.name, grew)
+		}
 	}
 }
 
