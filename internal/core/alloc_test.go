@@ -212,7 +212,7 @@ func TestBatchScratchBounded(t *testing.T) {
 	for i := range bs.items {
 		it := &bs.items[i]
 		for _, c := range []int{cap(it.snrDB), cap(it.rssiDB), cap(it.snr), cap(it.rssi),
-			cap(it.qv.cols), cap(it.qv.snrQ), cap(it.qv.rssiQ), cap(it.qv.colsC), cap(it.qv.pack)} {
+			cap(it.qv.cols), cap(it.qv.colsC), cap(it.qv.pack)} {
 			if c > limit {
 				t.Fatalf("item %d keeps a %d-entry buffer, want <= %d", i, c, limit)
 			}

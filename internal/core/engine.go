@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -23,11 +24,11 @@ type engine struct {
 	stride int        // dense dictionary columns per grid point
 	cols   [256]int16 // sector ID -> dense column, -1 when absent
 	// dict holds the linear amplitude of every sector at every grid
-	// point, laid out [(ei*numAz+ai)*stride + col]; NaN marks points the
-	// pattern does not cover (or covers with a non-finite sample).
-	// Values are amp(Pattern.At(az, el)) — the exact quantity the serial
-	// reference computes per call — so the float epilogue (quantEpilogue),
-	// its only reader, reproduces the reference's arithmetic.
+	// point, laid out [(ei*numAz+ai)*stride + col]; every entry is
+	// finite (newEngine rejects holes with ErrPatternHole). Values are
+	// amp(Pattern.At(az, el)) — the exact quantity the serial reference
+	// computes per call — so the float epilogue (quantEpilogue), its
+	// only reader, reproduces the reference's arithmetic.
 	dict []float64
 
 	// Hierarchical coarse-to-fine search (see hier.go): the dense az/el
@@ -38,16 +39,13 @@ type engine struct {
 	cElIdx []int32 // dense el index of each coarse grid row
 
 	// Quantized int16 kernel (see quant.go / tile.go). dictQ is the
-	// fixed-point twin of dict ([0, quantOne] amplitude codes,
-	// quantMissing for NaN) and coarseQ its decimated copy over the
-	// coarse grid, laid out [(ci*len(cAzIdx)+cj)*stride + col]. tilePts
-	// is the L1 tile size of the coarse sweeps, in grid points; fullQ
-	// marks a dictionary with no missing entries, enabling the fused
-	// hoisted-moment sweep (jointQFast).
+	// fixed-point twin of dict ([0, quantOne] amplitude codes) and
+	// coarseQ its decimated copy over the coarse grid, laid out
+	// [(ci*len(cAzIdx)+cj)*stride + col]. tilePts is the L1 tile size of
+	// the coarse sweeps, in grid points.
 	dictQ   []int16
 	coarseQ []int16
 	tilePts int
-	fullQ   bool
 
 	batchScratch sync.Pool // *quantBatchScratch (see tile.go)
 
@@ -55,8 +53,11 @@ type engine struct {
 }
 
 // newEngine precomputes the dictionary from a non-empty pattern set;
-// exact skips the hierarchical coarse grid (Options.ExactSearch).
-func newEngine(set *pattern.Set, exact bool) *engine {
+// exact skips the hierarchical coarse grid (Options.ExactSearch). A grid
+// point where some sector's amplitude is not finite — a gap Pattern.At
+// cannot fill from a neighbouring sample, or an infinite sample — fails
+// with ErrPatternHole.
+func newEngine(set *pattern.Set, exact bool) (*engine, error) {
 	grid := set.Grid()
 	buildStart := time.Now() //lint:allow determinism -- dictionary-build histogram reads the wall clock by design
 	defer metDictBuildSeconds.ObserveSince(buildStart)
@@ -84,12 +85,9 @@ func newEngine(set *pattern.Set, exact bool) *engine {
 		for ei, el := range en.el {
 			base := ei * numAz * en.stride
 			for ai, az := range en.az {
-				// A sample the pattern does not cover, or one whose
-				// amplitude is not finite, is a hole: both the float
-				// epilogue and the quantized sweep skip it.
 				v := amp(p.At(az, el))
-				if math.IsInf(v, 0) {
-					v = math.NaN()
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return nil, fmt.Errorf("core: %w: sector %v at (%g°, %g°)", ErrPatternHole, id, az, el)
 				}
 				en.dict[base+ai*en.stride+col] = v
 			}
@@ -103,7 +101,7 @@ func newEngine(set *pattern.Set, exact bool) *engine {
 		en.buildCoarse()
 	}
 	en.buildQuant()
-	return en
+	return en, nil
 }
 
 // buildCoarse lays out the decimated coarse grid of the hierarchical
@@ -143,8 +141,8 @@ func decimateIndices(n, decim int) []int32 {
 
 // correlateAt is the engine twin of Estimator.correlate at one grid
 // point: identical accumulation order, fixed 64-component capacity,
-// missing-component skips and guards, but with the pattern lookup
-// replaced by a contiguous dictionary read.
+// absent-sector skips and guards, but with the pattern lookup replaced
+// by a contiguous dictionary read.
 func (en *engine) correlateAt(base int, cols []int16, lin []float64) float64 {
 	var xs, ps [64]float64
 	used := 0
@@ -154,9 +152,6 @@ func (en *engine) correlateAt(base int, cols []int16, lin []float64) float64 {
 			continue
 		}
 		x := en.dict[base+int(c)]
-		if math.IsNaN(x) {
-			continue
-		}
 		if used >= len(xs) {
 			break
 		}

@@ -31,6 +31,10 @@ var (
 	// ErrDegenerateSurface reports a correlation surface with no positive
 	// maximum: the measurements carry no directional information.
 	ErrDegenerateSurface = errors.New("correlation surface is degenerate")
+	// ErrPatternHole reports a pattern set that leaves some grid point
+	// without a finite amplitude for some sector. Fill the gaps first
+	// (Pattern.FillGaps).
+	ErrPatternHole = errors.New("pattern set has a hole")
 )
 
 // Probe is the outcome of probing one sector: the firmware's measurement,
@@ -91,12 +95,17 @@ type Estimator struct {
 
 // NewEstimator builds an estimator over the measured patterns and
 // precomputes its correlation dictionary. The set must contain at least
-// two transmit sectors and must not be mutated afterwards.
+// two transmit sectors, must give every sector a finite gain at every
+// grid point (else ErrPatternHole) and must not be mutated afterwards.
 func NewEstimator(patterns *pattern.Set, opts Options) (*Estimator, error) {
 	if patterns == nil || len(patterns.TXIDs()) < 2 {
 		return nil, errors.New("core: estimator needs a pattern set with at least 2 TX sectors")
 	}
-	return &Estimator{patterns: patterns, opts: opts, en: newEngine(patterns, opts.ExactSearch)}, nil
+	en, err := newEngine(patterns, opts.ExactSearch)
+	if err != nil {
+		return nil, err
+	}
+	return &Estimator{patterns: patterns, opts: opts, en: en}, nil
 }
 
 // Patterns returns the pattern set the estimator searches.
@@ -167,8 +176,8 @@ func (e *Estimator) gatherVectors(probes []Probe) (ids []sector.ID, snrLin, rssi
 // hardware: directions where every probed sector has a similar expected
 // gain ("flat" pattern regions behind lobes or at high elevation) would
 // otherwise correlate spuriously well with any near-uniform measurement
-// vector and attract the argmax. Sectors whose pattern value is missing
-// at the point are skipped; fewer than three usable components yield 0.
+// vector and attract the argmax. Sectors absent from the set are
+// skipped; fewer than three usable components yield 0.
 func (e *Estimator) correlate(ids []sector.ID, lin []float64, az, el float64) float64 {
 	var xs, ps [64]float64
 	used := 0
@@ -178,11 +187,7 @@ func (e *Estimator) correlate(ids []sector.ID, lin []float64, az, el float64) fl
 		if p == nil {
 			continue
 		}
-		g := p.At(az, el)
-		if math.IsNaN(g) {
-			continue
-		}
-		x := amp(g)
+		x := amp(p.At(az, el))
 		if used >= len(xs) {
 			break
 		}

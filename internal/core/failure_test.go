@@ -5,6 +5,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -111,6 +112,74 @@ func TestEstimatorPatternsWithHoles(t *testing.T) {
 	}
 	if _, err := est.estimate(context.Background(), probes, NoCell); err != nil {
 		t.Fatalf("holey patterns: %v", err)
+	}
+}
+
+// TestNewEstimatorRejectsHoles: a pattern set that leaves some grid
+// point without a finite amplitude — a gap Pattern.At cannot fill from a
+// neighbouring sample, or an infinite sample — is refused with
+// ErrPatternHole. Isolated NaN samples that Pattern.At fills build fine
+// (TestEstimatorPatternsWithHoles, TestEngineMatchesSerialWithHoles).
+func TestNewEstimatorRejectsHoles(t *testing.T) {
+	grid, err := geom.UniformGrid(-60, 60, 4, 0, 12, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := sector.TalonTX()
+	cases := []struct {
+		name string
+		set  func(t *testing.T) *pattern.Set
+	}{
+		{"adjacent-nan-rows", func(t *testing.T) *pattern.Set {
+			set := pattern.NewSet()
+			for i, id := range ids[:10] {
+				center := -55 + float64(i)*11
+				p := pattern.FromFunc(grid, func(az, el float64) float64 {
+					return 11 - (az-center)*(az-center)/60 - el/4
+				})
+				if i == 3 {
+					// Pattern.At fills one missing row from the next, but
+					// not two adjacent ones.
+					for a := 0; a < grid.NumAz(); a++ {
+						p.Set(a, 2, math.NaN())
+						p.Set(a, 3, math.NaN())
+					}
+				}
+				if err := set.Put(id, p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return set
+		}},
+		{"all-nan", func(t *testing.T) *pattern.Set {
+			set := pattern.NewSet()
+			for _, id := range ids[:8] {
+				if err := set.Put(id, pattern.New(grid)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return set
+		}},
+		{"one-inf", func(t *testing.T) *pattern.Set {
+			set, _ := synthSetup(t)
+			inf := set.Get(ids[5]).Clone()
+			inf.Set(40, 3, math.Inf(1))
+			if err := set.Put(ids[5], inf); err != nil {
+				t.Fatal(err)
+			}
+			return set
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			set := tc.set(t)
+			for _, exact := range []bool{false, true} {
+				est, err := NewEstimator(set, Options{ExactSearch: exact})
+				if !errors.Is(err, ErrPatternHole) || est != nil {
+					t.Fatalf("ExactSearch=%v: got %v, %v; want ErrPatternHole", exact, est, err)
+				}
+			}
+		})
 	}
 }
 

@@ -26,7 +26,7 @@ func shiftProbes(probes []Probe, k int) []Probe {
 // quantum, applied to every reading of a probe vector must leave the
 // selected sector, the fallback decision and the argmax cell unchanged.
 // A dB offset is a linear scale, under which the Pearson correlation is
-// invariant; quantizeVec moves each vector's maximum to the top of the
+// invariant; windowOffset moves each vector's maximum to the top of the
 // quantization window, so the shifted vector encodes to the same int16
 // codes and the fallback sweep's argmax over reported SNR is
 // shift-invariant too. The same holds on every production path:

@@ -72,7 +72,7 @@ func (s *peakSearch) next(ctx context.Context) (pk AoAEstimate, ok bool, err err
 	l := ix.Locate(s.last.Az, s.last.El)
 	cancelPath(ix, l, s.probes, it.snrDB)
 	cancelPath(ix, l, s.probes, it.rssiDB)
-	it.quantize(en.fullQ)
+	it.quantize()
 	bestA, bestE, bestW, err := en.denseArgmaxQ(ctx, &it.qv, s.skip, e.opts.SNROnly)
 	if err != nil || bestW <= 0 {
 		return AoAEstimate{}, false, err

@@ -23,8 +23,11 @@ import (
 //     precomputed table — the per-probe math.Pow of the serial path
 //     disappears entirely.
 //   - Dictionary amplitudes are scaled to [0, quantOne] codes once at
-//     newEngine time; NaN (uncovered grid point) becomes the quantMissing
-//     sentinel, mirroring the serial reference's NaN skip.
+//     newEngine time. The dictionary has no holes: NewEstimator rejects
+//     a pattern set with a non-finite amplitude at any grid point
+//     (ErrPatternHole), so every grid point correlates the same
+//     component set and the probe-side moments are per-estimate
+//     constants.
 //   - The Pearson correlation is computed from raw integer moments
 //     (n, Σp, Σx, Σpx, Σp², Σx²) accumulated in int32. quantOne is 4095
 //     (12 bits) precisely so the moments cannot overflow: with at most
@@ -35,7 +38,7 @@ import (
 //     cross terms n·Σpx − Σp·Σx are exact.
 //
 // Pearson correlation is invariant under positive affine maps of either
-// vector, so the per-vector dB offset (quantizeVec) and the global
+// vector, so the per-vector dB offset (windowOffset) and the global
 // dictionary scale change nothing but rounding noise. The search — the
 // O(grid·M) part — runs entirely on int16 codes; the final estimate is
 // then produced by a float epilogue (quantEpilogue) that re-evaluates
@@ -57,9 +60,6 @@ const (
 	quantBits = 12
 	// quantOne is the full-scale amplitude code.
 	quantOne = 1<<quantBits - 1
-	// quantMissing marks dictionary entries the pattern does not cover
-	// (the float dictionary's NaN).
-	quantMissing = int16(-1)
 	// quantMaxComponents caps the correlation components per grid point,
 	// mirroring the float correlation's fixed 64-component gather capacity.
 	quantMaxComponents = 64
@@ -121,39 +121,32 @@ func DequantizeProbe(code int16) float64 {
 	return radio.SNRMinDB + float64(code)*probeStepDB
 }
 
-// quantizeVec encodes one measurement vector (raw dB readings) as
-// amplitude codes, appending to dst. The vector is shifted so its
-// maximum lands at the top of the quantization window — Pearson
-// correlation is invariant under the shift (a dB offset is a linear
-// scale), and the shift is what keeps RSSI vectors (≈ −70 dBm) and
-// imputed floor values inside the window. The offset is rounded up to
-// the code lattice so lattice-aligned inputs (everything real firmware
-// reports) stay lattice-aligned and encode losslessly. Components more
-// than 19 dB below the vector maximum saturate at the window floor;
-// their linear amplitude is ≤ 1.2% of the maximum, which is also where
-// the float64 reference's own sensitivity ends.
+// windowOffset returns the dB shift that moves one measurement vector
+// (raw dB readings) to the top of the quantization window: its maximum
+// lands at SNRMaxDB. Pearson correlation is invariant under the shift (a
+// dB offset is a linear scale), and the shift is what keeps RSSI vectors
+// (≈ −70 dBm) and imputed floor values inside the window. The offset is
+// rounded up to the code lattice so lattice-aligned inputs (everything
+// real firmware reports) stay lattice-aligned and encode losslessly.
+// Components more than 19 dB below the vector maximum saturate at the
+// window floor; their linear amplitude is ≤ 1.2% of the maximum, which is
+// also where the float64 reference's own sensitivity ends.
 //
 // Components whose sector is absent from the dictionary (cols[i] < 0)
 // are excluded from the maximum: the correlation skips them at every
 // grid point, but a rogue reading among them (e.g. a probe for an
 // unknown sector) would otherwise shift the window and saturate every
-// real component to the floor. Their codes still occupy a slot to keep
-// dst parallel to cols.
+// real component to the floor.
 //
 //talon:noalloc
-func quantizeVec(dst []int16, db []float64, cols []int16) []int16 {
+func windowOffset(db []float64, cols []int16) float64 {
 	maxDB := math.Inf(-1)
 	for i, v := range db {
 		if cols[i] >= 0 && v > maxDB {
 			maxDB = v
 		}
 	}
-	off := math.Ceil((maxDB-radio.SNRMaxDB)/probeStepDB) * probeStepDB
-	for _, v := range db {
-		//lint:allow noalloc -- dst arrives resliced to [:0] from the scratch pool; growth amortizes there
-		dst = append(dst, ampCodes[QuantizeProbe(v-off)])
-	}
-	return dst
+	return math.Ceil((maxDB-radio.SNRMaxDB)/probeStepDB) * probeStepDB
 }
 
 // buildQuant quantizes the dense dictionary to int16 codes and copies
@@ -162,11 +155,11 @@ func quantizeVec(dst []int16, db []float64, cols []int16) []int16 {
 // amplitude to full scale — Pearson invariance makes the choice free —
 // and the coarse codes are copied from the dense ones row by row, so a
 // grid point shared by both quantized dictionaries scores
-// bit-identically. Non-finite amplitudes are already NaN holes in the
-// float dictionary (newEngine) and quantize to quantMissing; a
-// dictionary with no positive amplitude at all quantizes at unit scale,
-// where every grid point then scores 0 and estimates fail with
-// ErrDegenerateSurface like the serial reference.
+// bit-identically. newEngine has already rejected non-finite
+// amplitudes (ErrPatternHole); a dictionary with no positive amplitude
+// at all quantizes at unit scale, where every grid point then scores 0
+// and estimates fail with ErrDegenerateSurface like the serial
+// reference.
 func (en *engine) buildQuant() {
 	maxAmp := 0.0
 	for _, v := range en.dict {
@@ -179,13 +172,7 @@ func (en *engine) buildQuant() {
 		scale = quantOne / maxAmp
 	}
 	en.dictQ = make([]int16, len(en.dict))
-	en.fullQ = true
 	for i, v := range en.dict {
-		if math.IsNaN(v) {
-			en.dictQ[i] = quantMissing
-			en.fullQ = false
-			continue
-		}
 		c := math.Round(v * scale)
 		if c > quantOne {
 			c = quantOne
@@ -209,141 +196,46 @@ func (en *engine) buildQuant() {
 	metQuantTilePoints.Set(int64(en.tilePts))
 }
 
-// correlateQ is the quantized twin of engine.correlateAt: Eq. 2 over
-// one dictionary row, computed from single-pass int32 raw moments
-// instead of the float path's two-pass centered form. Component
-// selection mirrors the float arithmetic exactly — skip absent columns,
-// skip quantMissing (NaN) entries, cap at quantMaxComponents, fewer than
-// three usable components yield 0 — so the two disagree only by
-// rounding.
-//
-//talon:noalloc
-func correlateQ(dictQ []int16, base int, cols []int16, pq []int16) float64 {
-	var n, sp, sx, spx, spp, sxx int32
-	for i, c := range cols {
-		if c < 0 {
-			continue
-		}
-		x := int32(dictQ[base+int(c)])
-		if x < 0 {
-			continue
-		}
-		if n >= quantMaxComponents {
-			break
-		}
-		p := int32(pq[i])
-		n++
-		sp += p
-		sx += x
-		spx += p * x
-		spp += p * p
-		sxx += x * x
-	}
-	if n < 3 {
-		return 0
-	}
-	// n·Σpx − Σp·Σx = n²·cov(p,x); the int64 products are exact.
-	cov := int64(n)*int64(spx) - int64(sp)*int64(sx)
-	varP := int64(n)*int64(spp) - int64(sp)*int64(sp)
-	varX := int64(n)*int64(sxx) - int64(sx)*int64(sx)
-	if varP == 0 || varX == 0 {
-		return 0
-	}
-	if cov < 0 {
-		// Anti-correlated shapes are no evidence, as in the float path.
-		return 0
-	}
-	return float64(cov) * float64(cov) / (float64(varP) * float64(varX))
-}
-
-// quantVec is the quantized view of one gathered measurement: the full
-// code vectors parallel to the column map (the always-correct path) and,
-// when the dictionary has no missing entries, a compacted copy with the
-// grid-point-invariant probe moments hoisted out of the sweep.
+// quantVec is the quantized view of one gathered measurement: the
+// components whose sector is in the dictionary (cols >= 0), truncated at
+// quantMaxComponents, with the grid-point-invariant probe moments hoisted
+// out of the sweep. The dictionary has no holes, so the component set is
+// identical at every grid point and n, Σp and n·Σp² − (Σp)² are
+// per-estimate constants. pack[i] carries both probe codes SWAR-style —
+// SNR in the low half, RSSI in the high half — so one 64-bit
+// multiply-accumulate per component produces both cross moments (see
+// jointQ).
 type quantVec struct {
-	cols        []int16 // dictionary column per component; < 0 = absent sector
-	snrQ, rssiQ []int16 // amplitude codes, parallel to cols
-
-	// Fast-path view (full dictionaries only): the cols >= 0 components,
-	// truncated at quantMaxComponents. With no missing entries the
-	// component set is identical at every grid point, so n, Σp and
-	// n·Σp² − (Σp)² are per-estimate constants. pack[i] carries both
-	// probe codes SWAR-style — SNR in the low half, RSSI in the high
-	// half — so one 64-bit multiply-accumulate per component produces
-	// both cross moments (see jointQFast).
-	full              bool
-	colsC             []int32
-	pack              []int64
+	cols              []int16 // dictionary column per gathered component; < 0 = absent sector
+	colsC             []int32 // dictionary column per correlated component
+	pack              []int64 // SNR | RSSI<<32 amplitude codes, parallel to colsC
 	n                 int32
 	snrSp, rssiSp     int32
 	snrVarP, rssiVarP int64
 }
 
-// compact builds the fast-path view from the full vectors. The
-// truncation matches the slow path's component cap: with a full
-// dictionary the first quantMaxComponents usable components are the same
-// at every grid point.
-//
-//talon:noalloc
-func (qv *quantVec) compact() {
-	qv.colsC, qv.pack = qv.colsC[:0], qv.pack[:0]
-	var spS, sppS, spR, sppR int32
-	for i, c := range qv.cols {
-		if c < 0 {
-			continue
-		}
-		if len(qv.colsC) == quantMaxComponents {
-			break
-		}
-		ps, pr := int32(qv.snrQ[i]), int32(qv.rssiQ[i])
-		qv.colsC = append(qv.colsC, int32(c))
-		qv.pack = append(qv.pack, int64(ps)|int64(pr)<<32)
-		spS += ps
-		sppS += ps * ps
-		spR += pr
-		sppR += pr * pr
-	}
-	n := int32(len(qv.colsC))
-	qv.n, qv.snrSp, qv.rssiSp = n, spS, spR
-	qv.snrVarP = int64(n)*int64(sppS) - int64(spS)*int64(spS)
-	qv.rssiVarP = int64(n)*int64(sppR) - int64(spR)*int64(spR)
-}
-
 // jointQ evaluates the joint Eq. 5 correlation at one dictionary base
-// offset on the quantized kernel. The w = cov²/(varP·varX) form is
+// offset on the quantized kernel: Eq. 2 from single-pass int32 raw
+// moments (n, Σp, Σx, Σpx, Σp², Σx²) instead of the float path's
+// two-pass centered form. One fused sweep of the row accumulates the
+// dictionary moments (Σx, Σx²) and both cross moments (Σpx for SNR and
+// RSSI), so each int16 code is loaded once for the whole Eq. 5 product;
+// the probe-side moments come precomputed from quantize(). Component
+// selection mirrors the float arithmetic — skip absent columns, cap at
+// quantMaxComponents, fewer than three components yield 0 — so the two
+// disagree only by rounding. The w = cov²/(varP·varX) form is
 // dimensionless, so quantized scores live on the same [0, 1] scale as
 // float ones and the fallbackCorr threshold applies unchanged.
-//
-//talon:noalloc
-func jointQ(dictQ []int16, pt int, qv *quantVec, snrOnly bool) float64 {
-	if qv.full {
-		return jointQFast(dictQ, pt, qv, snrOnly)
-	}
-	v := correlateQ(dictQ, pt, qv.cols, qv.snrQ)
-	if v != 0 && !snrOnly {
-		v *= correlateQ(dictQ, pt, qv.cols, qv.rssiQ)
-	}
-	return v
-}
-
-// jointQFast is jointQ over a full dictionary: one fused sweep of the
-// row accumulates the dictionary moments (Σx, Σx²) and both cross
-// moments (Σpx for SNR and RSSI), so each int16 code is loaded once for
-// the whole Eq. 5 product; the probe-side moments come precomputed from
-// compact(). Value-identical to the slow path — same component set,
-// same exact int64 centered moments, same float combining order — just
-// without the per-component branches and the second pass.
 //
 // Both accumulators are SWAR pairs: every partial sum that lands in a
 // low half is bounded by quantMaxComponents·quantOne² = 64·4095² < 2³¹,
 // so the low half can never carry into the high half and the two packed
 // running sums stay exact. mom packs Σx² (low) with Σx (high); cross
 // packs Σ snr·x (low) with Σ rssi·x (high) via the precomputed pack
-// codes. Two 64-bit multiplies per component replace the scalar path's
-// three multiplies and four separate accumulators.
+// codes.
 //
 //talon:noalloc
-func jointQFast(dictQ []int16, pt int, qv *quantVec, snrOnly bool) float64 {
+func jointQ(dictQ []int16, pt int, qv *quantVec, snrOnly bool) float64 {
 	n := qv.n
 	if n < 3 {
 		return 0
@@ -545,18 +437,40 @@ func (e *Estimator) gatherQuant(it *quantItem, probes []Probe) {
 	}
 }
 
-// quantize encodes the gathered dB vectors into the item's quantVec and,
-// over full dictionaries, builds its compacted fast-path view.
+// quantize encodes the gathered dB vectors into the item's quantVec:
+// each vector is shifted by its windowOffset and mapped to amplitude
+// codes, the components of absent sectors are dropped, and the probe
+// moments are hoisted. The first quantMaxComponents present components
+// are the same at every grid point, so the truncation matches the float
+// path's component cap.
 //
 //talon:noalloc
-func (it *quantItem) quantize(full bool) {
+func (it *quantItem) quantize() {
 	qv := &it.qv
-	qv.snrQ = quantizeVec(qv.snrQ[:0], it.snrDB, qv.cols)
-	qv.rssiQ = quantizeVec(qv.rssiQ[:0], it.rssiDB, qv.cols)
-	qv.full = full
-	if full {
-		qv.compact()
+	offS := windowOffset(it.snrDB, qv.cols)
+	offR := windowOffset(it.rssiDB, qv.cols)
+	qv.colsC, qv.pack = qv.colsC[:0], qv.pack[:0]
+	var spS, sppS, spR, sppR int32
+	for i, c := range qv.cols {
+		if c < 0 {
+			continue
+		}
+		if len(qv.colsC) == quantMaxComponents {
+			break
+		}
+		ps := int32(ampCodes[QuantizeProbe(it.snrDB[i]-offS)])
+		pr := int32(ampCodes[QuantizeProbe(it.rssiDB[i]-offR)])
+		qv.colsC = append(qv.colsC, int32(c))
+		qv.pack = append(qv.pack, int64(ps)|int64(pr)<<32)
+		spS += ps
+		sppS += ps * ps
+		spR += pr
+		sppR += pr * pr
 	}
+	n := int32(len(qv.colsC))
+	qv.n, qv.snrSp, qv.rssiSp = n, spS, spR
+	qv.snrVarP = int64(n)*int64(sppS) - int64(spS)*int64(spS)
+	qv.rssiVarP = int64(n)*int64(sppR) - int64(spR)*int64(spR)
 }
 
 // ampTab spans [-120, 40] dB on the quarter-dB lattice — every SNR or

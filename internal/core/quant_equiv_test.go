@@ -11,7 +11,6 @@ import (
 	"talon/internal/dot11ad"
 	"talon/internal/fault"
 	"talon/internal/geom"
-	"talon/internal/pattern"
 	"talon/internal/radio"
 	"talon/internal/sector"
 	"talon/internal/stats"
@@ -372,194 +371,4 @@ func TestQuantConcurrentUse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-}
-
-// TestQuantHoleyDictionary routes a dictionary with NaN holes through
-// the production kernel and gates it against the serial oracle. Single
-// holes exercise the nearest-valid corner substitution baked into the
-// dictionary at build time; two adjacent missing elevation rows leave
-// real dictionary NaNs, which disable the fused fast path (the missing
-// sentinel must be re-checked at every grid point). Structured
-// observations must track the oracle's sector within a 5% budget;
-// random garbage readings with missed reports must match its error
-// class on every trial, and bit for bit whenever both pick the same
-// cell.
-func TestQuantHoleyDictionary(t *testing.T) {
-	grid, err := geom.UniformGrid(-60, 60, 4, 0, 12, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := pattern.NewSet()
-	gains := make(map[sector.ID]func(az, el float64) float64)
-	for i := 1; i <= 10; i++ {
-		id := sector.ID(i)
-		center := -55 + float64(i)*11
-		gain := func(az, el float64) float64 {
-			return 11 - (az-center)*(az-center)/60 - el/4
-		}
-		gains[id] = gain
-		p := pattern.FromFunc(grid, gain)
-		p.Set(i, 0, math.NaN())
-		p.Set(i+5, 1, math.NaN())
-		if i == 4 {
-			// Two adjacent full missing elevation rows defeat the engine's
-			// nearest-corner substitution (Pattern.At only returns NaN when
-			// all four bracket corners are missing) and leave real
-			// dictionary NaNs.
-			for a := 0; a < grid.NumAz(); a++ {
-				p.Set(a, 2, math.NaN())
-				p.Set(a, 3, math.NaN())
-			}
-		}
-		if err := set.Put(id, p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	est, err := NewEstimator(set, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.en.fullQ {
-		t.Fatal("holey dictionary built a full (hole-free) quantized kernel")
-	}
-	ctx := context.Background()
-	rng := stats.NewRNG(59)
-	mismatches, trials := 0, 0
-	for trial := 0; trial < 60; trial++ {
-		az := -50 + 100*rng.Float64()
-		probes := make([]Probe, 0, 10)
-		for i := 1; i <= 10; i++ {
-			id := sector.ID(i)
-			g := gains[id](az, 4)
-			probes = append(probes, Probe{
-				Sector: id,
-				Meas:   radio.Measurement{SNR: g - 4 + rng.Norm(0, 0.5), RSSI: g - 74 + rng.Norm(0, 0.5)},
-				OK:     true,
-			})
-		}
-		qSel, qErr := est.SelectSector(ctx, probes)
-		sSel, sErr := est.SelectSectorSerial(probes)
-		if !sameErrClass(qErr, sErr) {
-			t.Fatalf("trial %d: error parity broken: quant %v, serial %v", trial, qErr, sErr)
-		}
-		if qErr != nil {
-			continue
-		}
-		trials++
-		if qSel.Sector != sSel.Sector {
-			mismatches++
-		}
-	}
-	if trials < 50 {
-		t.Fatalf("only %d successful holey trials", trials)
-	}
-	if budget := trials / 20; mismatches > budget {
-		t.Fatalf("holey-dictionary selections diverged on %d of %d trials (budget %d)", mismatches, trials, budget)
-	}
-
-	rng = stats.NewRNG(3)
-	cellDiv := 0
-	for trial := 0; trial < 50; trial++ {
-		probes := make([]Probe, 0, 10)
-		for i := 1; i <= 10; i++ {
-			probes = append(probes, Probe{
-				Sector: sector.ID(i),
-				Meas:   radio.Measurement{SNR: -5 + 20*rng.Float64(), RSSI: -75 + 20*rng.Float64()},
-				OK:     rng.Float64() > 0.3,
-			})
-		}
-		label := fmt.Sprintf("garbage trial=%d", trial)
-		gotAoA, gotErr := est.estimate(ctx, probes, NoCell)
-		refAoA, refErr := est.EstimateAoASerial(probes)
-		if !sameErrClass(gotErr, refErr) {
-			t.Fatalf("%s: engine err %v, serial err %v", label, gotErr, refErr)
-		}
-		if gotErr == nil && !checkEpilogue(t, label, gotAoA, refAoA) {
-			cellDiv++
-		}
-	}
-	t.Logf("holey dictionary: %d/%d structured sector divergences, %d/50 garbage-reading cell divergences",
-		mismatches, trials, cellDiv)
-}
-
-// TestQuantNonFiniteDictionary feeds the production kernel dictionaries
-// with no usable amplitude at all (every sample NaN: patterns created
-// with pattern.New and never filled) and with a single +Inf sample. Both
-// must stay on the quantized kernel — non-finite samples quantize as
-// holes — match the serial oracle's error class on every call, and
-// never panic.
-func TestQuantNonFiniteDictionary(t *testing.T) {
-	ctx := context.Background()
-	ids := sector.TalonTX()
-
-	t.Run("all-nan", func(t *testing.T) {
-		grid, err := geom.UniformGrid(-60, 60, 4, 0, 12, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		set := pattern.NewSet()
-		for _, id := range ids[:8] {
-			if err := set.Put(id, pattern.New(grid)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		est, err := NewEstimator(set, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, c := range est.en.dictQ {
-			if c != quantMissing {
-				t.Fatalf("dictQ[%d] = %d, want quantMissing", i, c)
-			}
-		}
-		probes := make([]Probe, 0, 8)
-		for i, id := range ids[:8] {
-			probes = append(probes, Probe{Sector: id, Meas: radio.Measurement{SNR: float64(i), RSSI: -70 + float64(i)}, OK: true})
-		}
-		_, qErr := est.estimate(ctx, probes, NoCell)
-		_, sErr := est.EstimateAoASerial(probes)
-		if !errors.Is(qErr, ErrDegenerateSurface) || !sameErrClass(qErr, sErr) {
-			t.Fatalf("want ErrDegenerateSurface on both paths, got quant %v, serial %v", qErr, sErr)
-		}
-		qSel, qErr := est.SelectSector(ctx, probes)
-		sSel, sErr := est.SelectSectorSerial(probes)
-		if !sameErrClass(qErr, sErr) || !sameSelection(qSel, sSel) {
-			t.Fatalf("selection parity broken: quant %+v %v, serial %+v %v", qSel, qErr, sSel, sErr)
-		}
-	})
-
-	t.Run("one-inf", func(t *testing.T) {
-		set, gain := synthSetup(t)
-		inf := set.Get(ids[5]).Clone()
-		inf.Set(40, 3, math.Inf(1))
-		if err := set.Put(ids[5], inf); err != nil {
-			t.Fatal(err)
-		}
-		est, err := NewEstimator(set, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(est.en.dictQ) == 0 || est.en.fullQ {
-			t.Fatal("+Inf sample did not quantize as a dictionary hole")
-		}
-		rng := stats.NewRNG(67)
-		model := radio.DefaultMeasurementModel()
-		for trial := 0; trial < 40; trial++ {
-			ps, err := RandomProbes(rng, ids, 14)
-			if err != nil {
-				t.Fatal(err)
-			}
-			probes := observe(t, gain, ps.IDs(), -78+156*rng.Float64(), 28*rng.Float64(), model, rng)
-			_, qErr := est.estimate(ctx, probes, NoCell)
-			_, sErr := est.EstimateAoASerial(probes)
-			if !sameErrClass(qErr, sErr) {
-				t.Fatalf("trial %d: estimate error parity broken: quant %v, serial %v", trial, qErr, sErr)
-			}
-			_, qErr = est.SelectSector(ctx, probes)
-			_, sErr = est.SelectSectorSerial(probes)
-			if !sameErrClass(qErr, sErr) {
-				t.Fatalf("trial %d: select error parity broken: quant %v, serial %v", trial, qErr, sErr)
-			}
-		}
-	})
 }

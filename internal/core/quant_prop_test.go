@@ -107,7 +107,7 @@ func TestAmpCodesTable(t *testing.T) {
 			t.Fatalf("ampCodes not monotone at %d: %d < %d", c, v, ampCodes[c-1])
 		}
 	}
-	// The overflow argument of correlateQ: the worst raw second moment at
+	// The overflow argument of jointQ: the worst raw second moment at
 	// the component cap must fit int32.
 	worst := int64(quantMaxComponents) * int64(quantOne) * int64(quantOne)
 	if worst > math.MaxInt32 {
@@ -117,7 +117,7 @@ func TestAmpCodesTable(t *testing.T) {
 
 // TestQuantizeVecLatticeAligned: a lattice-aligned vector (what real
 // firmware reports) must hit the ampCodes table at exact lattice points
-// after the window shift — i.e. the shift itself is lattice-aligned.
+// after the window shift — i.e. windowOffset itself is lattice-aligned.
 func TestQuantizeVecLatticeAligned(t *testing.T) {
 	rng := stats.NewRNG(71)
 	cols := make([]int16, 14)
@@ -131,12 +131,13 @@ func TestQuantizeVecLatticeAligned(t *testing.T) {
 			db[i] = offset + q
 			cols[i] = int16(i)
 		}
-		codes := quantizeVec(nil, db, cols)
+		off := windowOffset(db, cols)
 		maxDB := math.Inf(-1)
 		for _, v := range db {
 			maxDB = math.Max(maxDB, v)
 		}
-		for i, c := range codes {
+		for i, v := range db {
+			c := ampCodes[QuantizeProbe(v-off)]
 			// Reconstruct the expected code: distance below the vector max
 			// in probe steps, saturating at the floor.
 			steps := math.Round((maxDB - db[i]) / probeStepDB)
@@ -152,20 +153,51 @@ func TestQuantizeVecLatticeAligned(t *testing.T) {
 	}
 }
 
-// TestQuantFastSlowParity pins the fused SWAR sweep (jointQFast) to the
-// branchy reference path bit for bit: over a full dictionary both
-// accumulate the identical exact integer moments, so every grid point
-// must score identically whichever path computes it.
-func TestQuantFastSlowParity(t *testing.T) {
+// jointQScalar is the scalar-moment reference of jointQ: the same
+// component set and probe codes (read back from pack), but six separate
+// int32 accumulators per correlation and no hoisted probe moments.
+func jointQScalar(dictQ []int16, pt int, qv *quantVec, snrOnly bool) float64 {
+	corr := func(shift uint) float64 {
+		var n, sp, sx, spx, spp, sxx int32
+		for i, c := range qv.colsC {
+			x := int32(dictQ[pt+int(c)])
+			p := int32(uint32(qv.pack[i] >> shift))
+			n++
+			sp += p
+			sx += x
+			spx += p * x
+			spp += p * p
+			sxx += x * x
+		}
+		if n < 3 {
+			return 0
+		}
+		cov := int64(n)*int64(spx) - int64(sp)*int64(sx)
+		varP := int64(n)*int64(spp) - int64(sp)*int64(sp)
+		varX := int64(n)*int64(sxx) - int64(sx)*int64(sx)
+		if varP == 0 || varX == 0 || cov < 0 {
+			return 0
+		}
+		return float64(cov) * float64(cov) / (float64(varP) * float64(varX))
+	}
+	v := corr(0)
+	if v != 0 && !snrOnly {
+		v *= corr(32)
+	}
+	return v
+}
+
+// TestQuantSWARMatchesScalar pins the fused SWAR sweep (jointQ) to the
+// scalar-moment reference bit for bit: both accumulate the identical
+// exact integer moments, so every grid point must score identically
+// whichever computes it.
+func TestQuantSWARMatchesScalar(t *testing.T) {
 	set, gain := synthSetup(t)
 	est, err := NewEstimator(set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	en := est.en
-	if len(en.dictQ) == 0 || !en.fullQ {
-		t.Fatal("synthetic dictionary did not build a full quantized kernel")
-	}
 	rng := stats.NewRNG(73)
 	for trial := 0; trial < 10; trial++ {
 		az := -60 + 120*rng.Float64()
@@ -174,16 +206,14 @@ func TestQuantFastSlowParity(t *testing.T) {
 		if est.gatherQuant(it, probes); it.reported < 2 {
 			t.Fatal("gather produced too few probes")
 		}
-		it.quantize(true)
-		slow := it.qv
-		slow.full = false
+		it.quantize()
 		for _, snrOnly := range []bool{false, true} {
 			for pt := 0; pt < len(en.az)*len(en.el); pt++ {
 				base := pt * en.stride
-				fast := jointQ(en.dictQ, base, &it.qv, snrOnly)
-				ref := jointQ(en.dictQ, base, &slow, snrOnly)
-				if fast != ref {
-					t.Fatalf("trial %d pt %d snrOnly=%v: fast %v != slow %v", trial, pt, snrOnly, fast, ref)
+				got := jointQ(en.dictQ, base, &it.qv, snrOnly)
+				ref := jointQScalar(en.dictQ, base, &it.qv, snrOnly)
+				if got != ref {
+					t.Fatalf("trial %d pt %d snrOnly=%v: SWAR %v != scalar %v", trial, pt, snrOnly, got, ref)
 				}
 			}
 		}

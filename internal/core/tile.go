@@ -175,7 +175,7 @@ func (e *Estimator) quantChunk(ctx context.Context, batch []BatchItem, items []q
 			it.done = true
 			continue
 		}
-		it.quantize(en.fullQ)
+		it.quantize()
 		if hint := batch[i].Hint; hint != NoCell {
 			metWarmHints.Inc()
 			if bestA, bestE, _, ok := en.warmArgmaxQ(&it.qv, hint, snrOnly); ok {

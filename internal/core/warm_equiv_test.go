@@ -226,7 +226,7 @@ func quantWindowBest(est *Estimator, probes []Probe, hint Cell) float64 {
 	if est.gatherQuant(it, probes); it.reported < 2 {
 		return -1
 	}
-	it.quantize(est.en.fullQ)
+	it.quantize()
 	_, _, w, _ := est.en.warmArgmaxQ(&it.qv, hint, est.opts.SNROnly)
 	return w
 }

@@ -194,10 +194,11 @@ func RunSimRecorded(ctx context.Context, est *core.Estimator, patterns *pattern.
 // ReplaySim rebuilds a fresh Manager and drives it from the recorded
 // event stream under dir/base instead of the live generator: preseed
 // records arrive synchronously, each epoch's records are dispatched and
-// the epoch stepped when the stream moves past it. The workload RNG is
-// never consulted, yet the scorecard is byte-identical to the recording
-// run's — including its queue-drop count, which re-emerges from the
-// Manager's own backpressure.
+// the epoch stepped when the stream moves past it. A record for an
+// epoch already stepped or beyond cfg.Epochs fails the replay. The
+// workload RNG is never consulted, yet the scorecard is byte-identical
+// to the recording run's — including its queue-drop count, which
+// re-emerges from the Manager's own backpressure.
 func ReplaySim(ctx context.Context, est *core.Estimator, patterns *pattern.Set, cfg SimConfig, dir, base string) (*Scorecard, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -237,7 +238,14 @@ func ReplaySim(ctx context.Context, est *core.Estimator, patterns *pattern.Set, 
 				}
 				continue
 			}
-			// Events for epoch e carry Epoch e+1 and precede its Step.
+			// Events for epoch e carry Epoch e+1 and precede its Step, so
+			// a recorded epoch lies in [stepped+1, cfg.Epochs].
+			switch e := int64(r.Epoch); {
+			case e > int64(cfg.Epochs):
+				return fmt.Errorf("fleet: replay event for epoch %d, run has %d epochs", e-1, cfg.Epochs)
+			case e <= int64(stepped):
+				return fmt.Errorf("fleet: replay event for epoch %d after epoch %d was stepped", e-1, stepped-1)
+			}
 			for stepped < int(r.Epoch)-1 {
 				if err := step(); err != nil {
 					return err

@@ -53,8 +53,9 @@
 // ErrNotJailbroken (a firmware feature needs a missing patch),
 // ErrTooFewProbes (probe budget or reported measurements below the
 // minimum), ErrDegenerateSurface (measurements carry no directional
-// information), and ErrUnknownSector (a sector ID the hardware does not
-// know).
+// information), ErrPatternHole (a pattern set with a grid point no
+// sample covers), and ErrUnknownSector (a sector ID the hardware does
+// not know).
 package talon
 
 import (
@@ -144,6 +145,9 @@ var (
 	// ErrDegenerateSurface reports a correlation surface with no positive
 	// maximum: the measurements carry no directional information.
 	ErrDegenerateSurface = core.ErrDegenerateSurface
+	// ErrPatternHole reports a pattern set that leaves some grid point
+	// without a finite gain for some sector; fill the gaps first.
+	ErrPatternHole = core.ErrPatternHole
 	// ErrUnknownSector reports a sector ID outside the hardware's
 	// codebook or the 6-bit on-air range.
 	ErrUnknownSector = sector.ErrUnknown

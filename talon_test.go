@@ -258,4 +258,18 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := talon.NewTrainer(link, patterns, talon.WithM(1)); !errors.Is(err, talon.ErrTooFewProbes) {
 		t.Fatalf("WithM(1): want ErrTooFewProbes, got %v", err)
 	}
+	// A sector with two adjacent unmeasured elevation rows leaves grid
+	// points Pattern.At cannot fill: the trainer refuses the set.
+	id := patterns.IDs()[0]
+	holey := patterns.Get(id).Clone()
+	for a := 0; a < patterns.Grid().NumAz(); a++ {
+		holey.Set(a, 0, math.NaN())
+		holey.Set(a, 1, math.NaN())
+	}
+	if err := patterns.Put(id, holey); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := talon.NewTrainer(link, patterns); !errors.Is(err, talon.ErrPatternHole) {
+		t.Fatalf("holey patterns: want ErrPatternHole, got %v", err)
+	}
 }
