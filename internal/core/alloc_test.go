@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -264,5 +265,86 @@ func TestBackupZeroAllocSteadyState(t *testing.T) {
 				t.Fatalf("steady-state SelectWithBackup allocates %.1f times per call, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestErrorPathZeroAlloc guards the per-item error path: a batch whose
+// every estimate fails — no reported probe, one reported probe, or two
+// (a degenerate surface) — and a SelectSector with no reported probe
+// must not allocate, since a fleet serves such rounds every epoch. The
+// errors are package-level values, so the test also pins their messages
+// and their sentinels.
+func TestErrorPathZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed under the race detector")
+	}
+	set, gain := synthSetup(t)
+	est, err := NewEstimator(set, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(59)
+	ids := sector.TalonTX()
+	silent := observe(t, gain, ids[:8], 10, 6, quietModel(), rng)
+	for i := range silent {
+		silent[i].OK = false
+	}
+	one := observe(t, gain, ids[:1], 10, 6, quietModel(), rng)
+	two := observe(t, gain, ids[:2], 10, 6, quietModel(), rng)
+	ctx := context.Background()
+
+	for _, tc := range []struct {
+		probes   []Probe
+		sentinel error
+		msg      string
+	}{
+		{silent, ErrTooFewProbes, "core: too few probes: need at least 2 reported probes, have 0"},
+		{one, ErrTooFewProbes, "core: too few probes: need at least 2 reported probes, have 1"},
+		{two, ErrDegenerateSurface, "core: correlation surface is degenerate"},
+	} {
+		_, err := est.estimate(ctx, tc.probes, NoCell)
+		if err == nil || err.Error() != tc.msg || !errors.Is(err, tc.sentinel) {
+			t.Fatalf("estimate error %v, want %q wrapping %v", err, tc.msg, tc.sentinel)
+		}
+	}
+	if _, err := est.finishSelection(silent, AoAEstimate{}, nil); err == nil ||
+		err.Error() != "core: too few probes: no probe reported a measurement" || !errors.Is(err, ErrTooFewProbes) {
+		t.Fatalf("selection without a reported probe: error %v", err)
+	}
+
+	items := make([]BatchItem, 0, 3*batchChunk)
+	for i := 0; i < batchChunk; i++ {
+		items = append(items, BatchItem{Probes: silent}, BatchItem{Probes: one}, BatchItem{Probes: two})
+	}
+	buf, err := est.SelectSectorBatchInto(ctx, items, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range buf {
+		if i%3 == 0 && !errors.Is(r.Err, ErrTooFewProbes) {
+			t.Fatalf("item %d (no reported probe): error %v, want ErrTooFewProbes", i, r.Err)
+		}
+		if i%3 != 0 && (r.Err != nil || !r.Selection.Fallback) {
+			t.Fatalf("item %d: %+v, want a fallback selection", i, r)
+		}
+	}
+	var batchErr, selErr error
+	allocs := testing.AllocsPerRun(50, func() {
+		buf, batchErr = est.SelectSectorBatchInto(ctx, items, 1, buf)
+	})
+	if batchErr != nil {
+		t.Fatal(batchErr)
+	}
+	if allocs != 0 {
+		t.Fatalf("failing batch allocates %.1f times per call, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(50, func() {
+		_, selErr = est.SelectSector(ctx, silent)
+	})
+	if !errors.Is(selErr, ErrTooFewProbes) {
+		t.Fatalf("SelectSector with no reported probe: error %v, want ErrTooFewProbes", selErr)
+	}
+	if allocs != 0 {
+		t.Fatalf("SelectSector with no reported probe allocates %.1f times per call, want 0", allocs)
 	}
 }

@@ -37,6 +37,26 @@ var (
 	ErrPatternHole = errors.New("pattern set has a hole")
 )
 
+// The estimate pipeline's per-item errors, built once so that an item
+// failing in a batch allocates nothing. The reported-probe count only
+// reaches the message at 0 or 1, so two values cover it.
+var (
+	errNoneReported  = fmt.Errorf("core: %w: need at least 2 reported probes, have 0", ErrTooFewProbes)
+	errOneReported   = fmt.Errorf("core: %w: need at least 2 reported probes, have 1", ErrTooFewProbes)
+	errDegenerate    = fmt.Errorf("core: %w", ErrDegenerateSurface)
+	errNoMeasurement = fmt.Errorf("core: %w: no probe reported a measurement", ErrTooFewProbes)
+	errNoUsableTX    = errors.New("core: pattern set has no usable TX sector")
+)
+
+// tooFewReported returns the error of a probe vector with reported < 2
+// usable measurements.
+func tooFewReported(reported int) error {
+	if reported == 0 {
+		return errNoneReported
+	}
+	return errOneReported
+}
+
 // Probe is the outcome of probing one sector: the firmware's measurement,
 // or a miss (OK == false) when no report was produced.
 type Probe struct {
@@ -253,7 +273,7 @@ func (e *Estimator) EstimateAoASerial(probes []Probe) (AoAEstimate, error) {
 	metEstimatesSerial.Inc()
 	ids, snrLin, rssiLin, reported := e.gatherVectors(probes)
 	if reported < 2 {
-		return AoAEstimate{}, fmt.Errorf("core: %w: need at least 2 reported probes, have %d", ErrTooFewProbes, reported)
+		return AoAEstimate{}, tooFewReported(reported)
 	}
 	grid := e.patterns.Grid()
 	if grid == nil {
@@ -279,7 +299,7 @@ func (e *Estimator) EstimateAoASerial(probes []Probe) (AoAEstimate, error) {
 		w[ei] = row
 	}
 	if bestW <= 0 {
-		return AoAEstimate{}, fmt.Errorf("core: %w", ErrDegenerateSurface)
+		return AoAEstimate{}, errDegenerate
 	}
 
 	az := refineAxis(azAxis, bestA, func(i int) float64 { return w[bestE][i] })
@@ -386,14 +406,14 @@ func (e *Estimator) finishSelection(probes []Probe, aoa AoAEstimate, err error) 
 			if err != nil {
 				return Selection{}, err
 			}
-			return Selection{}, fmt.Errorf("core: %w: no probe reported a measurement", ErrTooFewProbes)
+			return Selection{}, errNoMeasurement
 		}
 		metSelectFallback.Inc()
 		return Selection{Sector: id, Gain: math.NaN(), AoA: aoa, Fallback: true}, nil
 	}
 	id, gain := e.patterns.BestSector(aoa.Az, aoa.El)
 	if math.IsNaN(gain) {
-		return Selection{}, errors.New("core: pattern set has no usable TX sector")
+		return Selection{}, errNoUsableTX
 	}
 	return Selection{Sector: id, Gain: gain, AoA: aoa}, nil
 }

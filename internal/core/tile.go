@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 )
 
@@ -170,8 +169,7 @@ func (e *Estimator) quantChunk(ctx context.Context, batch []BatchItem, items []q
 		it.kept, it.done, it.aoa, it.err = 0, false, AoAEstimate{}, nil
 		e.gatherQuant(it, batch[i].Probes)
 		if it.reported < 2 {
-			//lint:allow noalloc -- cold error path; the steady state skips the formatting branch
-			it.err = fmt.Errorf("core: %w: need at least 2 reported probes, have %d", ErrTooFewProbes, it.reported)
+			it.err = tooFewReported(it.reported)
 			it.done = true
 			continue
 		}
@@ -230,8 +228,7 @@ func (e *Estimator) quantChunk(ctx context.Context, batch []BatchItem, items []q
 		it.done = true
 		if bestW <= 0 {
 			metDegenerate.Inc()
-			//lint:allow noalloc -- cold error path; the steady state skips the formatting branch
-			it.err = fmt.Errorf("core: %w", ErrDegenerateSurface)
+			it.err = errDegenerate
 			continue
 		}
 		it.aoa = e.quantEpilogue(it, bestA, bestE)

@@ -6,9 +6,9 @@
 // of thousands to millions of concurrent links.
 //
 // The package trades the frame-level fidelity of internal/wil for a
-// lightweight per-station channel model (~100 bytes per link): reference
-// SNR, log-distance pathloss and the measured 3D sector patterns, with
-// the firmware defect model of internal/radio applied probe by probe.
+// lightweight per-station channel model: reference SNR, log-distance
+// pathloss and the measured 3D sector patterns, with the firmware defect
+// model of internal/radio applied probe by probe.
 // Everything is driven by virtual time in fixed epochs, so a fixed seed
 // reproduces the same fleet byte for byte at any shard or worker count.
 //
@@ -20,6 +20,14 @@
 // fires, popped from a per-shard timer heap — and books the quiet
 // tracked epochs of every other station lazily, so a mostly static
 // fleet's epoch cost follows its activity, not its size.
+//
+// Memory follows traffic the same way. Per-shard event queues start
+// empty, hold 64 events from their first Step on and grow on demand up
+// to the queue depth (see reserve), and the scan and serve scratch (the
+// pending queue, request lists, visit sets, due lists and event
+// buffers) shrinks back after a burst: a buffer whose capacity exceeds
+// four times its use in a Step, a use below 64 entries counting as 64,
+// is reallocated at twice that (see trimmed).
 package fleet
 
 import (
@@ -92,8 +100,12 @@ func WithCapacity(n int) Option { return func(c *config) { c.capacity = n } }
 // (GOMAXPROCS).
 func WithBatchWorkers(n int) Option { return func(c *config) { c.batchWorkers = n } }
 
-// WithQueueDepth sets the per-shard bounded event queue depth; Dispatch
-// drops (and counts) events beyond it. Default 1024.
+// WithQueueDepth sets the most events one shard may queue between two
+// Steps; Dispatch drops (and counts) events beyond it. A queue reserves
+// no more than its traffic needs: 64 events (or the depth, if smaller),
+// growing on demand up to the depth. A shard keeps two such buffers —
+// the queue and the events the last Step applied — so under a flooding
+// producer it holds up to twice the depth in memory. Default 1024.
 func WithQueueDepth(n int) Option { return func(c *config) { c.queueDepth = n } }
 
 // WithLossSampleStride records the tracking SNR loss of one in n
@@ -197,7 +209,16 @@ type shard struct {
 	recs  []station
 	hot   []hotStation
 	free  []int32
-	queue chan Event
+
+	// qmu guards events, the queue Dispatch appends to (at most
+	// queueDepth entries). The scan swaps it with drain under qmu and
+	// applies drain under mu alone, so Dispatch holds qmu for one append
+	// and never waits for a scan. qmu nests inside mu, never around it.
+	qmu    sync.Mutex
+	events []Event
+	// drain holds the events the last scan applied; it becomes the next
+	// empty queue at the following swap.
+	drain []Event
 
 	// due lists the slots the next scan visits whatever their deadline:
 	// arrivals, stations an event touched, and stations that need the
@@ -222,10 +243,9 @@ type shard struct {
 	partial tally
 }
 
-// request is one queued training round.
+// request is one queued training round; its shard is shardOf(id).
 type request struct {
-	id      StationID
-	shardIx int
+	id StationID
 	// trigger is the virtual time the round was requested; the epoch
 	// boundary it completes at minus trigger is its queueing latency.
 	trigger time.Duration
@@ -314,10 +334,7 @@ func New(est *core.Estimator, patterns *pattern.Set, opts ...Option) (*Manager, 
 		gainRef:  patterns.MeanPeakGain(),
 	}
 	for i := range m.shards {
-		m.shards[i] = &shard{
-			index: make(map[StationID]int32),
-			queue: make(chan Event, cfg.queueDepth),
-		}
+		m.shards[i] = &shard{index: make(map[StationID]int32)}
 		m.shards[i].partial.init()
 	}
 	m.acc.init()
@@ -430,15 +447,39 @@ func (m *Manager) departLocked(sh *shard, id StationID) bool {
 
 // Dispatch enqueues an event on its station's shard queue, to be applied
 // at the start of the next Step. It returns false (and counts a drop)
-// when the bounded queue is full.
+// when the shard already holds queueDepth events.
+//
+//talon:noalloc
 func (m *Manager) Dispatch(ev Event) bool {
-	select {
-	case m.shardOf(ev.Station).queue <- ev:
-		return true
-	default:
+	sh := m.shardOf(ev.Station)
+	sh.qmu.Lock()
+	defer sh.qmu.Unlock()
+	if len(sh.events) >= m.cfg.queueDepth {
 		metQueueDrops.Inc()
 		return false
 	}
+	q := m.reserve(sh.events)
+	sh.events = q[:len(q)+1]
+	sh.events[len(q)] = ev
+	return true
+}
+
+// reserve returns the event buffer q if it has room for one more event,
+// and otherwise a copy of q with room: twice its length, at least
+// trimFloor events and at most the queue depth, so no buffer outgrows
+// the depth. scanShard reserves each fresh queue, so from its first
+// Step on a shard takes trimFloor events between two Steps without
+// allocating.
+//
+//talon:noalloc
+func (m *Manager) reserve(q []Event) []Event {
+	if len(q) < cap(q) {
+		return q
+	}
+	//lint:allow noalloc -- grow-on-demand: a queue grows only past the events one shard received between two Steps, and keeps that size until a quieter Step trims it (see TestDispatchZeroAllocSteadyState)
+	r := make([]Event, len(q), min(max(2*len(q), trimFloor), m.cfg.queueDepth))
+	copy(r, q)
+	return r
 }
 
 // Snapshot returns the station's current state, or ok=false if unknown.

@@ -25,7 +25,18 @@ import (
 //     trackers are always due;
 //   - every degraded station has a live timer-heap entry, and only quiet
 //     trackers have an open accrual window;
-//   - the timer slice is a min-heap on fire epoch.
+//   - the timer slice is a min-heap on fire epoch;
+//   - the hot impairment flags match the cold fields they summarize:
+//     flagDrift ⟺ a nonzero drift rate, flagBlocked ⟺ blockage epochs
+//     left, and while the cached serving gain is valid, flagRecheck ⟺
+//     that gain is NaN;
+//   - no shard queues more than queueDepth events, and no event buffer
+//     has room for more;
+//   - the request list and both event buffers of every shard hold at
+//     most 4 × max(their use in the last Step, trimFloor) capacity. The
+//     Step leaves their use readable as lengths; the due list, visit
+//     set and pending queue lose it once the Step is done with them, so
+//     TestScanScratchShrinksAfterBurst checks those by capacity.
 func (m *Manager) checkInvariants(pendingBase int64) (int, error) {
 	m.stepMu.Lock()
 	defer m.stepMu.Unlock()
@@ -72,6 +83,9 @@ func (m *Manager) checkShard(sh *shard, queued map[StationID]bool) (int, error) 
 			return 0, fmt.Errorf("timer heap order broken at entry %d", i)
 		}
 	}
+	if err := m.checkShardBuffers(sh); err != nil {
+		return 0, err
+	}
 	due := make(map[int32]bool, len(sh.due))
 	for _, slot := range sh.due {
 		due[slot] = true
@@ -86,6 +100,15 @@ func (m *Manager) checkShard(sh *shard, queued map[StationID]bool) (int, error) 
 		st, h := &sh.recs[slot], &sh.hot[slot]
 		if st.id != id {
 			return 0, fmt.Errorf("index maps station %d to slot %d holding %d", id, slot, st.id)
+		}
+		if drift := st.driftDegPerSec != 0; drift != (h.flags&flagDrift != 0) {
+			return 0, fmt.Errorf("station %d: drift %g°/s, flags %#x", id, st.driftDegPerSec, h.flags)
+		}
+		if blocked := st.blockEpochsLeft > 0; blocked != (h.flags&flagBlocked != 0) {
+			return 0, fmt.Errorf("station %d: %d blockage epochs left, flags %#x", id, st.blockEpochsLeft, h.flags)
+		}
+		if recheck := st.curGain != st.curGain; st.gainValid && recheck != (h.flags&flagRecheck != 0) {
+			return 0, fmt.Errorf("station %d: cached serving gain %g, flags %#x", id, st.curGain, h.flags)
 		}
 		quiet := h.state == StateTracking && h.flags == 0 && m.cfg.degradeDropDB >= 0
 		switch {
@@ -109,6 +132,34 @@ func (m *Manager) checkShard(sh *shard, queued map[StationID]bool) (int, error) 
 		}
 	}
 	return live, nil
+}
+
+// checkShardBuffers holds shard sh's event buffers to the queue depth
+// and its request list and event buffers to the trim rule (shard lock
+// held). The request list and the drained events are the last scan's
+// use; the fresh queue was trimmed by the drained count and may have
+// grown since by Dispatch, whose doubling keeps it within the rule.
+func (m *Manager) checkShardBuffers(sh *shard) error {
+	sh.qmu.Lock()
+	queued, queueCap := len(sh.events), cap(sh.events)
+	sh.qmu.Unlock()
+	depth := m.cfg.queueDepth
+	if queued > depth || queueCap > depth || cap(sh.drain) > depth {
+		return fmt.Errorf("%d queued events, buffer capacities %d and %d, depth %d", queued, queueCap, cap(sh.drain), depth)
+	}
+	for _, b := range []struct {
+		name          string
+		capacity, use int
+	}{
+		{"reqs", cap(sh.reqs), len(sh.reqs)},
+		{"drain", cap(sh.drain), len(sh.drain)},
+		{"events", queueCap, max(queued, len(sh.drain))},
+	} {
+		if bound := 4 * max(b.use, trimFloor); b.capacity > bound {
+			return fmt.Errorf("%s has capacity %d after a Step that used %d entries, want <= %d", b.name, b.capacity, b.use, bound)
+		}
+	}
+	return nil
 }
 
 // invariantChecker runs checkInvariants after each Step of one manager.

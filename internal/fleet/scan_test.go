@@ -2,8 +2,10 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -236,4 +238,128 @@ func (m *Manager) dueStations(evs []Event) int {
 		sh.mu.Unlock()
 	}
 	return len(due)
+}
+
+// TestScanScratchShrinksAfterBurst checks that a burst leaves no
+// burst-sized scratch behind, and that trimming changes nothing the
+// fleet does. 4,096 arrivals and two Steps of 3,000 queued events each
+// grow the pending queue and every shard's request list, visit set, due
+// list and both event buffers; after the first quiet Step every shard
+// buffer is back under 4 × trimFloor entries, and so is the pending
+// queue once its rounds are served. checkInvariants holds the request
+// lists and event buffers to the trim rule after every Step. A training
+// capacity of 500 rounds per Step keeps rounds queued while the pending
+// queue is trimmed. Pending() after every Step, the final scorecard and
+// every station must match a run whose buffers are replaced after each
+// Step by exact-size copies, which carry no burst-sized history.
+func TestScanScratchShrinksAfterBurst(t *testing.T) {
+	const n, events = 4096, 3000
+	type outcome struct {
+		pending   []int
+		scorecard []byte
+		stations  []Snapshot
+	}
+	run := func(clip bool) outcome {
+		m, _ := testFleet(t, WithShards(4), WithSeed(12), WithBatchWorkers(1),
+			WithCapacity(500), WithRetrainInterval(time.Hour))
+		inv := newInvariantChecker(m)
+		ctx := context.Background()
+		arriveSpread(t, m, n)
+		var out outcome
+		trimmedWithLeftover := false
+		for e := 0; e < 12; e++ {
+			// A drift-stopping mobility event puts its station on the due
+			// list and changes nothing else, so the quiet epochs stay
+			// quiet.
+			if e < 2 {
+				for i := 0; i < events; i++ {
+					if !m.Dispatch(Event{Kind: EventMobility, Station: StationID(i)}) {
+						t.Fatalf("event %d dropped", i)
+					}
+				}
+			}
+			for i := 0; e >= 2 && i < 8; i++ {
+				m.Dispatch(Event{Kind: EventMobility, Station: StationID((131*e + 17*i) % n)})
+			}
+			before := cap(m.pending)
+			if err := m.Step(ctx); err != nil {
+				t.Fatal(err)
+			}
+			inv.check(t)
+			if cap(m.pending) < before && len(m.pending) > 0 {
+				trimmedWithLeftover = true
+			}
+			switch {
+			case clip:
+				m.clipScratch()
+			case e == 0:
+				for i, sh := range m.shards {
+					if cap(sh.visit) < n/8 || cap(sh.drain) < events/8 {
+						t.Fatalf("shard %d: burst Step left visit capacity %d, drain %d; the burst did not reach it", i, cap(sh.visit), cap(sh.drain))
+					}
+				}
+			case e == 2:
+				for i, sh := range m.shards {
+					for name, c := range map[string]int{
+						"reqs": cap(sh.reqs), "visit": cap(sh.visit), "due": cap(sh.due),
+						"drain": cap(sh.drain), "events": cap(sh.events),
+					} {
+						if c > 4*trimFloor {
+							t.Errorf("shard %d: %s keeps capacity %d after the first quiet Step, want <= %d", i, name, c, 4*trimFloor)
+						}
+					}
+				}
+			}
+			out.pending = append(out.pending, m.Pending())
+		}
+		if !clip && !trimmedWithLeftover {
+			t.Error("the pending queue was never trimmed while holding queued rounds")
+		}
+		if c := cap(m.pending); !clip && c > 4*trimFloor {
+			t.Errorf("pending queue keeps capacity %d after its rounds were served, want <= %d", c, 4*trimFloor)
+		}
+		if out.pending[len(out.pending)-1] != 0 {
+			t.Fatalf("%d rounds still pending after 12 Steps", out.pending[len(out.pending)-1])
+		}
+		var err error
+		if out.scorecard, err = json.Marshal(m.scorecard(SimConfig{}, 0)); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			snap, _ := m.Snapshot(StationID(i))
+			out.stations = append(out.stations, snap)
+		}
+		return out
+	}
+	got, want := run(false), run(true)
+	if !reflect.DeepEqual(got.pending, want.pending) {
+		t.Fatalf("Pending() per Step %v, exact-size run %v", got.pending, want.pending)
+	}
+	if string(got.scorecard) != string(want.scorecard) {
+		t.Fatalf("scorecard differs from the exact-size run:\n%s\n%s", got.scorecard, want.scorecard)
+	}
+	for i := range got.stations {
+		if got.stations[i] != want.stations[i] {
+			t.Fatalf("station %d: %+v, exact-size run %+v", i, got.stations[i], want.stations[i])
+		}
+	}
+}
+
+// clipScratch replaces every trimmed buffer with an exact-size copy of
+// its contents.
+func (m *Manager) clipScratch() {
+	m.stepMu.Lock()
+	defer m.stepMu.Unlock()
+	m.pending = slices.Clip(slices.Clone(m.pending))
+	for _, sh := range m.shards {
+		sh.mu.Lock()
+		sh.reqs = slices.Clip(slices.Clone(sh.reqs))
+		sh.visit = slices.Clip(slices.Clone(sh.visit))
+		sh.due = slices.Clip(slices.Clone(sh.due))
+		sh.drain = slices.Clip(slices.Clone(sh.drain))
+		sh.qmu.Lock()
+		sh.events = slices.Clip(slices.Clone(sh.events))
+		sh.qmu.Unlock()
+		sh.mu.Unlock()
+	}
 }

@@ -14,7 +14,7 @@ import (
 
 // Step advances the fleet by one epoch of virtual time:
 //
-//  1. Every shard drains its bounded event queue and applies the events,
+//  1. Every shard swaps out its event queue and applies the events,
 //     then visits the stations with work due — arrivals, stations an
 //     event touched, impaired stations and those whose deadline fires —
 //     in ascending-ID order: advancing mobility drift, expiring
@@ -37,6 +37,10 @@ import (
 //     and degrade. Virtual selection latency (queueing + training
 //     airtime) and SNR loss versus the ground-truth best sector feed the
 //     scorecard tally.
+//
+// Each scratch buffer is trimmed (see trimmed) once the Step has used
+// it: the event buffers, due list, visit set and request list by their
+// shard's scan, the pending queue at the end of the Step.
 //
 // A Step whose context is cancelled while serving still commits the
 // epoch: the batches already applied leave the pending queue, the rest
@@ -71,6 +75,7 @@ func (m *Manager) Step(ctx context.Context) error {
 		sh.partial.reset()
 		sh.mu.Unlock()
 	}
+	queued := len(m.pending)
 	metScanVisits.Add(int64(visits))
 	metScanSeconds.ObserveSince(start)
 
@@ -83,6 +88,7 @@ func (m *Manager) Step(ctx context.Context) error {
 	served, err := m.serve(ctx, m.pending[:serve], epochEnd)
 	n := copy(m.pending, m.pending[served:])
 	m.pending = m.pending[:n]
+	m.pending = trimmed(m.pending, queued)
 
 	m.now.Store(int64(epochEnd))
 	m.epoch++
@@ -116,9 +122,10 @@ func (m *Manager) scanShards(epochStart, epochEnd time.Duration) {
 	wg.Wait()
 }
 
-// scanShard drains shard i's event queue and visits the stations with
-// work due this epoch in ascending-ID order. Holds the shard lock
-// throughout so concurrent Arrive/Depart stay safe.
+// scanShard applies shard i's queued events and visits the stations with
+// work due this epoch in ascending-ID order, trimming each scratch
+// buffer once it is done with it. Holds the shard lock throughout so
+// concurrent Arrive/Depart stay safe.
 //
 // The visit set is the due list (arrivals, stations the drained events
 // touched, impaired stations and degrade-always trackers) plus the timer
@@ -140,16 +147,18 @@ func (m *Manager) scanShard(i int, epochStart, epochEnd time.Duration) {
 	sh.reqs = sh.reqs[:0]
 	epochIx := m.epoch
 
-	// Drain the bounded queue. Only events queued before Step are
-	// guaranteed to apply this epoch. Every station an event leaves in
-	// place lands on the due list.
-	for n := len(sh.queue); n > 0; n-- {
-		ev, ok := <-sh.queue
-		if !ok {
-			break
-		}
+	// Swap the queue for the buffer the last scan drained, then apply
+	// the swapped-out events in FIFO order; events dispatched after the
+	// swap apply next epoch. The fresh queue is trimmed by this epoch's
+	// event count and reserved (see reserve). Every station an event
+	// leaves in place lands on the due list.
+	sh.qmu.Lock()
+	sh.events, sh.drain = m.reserve(trimmed(sh.drain[:0], len(sh.events))), sh.events
+	sh.qmu.Unlock()
+	for _, ev := range sh.drain {
 		m.applyEventLocked(sh, ev)
 	}
+	sh.drain = trimmed(sh.drain, len(sh.drain))
 
 	vis := sh.visit[:0]
 	for _, slot := range sh.due {
@@ -157,15 +166,16 @@ func (m *Manager) scanShard(i int, epochStart, epochEnd time.Duration) {
 			vis = append(vis, visitKey{id: sh.recs[slot].id, slot: slot})
 		}
 	}
-	sh.due = sh.due[:0]
+	sh.due = trimmed(sh.due[:0], len(sh.due))
 	for len(sh.timers) > 0 && sh.timers[0].fire <= epochIx {
 		t := sh.popTimer()
 		if h := &sh.hot[t.slot]; armed(h) && m.fireEpoch(h.deadline) == t.fire {
 			vis = append(vis, visitKey{id: sh.recs[t.slot].id, slot: t.slot})
 		}
 	}
+	visitUse := len(vis) // duplicates included
 	slices.SortFunc(vis, cmpVisit)
-	vis = slices.Compact(vis)
+	vis = trimmed(slices.Compact(vis), visitUse)
 	sh.visit = vis
 
 	dt := epochEnd.Seconds() - epochStart.Seconds()
@@ -178,9 +188,10 @@ func (m *Manager) scanShard(i int, epochStart, epochEnd time.Duration) {
 		st := &sh.recs[v.slot]
 		m.settle(st, epochIx, &sh.partial)
 		st.accruing = false
-		m.scanStation(sh, i, v.slot, epochStart, epochEnd, dt, epochIx, want)
+		m.scanStation(sh, v.slot, epochStart, epochEnd, dt, epochIx, want)
 		m.park(sh, v.slot, epochIx+1)
 	}
+	sh.reqs = trimmed(sh.reqs, len(sh.reqs))
 	sh.cursor = epochIx + 1
 	m.compactTimers(sh)
 }
@@ -191,7 +202,7 @@ func cmpVisit(a, b visitKey) int { return cmp.Compare(a.id, b.id) }
 // expiry and the state-machine actions for every lifecycle state.
 //
 //talon:noalloc
-func (m *Manager) scanStation(sh *shard, i int, slot int32, epochStart, epochEnd time.Duration, dt float64, epochIx uint64, want uint32) {
+func (m *Manager) scanStation(sh *shard, slot int32, epochStart, epochEnd time.Duration, dt float64, epochIx uint64, want uint32) {
 	st, h := &sh.recs[slot], &sh.hot[slot]
 	// Mobility drift and blockage expiry happen for every station,
 	// whatever its state.
@@ -211,7 +222,7 @@ func (m *Manager) scanStation(sh *shard, i int, slot int32, epochStart, epochEnd
 		m.toState(h, evTrain)
 		//lint:allow noalloc -- sh.reqs arrives resliced to [:0] from scanShard; growth settles after the first training wave (see TestScanZeroAllocSteadyState)
 		sh.reqs = append(sh.reqs, request{
-			id: st.id, shardIx: i,
+			id:      st.id,
 			trigger: epochStart + triggerJitter(m.cfg.seed, st.id, epochIx, m.cfg.epoch),
 		})
 		metPending.Add(1)
@@ -234,7 +245,7 @@ func (m *Manager) scanStation(sh *shard, i int, slot int32, epochStart, epochEnd
 			m.toState(h, evRetrain)
 			//lint:allow noalloc -- sh.reqs arrives resliced to [:0] from scanShard; growth settles after the first training wave (see TestScanZeroAllocSteadyState)
 			sh.reqs = append(sh.reqs, request{
-				id: st.id, shardIx: i, retrain: true,
+				id: st.id, retrain: true,
 				trigger: epochStart + triggerJitter(m.cfg.seed, st.id, epochIx, m.cfg.epoch),
 			})
 			metPending.Add(1)
@@ -249,7 +260,7 @@ func (m *Manager) scanStation(sh *shard, i int, slot int32, epochStart, epochEnd
 			m.toState(h, evRetrain)
 			//lint:allow noalloc -- sh.reqs arrives resliced to [:0] from scanShard; growth settles after the first training wave (see TestScanZeroAllocSteadyState)
 			sh.reqs = append(sh.reqs, request{
-				id: st.id, shardIx: i, retrain: true,
+				id: st.id, retrain: true,
 				trigger: epochStart + triggerJitter(m.cfg.seed, st.id, epochIx, m.cfg.epoch),
 			})
 			metPending.Add(1)
@@ -440,6 +451,34 @@ func triggerJitter(seed int64, id StationID, epoch uint64, d time.Duration) time
 	return time.Duration(h % uint64(d))
 }
 
+// trimFloor is the smallest use the scratch trim rule sizes a buffer by,
+// so a near-idle shard keeps a little headroom instead of reallocating
+// whenever its traffic flickers between a few entries.
+const trimFloor = 64
+
+// trimmed returns s unchanged unless its capacity exceeds 4 × max(use,
+// trimFloor) — the mark of a buffer sized by an earlier, larger burst —
+// in which case it returns a copy of s at capacity 2 × that. use is the
+// buffer's use in the current Step and must be at least len(s).
+//
+// The rule reads nothing but the buffer and its use. A steady load never
+// reallocates: append growth leaves a buffer under 4× its use, and a
+// trimmed one has 2× headroom. A load that swings widely pays at most
+// one copy of n entries per Step in which it used n, far less than the
+// n rounds, visits or events that filled the buffer.
+//
+//talon:noalloc
+func trimmed[T any](s []T, use int) []T {
+	u := max(use, trimFloor)
+	if cap(s) <= 4*u {
+		return s
+	}
+	//lint:allow noalloc -- shrink after a burst: reached only when capacity exceeds 4× this Step's use, which a steady load never does
+	t := make([]T, len(s), 2*u)
+	copy(t, s)
+	return t
+}
+
 // serveChunk is how many training rounds one batch serves. It bounds the
 // per-Step serve scratch — the probe arena at serveChunk × M probes, the
 // batch item, live-index and result buffers at serveChunk entries — so a
@@ -494,7 +533,7 @@ func (m *Manager) serveBatch(ctx context.Context, chunk []request, epochEnd time
 	m.live = m.live[:0]
 	warm := m.cfg.warmStart
 	for ci, r := range chunk {
-		sh := m.shards[r.shardIx]
+		sh := m.shardOf(r.id)
 		sh.mu.Lock()
 		slot, ok := sh.index[r.id]
 		if !ok || !inFlight(sh.hot[slot].state) {
@@ -523,7 +562,7 @@ func (m *Manager) serveBatch(ctx context.Context, chunk []request, epochEnd time
 		m.results = results
 		for bi, res := range results {
 			r := chunk[m.live[bi]]
-			sh := m.shards[r.shardIx]
+			sh := m.shardOf(r.id)
 			sh.mu.Lock()
 			slot, ok := sh.index[r.id]
 			if !ok {
