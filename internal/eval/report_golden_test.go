@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"talon/internal/stats"
 	"talon/internal/testutil"
 )
 
@@ -37,5 +38,19 @@ func TestReportGoldens(t *testing.T) {
 			t.Fatal(err)
 		}
 		golden(t, "density", r)
+	})
+	t.Run("retraining", func(t *testing.T) {
+		// A fresh platform, not quickStudy's: the shared devices carry
+		// RNG state from whichever tests ran before under -shuffle.
+		ctx := context.Background()
+		p, err := NewPlatform(ctx, 42, Quick().PatternGrid, Quick().CampaignRepeats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := RetrainingStudy(ctx, p, 20, quickRetrainingDuration, stats.NewRNG(13))
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden(t, "retraining", r)
 	})
 }
