@@ -89,9 +89,6 @@ func main() {
 	if *workers > 0 {
 		runtime.GOMAXPROCS(*workers)
 	}
-	if *exact {
-		eval.SetEstimatorOptions(core.Options{ExactSearch: true})
-	}
 	cleanup, err := obs.HookCLI(*metricsOut, *debugAddr, *cpuProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "evalrunner:", err)
@@ -207,6 +204,11 @@ func buildPlatform(ctx context.Context, f eval.Fidelity) (*eval.Platform, error)
 	p, err := eval.NewPlatform(ctx, *seed, f.PatternGrid, f.CampaignRepeats)
 	if err != nil {
 		return nil, err
+	}
+	if *exact {
+		if p.Estimator, err = core.NewEstimator(p.Patterns, core.Options{ExactSearch: true}); err != nil {
+			return nil, err
+		}
 	}
 	fmt.Fprintf(os.Stderr, "platform ready in %v\n", time.Since(start).Round(time.Millisecond))
 	return p, nil

@@ -17,10 +17,10 @@
 //
 // determinism and ctxfirst are scoped to the deterministic library
 // packages (internal/{core,eval,fault,wil,channel,stats,testbed,
-// session,fleet,tracestore}); lockdiscipline and atomicmix extend that
+// fleet,tracestore}); lockdiscipline and atomicmix extend that
 // scope with internal/obs (where the mutexes live); goroutinescope
 // binds the packages that promise structured concurrency
-// (internal/{core,eval,fleet,session,tracestore,obs}); metricname,
+// (internal/{core,eval,fleet,tracestore,obs}); metricname,
 // senterr and noalloc apply module-wide. cmd/ binaries own their roots,
 // wall clocks and goroutines by design. Findings are suppressed
 // line-by-line with `//lint:allow <analyzer> -- <reason>`; an allow
@@ -46,16 +46,16 @@ import (
 
 // libScopeRe matches the import paths of the deterministic library
 // packages that determinism and ctxfirst bind.
-var libScopeRe = regexp.MustCompile(`/internal/(core|eval|fault|wil|channel|stats|testbed|session|fleet|tracestore)(/|$)`)
+var libScopeRe = regexp.MustCompile(`/internal/(core|eval|fault|wil|channel|stats|testbed|fleet|tracestore)(/|$)`)
 
 // concScopeRe adds internal/obs to the library scope for the mutex- and
 // atomic-convention analyzers: obs is excused from determinism (it
 // wraps the wall clock) but its locks follow the same discipline.
-var concScopeRe = regexp.MustCompile(`/internal/(core|eval|fault|wil|channel|stats|testbed|session|fleet|tracestore|obs)(/|$)`)
+var concScopeRe = regexp.MustCompile(`/internal/(core|eval|fault|wil|channel|stats|testbed|fleet|tracestore|obs)(/|$)`)
 
 // goScopeRe matches the packages that promise structured concurrency:
 // every goroutine they launch is joined or cancellation-scoped.
-var goScopeRe = regexp.MustCompile(`/internal/(core|eval|fleet|session|tracestore|obs)(/|$)`)
+var goScopeRe = regexp.MustCompile(`/internal/(core|eval|fleet|tracestore|obs)(/|$)`)
 
 func main() {
 	golden := flag.String("golden", "", "metric inventory file (default <module>/testdata/metric_names.golden)")

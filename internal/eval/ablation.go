@@ -205,7 +205,7 @@ func AblationProbeSelection(ctx context.Context, p *Platform, traces []testbed.T
 			if err != nil {
 				continue
 			}
-			azErrs = append(azErrs, math.Abs(geom.WrapAz(sel.AoA.Az-tr.TrueAz)))
+			azErrs = append(azErrs, geom.AzDist(sel.AoA.Az, tr.TrueAz))
 			if loss, ok := snrLoss(tr, sel.Sector); ok {
 				losses = append(losses, loss)
 			}

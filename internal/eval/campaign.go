@@ -250,25 +250,11 @@ func RecordCampaign(ctx context.Context, p *Platform, cfg CampaignConfig) ([]tra
 	return w.Close()
 }
 
-// Campaign scorecard histogram bounds: SNR loss in milli-dB, azimuth
-// error in milli-degrees. Fixed bounds + int64 counters keep the
-// aggregate byte-identical at any worker count.
-var (
-	campaignLossBoundsMilli  = []int64{0, 250, 500, 1000, 2000, 3000, 5000, 10000, 20000}
-	campaignAzErrBoundsMilli = []int64{0, 500, 1000, 2000, 5000, 10000, 20000, 45000, 90000}
-)
-
-// milliDB converts an SNR loss to milli-dB fixed point, clamping NaN and
-// noise-won negatives to zero and capping at 1000 dB.
-func milliDB(db float64) int64 {
-	if math.IsNaN(db) || db < 0 {
-		return 0
-	}
-	if db > 1000 {
-		db = 1000
-	}
-	return int64(math.Round(db * 1000))
-}
+// campaignAzErrBoundsMilli are the campaign scorecard's azimuth-error
+// histogram bounds in milli-degrees (SNR loss uses stats.NewLossHist).
+// Fixed bounds + int64 counters keep the aggregate byte-identical at any
+// worker count.
+var campaignAzErrBoundsMilli = []int64{0, 500, 1000, 2000, 5000, 10000, 20000, 45000, 90000}
 
 // milliDeg converts a non-negative angle error to milli-degrees.
 func milliDeg(deg float64) int64 {
@@ -293,7 +279,7 @@ type campaignTally struct {
 
 func newCampaignTally() campaignTally {
 	return campaignTally{
-		loss:  stats.NewIntHist(campaignLossBoundsMilli),
+		loss:  stats.NewLossHist(),
 		azErr: stats.NewIntHist(campaignAzErrBoundsMilli),
 	}
 }
@@ -308,18 +294,6 @@ func (t *campaignTally) merge(o *campaignTally) {
 	t.azErr.Merge(&o.azErr)
 }
 
-// LossSummary reports an SNR-loss distribution in milli-dB fixed point
-// (the same schema fleet scorecards use).
-type LossSummary struct {
-	Count    int64   `json:"count"`
-	P50Milli int64   `json:"p50_millidb"`
-	P90Milli int64   `json:"p90_millidb"`
-	P99Milli int64   `json:"p99_millidb"`
-	MaxMilli int64   `json:"max_millidb"`
-	MeanDB   float64 `json:"mean_db"`
-	Buckets  []int64 `json:"buckets"`
-}
-
 // AngleSummary reports an angle-error distribution in milli-degrees.
 type AngleSummary struct {
 	Count    int64   `json:"count"`
@@ -329,18 +303,6 @@ type AngleSummary struct {
 	MaxMilli int64   `json:"max_millideg"`
 	MeanDeg  float64 `json:"mean_deg"`
 	Buckets  []int64 `json:"buckets"`
-}
-
-func lossSummaryOf(h *stats.IntHist) LossSummary {
-	return LossSummary{
-		Count:    h.Count(),
-		P50Milli: h.Quantile(0.50),
-		P90Milli: h.Quantile(0.90),
-		P99Milli: h.Quantile(0.99),
-		MaxMilli: h.Max(),
-		MeanDB:   float64(h.Mean()) / 1000,
-		Buckets:  h.Counts(),
-	}
 }
 
 func angleSummaryOf(h *stats.IntHist) AngleSummary {
@@ -357,13 +319,13 @@ func angleSummaryOf(h *stats.IntHist) AngleSummary {
 
 // CampaignSection aggregates one seed range of the campaign.
 type CampaignSection struct {
-	Trials     int64        `json:"trials"`
-	Failures   int64        `json:"select_failures"`
-	Fallbacks  int64        `json:"fallbacks"`
-	Drift      int64        `json:"selection_drift"`
-	ProbesLost int64        `json:"probes_lost"`
-	Loss       LossSummary  `json:"selection_snr_loss"`
-	AzErr      AngleSummary `json:"azimuth_error"`
+	Trials     int64             `json:"trials"`
+	Failures   int64             `json:"select_failures"`
+	Fallbacks  int64             `json:"fallbacks"`
+	Drift      int64             `json:"selection_drift"`
+	ProbesLost int64             `json:"probes_lost"`
+	Loss       stats.LossSummary `json:"selection_snr_loss"`
+	AzErr      AngleSummary      `json:"azimuth_error"`
 }
 
 func sectionOf(t *campaignTally) CampaignSection {
@@ -373,7 +335,7 @@ func sectionOf(t *campaignTally) CampaignSection {
 		Fallbacks:  t.fallbacks,
 		Drift:      t.drift,
 		ProbesLost: t.probesLost,
-		Loss:       lossSummaryOf(&t.loss),
+		Loss:       stats.SummarizeLoss(&t.loss),
 		AzErr:      angleSummaryOf(&t.azErr),
 	}
 }
@@ -513,10 +475,10 @@ func ReplayCampaign(ctx context.Context, p *Platform, cfg CampaignConfig) (*Camp
 			best := campaignTrueSNR(bestGain, linkSNR, atten, gainRef)
 			got := campaignTrueSNR(ix.Gain(loc, sel.Sector), linkSNR, atten, gainRef)
 			if !math.IsInf(best, -1) && !math.IsInf(got, -1) {
-				t.loss.Observe(milliDB(best - got))
+				t.loss.Observe(stats.MilliDB(best - got))
 			}
 			if sel.AoA.Used > 0 {
-				t.azErr.Observe(milliDeg(math.Abs(geom.WrapAz(sel.AoA.Az - az))))
+				t.azErr.Observe(milliDeg(geom.AzDist(sel.AoA.Az, az)))
 			}
 		}
 		return nil

@@ -121,7 +121,7 @@ func DensifyStudy(ctx context.Context, seed int64, m int, sizes []int, trials in
 					}
 					pick = sel.Sector
 					if !sel.Fallback {
-						azErrs = append(azErrs, absWrap(sel.AoA.Az-dirAz))
+						azErrs = append(azErrs, geom.AzDist(sel.AoA.Az, dirAz))
 					}
 				} else {
 					id, ok := core.SweepSelect(probes)
@@ -156,14 +156,6 @@ func DensifyStudy(ctx context.Context, seed int64, m int, sizes []int, trials in
 		}
 	}
 	return res, nil
-}
-
-func absWrap(deg float64) float64 {
-	d := geom.WrapAz(deg)
-	if d < 0 {
-		return -d
-	}
-	return d
 }
 
 // Table renders the study.

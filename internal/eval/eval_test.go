@@ -21,7 +21,12 @@ func quickStudy(t *testing.T) *EnvironmentStudy {
 	if cachedStudy != nil {
 		return cachedStudy
 	}
-	s, err := RunEnvironmentStudy(context.Background(), 42, Quick())
+	ctx, f := context.Background(), Quick()
+	p, err := NewPlatform(ctx, 42, f.PatternGrid, f.CampaignRepeats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := EnvironmentStudyOn(ctx, p, 42, f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,17 +38,6 @@ type EnvironmentStudy struct {
 	Conference *TraceEval
 }
 
-// RunEnvironmentStudy executes the full campaign at fidelity f. The
-// context cancels the campaign between its grid points, scan positions
-// and evaluation trials.
-func RunEnvironmentStudy(ctx context.Context, seed int64, f Fidelity) (*EnvironmentStudy, error) {
-	p, err := NewPlatform(ctx, seed, f.PatternGrid, f.CampaignRepeats)
-	if err != nil {
-		return nil, err
-	}
-	return EnvironmentStudyOn(ctx, p, seed, f)
-}
-
 // EnvironmentStudyOn runs the scans and trace evaluations on an
 // existing platform, so a suite of studies sharing one rig (see
 // Config.Env) measures the chamber patterns only once.

@@ -14,7 +14,6 @@ package eval
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"talon/internal/channel"
 	"talon/internal/core"
@@ -40,33 +39,9 @@ type Platform struct {
 	Estimator *core.Estimator
 }
 
-// estimatorOpts is the process-wide estimator configuration of
-// NewPlatform; see SetEstimatorOptions.
-var (
-	estimatorOptsMu sync.Mutex
-	estimatorOpts   core.Options
-)
-
-// SetEstimatorOptions overrides the estimator options every subsequently
-// built Platform uses (the zero value — the default — runs the
-// hierarchical coarse-to-fine search; core.Options{ExactSearch: true}
-// scans every grid point instead). Both run on the quantized int16
-// kernel: ExactSearch removes the top-K pruning, not the quantization,
-// so it is not bit-identical to the float64 serial reference. It is a
-// campaign-level knob, surfaced as evalrunner's -exact flag; set it
-// before building platforms, not concurrently with them.
-func SetEstimatorOptions(opts core.Options) {
-	estimatorOptsMu.Lock()
-	defer estimatorOptsMu.Unlock()
-	estimatorOpts = opts
-}
-
-// EstimatorOptions returns the options SetEstimatorOptions installed.
-func EstimatorOptions() core.Options {
-	estimatorOptsMu.Lock()
-	defer estimatorOptsMu.Unlock()
-	return estimatorOpts
-}
+// EstimatorOptions returns the constant core.Options{}, the options
+// NewPlatform builds every Platform's estimator with.
+func EstimatorOptions() core.Options { return core.Options{} }
 
 // NewPlatform creates the devices and runs the chamber pattern campaign
 // on grid with the given per-point repeat count. The context is observed

@@ -151,7 +151,7 @@ func EvaluateTraces(ctx context.Context, envName string, traces []testbed.Trace,
 		// computed estimate, including ones the selection step later
 		// distrusts.
 		if sel.AoA.Used > 0 {
-			st.AzErrs = append(st.AzErrs, math.Abs(geom.WrapAz(sel.AoA.Az-tr.TrueAz)))
+			st.AzErrs = append(st.AzErrs, geom.AzDist(sel.AoA.Az, tr.TrueAz))
 			st.ElErrs = append(st.ElErrs, math.Abs(sel.AoA.El-tr.TrueEl))
 		}
 		if sel.Fallback {

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"math"
 	"time"
 
 	"talon/internal/stats"
@@ -43,9 +42,6 @@ var latencyBoundsNs = []int64{
 	int64(10 * time.Second),
 }
 
-// lossBoundsMilli are the SNR-loss histogram bounds in milli-dB.
-var lossBoundsMilli = []int64{0, 250, 500, 1000, 2000, 3000, 5000, 10000, 20000}
-
 // tally is the deterministic scorecard accumulator. The Manager keeps
 // one under stepMu; each Step's shard workers fill per-shard partials
 // that are merged in.
@@ -65,8 +61,8 @@ type tally struct {
 
 func (t *tally) init() {
 	t.latency = stats.NewIntHist(latencyBoundsNs)
-	t.selLoss = stats.NewIntHist(lossBoundsMilli)
-	t.trackLoss = stats.NewIntHist(lossBoundsMilli)
+	t.selLoss = stats.NewLossHist()
+	t.trackLoss = stats.NewLossHist()
 }
 
 func (t *tally) reset() {
@@ -90,19 +86,6 @@ func (t *tally) merge(o *tally) {
 	t.skipped += o.skipped
 }
 
-// milliDB converts a dB value to fixed-point milli-dB, clamping NaN and
-// negatives (a selection can beat the pattern argmax only by noise; treat
-// that as zero loss).
-func milliDB(db float64) int64 {
-	if math.IsNaN(db) || db < 0 {
-		return 0
-	}
-	if db > 1000 {
-		db = 1000
-	}
-	return int64(math.Round(db * 1000))
-}
-
 // LatencySummary reports the virtual selection-latency distribution.
 type LatencySummary struct {
 	Count  int64 `json:"count"`
@@ -113,17 +96,6 @@ type LatencySummary struct {
 	MeanNs int64 `json:"mean_ns"`
 }
 
-// LossSummary reports an SNR-loss distribution in milli-dB fixed point.
-type LossSummary struct {
-	Count    int64   `json:"count"`
-	P50Milli int64   `json:"p50_millidb"`
-	P90Milli int64   `json:"p90_millidb"`
-	P99Milli int64   `json:"p99_millidb"`
-	MaxMilli int64   `json:"max_millidb"`
-	MeanDB   float64 `json:"mean_db"`
-	Buckets  []int64 `json:"buckets"`
-}
-
 func latencySummary(h *stats.IntHist) LatencySummary {
 	return LatencySummary{
 		Count:  h.Count(),
@@ -132,18 +104,6 @@ func latencySummary(h *stats.IntHist) LatencySummary {
 		P99Ns:  h.Quantile(0.99),
 		MaxNs:  h.Max(),
 		MeanNs: h.Mean(),
-	}
-}
-
-func lossSummary(h *stats.IntHist) LossSummary {
-	return LossSummary{
-		Count:    h.Count(),
-		P50Milli: h.Quantile(0.50),
-		P90Milli: h.Quantile(0.90),
-		P99Milli: h.Quantile(0.99),
-		MaxMilli: h.Max(),
-		MeanDB:   float64(h.Mean()) / 1000,
-		Buckets:  h.Counts(),
 	}
 }
 
@@ -181,9 +141,9 @@ type Scorecard struct {
 	// RetrainsPerSec is retrains per second of virtual time.
 	RetrainsPerSec float64 `json:"retrains_per_sec"`
 
-	SelectLatency LatencySummary `json:"select_latency"`
-	SelectionLoss LossSummary    `json:"selection_snr_loss"`
-	TrackingLoss  LossSummary    `json:"tracking_snr_loss"`
+	SelectLatency LatencySummary    `json:"select_latency"`
+	SelectionLoss stats.LossSummary `json:"selection_snr_loss"`
+	TrackingLoss  stats.LossSummary `json:"tracking_snr_loss"`
 
 	// Note and Benchmarks make the scorecard double as a benchdiff
 	// baseline of virtual metrics.
@@ -221,8 +181,8 @@ func (m *Manager) scorecard(cfg SimConfig, queueDrops int64) *Scorecard {
 		Skipped:       t.skipped,
 		QueueDrops:    queueDrops,
 		SelectLatency: latencySummary(&t.latency),
-		SelectionLoss: lossSummary(&t.selLoss),
-		TrackingLoss:  lossSummary(&t.trackLoss),
+		SelectionLoss: stats.SummarizeLoss(&t.selLoss),
+		TrackingLoss:  stats.SummarizeLoss(&t.trackLoss),
 	}
 	if now := m.now.Load(); now > 0 {
 		sc.RetrainsPerSec = float64(t.retrains) / (float64(now) / float64(time.Second))

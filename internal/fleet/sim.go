@@ -50,22 +50,6 @@ type SimConfig struct {
 	FaultPerEpoch    float64 `json:"fault_per_epoch"`
 }
 
-// DefaultSimConfig returns the canonical smoke workload: modest churn
-// and mobility with occasional blockages and fault bursts.
-func DefaultSimConfig() SimConfig {
-	return SimConfig{
-		Stations:         10000,
-		Epochs:           50,
-		EpochNs:          int64(100 * time.Millisecond),
-		Seed:             1,
-		M:                14,
-		ChurnPerEpoch:    0.002,
-		MobilityPerEpoch: 0.01,
-		BlockagePerEpoch: 0.002,
-		FaultPerEpoch:    0.002,
-	}
-}
-
 // generator is the seeded workload process. It owns a private alive-ID
 // list (swap-remove for O(1) uniform departure draws) and a monotonic ID
 // counter, so station IDs are never reused within a run.

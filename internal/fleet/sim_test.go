@@ -121,8 +121,17 @@ func TestSimLargeSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultSimConfig()
-	cfg.Stations, cfg.Epochs, cfg.Seed = 5000, 6, 3
+	cfg := SimConfig{
+		Stations:         5000,
+		Epochs:           6,
+		EpochNs:          int64(100 * time.Millisecond),
+		Seed:             3,
+		M:                14,
+		ChurnPerEpoch:    0.002,
+		MobilityPerEpoch: 0.01,
+		BlockagePerEpoch: 0.002,
+		FaultPerEpoch:    0.002,
+	}
 	sc, err := RunSim(context.Background(), est, set, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 
 	"talon/internal/core"
 	"talon/internal/dot11ad"
+	"talon/internal/stats"
 )
 
 // Step advances the fleet by one epoch of virtual time:
@@ -253,7 +254,7 @@ func (m *Manager) scanStation(sh *shard, slot int32, epochStart, epochEnd time.D
 		}
 		sh.partial.trackedEpochs++
 		if h.sampleRes == want {
-			sh.partial.trackLoss.Observe(milliDB(m.cachedBestGain(st) - st.curGain))
+			sh.partial.trackLoss.Observe(stats.MilliDB(m.cachedBestGain(st) - st.curGain))
 		}
 	case StateDegraded:
 		if epochStart >= h.deadline {
@@ -300,7 +301,7 @@ func (m *Manager) settle(st *station, to uint64, t *tally) {
 	s := m.cfg.lossSampleStride
 	r := (s - uint64(st.id)%s) % s // sampled epochs are ≡ r (mod s)
 	if k := residuesBelow(to, r, s) - residuesBelow(from, r, s); k > 0 {
-		t.trackLoss.ObserveN(milliDB(m.cachedBestGain(st)-st.curGain), int64(k))
+		t.trackLoss.ObserveN(stats.MilliDB(m.cachedBestGain(st)-st.curGain), int64(k))
 	}
 }
 
@@ -622,7 +623,7 @@ func (m *Manager) applyOutcome(sh *shard, slot int32, probes []core.Probe, res c
 			g -= st.blockAttenDB
 		}
 		st.servedGain = g
-		m.acc.selLoss.Observe(milliDB(m.cachedBestGain(st) - st.curGain))
+		m.acc.selLoss.Observe(stats.MilliDB(m.cachedBestGain(st) - st.curGain))
 	}
 	sh.pushTimer(timer{fire: m.fireEpoch(h.deadline), slot: slot})
 	m.park(sh, slot, sh.cursor)

@@ -44,10 +44,7 @@ func ClampEl(deg float64) float64 {
 
 // AzDist returns the absolute wrapped azimuth distance between two azimuth
 // angles, in [0, 180].
-func AzDist(a, b float64) float64 {
-	d := math.Abs(WrapAz(a - b))
-	return d
-}
+func AzDist(a, b float64) float64 { return math.Abs(WrapAz(a - b)) }
 
 // Direction is a unit vector on the sphere.
 type Direction struct {

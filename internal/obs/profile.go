@@ -140,16 +140,3 @@ func HookCLI(metricsPath, debugAddr, profilePath string) (cleanup func() error, 
 		return firstErr
 	}, nil
 }
-
-// WriteHeapProfile dumps the current heap profile to path.
-func WriteHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rpprof.WriteHeapProfile(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}

@@ -131,26 +131,6 @@ func TestAzimuthCut(t *testing.T) {
 	}
 }
 
-func TestOffsetClamp(t *testing.T) {
-	g := mustGrid(t, 0, 4, 1, 0, 0, 1)
-	p := FromFunc(g, func(az, el float64) float64 { return az })
-	p.Set(2, 0, math.NaN())
-	p.Offset(10)
-	if got := p.AtIndex(0, 0); got != 10 {
-		t.Fatalf("Offset: %v", got)
-	}
-	if !math.IsNaN(p.AtIndex(2, 0)) {
-		t.Fatal("Offset touched NaN")
-	}
-	p.Clamp(11, 12)
-	if got := p.AtIndex(0, 0); got != 11 {
-		t.Fatalf("Clamp lo: %v", got)
-	}
-	if got := p.AtIndex(4, 0); got != 12 {
-		t.Fatalf("Clamp hi: %v", got)
-	}
-}
-
 func TestBilinearWithinBoundsProperty(t *testing.T) {
 	g := mustGrid(t, -30, 30, 3, 0, 30, 3)
 	p := FromFunc(g, func(az, el float64) float64 { return math.Sin(az/10) + math.Cos(el/10) })

@@ -129,29 +129,3 @@ func fillRow(row []float64, floor float64) int {
 	}
 	return filled
 }
-
-// Clamp limits all valid samples to [lo, hi].
-func (p *Pattern) Clamp(lo, hi float64) {
-	for _, row := range p.gain {
-		for i, v := range row {
-			switch {
-			case math.IsNaN(v):
-			case v < lo:
-				row[i] = lo
-			case v > hi:
-				row[i] = hi
-			}
-		}
-	}
-}
-
-// Offset adds d dB to every valid sample.
-func (p *Pattern) Offset(d float64) {
-	for _, row := range p.gain {
-		for i, v := range row {
-			if !math.IsNaN(v) {
-				row[i] = v + d
-			}
-		}
-	}
-}

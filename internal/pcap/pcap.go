@@ -42,7 +42,6 @@ const (
 type Writer struct {
 	w        io.Writer
 	linkType LinkType
-	packets  int
 }
 
 // NewWriter writes the global header (microsecond timestamps, native
@@ -77,12 +76,8 @@ func (w *Writer) WritePacket(ts time.Time, data []byte) error {
 	if _, err := w.w.Write(data); err != nil {
 		return fmt.Errorf("pcap: record body: %w", err)
 	}
-	w.packets++
 	return nil
 }
-
-// Packets reports how many records were written.
-func (w *Writer) Packets() int { return w.packets }
 
 // LinkType reports the stream's link type.
 func (w *Writer) LinkType() LinkType { return w.linkType }

@@ -26,9 +26,6 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.Packets() != 3 {
-		t.Fatalf("Packets = %d", w.Packets())
-	}
 
 	r, err := NewReader(&buf)
 	if err != nil {

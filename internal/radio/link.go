@@ -101,22 +101,6 @@ func TrueSNR(env *channel.Environment, txPose, rxPose channel.Pose, txGain, rxGa
 	return PathSNR(paths, b)
 }
 
-// DominantRayAngles returns the angle of arrival (local to rxPose) of the
-// strongest ray under isotropic endpoints — the physical ground truth the
-// angle-of-arrival estimator is judged against.
-func DominantRayAngles(env *channel.Environment, txPose, rxPose channel.Pose) (az, el float64, ok bool) {
-	rays := env.Rays(txPose.Pos, rxPose.Pos)
-	best := math.Inf(1)
-	for _, r := range rays {
-		if loss := r.PathLossDB(); loss < best {
-			best = loss
-			az, el = rxPose.ToLocal(r.AoA)
-			ok = true
-		}
-	}
-	return az, el, ok
-}
-
 // DominantDepartureAngles returns the angle of departure (local to txPose)
 // of the strongest ray under isotropic endpoints. Compressive sector
 // selection estimates exactly this angle: the direction the transmitter

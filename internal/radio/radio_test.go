@@ -87,18 +87,20 @@ func TestTrueSNRNoPaths(t *testing.T) {
 	}
 }
 
-func TestDominantRayAngles(t *testing.T) {
+func TestDominantDepartureAngles(t *testing.T) {
 	env := channel.ConferenceRoom()
-	tx := channel.Pose{Pos: geom.Point{X: 0, Y: 0, Z: 1.2}}
 	rx := channel.Pose{Pos: geom.Point{X: 6, Y: 0, Z: 1.2}, Yaw: 180}
-	az, el, ok := DominantRayAngles(env, tx, rx)
-	if !ok {
-		t.Fatal("no dominant ray")
-	}
-	// LOS dominates; the receiver is yawed 180°, so the arrival is on
-	// its boresight.
-	if math.Abs(az) > 1e-6 || math.Abs(el) > 1e-6 {
-		t.Fatalf("dominant AoA = (%v, %v), want boresight", az, el)
+	for _, c := range []struct{ yaw, wantAz float64 }{{0, 0}, {30, -30}} {
+		tx := channel.Pose{Pos: geom.Point{X: 0, Y: 0, Z: 1.2}, Yaw: c.yaw}
+		az, el, ok := DominantDepartureAngles(env, tx, rx)
+		if !ok {
+			t.Fatal("no dominant ray")
+		}
+		// LOS dominates and leaves along +X, so the departure sits at
+		// -yaw in the transmitter's frame.
+		if math.Abs(az-c.wantAz) > 1e-6 || math.Abs(el) > 1e-6 {
+			t.Fatalf("yaw %v: dominant AoD = (%v, %v), want (%v, 0)", c.yaw, az, el, c.wantAz)
+		}
 	}
 }
 

@@ -113,3 +113,47 @@ func (h *IntHist) Counts() []int64 {
 	copy(out, h.counts)
 	return out
 }
+
+// lossBoundsMilli are the SNR-loss histogram bounds in milli-dB.
+var lossBoundsMilli = []int64{0, 250, 500, 1000, 2000, 3000, 5000, 10000, 20000}
+
+// NewLossHist returns a histogram over the SNR-loss bounds every
+// deterministic scorecard shares; feed it MilliDB values.
+func NewLossHist() IntHist { return NewIntHist(lossBoundsMilli) }
+
+// MilliDB converts an SNR loss in dB to milli-dB fixed point, clamping
+// NaN and negatives to zero (a selection can beat the best sector only by
+// noise; that counts as no loss) and capping at 1000 dB.
+func MilliDB(db float64) int64 {
+	if math.IsNaN(db) || db < 0 {
+		return 0
+	}
+	if db > 1000 {
+		db = 1000
+	}
+	return int64(math.Round(db * 1000))
+}
+
+// LossSummary reports an SNR-loss distribution in milli-dB fixed point.
+type LossSummary struct {
+	Count    int64   `json:"count"`
+	P50Milli int64   `json:"p50_millidb"`
+	P90Milli int64   `json:"p90_millidb"`
+	P99Milli int64   `json:"p99_millidb"`
+	MaxMilli int64   `json:"max_millidb"`
+	MeanDB   float64 `json:"mean_db"`
+	Buckets  []int64 `json:"buckets"`
+}
+
+// SummarizeLoss digests a loss histogram built by NewLossHist.
+func SummarizeLoss(h *IntHist) LossSummary {
+	return LossSummary{
+		Count:    h.Count(),
+		P50Milli: h.Quantile(0.50),
+		P90Milli: h.Quantile(0.90),
+		P99Milli: h.Quantile(0.99),
+		MaxMilli: h.Max(),
+		MeanDB:   float64(h.Mean()) / 1000,
+		Buckets:  h.Counts(),
+	}
+}

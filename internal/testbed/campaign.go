@@ -161,26 +161,6 @@ func (c *Campaign) MeasureAllPatterns(ctx context.Context, grid *geom.Grid) (*pa
 	return set, nil
 }
 
-// AzimuthGrid returns the Section 4.3 azimuth-cut grid: −180°…180° in
-// 0.9° steps at elevation 0.
-func AzimuthGrid() *geom.Grid {
-	g, err := geom.UniformGrid(-180, 180, 0.9, 0, 0, 1)
-	if err != nil {
-		panic(err) // static arguments
-	}
-	return g
-}
-
-// SphericalGrid returns the Section 4.5 3D grid: azimuth ±90° in 1.8°
-// steps, elevation 0°…32.4° in 3.6° steps.
-func SphericalGrid() *geom.Grid {
-	g, err := geom.UniformGrid(-90, 90, 1.8, 0, 32.4, 3.6)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // NewChamberCampaign wires up the canonical chamber setup: DUT on the
 // head at the origin, probe three meters away, both jailbroken so the
 // measurements are readable.

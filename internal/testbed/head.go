@@ -57,9 +57,6 @@ func (h *RotationHead) SetTilt(el float64) float64 {
 	return h.tiltRealized
 }
 
-// Azimuth returns the realized azimuth.
-func (h *RotationHead) Azimuth() float64 { return h.az }
-
 // Tilt returns the realized tilt.
 func (h *RotationHead) Tilt() float64 { return h.tiltRealized }
 

@@ -112,17 +112,6 @@ func TestCampaignMeasuresPatterns(t *testing.T) {
 	}
 }
 
-func TestCampaignGrids(t *testing.T) {
-	az := AzimuthGrid()
-	if az.NumAz() != 401 || az.NumEl() != 1 {
-		t.Fatalf("azimuth grid %dx%d", az.NumAz(), az.NumEl())
-	}
-	sph := SphericalGrid()
-	if sph.NumAz() != 101 || sph.NumEl() != 10 {
-		t.Fatalf("spherical grid %dx%d", sph.NumAz(), sph.NumEl())
-	}
-}
-
 func TestScanConfigs(t *testing.T) {
 	lab := LabScan()
 	if lab.AzStep != 2.25 || len(lab.Elevations) != 16 {

@@ -19,9 +19,6 @@ type WriterOptions struct {
 	// per block (default 4096). Larger blocks compress better; smaller
 	// blocks bound the replayer's working set tighter.
 	BlockRecords int
-	// Level is the zlib compression level (default
-	// zlib.BestSpeed; writes sit on the campaign's critical path).
-	Level int
 }
 
 func (o *WriterOptions) defaults() {
@@ -30,9 +27,6 @@ func (o *WriterOptions) defaults() {
 	}
 	if o.BlockRecords <= 0 {
 		o.BlockRecords = 4096
-	}
-	if o.Level == 0 {
-		o.Level = zlib.BestSpeed
 	}
 }
 
@@ -155,7 +149,9 @@ func (w *Writer[T]) flushBlock() error {
 	// side buffer before writing the frame.
 	w.comp.b = w.comp.b[:0]
 	if w.z == nil {
-		zw, err := zlib.NewWriterLevel(&w.comp, w.opts.Level)
+		// Blocks compress at zlib.BestSpeed: writes sit on the
+		// campaign's critical path.
+		zw, err := zlib.NewWriterLevel(&w.comp, zlib.BestSpeed)
 		if err != nil {
 			return err
 		}

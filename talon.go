@@ -44,8 +44,8 @@
 //
 // NewTrainer takes functional options instead of positional knobs:
 // WithM sets the probe budget (default 14, the paper's operating point),
-// WithSeed the probing RNG seed, WithEstimatorOptions the estimator
-// tuning.
+// WithSeed the probing RNG seed. A trainer's estimator runs with the
+// default EstimatorOptions.
 //
 // # Errors
 //
@@ -227,9 +227,8 @@ type Trainer struct {
 type TrainerOption func(*trainerConfig)
 
 type trainerConfig struct {
-	m       int
-	seed    int64
-	estOpts EstimatorOptions
+	m    int
+	seed int64
 }
 
 // DefaultM is the probe budget a Trainer uses unless WithM overrides it:
@@ -245,13 +244,6 @@ func WithM(m int) TrainerOption {
 // WithSeed seeds the probing-subset RNG (default 1).
 func WithSeed(seed int64) TrainerOption {
 	return func(c *trainerConfig) { c.seed = seed }
-}
-
-// WithEstimatorOptions configures the estimator the trainer builds over
-// the pattern set: SNR-only correlation (the Section 5 ablation) or the
-// exhaustive search (ExactSearch).
-func WithEstimatorOptions(opts EstimatorOptions) TrainerOption {
-	return func(c *trainerConfig) { c.estOpts = opts }
 }
 
 // NewTrainer builds a trainer over link using the transmitter's measured
@@ -272,7 +264,7 @@ func NewTrainer(link *Link, patterns *PatternSet, opts ...TrainerOption) (*Train
 	if cfg.m < 2 || cfg.m > len(sector.TalonTX()) {
 		return nil, fmt.Errorf("talon: %w: probe count %d out of range [2, 34]", ErrTooFewProbes, cfg.m)
 	}
-	est, err := core.NewEstimator(patterns, cfg.estOpts)
+	est, err := core.NewEstimator(patterns, core.Options{})
 	if err != nil {
 		return nil, err
 	}
