@@ -269,8 +269,15 @@ func TestAblations(t *testing.T) {
 }
 
 func TestRetrainingStudy(t *testing.T) {
-	s := quickStudy(t)
-	r, err := RetrainingStudy(context.Background(), s.Platform, 20, 6*time.Second, stats.NewRNG(13))
+	// A fresh platform, not quickStudy's: the shared devices carry RNG
+	// state from whichever tests ran before, so under -shuffle the
+	// study's numbers would depend on test order.
+	ctx := context.Background()
+	p, err := NewPlatform(ctx, 42, Quick().PatternGrid, Quick().CampaignRepeats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RetrainingStudy(ctx, p, 20, 6*time.Second, stats.NewRNG(13))
 	if err != nil {
 		t.Fatal(err)
 	}

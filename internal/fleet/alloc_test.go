@@ -166,3 +166,109 @@ func TestQueueReservedFromFirstStep(t *testing.T) {
 		t.Fatalf("queue past its reserve: length %d, capacity %d, want %d and %d", len(sh.events), cap(sh.events), trimFloor+1, 2*trimFloor)
 	}
 }
+
+// TestTimerHeapBoundedBySlots is the regression gate of the timer heap:
+// under fleet-scan's day-long retrain interval, a station that degrades
+// and retrains rearms its deadline twice per cycle, and each rearm must
+// move its one heap entry instead of leaving the old one to fire a day
+// later. Blockages, probe-loss faults and churn that replaces departing
+// stations with new IDs cycle through the fleet every epoch; once the
+// buffers have seen that traffic, a run of Steps allocates nothing and
+// no shard's heap has room for more entries than its slot slices have.
+// Unlike the other steady-state gates, these Steps serve training
+// rounds, so the whole test runs at GOMAXPROCS 1, as AllocsPerRun does:
+// the estimator's pooled batch scratch that the warm-up grows must be
+// the one the measured Steps get back.
+func TestTimerHeapBoundedBySlots(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	m, _ := testFleet(t,
+		WithShards(4),
+		WithSeed(9),
+		WithBatchWorkers(1),
+		WithRetrainInterval(24*time.Hour),
+	)
+	ctx := context.Background()
+	const n = 512
+	arriveSpread(t, m, n)
+	// ids[i] is the station at position i; churn replaces it with
+	// ids[i]+n, which lands on the same shard and takes the freed slot.
+	ids := make([]StationID, n)
+	for i := range ids {
+		ids[i] = StationID(i)
+	}
+	var (
+		next     int
+		stepErr  error
+		outgrown bool
+	)
+	epoch := func() {
+		for i := 0; i < 16; i++ {
+			j := next % n
+			next++
+			m.Dispatch(Event{Kind: EventBlockage, Station: ids[j], AttenDB: 25, Duration: 200 * time.Millisecond})
+			m.Dispatch(Event{Kind: EventFault, Station: ids[(j+n/2)%n], LossFrac: 0.9})
+			if i < 2 {
+				k := (j + n/4) % n
+				m.Dispatch(Event{Kind: EventDeparture, Station: ids[k]})
+				ids[k] += n
+				m.Dispatch(Event{Kind: EventArrival, Station: ids[k], AzDeg: -60 + 120*float64(k)/n, ElDeg: 8, DistM: 3})
+			}
+		}
+		stepErr = m.Step(ctx)
+		for _, sh := range m.shards {
+			outgrown = outgrown || cap(sh.timers) > cap(sh.hot)
+		}
+	}
+	// Warm-up: the first Steps train the fleet, then two passes over
+	// every station grow each buffer to the traffic.
+	for i := 0; i < 2*n/16+8; i++ {
+		epoch()
+		if stepErr != nil {
+			t.Fatal(stepErr)
+		}
+	}
+	allocs := testing.AllocsPerRun(50, epoch)
+	if stepErr != nil {
+		t.Fatal(stepErr)
+	}
+	if outgrown {
+		for i, sh := range m.shards {
+			t.Logf("shard %d: timer heap has capacity %d (%d entries), slot slices %d (%d slots)",
+				i, cap(sh.timers), len(sh.timers), cap(sh.hot), len(sh.hot))
+		}
+		t.Error("a shard's timer heap outgrew its slot slices")
+	}
+	if allocs != 0 {
+		t.Errorf("Steps under degrade, fault and churn traffic allocate %.1f times per epoch, want 0", allocs)
+	}
+}
+
+// TestStationFootprint holds the retained heap of 65,536 arrived stations
+// (256 per shard) to a bytes-per-station bound. Records, slot table and
+// the append slack of the record slices all count. With an ID map and a
+// 144-byte cold record the fleet held 225 bytes per station; with the
+// slot table and the 128-byte record it holds 163. The bound lies
+// between the two.
+func TestStationFootprint(t *testing.T) {
+	const n, bound = 65536, 190
+	m, _ := testFleet(t)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if !m.Arrive(Event{Kind: EventArrival, Station: StationID(i), AzDeg: float64(i%120 - 60), ElDeg: 8, DistM: 3}) {
+			t.Fatalf("arrival %d rejected", i)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	perStation := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	t.Logf("%.1f bytes per station", perStation)
+	if perStation > bound {
+		t.Fatalf("%d stations hold %.1f bytes each, want <= %d", n, perStation, bound)
+	}
+}

@@ -13,13 +13,15 @@
 // reproduces the same fleet byte for byte at any shard or worker count.
 //
 // Station state is stored structure-of-arrays per shard: 24-byte hot
-// records (state, deadline, last grid cell, sample residue, impairment
-// flags) beside 144-byte cold station records. The per-epoch scan is
-// event-driven: it visits only the stations with work due — arrivals,
-// stations an event touched, impaired stations and those whose deadline
-// fires, popped from a per-shard timer heap — and books the quiet
-// tracked epochs of every other station lazily, so a mostly static
-// fleet's epoch cost follows its activity, not its size.
+// records (state, deadline, timer-heap position, last grid cell, sample
+// residue, impairment flags) beside 128-byte cold station records, and a
+// slot table of 4-byte cells maps station IDs to slots. The per-epoch
+// scan is event-driven: it visits only the stations with work due —
+// arrivals, stations an event touched, impaired stations and those whose
+// deadline fires, popped from a per-shard timer heap that holds one
+// entry per armed station — and books the quiet tracked epochs of every
+// other station lazily, so a mostly static fleet's epoch cost follows
+// its activity, not its size.
 //
 // Memory follows traffic the same way. Per-shard event queues start
 // empty, hold 64 events from their first Step on and grow on demand up
@@ -158,14 +160,14 @@ const (
 )
 
 // stateFree marks a hot record whose slot holds no station (departed,
-// awaiting reuse), so stale visit-list and timer entries can tell.
+// awaiting reuse), so stale due-list entries can tell.
 const stateFree = numStates
 
 // hotStation is the 24-byte per-station record the epoch scan reads to
 // decide what a visited station does: lifecycle state, the one deadline
 // that can fire (retrain staleness while tracking, backoff expiry while
-// degraded), the loss-sample residue, the warm-start hint cell and the
-// impairment flags.
+// degraded) and its timer-heap position, the loss-sample residue, the
+// warm-start hint cell and the impairment flags.
 type hotStation struct {
 	// deadline is the next scheduled scan action: while tracking, the
 	// staleness retrain (last training end + retrain interval); while
@@ -178,13 +180,17 @@ type hotStation struct {
 	// sampleRes caches id % lossSampleStride so the per-epoch sampling
 	// test is one uint32 compare against a per-epoch constant.
 	sampleRes uint32
-	state     State
-	flags     uint8
+	// tpos is 1 + the index of the station's timer-heap entry, or 0 when
+	// it has none.
+	tpos  int32
+	state State
+	flags uint8
 }
 
 // timer is one timer-heap entry: the epoch at which the station in slot
-// has a deadline due. Entries are never removed early; one whose station
-// departed, retrained or was rescheduled is stale and skipped on pop.
+// has its deadline due. A station has an entry exactly while it is armed
+// (tracking or degraded), at fireEpoch of its deadline; rearming moves
+// the entry in place and a departure removes it, so no entry is stale.
 type timer struct {
 	fire uint64
 	slot int32
@@ -199,13 +205,13 @@ type visitKey struct {
 
 // shard owns one slice of the station population, stored
 // structure-of-arrays: recs (cold full records) and hot (scan records)
-// are parallel slot-indexed slices, index maps station IDs to slots and
-// free recycles departed slots. due and timers tell the scan which
-// stations to visit; every other station is quietly tracking, or has a
-// training round in flight.
+// are parallel slot-indexed slices, table maps station IDs to slots
+// (see table.go) and free recycles departed slots. due and timers tell
+// the scan which stations to visit; every other station is quietly
+// tracking, or has a training round in flight.
 type shard struct {
 	mu    sync.Mutex
-	index map[StationID]int32
+	table []int32
 	recs  []station
 	hot   []hotStation
 	free  []int32
@@ -226,8 +232,8 @@ type shard struct {
 	// under a degrade-always threshold). It may hold duplicates and
 	// departed slots; the scan drops both.
 	due []int32
-	// timers is a min-heap on fire epoch holding an entry for every
-	// tracked or degraded station's deadline.
+	// timers is a min-heap on fire epoch holding one entry per tracked
+	// or degraded station, at its deadline's fire epoch.
 	timers []timer
 	// cursor is the first epoch this shard has not scanned yet. Quiet
 	// tracked epochs accrue up to it when a station departs or the
@@ -334,7 +340,7 @@ func New(est *core.Estimator, patterns *pattern.Set, opts ...Option) (*Manager, 
 		gainRef:  patterns.MeanPeakGain(),
 	}
 	for i := range m.shards {
-		m.shards[i] = &shard{index: make(map[StationID]int32)}
+		m.shards[i] = &shard{}
 		m.shards[i].partial.init()
 	}
 	m.acc.init()
@@ -359,7 +365,7 @@ func (m *Manager) Len() int {
 	n := 0
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		n += len(sh.index)
+		n += len(sh.recs) - len(sh.free)
 		sh.mu.Unlock()
 	}
 	return n
@@ -378,7 +384,7 @@ func (m *Manager) Arrive(ev Event) bool {
 }
 
 func (m *Manager) arriveLocked(sh *shard, ev Event) bool {
-	if _, ok := sh.index[ev.Station]; ok {
+	if _, ok := sh.lookup(ev.Station); ok {
 		return false
 	}
 	var slot int32
@@ -410,7 +416,7 @@ func (m *Manager) arriveLocked(sh *shard, ev Event) bool {
 		sampleRes: uint32(uint64(ev.Station) % m.cfg.lossSampleStride),
 		flags:     flags,
 	}
-	sh.index[ev.Station] = slot
+	sh.insertSlot(slot)
 	sh.due = append(sh.due, slot)
 	metArrivals.Inc()
 	metStations.Add(1)
@@ -428,15 +434,19 @@ func (m *Manager) Depart(id StationID) bool {
 }
 
 func (m *Manager) departLocked(sh *shard, id StationID) bool {
-	slot, ok := sh.index[id]
-	if !ok {
+	cell := sh.cellOf(id)
+	if cell < 0 {
 		return false
 	}
+	slot := sh.table[cell] - 1
 	// Book the quiet tracked epochs up to the shard's scan cursor. A
 	// queued round stays pending: serve skips it and decrements the
 	// pending gauge then.
 	m.settle(&sh.recs[slot], sh.cursor, &sh.partial)
-	delete(sh.index, id)
+	if p := sh.hot[slot].tpos; p != 0 {
+		sh.dropTimer(int(p - 1))
+	}
+	sh.deleteCell(cell)
 	sh.recs[slot] = station{}
 	sh.hot[slot] = hotStation{state: stateFree}
 	sh.free = append(sh.free, slot)
@@ -487,7 +497,7 @@ func (m *Manager) Snapshot(id StationID) (Snapshot, bool) {
 	sh := m.shardOf(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	slot, ok := sh.index[id]
+	slot, ok := sh.lookup(id)
 	if !ok {
 		return Snapshot{}, false
 	}

@@ -200,6 +200,12 @@ func RunSimRecorded(ctx context.Context, est *core.Estimator, patterns *pattern.
 // to the recording run's — including its queue-drop count, which
 // re-emerges from the Manager's own backpressure.
 func ReplaySim(ctx context.Context, est *core.Estimator, patterns *pattern.Set, cfg SimConfig, dir, base string) (*Scorecard, error) {
+	return replaySim(ctx, est, patterns, cfg, dir, base, nil)
+}
+
+// replaySim is ReplaySim with a hook that, when not nil, runs after every
+// Step; an error from it ends the replay.
+func replaySim(ctx context.Context, est *core.Estimator, patterns *pattern.Set, cfg SimConfig, dir, base string, afterStep func(*Manager) error) (*Scorecard, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
@@ -222,6 +228,9 @@ func ReplaySim(ctx context.Context, est *core.Estimator, patterns *pattern.Set, 
 			return err
 		}
 		stepped++
+		if afterStep != nil {
+			return afterStep(m)
+		}
 		return nil
 	}
 	// One worker: the event stream is order-sensitive, and ReplayShards

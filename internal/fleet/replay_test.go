@@ -105,8 +105,10 @@ func TestReplaySimRejectsOutOfRangeEpochs(t *testing.T) {
 
 // FuzzReplaySim replays arbitrary fleet event streams: the fuzz bytes,
 // cut to whole records and decoded with EventCodec, are written as a
-// shard and driven through ReplaySim. It must never panic, and a replay
-// that succeeds has stepped exactly cfg.Epochs epochs.
+// shard and replayed as ReplaySim does, with checkInvariants run after
+// every Step. It must never panic, the invariants must hold after every
+// Step, and a replay that succeeds has stepped exactly cfg.Epochs
+// epochs.
 func FuzzReplaySim(f *testing.F) {
 	set := synthPatterns(f)
 	est, err := core.NewEstimator(set, core.Options{})
@@ -148,7 +150,16 @@ func FuzzReplaySim(f *testing.F) {
 		}
 		dir := t.TempDir()
 		writeEvents(t, dir, "events", recs)
-		sc, err := ReplaySim(ctx, est, set, cfg, dir, "events")
+		var invErr error
+		inv := &invariantChecker{pendingBase: metPending.Value()}
+		sc, err := replaySim(ctx, est, set, cfg, dir, "events", func(m *Manager) error {
+			inv.m = m
+			invErr = inv.err()
+			return invErr
+		})
+		if invErr != nil {
+			t.Fatalf("after a Step: %v", invErr)
+		}
 		if err == nil && sc.Epochs != int64(cfg.Epochs) {
 			t.Fatalf("replay stepped %d epochs, want %d", sc.Epochs, cfg.Epochs)
 		}

@@ -228,8 +228,11 @@ func (m *Manager) dueStations(evs []Event) int {
 	}
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		for _, slot := range sh.index {
+		for slot := range sh.hot {
 			st, h := &sh.recs[slot], &sh.hot[slot]
+			if h.state == stateFree {
+				continue
+			}
 			timed := armed(h) && m.fireEpoch(h.deadline) <= epoch
 			if h.flags != 0 || h.state == StateIdle || timed || (h.state == StateTracking && m.cfg.degradeDropDB < 0) {
 				due[st.id] = true

@@ -25,9 +25,6 @@ type station struct {
 	// driftDegPerSec moves az every epoch (mobility).
 	driftDegPerSec float64
 
-	// Current selection.
-	sector     sector.ID
-	haveSector bool
 	// servedGain is the selected sector's effective gain toward the
 	// station at selection time; the degrade check compares the current
 	// gain against it.
@@ -36,13 +33,11 @@ type station struct {
 	// valid while gainValid holds; it is recomputed on drift and on
 	// sector adoption (pure memoization — the cached value is always
 	// exactly what gainToward would return).
-	curGain   float64
-	gainValid bool
+	curGain float64
 	// bestGain caches the ground-truth best sector gain at (az, el),
 	// valid while bestValid holds; invalidated by drift only (sector
 	// adoption does not move the station).
-	bestGain  float64
-	bestValid bool
+	bestGain float64
 
 	// Impairments.
 	blockEpochsLeft int
@@ -50,14 +45,21 @@ type station struct {
 	faultLossFrac   float64 // consumed by the next training round
 
 	// Lifecycle bookkeeping (virtual time).
-	arrivedAt time.Duration
-	round     uint32 // completed + in-flight training rounds
+	arrivedAt  time.Duration
+	accrueFrom uint64 // start of the open accrual window (see accruing)
 
+	// The narrow fields share the record's last 16 bytes, which keeps it
+	// at 128.
+	round uint32 // completed + in-flight training rounds
+	// Current selection.
+	sector     sector.ID
+	haveSector bool
+	gainValid  bool
+	bestValid  bool
 	// accruing marks an open accrual window: the station is quietly
 	// tracking and the scan skips it, so its tracked epochs from
 	// accrueFrom on are not booked yet (see Manager.settle).
-	accruing   bool
-	accrueFrom uint64
+	accruing bool
 }
 
 // Snapshot is the externally visible state of one station.

@@ -169,10 +169,8 @@ func (m *Manager) scanShard(i int, epochStart, epochEnd time.Duration) {
 	}
 	sh.due = trimmed(sh.due[:0], len(sh.due))
 	for len(sh.timers) > 0 && sh.timers[0].fire <= epochIx {
-		t := sh.popTimer()
-		if h := &sh.hot[t.slot]; armed(h) && m.fireEpoch(h.deadline) == t.fire {
-			vis = append(vis, visitKey{id: sh.recs[t.slot].id, slot: t.slot})
-		}
+		t := sh.dropTimer(0)
+		vis = append(vis, visitKey{id: sh.recs[t.slot].id, slot: t.slot})
 	}
 	visitUse := len(vis) // duplicates included
 	slices.SortFunc(vis, cmpVisit)
@@ -194,7 +192,6 @@ func (m *Manager) scanShard(i int, epochStart, epochEnd time.Duration) {
 	}
 	sh.reqs = trimmed(sh.reqs, len(sh.reqs))
 	sh.cursor = epochIx + 1
-	m.compactTimers(sh)
 }
 
 func cmpVisit(a, b visitKey) int { return cmp.Compare(a.id, b.id) }
@@ -239,7 +236,7 @@ func (m *Manager) scanStation(sh *shard, slot int32, epochStart, epochEnd time.D
 			m.toState(h, evDegrade)
 			sh.partial.degrades++
 			h.deadline = epochEnd + m.cfg.epoch
-			sh.pushTimer(timer{fire: m.fireEpoch(h.deadline), slot: slot})
+			sh.armTimer(slot, m.fireEpoch(h.deadline))
 			break
 		}
 		if epochStart >= h.deadline {
@@ -330,58 +327,92 @@ func (m *Manager) fireEpoch(deadline time.Duration) uint64 {
 	return e
 }
 
-// pushTimer adds a timer-heap entry.
-func (sh *shard) pushTimer(t timer) {
-	sh.timers = append(sh.timers, t)
-	h := sh.timers
-	for i := len(h) - 1; i > 0; {
+// armTimer sets the timer of the station in slot to fire epoch fire. It
+// moves the station's heap entry if it has one and adds one otherwise.
+// The heap thus holds at most one entry per slot, so it grows by
+// doubling up to the capacity of the hot slice and never past it: a
+// heap with no room left has fewer entries than the shard has slots.
+func (sh *shard) armTimer(slot int32, fire uint64) {
+	h := &sh.hot[slot]
+	if h.tpos != 0 {
+		i := int(h.tpos - 1)
+		sh.timers[i].fire = fire
+		if !sh.siftDown(i) {
+			sh.siftUp(i)
+		}
+		return
+	}
+	if n := len(sh.timers); n == cap(sh.timers) {
+		t := make([]timer, n, min(max(2*n, 8), cap(sh.hot)))
+		copy(t, sh.timers)
+		sh.timers = t
+	}
+	sh.timers = append(sh.timers, timer{fire: fire, slot: slot})
+	h.tpos = int32(len(sh.timers))
+	sh.siftUp(len(sh.timers) - 1)
+}
+
+// dropTimer removes and returns timer-heap entry i, clearing its
+// station's heap position.
+func (sh *shard) dropTimer(i int) timer {
+	t := sh.timers
+	drop := t[i]
+	sh.hot[drop.slot].tpos = 0
+	n := len(t) - 1
+	sh.timers = t[:n]
+	if i < n {
+		t[i] = t[n]
+		sh.hot[t[i].slot].tpos = int32(i + 1)
+		if !sh.siftDown(i) {
+			sh.siftUp(i)
+		}
+	}
+	return drop
+}
+
+// siftUp moves timer-heap entry i toward the root until its parent fires
+// no later.
+func (sh *shard) siftUp(i int) {
+	t := sh.timers
+	for i > 0 {
 		p := (i - 1) / 2
-		if h[p].fire <= h[i].fire {
+		if t[p].fire <= t[i].fire {
 			break
 		}
-		h[p], h[i] = h[i], h[p]
+		sh.swapTimers(p, i)
 		i = p
 	}
 }
 
-// popTimer removes and returns the earliest timer-heap entry.
-func (sh *shard) popTimer() timer {
-	h := sh.timers
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	for i := 0; ; {
+// siftDown moves timer-heap entry i toward the leaves until no child
+// fires earlier, and reports whether it moved.
+func (sh *shard) siftDown(i int) bool {
+	t := sh.timers
+	start := i
+	for {
 		c := 2*i + 1
-		if c >= n {
+		if c >= len(t) {
 			break
 		}
-		if r := c + 1; r < n && h[r].fire < h[c].fire {
+		if r := c + 1; r < len(t) && t[r].fire < t[c].fire {
 			c = r
 		}
-		if h[i].fire <= h[c].fire {
+		if t[i].fire <= t[c].fire {
 			break
 		}
-		h[i], h[c] = h[c], h[i]
+		sh.swapTimers(i, c)
 		i = c
 	}
-	sh.timers = h
-	return top
+	return i > start
 }
 
-// compactTimers rebuilds shard's timer heap from the live deadlines once
-// stale entries (left by retrains and departures) outnumber stations, so
-// the heap stays O(stations) over any horizon.
-func (m *Manager) compactTimers(sh *shard) {
-	if len(sh.timers) <= 2*len(sh.index)+64 {
-		return
-	}
-	sh.timers = sh.timers[:0]
-	for slot := range sh.hot {
-		if h := &sh.hot[slot]; armed(h) {
-			sh.pushTimer(timer{fire: m.fireEpoch(h.deadline), slot: int32(slot)})
-		}
-	}
+// swapTimers swaps timer-heap entries i and j and keeps both stations'
+// heap positions current.
+func (sh *shard) swapTimers(i, j int) {
+	t := sh.timers
+	t[i], t[j] = t[j], t[i]
+	sh.hot[t[i].slot].tpos = int32(i + 1)
+	sh.hot[t[j].slot].tpos = int32(j + 1)
 }
 
 // applyEventLocked applies one queued event to its shard, keeping the
@@ -397,7 +428,7 @@ func (m *Manager) applyEventLocked(sh *shard, ev Event) {
 	case EventDeparture:
 		m.departLocked(sh, ev.Station)
 	case EventMobility:
-		if slot, ok := sh.index[ev.Station]; ok {
+		if slot, ok := sh.lookup(ev.Station); ok {
 			sh.recs[slot].driftDegPerSec = ev.DriftDegPerSec
 			if ev.DriftDegPerSec != 0 {
 				sh.hot[slot].flags |= flagDrift
@@ -408,7 +439,7 @@ func (m *Manager) applyEventLocked(sh *shard, ev Event) {
 			metMobilityEvents.Inc()
 		}
 	case EventBlockage:
-		if slot, ok := sh.index[ev.Station]; ok {
+		if slot, ok := sh.lookup(ev.Station); ok {
 			st := &sh.recs[slot]
 			st.blockAttenDB = ev.AttenDB
 			epochs := int(ev.Duration / m.cfg.epoch)
@@ -421,7 +452,7 @@ func (m *Manager) applyEventLocked(sh *shard, ev Event) {
 			metBlockages.Inc()
 		}
 	case EventFault:
-		if slot, ok := sh.index[ev.Station]; ok {
+		if slot, ok := sh.lookup(ev.Station); ok {
 			sh.recs[slot].faultLossFrac = ev.LossFrac
 			sh.due = append(sh.due, slot)
 			metFaultEvents.Inc()
@@ -536,7 +567,7 @@ func (m *Manager) serveBatch(ctx context.Context, chunk []request, epochEnd time
 	for ci, r := range chunk {
 		sh := m.shardOf(r.id)
 		sh.mu.Lock()
-		slot, ok := sh.index[r.id]
+		slot, ok := sh.lookup(r.id)
 		if !ok || !inFlight(sh.hot[slot].state) {
 			sh.mu.Unlock()
 			continue
@@ -565,7 +596,7 @@ func (m *Manager) serveBatch(ctx context.Context, chunk []request, epochEnd time
 			r := chunk[m.live[bi]]
 			sh := m.shardOf(r.id)
 			sh.mu.Lock()
-			slot, ok := sh.index[r.id]
+			slot, ok := sh.lookup(r.id)
 			if !ok {
 				sh.mu.Unlock()
 				skipped++
@@ -625,6 +656,10 @@ func (m *Manager) applyOutcome(sh *shard, slot int32, probes []core.Probe, res c
 		st.servedGain = g
 		m.acc.selLoss.Observe(stats.MilliDB(m.cachedBestGain(st) - st.curGain))
 	}
-	sh.pushTimer(timer{fire: m.fireEpoch(h.deadline), slot: slot})
+	// A station that departed while its round was estimated and arrived
+	// again under its ID is idle here, with no deadline to arm.
+	if armed(h) {
+		sh.armTimer(slot, m.fireEpoch(h.deadline))
+	}
 	m.park(sh, slot, sh.cursor)
 }
