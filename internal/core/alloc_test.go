@@ -212,8 +212,8 @@ func TestBatchScratchBounded(t *testing.T) {
 	limit := 2 * len(sector.TalonTX())
 	for i := range bs.items {
 		it := &bs.items[i]
-		for _, c := range []int{cap(it.snrDB), cap(it.rssiDB), cap(it.snr), cap(it.rssi),
-			cap(it.qv.cols), cap(it.qv.colsC), cap(it.qv.pack)} {
+		for _, c := range []int{cap(it.snrDB), cap(it.rssiDB), cap(it.dS), cap(it.dR),
+			cap(it.qv.cols), cap(it.qv.colsC), cap(it.qv.ps), cap(it.qv.pr)} {
 			if c > limit {
 				t.Fatalf("item %d keeps a %d-entry buffer, want <= %d", i, c, limit)
 			}

@@ -38,7 +38,7 @@ func BatchOf(batch [][]Probe) []BatchItem {
 // SelectSectorBatch runs the full CSS pipeline over a batch of
 // independent probe vectors through the batch-major quantized pass
 // (tile.go): items are split into contiguous per-worker chunks, each
-// worker walks its chunk 64 items at a time through one pooled scratch,
+// worker walks its chunk 64 items at a time through one recycled scratch,
 // and each 64-item sub-chunk shares one tiled sweep of the coarse
 // dictionary instead of streaming it once per item as a SelectSector
 // loop would. The scratch a call holds is thus bounded by the worker

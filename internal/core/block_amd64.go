@@ -1,0 +1,42 @@
+package core
+
+// useAVX2 selects the assembly block kernel (block_amd64.s): set once
+// at init when the CPU has AVX2 and the OS saves YMM state.
+var useAVX2 = hasAVX2()
+
+// hasAVX2 follows the runtime's own feature probe: CPUID leaf 1 for AVX
+// and OSXSAVE, XGETBV for the OS-enabled XMM and YMM state, CPUID leaf 7
+// for AVX2.
+func hasAVX2() bool {
+	const (
+		osxsave = 1 << 27 // CPUID.1:ECX
+		avx     = 1 << 28 // CPUID.1:ECX
+		xmmYmm  = 1<<1 | 1<<2
+		avx2    = 1 << 5 // CPUID.(7,0):EBX
+	)
+	maxID, _, _, _ := cpuid(0, 0)
+	if maxID < 7 {
+		return false
+	}
+	_, _, ecx1, _ := cpuid(1, 0)
+	if ecx1&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&xmmYmm != xmmYmm {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	return ebx7&avx2 != 0
+}
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
+
+// scoreBlockAVX2 is scoreBlock's moments and finish on AVX2: d points
+// at lane 0 of column 0, row is the column pitch in codes, and cols, ps
+// and pr are the n correlated components. The caller has bounds-checked
+// every load and zeroed the per-item degenerate cases.
+//
+//go:noescape
+func scoreBlockAVX2(d *int16, row int, cols, ps, pr *int32, n int, k *blockConsts, snrOnly bool, out *[blockLanes]float64)

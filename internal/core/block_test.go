@@ -1,0 +1,398 @@
+package core
+
+import (
+	"context"
+	"math"
+	"runtime"
+	"testing"
+
+	"talon/internal/radio"
+	"talon/internal/sector"
+	"talon/internal/stats"
+)
+
+// avx2Available records the init-time dispatch, before any test flips
+// useAVX2.
+var avx2Available = useAVX2
+
+// blockImpls lists the block implementations this machine runs: the
+// generic one always, the AVX2 kernel where the init check found it.
+func blockImpls() []bool {
+	if avx2Available {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+// withBlockImpl runs f with scoreBlock dispatched to the AVX2 kernel
+// (avx2) or the generic block.
+func withBlockImpl(avx2 bool, f func()) {
+	saved := useAVX2
+	useAVX2 = avx2
+	defer func() { useAVX2 = saved }()
+	f()
+}
+
+func implName(avx2 bool) string {
+	if avx2 {
+		return "avx2"
+	}
+	return "generic"
+}
+
+// jointQ is the point-at-a-time quantized correlation the block kernel
+// replaced, kept as its oracle: one sweep of the point's codes over the
+// correlated components accumulates Σx, Σx² and both cross moments in
+// int32, the probe moments come hoisted from quantize, and the int64
+// finish returns early exactly where scoreBlock's lane guards zero a
+// lane. d is a sector-major dictionary with row codes per column.
+func jointQ(d []int16, row, pt int, qv *quantVec, snrOnly bool) float64 {
+	n := qv.n
+	if n < 3 {
+		return 0
+	}
+	var sx, sxx, spxS, spxR int32
+	for i, c := range qv.colsC {
+		x := int32(d[int(c)*row+pt])
+		sx += x
+		sxx += x * x
+		spxS += qv.ps[i] * x
+		spxR += qv.pr[i] * x
+	}
+	varX := int64(n)*int64(sxx) - int64(sx)*int64(sx)
+	if varX == 0 || qv.snrVarP == 0 {
+		return 0
+	}
+	cov := int64(n)*int64(spxS) - int64(qv.snrSp)*int64(sx)
+	if cov < 0 {
+		return 0
+	}
+	v := float64(cov) * float64(cov) / (float64(qv.snrVarP) * float64(varX))
+	if v == 0 || snrOnly {
+		return v
+	}
+	if qv.rssiVarP == 0 {
+		return 0
+	}
+	cov = int64(n)*int64(spxR) - int64(qv.rssiSp)*int64(sx)
+	if cov < 0 {
+		return 0
+	}
+	return v * (float64(cov) * float64(cov) / (float64(qv.rssiVarP) * float64(varX)))
+}
+
+// jointQScalar is the scalar-moment reference: the same component set
+// and probe codes, but six separate int32 accumulators per correlation
+// and no hoisted probe moments.
+func jointQScalar(d []int16, row, pt int, qv *quantVec, snrOnly bool) float64 {
+	corr := func(codes []int32) float64 {
+		var n, sp, sx, spx, spp, sxx int32
+		for i, c := range qv.colsC {
+			x := int32(d[int(c)*row+pt])
+			p := codes[i]
+			n++
+			sp += p
+			sx += x
+			spx += p * x
+			spp += p * p
+			sxx += x * x
+		}
+		if n < 3 {
+			return 0
+		}
+		cov := int64(n)*int64(spx) - int64(sp)*int64(sx)
+		varP := int64(n)*int64(spp) - int64(sp)*int64(sp)
+		varX := int64(n)*int64(sxx) - int64(sx)*int64(sx)
+		if varP == 0 || varX == 0 || cov < 0 {
+			return 0
+		}
+		return float64(cov) * float64(cov) / (float64(varP) * float64(varX))
+	}
+	v := corr(qv.ps)
+	if v != 0 && !snrOnly {
+		v *= corr(qv.pr)
+	}
+	return v
+}
+
+// checkBlocks scores every block start of a sector-major dictionary of
+// nPts points (row codes per column) with every block implementation
+// and requires each lane inside the dictionary to match jointQScalar
+// and jointQ bit for bit. It returns the number of lanes compared.
+func checkBlocks(t testing.TB, label string, d []int16, row, nPts int, qv *quantVec) int {
+	t.Helper()
+	lanes := 0
+	var blk [blockLanes]float64
+	for _, avx2 := range blockImpls() {
+		for _, snrOnly := range []bool{false, true} {
+			withBlockImpl(avx2, func() {
+				for pt := 0; pt < nPts; pt++ {
+					scoreBlock(d, row, pt, qv, snrOnly, &blk)
+					for j := 0; j < blockLanes && pt+j < nPts; j++ {
+						ref := jointQScalar(d, row, pt+j, qv, snrOnly)
+						if math.Float64bits(blk[j]) != math.Float64bits(ref) {
+							t.Fatalf("%s %s snrOnly=%v pt %d lane %d: block %v (%#x) != scalar %v (%#x)",
+								label, implName(avx2), snrOnly, pt, j, blk[j], math.Float64bits(blk[j]), ref, math.Float64bits(ref))
+						}
+						if q := jointQ(d, row, pt+j, qv, snrOnly); math.Float64bits(q) != math.Float64bits(ref) {
+							t.Fatalf("%s snrOnly=%v pt %d: jointQ %v != scalar %v", label, snrOnly, pt+j, q, ref)
+						}
+						lanes++
+					}
+				}
+			})
+		}
+	}
+	return lanes
+}
+
+// checkEngineBlocks runs checkBlocks over both quantized dictionaries of
+// an engine.
+func checkEngineBlocks(t testing.TB, label string, en *engine, qv *quantVec) int {
+	t.Helper()
+	lanes := checkBlocks(t, label+" dense", en.dictQ, en.rowQ, len(en.az)*len(en.el), qv)
+	if en.hier() {
+		lanes += checkBlocks(t, label+" coarse", en.coarseQ, en.rowC, len(en.cAzIdx)*len(en.cElIdx), qv)
+	}
+	return lanes
+}
+
+// randomProbes draws m distinct TX sectors with lattice SNR and RSSI
+// readings, each reported with probability pOK.
+func randomProbes(rng *stats.RNG, m int, pOK float64) []Probe {
+	ids := sector.TalonTX()
+	perm := rng.Perm(len(ids))
+	probes := make([]Probe, m)
+	for i := range probes {
+		probes[i] = Probe{
+			Sector: ids[perm[i]],
+			OK:     rng.Float64() < pOK,
+			Meas: radio.Measurement{
+				SNR:  math.Round(-40+100*rng.Float64()) / 4,
+				RSSI: -70 + math.Round(-40+100*rng.Float64())/4,
+			},
+		}
+	}
+	return probes
+}
+
+// quantOf gathers and quantizes probes on est's engine.
+func quantOf(est *Estimator, probes []Probe) *quantItem {
+	it := &quantItem{}
+	est.gatherQuant(it, probes)
+	it.quantize()
+	return it
+}
+
+// TestQuantBlockMatchesScalar pins the eight-point block kernel — the
+// AVX2 assembly where the CPU has it, and the generic Go block — to the
+// scalar-moment reference bit for bit at every dense and coarse point,
+// from every block start: random items of 3 to 34 probes with dropped
+// probes, snrOnly on and off, and the degenerate cases the lane guards
+// handle (fewer than three components, constant probes, a point whose
+// probed codes are all equal, full-scale moments at the component cap).
+func TestQuantBlockMatchesScalar(t *testing.T) {
+	set, _ := synthSetup(t)
+	est, err := NewEstimator(set, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	en := est.en
+	if !en.hier() {
+		t.Fatal("synthetic estimator built no coarse grid")
+	}
+	if !avx2Available {
+		t.Log("no AVX2 on this machine: checking the generic block only")
+	}
+	rng := stats.NewRNG(73)
+	lanes := 0
+	for m := 3; m <= len(sector.TalonTX()); m++ {
+		it := quantOf(est, randomProbes(rng, m, 0.8))
+		lanes += checkEngineBlocks(t, "random", en, &it.qv)
+	}
+
+	// Fewer than three components: every lane scores 0.
+	two := quantOf(est, randomProbes(rng, 2, 1))
+	if two.qv.n >= 3 {
+		t.Fatalf("two-probe item correlates %d components", two.qv.n)
+	}
+	lanes += checkEngineBlocks(t, "n<3", en, &two.qv)
+
+	// Constant SNR probes (snrVarP = 0), then constant RSSI probes only
+	// (rssiVarP = 0, which zeroes the joint score but not snrOnly's).
+	flat := randomProbes(rng, 14, 1)
+	for i := range flat {
+		flat[i].Meas.SNR = 3
+	}
+	it := quantOf(est, flat)
+	if it.qv.snrVarP != 0 {
+		t.Fatalf("constant SNR probes: snrVarP = %d", it.qv.snrVarP)
+	}
+	lanes += checkEngineBlocks(t, "constant snr", en, &it.qv)
+	flat = randomProbes(rng, 14, 1)
+	for i := range flat {
+		flat[i].Meas.RSSI = -60
+	}
+	it = quantOf(est, flat)
+	if it.qv.rssiVarP != 0 || it.qv.snrVarP == 0 {
+		t.Fatalf("constant RSSI probes: snrVarP = %d, rssiVarP = %d", it.qv.snrVarP, it.qv.rssiVarP)
+	}
+	lanes += checkEngineBlocks(t, "constant rssi", en, &it.qv)
+
+	// A synthetic dictionary with flat points (varX = 0: every column
+	// holds the same code, zero and full scale included) between random
+	// ones, an odd point count so the last blocks read padding.
+	const nPts = 37
+	stride := en.stride
+	row := nPts + blockLanes
+	d := make([]int16, stride*row)
+	for c := 0; c < stride; c++ {
+		for pt := 0; pt < nPts; pt++ {
+			code := int16(rng.Intn(quantOne + 1))
+			switch pt % 5 {
+			case 1:
+				code = 0
+			case 2:
+				code = quantOne
+			case 3:
+				code = int16(pt * 97 % quantOne)
+			}
+			d[c*row+pt] = code
+		}
+	}
+	for m := 3; m <= len(sector.TalonTX()); m += 5 {
+		it := quantOf(est, randomProbes(rng, m, 0.9))
+		lanes += checkBlocks(t, "flat points", d, row, nPts, &it.qv)
+	}
+
+	// The moment bound: quantMaxComponents components (sectors repeat)
+	// over full-scale codes, the SNR probes alternating between the top
+	// and the floor of the window and the RSSI probes in pairs.
+	ids := sector.TalonTX()
+	probes := make([]Probe, quantMaxComponents)
+	for i := range probes {
+		probes[i] = Probe{Sector: ids[i%len(ids)], OK: true, Meas: radio.Measurement{
+			SNR:  []float64{radio.SNRMaxDB, radio.SNRMinDB}[i%2],
+			RSSI: []float64{-50, -70}[(i/2)%2],
+		}}
+	}
+	it = quantOf(est, probes)
+	if it.qv.n != quantMaxComponents {
+		t.Fatalf("moment-bound item correlates %d components, want %d", it.qv.n, quantMaxComponents)
+	}
+	for c := 0; c < stride; c++ {
+		for pt := 0; pt < nPts; pt += 2 {
+			d[c*row+pt] = quantOne
+		}
+	}
+	lanes += checkBlocks(t, "moment bound", d, row, nPts, &it.qv)
+	t.Logf("%d lanes bit-identical", lanes)
+}
+
+// FuzzScoreBlock feeds arbitrary probe vectors (decodeFuzzProbes:
+// unknown and duplicate sectors, dropped probes, non-finite readings,
+// up to 96 probes) through gather and quantize, then requires every
+// block implementation to match the scalar-moment reference at every
+// dense and coarse point.
+func FuzzScoreBlock(f *testing.F) {
+	set, gain := synthSetup(f)
+	est, err := NewEstimator(set, Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	rng := stats.NewRNG(97)
+	f.Add(encodeFuzzProbes(observe(f, gain, sector.TalonTX(), 20, 9, quietModel(), rng)))
+	f.Add(encodeFuzzProbes(observe(f, gain, sector.TalonTX()[:3], -40, 3, quietModel(), rng)))
+	f.Add(encodeFuzzProbes(randomProbes(rng, 14, 0.7)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		it := quantOf(est, decodeFuzzProbes(data))
+		checkEngineBlocks(t, "fuzz", est.en, &it.qv)
+	})
+}
+
+// TestQuantBlockDispatch runs a seeded 1,000-item batch — cold items,
+// then the same probes with every other item hinted by its cold cell —
+// through the AVX2 kernel and through the generic block, on the default
+// and the exhaustive estimator: every result must be identical.
+func TestQuantBlockDispatch(t *testing.T) {
+	if !avx2Available {
+		t.Skip("no AVX2 on this machine: the generic block is the only path")
+	}
+	set, gain := synthSetup(t)
+	ctx := context.Background()
+	for _, opts := range []Options{{}, {ExactSearch: true}, {SNROnly: true}} {
+		est, err := NewEstimator(set, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := stats.NewRNG(83)
+		batch := make([]BatchItem, 1000)
+		for i := range batch {
+			batch[i].Probes = observe(t, gain, sector.TalonTX()[:14+i%21], -70+140*rng.Float64(), 28*rng.Float64(), radio.DefaultMeasurementModel(), rng)
+		}
+		run := func(avx2 bool) []BatchResult {
+			var out []BatchResult
+			withBlockImpl(avx2, func() {
+				out, err = est.SelectSectorBatch(ctx, batch, 1)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		}
+		same := func(label string, want []BatchResult) {
+			t.Helper()
+			got := run(false)
+			for i := range got {
+				if !identicalResult(got[i], want[i]) {
+					t.Fatalf("%+v %s item %d: generic %+v, AVX2 %+v", opts, label, i, got[i], want[i])
+				}
+			}
+		}
+		cold := run(true)
+		same("cold", cold)
+		for i := 0; i < len(batch); i += 2 {
+			batch[i].Hint = cold[i].Selection.AoA.Cell
+		}
+		same("hinted", run(true))
+	}
+}
+
+// TestBatchScratchZeroAllocAcrossProcs changes GOMAXPROCS between
+// batches: the engine's scratch free list is shared by every P, so once
+// warm, no batch allocates whichever P serves it.
+func TestBatchScratchZeroAllocAcrossProcs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed under the race detector")
+	}
+	set, gain := synthSetup(t)
+	est, err := NewEstimator(set, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(89)
+	batch := make([]BatchItem, 96)
+	for i := range batch {
+		batch[i].Probes = observe(t, gain, sector.TalonTX(), -60+120*rng.Float64(), 12, quietModel(), rng)
+	}
+	out := make([]BatchResult, len(batch))
+	ctx := context.Background()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	procs := [...]int{2, 1, 3}
+	serve := func() {
+		for _, p := range procs {
+			runtime.GOMAXPROCS(p)
+			if _, err := est.SelectSectorBatchInto(ctx, batch, 1, out); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	serve()
+	misses := metScratchMisses.Value()
+	if allocs := testing.AllocsPerRun(20, serve); allocs != 0 {
+		t.Fatalf("batches across GOMAXPROCS changes allocate %.1f times per round, want 0", allocs)
+	}
+	if got := metScratchMisses.Value() - misses; got != 0 {
+		t.Fatalf("%d scratch free-list misses after warm-up, want 0", got)
+	}
+}

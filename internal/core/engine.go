@@ -17,8 +17,9 @@ import (
 // and math.Pow for every probed sector at every grid point of every
 // estimate; the engine pays that cost exactly once at construction and
 // quantizes the result to int16 codes, so the grid search reduces to
-// integer moment sweeps over contiguous slices (quant.go). Per-call
-// scratch is recycled through one sync.Pool (see tile.go).
+// integer moment sweeps over contiguous slices (quant.go, block.go).
+// Per-call scratch is recycled through an engine-owned free list (see
+// tile.go).
 type engine struct {
 	az, el []float64
 	stride int        // dense dictionary columns per grid point
@@ -38,16 +39,22 @@ type engine struct {
 	cAzIdx []int32 // dense az index of each coarse grid column
 	cElIdx []int32 // dense el index of each coarse grid row
 
-	// Quantized int16 kernel (see quant.go / tile.go). dictQ is the
-	// fixed-point twin of dict ([0, quantOne] amplitude codes) and
-	// coarseQ its decimated copy over the coarse grid, laid out
-	// [(ci*len(cAzIdx)+cj)*stride + col]. tilePts is the L1 tile size of
-	// the coarse sweeps, in grid points.
-	dictQ   []int16
-	coarseQ []int16
-	tilePts int
+	// Quantized int16 kernel (see quant.go / block.go / tile.go). dictQ
+	// is the fixed-point twin of dict ([0, quantOne] amplitude codes)
+	// and coarseQ its decimated copy over the coarse grid, both
+	// sector-major: column col at point pt sits at [col*rowQ + pt] in
+	// dictQ (pt = ei*numAz + ai) and at [col*rowC + pt] in coarseQ
+	// (pt = ci*len(cAzIdx) + cj). Each row is the point count plus
+	// blockLanes padding codes. tilePts is the L1 tile size of the
+	// coarse sweeps, in grid points.
+	dictQ      []int16
+	coarseQ    []int16
+	rowQ, rowC int
+	tilePts    int
 
-	batchScratch sync.Pool // *quantBatchScratch (see tile.go)
+	// Free list of per-call scratch (getBatchScratch, tile.go).
+	scratchMu   sync.Mutex
+	scratchFree []*quantBatchScratch
 
 	dirs []geom.Direction // unit vector of every dense grid cell, row-major (multipath.go)
 }
@@ -93,10 +100,6 @@ func newEngine(set *pattern.Set, exact bool) (*engine, error) {
 			}
 		}
 	}
-	en.batchScratch.New = func() any {
-		metScratchMisses.Inc()
-		return &quantBatchScratch{}
-	}
 	if !exact {
 		en.buildCoarse()
 	}
@@ -139,38 +142,48 @@ func decimateIndices(n, decim int) []int32 {
 	return out
 }
 
-// correlateAt is the engine twin of Estimator.correlate at one grid
-// point: identical accumulation order, fixed 64-component capacity,
-// absent-sector skips and guards, but with the pattern lookup replaced
-// by a contiguous dictionary read.
-func (en *engine) correlateAt(base int, cols []int16, lin []float64) float64 {
-	var xs, ps [64]float64
-	used := 0
-	var sumP, sumX float64
-	for i, c := range cols {
-		if c < 0 {
-			continue
-		}
-		x := en.dict[base+int(c)]
-		if used >= len(xs) {
-			break
-		}
-		ps[used], xs[used] = lin[i], x
-		sumP += lin[i]
-		sumX += x
-		used++
-	}
-	if used < 3 {
+// jointAt evaluates the joint Eq. 5 correlation at one dictionary base
+// offset on the float64 dictionary: the engine twin of the serial
+// reference's two Estimator.correlate calls at one grid point. The probe
+// side comes centered from quantItem.center; one pass over the
+// correlated components sums Σx, and a second forms both centered dot
+// products and the one Σ(x − x̄)² the two correlations share. Every
+// accumulator keeps the serial arithmetic's operation order, so each
+// factor is bit-identical to its correlate. The serial path multiplies
+// unconditionally; when the SNR factor is exactly 0 the product is
+// identically 0, so skipping the RSSI factor is value-preserving.
+//
+//talon:noalloc
+func (en *engine) jointAt(base int, it *quantItem, snrOnly bool) float64 {
+	cols := it.qv.colsC
+	if len(cols) < 3 {
 		return 0
 	}
-	meanP, meanX := sumP/float64(used), sumX/float64(used)
-	var dot, nm, nx float64
-	for i := 0; i < used; i++ {
-		dp, dx := ps[i]-meanP, xs[i]-meanX
-		dot += dp * dx
-		nm += dp * dp
+	d := en.dict[base : base+en.stride]
+	var sumX float64
+	for _, c := range cols {
+		sumX += d[c]
+	}
+	meanX := sumX / float64(len(cols))
+	dS, dR := it.dS[:len(cols)], it.dR[:len(cols)]
+	var dotS, dotR, nx float64
+	for i, c := range cols {
+		dx := d[c] - meanX
+		dotS += dS[i] * dx
+		dotR += dR[i] * dx
 		nx += dx * dx
 	}
+	v := pearsonW(dotS, it.nmS, nx)
+	if v != 0 && !snrOnly {
+		v *= pearsonW(dotR, it.nmR, nx)
+	}
+	return v
+}
+
+// pearsonW is the finish of Estimator.correlate from its centered sums:
+// the squared Pearson correlation, 0 for a degenerate vector or an
+// anti-correlated shape.
+func pearsonW(dot, nm, nx float64) float64 {
 	if nm == 0 || nx == 0 {
 		return 0
 	}
@@ -179,16 +192,4 @@ func (en *engine) correlateAt(base int, cols []int16, lin []float64) float64 {
 		return 0
 	}
 	return w
-}
-
-// jointAt evaluates the joint Eq. 5 correlation at one dictionary base
-// offset. The serial path multiplies unconditionally; when the SNR
-// correlation is exactly 0 the product is identically 0, so skipping the
-// RSSI correlate is value-preserving.
-func (en *engine) jointAt(pt int, cols []int16, snrLin, rssiLin []float64, snrOnly bool) float64 {
-	v := en.correlateAt(pt, cols, snrLin)
-	if v != 0 && !snrOnly {
-		v *= en.correlateAt(pt, cols, rssiLin)
-	}
-	return v
 }

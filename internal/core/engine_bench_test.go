@@ -114,6 +114,16 @@ func BenchmarkSelectSector_Quant(b *testing.B) {
 	}
 }
 
+// BenchmarkSelectSector_QuantGeneric is _Quant with every block scored
+// by the portable Go block instead of the AVX2 kernel: the same-run
+// _Quant / _QuantGeneric ratio is what the assembly buys, and CI gates
+// it. Where the init check found no AVX2 both run the generic block.
+func BenchmarkSelectSector_QuantGeneric(b *testing.B) {
+	defer func(saved bool) { useAVX2 = saved }(useAVX2)
+	useAVX2 = false
+	BenchmarkSelectSector_Quant(b)
+}
+
 // benchProbesAt rebuilds a probe vector whose measurements are the
 // benchEstimator gaussian-beam gains evaluated at one direction, so the
 // correlation surface has a genuine peak there. The default probes'

@@ -369,8 +369,12 @@ func TestCoarseDecimOptions(t *testing.T) {
 			}
 		}
 	}
-	wantQ := len(en.cAzIdx) * len(en.cElIdx) * en.stride
-	if len(en.coarseQ) != wantQ {
+	// Sector-major: one row per column, each the coarse point count
+	// plus the block padding.
+	if want := len(en.cAzIdx)*len(en.cElIdx) + blockLanes; en.rowC != want {
+		t.Fatalf("coarse dictionary rows hold %d codes, want %d", en.rowC, want)
+	}
+	if wantQ := en.rowC * en.stride; len(en.coarseQ) != wantQ {
 		t.Fatalf("coarse dictionary holds %d codes, want %d", len(en.coarseQ), wantQ)
 	}
 

@@ -16,9 +16,9 @@ var (
 	metDictBuildSeconds = obs.NewHistogram("core_dict_build_seconds",
 		"correlation-dictionary precomputation time per estimator", nil)
 	metScratchGets = obs.NewCounter("core_scratch_gets_total",
-		"scratch-pool fetches (per-item estimate scratch, one per estimate call or batch chunk)")
+		"scratch free-list fetches (per-item estimate scratch, one per estimate call or batch chunk)")
 	metScratchMisses = obs.NewCounter("core_scratch_misses_total",
-		"scratch-pool misses that allocated fresh scratch")
+		"scratch free-list misses that allocated fresh scratch")
 	metSelectEngine = obs.NewCounter("core_select_engine_total",
 		"SelectSector pipelines run on the engine path")
 	metSelectSerial = obs.NewCounter("core_select_serial_total",

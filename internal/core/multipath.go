@@ -20,7 +20,7 @@ import (
 const peakRelThresh = 0.1
 
 // peakSearch is a successive-cancellation search in progress on one
-// pooled scratch item. An estimate exists, so gatherQuant imputed every
+// recycled scratch item. An estimate exists, so gatherQuant imputed every
 // unreported probe and the item's component i is probes[i].
 type peakSearch struct {
 	e       *Estimator

@@ -50,7 +50,8 @@ import (
 // float64 serial reference (EstimateAoASerial / SelectSectorSerial).
 //
 // The float64 dictionary stays resident for the float epilogue alone;
-// every search, multipath and backup included, runs on the int16 codes.
+// every search, multipath and backup included, runs on the int16 codes,
+// eight grid points per pass (scoreBlock, block.go).
 
 // Fixed-point geometry.
 const (
@@ -153,13 +154,16 @@ func windowOffset(db []float64, cols []int16) float64 {
 // the coarse dictionary out of it. Called from newEngine after
 // buildCoarse. The global scale maps the loudest finite dictionary
 // amplitude to full scale — Pearson invariance makes the choice free —
-// and the coarse codes are copied from the dense ones row by row, so a
-// grid point shared by both quantized dictionaries scores
-// bit-identically. newEngine has already rejected non-finite
-// amplitudes (ErrPatternHole); a dictionary with no positive amplitude
-// at all quantizes at unit scale, where every grid point then scores 0
-// and estimates fail with ErrDegenerateSurface like the serial
-// reference.
+// and the coarse codes are copied from the dense ones, so a grid point
+// shared by both quantized dictionaries scores bit-identically.
+// newEngine has already rejected non-finite amplitudes
+// (ErrPatternHole); a dictionary with no positive amplitude at all
+// quantizes at unit scale, where every grid point then scores 0 and
+// estimates fail with ErrDegenerateSurface like the serial reference.
+//
+// Both code dictionaries are sector-major, the layout of the block
+// kernel (block.go): column c at point pt sits at [c·row + pt], where
+// row is the point count plus blockLanes padding codes.
 func (en *engine) buildQuant() {
 	maxAmp := 0.0
 	for _, v := range en.dict {
@@ -171,23 +175,30 @@ func (en *engine) buildQuant() {
 	if maxAmp > 0 {
 		scale = quantOne / maxAmp
 	}
-	en.dictQ = make([]int16, len(en.dict))
-	for i, v := range en.dict {
-		c := math.Round(v * scale)
-		if c > quantOne {
-			c = quantOne
+	nPts := len(en.az) * len(en.el)
+	en.rowQ = nPts + blockLanes
+	en.dictQ = make([]int16, en.stride*en.rowQ)
+	for pt := 0; pt < nPts; pt++ {
+		for c, v := range en.dict[pt*en.stride : (pt+1)*en.stride] {
+			code := math.Round(v * scale)
+			if code > quantOne {
+				code = quantOne
+			}
+			en.dictQ[c*en.rowQ+pt] = int16(code)
 		}
-		en.dictQ[i] = int16(c)
 	}
 	if en.hier() {
 		numAz := len(en.az)
-		en.coarseQ = make([]int16, len(en.cAzIdx)*len(en.cElIdx)*en.stride)
-		pos := 0
+		en.rowC = len(en.cAzIdx)*len(en.cElIdx) + blockLanes
+		en.coarseQ = make([]int16, en.stride*en.rowC)
+		cp := 0
 		for _, ei := range en.cElIdx {
 			for _, ai := range en.cAzIdx {
-				src := (int(ei)*numAz + int(ai)) * en.stride
-				copy(en.coarseQ[pos:pos+en.stride], en.dictQ[src:src+en.stride])
-				pos += en.stride
+				src := int(ei)*numAz + int(ai)
+				for c := 0; c < en.stride; c++ {
+					en.coarseQ[c*en.rowC+cp] = en.dictQ[c*en.rowQ+src]
+				}
+				cp++
 			}
 		}
 	}
@@ -201,109 +212,81 @@ func (en *engine) buildQuant() {
 // quantMaxComponents, with the grid-point-invariant probe moments hoisted
 // out of the sweep. The dictionary has no holes, so the component set is
 // identical at every grid point and n, Σp and n·Σp² − (Σp)² are
-// per-estimate constants. pack[i] carries both probe codes SWAR-style —
-// SNR in the low half, RSSI in the high half — so one 64-bit
-// multiply-accumulate per component produces both cross moments (see
-// jointQ).
+// per-estimate constants.
 type quantVec struct {
 	cols              []int16 // dictionary column per gathered component; < 0 = absent sector
 	colsC             []int32 // dictionary column per correlated component
-	pack              []int64 // SNR | RSSI<<32 amplitude codes, parallel to colsC
+	ps, pr            []int32 // SNR and RSSI amplitude codes, parallel to colsC
+	colHi             int32   // one past the largest entry of colsC
 	n                 int32
 	snrSp, rssiSp     int32
 	snrVarP, rssiVarP int64
 }
 
-// jointQ evaluates the joint Eq. 5 correlation at one dictionary base
-// offset on the quantized kernel: Eq. 2 from single-pass int32 raw
-// moments (n, Σp, Σx, Σpx, Σp², Σx²) instead of the float path's
-// two-pass centered form. One fused sweep of the row accumulates the
-// dictionary moments (Σx, Σx²) and both cross moments (Σpx for SNR and
-// RSSI), so each int16 code is loaded once for the whole Eq. 5 product;
-// the probe-side moments come precomputed from quantize(). Component
-// selection mirrors the float arithmetic — skip absent columns, cap at
-// quantMaxComponents, fewer than three components yield 0 — so the two
-// disagree only by rounding. The w = cov²/(varP·varX) form is
-// dimensionless, so quantized scores live on the same [0, 1] scale as
-// float ones and the fallbackCorr threshold applies unchanged.
-//
-// Both accumulators are SWAR pairs: every partial sum that lands in a
-// low half is bounded by quantMaxComponents·quantOne² = 64·4095² < 2³¹,
-// so the low half can never carry into the high half and the two packed
-// running sums stay exact. mom packs Σx² (low) with Σx (high); cross
-// packs Σ snr·x (low) with Σ rssi·x (high) via the precomputed pack
-// codes.
-//
-//talon:noalloc
-func jointQ(dictQ []int16, pt int, qv *quantVec, snrOnly bool) float64 {
-	n := qv.n
-	if n < 3 {
-		return 0
-	}
-	colsC, pack := qv.colsC, qv.pack
-	var mom, cross int64
-	for i, c := range colsC {
-		x := int64(dictQ[pt+int(c)])
-		mom += x * (x | 1<<32)
-		cross += x * pack[i]
-	}
-	sx := int32(mom >> 32)
-	sxx := int32(uint32(mom))
-	spxS := int32(uint32(cross))
-	spxR := int32(cross >> 32)
-	varX := int64(n)*int64(sxx) - int64(sx)*int64(sx)
-	if varX == 0 || qv.snrVarP == 0 {
-		return 0
-	}
-	cov := int64(n)*int64(spxS) - int64(qv.snrSp)*int64(sx)
-	if cov < 0 {
-		return 0
-	}
-	v := float64(cov) * float64(cov) / (float64(qv.snrVarP) * float64(varX))
-	if v == 0 || snrOnly {
-		return v
-	}
-	if qv.rssiVarP == 0 {
-		return 0
-	}
-	cov = int64(n)*int64(spxR) - int64(qv.rssiSp)*int64(sx)
-	if cov < 0 {
-		return 0
-	}
-	return v * (float64(cov) * float64(cov) / (float64(qv.rssiVarP) * float64(varX)))
+// cellScore is a dense grid cell and its quantized score: the running
+// argmax of a scan.
+type cellScore struct {
+	a, e int
+	w    float64
 }
 
 // coarseTopKQ scores the coarse points [lo, hi) for one item's probe
 // vector and folds the positive ones into the item's descending top-K
 // (it.cells/it.scores, it.kept entries). The insertion keeps the top-K
 // sorted by descending score — ties keep the earlier row-major cell —
-// and because quantChunk sweeps tiles in ascending point order the final
-// top-K matches a straight row-major scan, whatever the tile geometry.
+// and because quantChunk sweeps tiles, and each tile its blocks, in
+// ascending point order the final top-K matches a straight row-major
+// scan, whatever the tile geometry.
 //
 //talon:noalloc
 func (en *engine) coarseTopKQ(lo, hi int, it *quantItem, snrOnly bool) {
+	var blk [blockLanes]float64
 	kept := it.kept
-	pos := lo * en.stride
-	for pt := lo; pt < hi; pt++ {
-		v := jointQ(en.coarseQ, pos, &it.qv, snrOnly)
-		pos += en.stride
-		if v <= 0 {
-			continue
+	for pt := lo; pt < hi; pt += blockLanes {
+		scoreBlock(en.coarseQ, en.rowC, pt, &it.qv, snrOnly, &blk)
+		for j, v := range blk[:min(blockLanes, hi-pt)] {
+			if v <= 0 {
+				continue
+			}
+			if kept == topK && v <= it.scores[kept-1] {
+				continue
+			}
+			if kept < topK {
+				kept++
+			}
+			at := kept - 1
+			for at > 0 && v > it.scores[at-1] {
+				it.scores[at], it.cells[at] = it.scores[at-1], it.cells[at-1]
+				at--
+			}
+			it.scores[at], it.cells[at] = v, int32(pt+j)
 		}
-		if kept == topK && v <= it.scores[kept-1] {
-			continue
-		}
-		if kept < topK {
-			kept++
-		}
-		at := kept - 1
-		for at > 0 && v > it.scores[at-1] {
-			it.scores[at], it.cells[at] = it.scores[at-1], it.cells[at-1]
-			at--
-		}
-		it.scores[at], it.cells[at] = v, int32(pt)
 	}
 	it.kept = kept
+}
+
+// scanRow folds the dense points lo…hi (inclusive) of grid row ei into
+// the running argmax best, eight points per block in ascending order
+// with the strictly-greater update, so ties keep the earlier row-major
+// cell. Cells set in a non-nil skip bitset (row-major, multipath.go) are
+// passed over.
+//
+//talon:noalloc
+func (en *engine) scanRow(qv *quantVec, snrOnly bool, skip []uint64, ei, lo, hi int, best cellScore) cellScore {
+	var blk [blockLanes]float64
+	base := ei * len(en.az)
+	for ai := lo; ai <= hi; ai += blockLanes {
+		scoreBlock(en.dictQ, en.rowQ, base+ai, qv, snrOnly, &blk)
+		for j, v := range blk[:min(blockLanes, hi-ai+1)] {
+			if pt := base + ai + j; skip != nil && skip[pt>>6]&(1<<(pt&63)) != 0 {
+				continue
+			}
+			if v > best.w {
+				best = cellScore{ai + j, ei, v}
+			}
+		}
+	}
+	return best
 }
 
 // refineQ rescans the dense windows around the item's kept coarse
@@ -325,7 +308,7 @@ func (en *engine) refineQ(ctx context.Context, it *quantItem, snrOnly bool) (bes
 		elLo[k] = clampIdx(ei-refineRadius, numEl)
 		elHi[k] = clampIdx(ei+refineRadius, numEl)
 	}
-	bestA, bestE, bestW = 0, 0, -1.0
+	best := cellScore{w: -1}
 	var iv [topK]ivSpan
 	for ei := 0; ei < numEl; ei++ {
 		n := 0
@@ -346,25 +329,19 @@ func (en *engine) refineQ(ctx context.Context, it *quantItem, snrOnly bool) (bes
 				iv[j], iv[j-1] = iv[j-1], iv[j]
 			}
 		}
-		base := ei * numAz * en.stride
 		cursor := -1
 		for _, s := range iv[:n] {
 			lo := int(s.lo)
 			if lo <= cursor {
 				lo = cursor + 1
 			}
-			for ai := lo; ai <= int(s.hi); ai++ {
-				v := jointQ(en.dictQ, base+ai*en.stride, &it.qv, snrOnly)
-				if v > bestW {
-					bestA, bestE, bestW = ai, ei, v
-				}
-			}
+			best = en.scanRow(&it.qv, snrOnly, nil, ei, lo, int(s.hi), best)
 			if int(s.hi) > cursor {
 				cursor = int(s.hi)
 			}
 		}
 	}
-	return bestA, bestE, bestW, nil
+	return best.a, best.e, best.w, nil
 }
 
 // denseArgmaxQ is the exhaustive quantized scan: every dense grid point
@@ -375,24 +352,14 @@ func (en *engine) refineQ(ctx context.Context, it *quantItem, snrOnly bool) (bes
 //
 //talon:noalloc
 func (en *engine) denseArgmaxQ(ctx context.Context, qv *quantVec, skip []uint64, snrOnly bool) (bestA, bestE int, bestW float64, err error) {
-	numAz, numEl := len(en.az), len(en.el)
-	bestW = -1.0
-	for ei := 0; ei < numEl; ei++ {
+	best := cellScore{w: -1}
+	for ei := range en.el {
 		if err := ctx.Err(); err != nil {
 			return 0, 0, 0, err
 		}
-		base := ei * numAz * en.stride
-		for ai := 0; ai < numAz; ai++ {
-			if pt := ei*numAz + ai; skip != nil && skip[pt>>6]&(1<<(pt&63)) != 0 {
-				continue
-			}
-			v := jointQ(en.dictQ, base+ai*en.stride, qv, snrOnly)
-			if v > bestW {
-				bestA, bestE, bestW = ai, ei, v
-			}
-		}
+		best = en.scanRow(qv, snrOnly, skip, ei, 0, len(en.az)-1, best)
 	}
-	return bestA, bestE, bestW, nil
+	return best.a, best.e, best.w, nil
 }
 
 // gatherQuant is gatherVectors into the item's scratch: identical probe
@@ -449,7 +416,7 @@ func (it *quantItem) quantize() {
 	qv := &it.qv
 	offS := windowOffset(it.snrDB, qv.cols)
 	offR := windowOffset(it.rssiDB, qv.cols)
-	qv.colsC, qv.pack = qv.colsC[:0], qv.pack[:0]
+	qv.colsC, qv.ps, qv.pr, qv.colHi = qv.colsC[:0], qv.ps[:0], qv.pr[:0], 0
 	var spS, sppS, spR, sppR int32
 	for i, c := range qv.cols {
 		if c < 0 {
@@ -461,7 +428,9 @@ func (it *quantItem) quantize() {
 		ps := int32(ampCodes[QuantizeProbe(it.snrDB[i]-offS)])
 		pr := int32(ampCodes[QuantizeProbe(it.rssiDB[i]-offR)])
 		qv.colsC = append(qv.colsC, int32(c))
-		qv.pack = append(qv.pack, int64(ps)|int64(pr)<<32)
+		qv.ps = append(qv.ps, ps)
+		qv.pr = append(qv.pr, pr)
+		qv.colHi = max(qv.colHi, int32(c)+1)
 		spS += ps
 		sppS += ps * ps
 		spR += pr
@@ -506,20 +475,43 @@ func ampCached(db float64) float64 {
 	return amp(db)
 }
 
-// linearize converts the gathered dB vectors to linear amplitudes for
-// the float epilogue. gatherQuant keeps the exact dB values
-// gatherVectors would convert (including the minus-one imputation), so
-// the amplitudes here are bit-identical to the serial reference's
-// gather.
+// center prepares the probe side of the float epilogue: the linear
+// amplitudes of the correlated components (qv.colsC, the same
+// components the serial correlation keeps under its 64-component cap),
+// centered on their means, and their centered sums of squares. The
+// components and their amplitudes are the same at every grid point, so
+// these are per-estimate constants. gatherQuant keeps the exact dB
+// values gatherVectors would convert (including the minus-one
+// imputation) and each sum runs in the serial reference's order, so
+// every value is bit-identical to the one Estimator.correlate derives
+// at each point.
 //
 //talon:noalloc
-func (it *quantItem) linearize() {
-	it.snr, it.rssi = it.snr[:0], it.rssi[:0]
-	for _, v := range it.snrDB {
-		it.snr = append(it.snr, ampCached(v))
+func (it *quantItem) center() {
+	qv := &it.qv
+	it.dS, it.dR = it.dS[:0], it.dR[:0]
+	var sumS, sumR float64
+	for i, c := range qv.cols {
+		if c < 0 {
+			continue
+		}
+		if len(it.dS) == len(qv.colsC) {
+			break
+		}
+		s, r := ampCached(it.snrDB[i]), ampCached(it.rssiDB[i])
+		it.dS = append(it.dS, s)
+		it.dR = append(it.dR, r)
+		sumS += s
+		sumR += r
 	}
-	for _, v := range it.rssiDB {
-		it.rssi = append(it.rssi, ampCached(v))
+	n := float64(len(it.dS))
+	meanS, meanR := sumS/n, sumR/n
+	it.nmS, it.nmR = 0, 0
+	for i := range it.dS {
+		it.dS[i] -= meanS
+		it.dR[i] -= meanR
+		it.nmS += it.dS[i] * it.dS[i]
+		it.nmR += it.dR[i] * it.dR[i]
 	}
 }
 
@@ -537,10 +529,9 @@ func (it *quantItem) linearize() {
 func (e *Estimator) quantEpilogue(it *quantItem, bestA, bestE int) AoAEstimate {
 	en := e.en
 	snrOnly := e.opts.SNROnly
-	it.linearize()
-	cols := it.qv.cols
+	it.center()
 	numAz := len(en.az)
-	w := en.jointAt((bestE*numAz+bestA)*en.stride, cols, it.snr, it.rssi, snrOnly)
+	w := en.jointAt((bestE*numAz+bestA)*en.stride, it, snrOnly)
 	// The closures serve the already-computed centre value instead of
 	// re-deriving it; jointAt is deterministic, so this is only a
 	// recomputation skip.
@@ -549,14 +540,14 @@ func (e *Estimator) quantEpilogue(it *quantItem, bestA, bestE int) AoAEstimate {
 		if i == bestA {
 			return w
 		}
-		return en.jointAt((bestE*numAz+i)*en.stride, cols, it.snr, it.rssi, snrOnly)
+		return en.jointAt((bestE*numAz+i)*en.stride, it, snrOnly)
 	})
 	//lint:allow noalloc -- closure captures only stack values; escape analysis keeps it off the heap (see TestEstimateZeroAllocSteadyState)
 	el := refineAxis(en.el, bestE, func(i int) float64 {
 		if i == bestE {
 			return w
 		}
-		return en.jointAt((i*numAz+bestA)*en.stride, cols, it.snr, it.rssi, snrOnly)
+		return en.jointAt((i*numAz+bestA)*en.stride, it, snrOnly)
 	})
 	return AoAEstimate{Az: az, El: el, Corr: w, Used: it.reported, Cell: cellOf(bestA, bestE)}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"talon/internal/radio"
-	"talon/internal/sector"
 	"talon/internal/stats"
 )
 
@@ -107,7 +106,7 @@ func TestAmpCodesTable(t *testing.T) {
 			t.Fatalf("ampCodes not monotone at %d: %d < %d", c, v, ampCodes[c-1])
 		}
 	}
-	// The overflow argument of jointQ: the worst raw second moment at
+	// The overflow argument of the moment kernel (block.go): the worst raw second moment at
 	// the component cap must fit int32.
 	worst := int64(quantMaxComponents) * int64(quantOne) * int64(quantOne)
 	if worst > math.MaxInt32 {
@@ -148,73 +147,6 @@ func TestQuantizeVecLatticeAligned(t *testing.T) {
 			if c != ampCodes[want] {
 				t.Fatalf("trial %d comp %d: code %d, want ampCodes[%d]=%d (db=%.2f max=%.2f)",
 					trial, i, c, want, ampCodes[want], db[i], maxDB)
-			}
-		}
-	}
-}
-
-// jointQScalar is the scalar-moment reference of jointQ: the same
-// component set and probe codes (read back from pack), but six separate
-// int32 accumulators per correlation and no hoisted probe moments.
-func jointQScalar(dictQ []int16, pt int, qv *quantVec, snrOnly bool) float64 {
-	corr := func(shift uint) float64 {
-		var n, sp, sx, spx, spp, sxx int32
-		for i, c := range qv.colsC {
-			x := int32(dictQ[pt+int(c)])
-			p := int32(uint32(qv.pack[i] >> shift))
-			n++
-			sp += p
-			sx += x
-			spx += p * x
-			spp += p * p
-			sxx += x * x
-		}
-		if n < 3 {
-			return 0
-		}
-		cov := int64(n)*int64(spx) - int64(sp)*int64(sx)
-		varP := int64(n)*int64(spp) - int64(sp)*int64(sp)
-		varX := int64(n)*int64(sxx) - int64(sx)*int64(sx)
-		if varP == 0 || varX == 0 || cov < 0 {
-			return 0
-		}
-		return float64(cov) * float64(cov) / (float64(varP) * float64(varX))
-	}
-	v := corr(0)
-	if v != 0 && !snrOnly {
-		v *= corr(32)
-	}
-	return v
-}
-
-// TestQuantSWARMatchesScalar pins the fused SWAR sweep (jointQ) to the
-// scalar-moment reference bit for bit: both accumulate the identical
-// exact integer moments, so every grid point must score identically
-// whichever computes it.
-func TestQuantSWARMatchesScalar(t *testing.T) {
-	set, gain := synthSetup(t)
-	est, err := NewEstimator(set, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	en := est.en
-	rng := stats.NewRNG(73)
-	for trial := 0; trial < 10; trial++ {
-		az := -60 + 120*rng.Float64()
-		probes := observe(t, gain, sector.TalonTX(), az, 20*rng.Float64(), quietModel(), rng)
-		it := &quantItem{}
-		if est.gatherQuant(it, probes); it.reported < 2 {
-			t.Fatal("gather produced too few probes")
-		}
-		it.quantize()
-		for _, snrOnly := range []bool{false, true} {
-			for pt := 0; pt < len(en.az)*len(en.el); pt++ {
-				base := pt * en.stride
-				got := jointQ(en.dictQ, base, &it.qv, snrOnly)
-				ref := jointQScalar(en.dictQ, base, &it.qv, snrOnly)
-				if got != ref {
-					t.Fatalf("trial %d pt %d snrOnly=%v: SWAR %v != scalar %v", trial, pt, snrOnly, got, ref)
-				}
 			}
 		}
 	}

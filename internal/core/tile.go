@@ -13,18 +13,20 @@ import (
 // inner — so one L1-resident tile of int16 codes serves every item of a
 // sub-chunk before the next tile is touched (the access shape of a
 // blocked GEMM, with coarseTopKQ's int32 accumulation as the inner
-// product). Tiles are contiguous row-major point ranges and coarseTopKQ
-// folds them in ascending order, so each item's top-K is identical to a
-// single-item row-major scan, whatever the chunk: an item's result never
-// depends on which items share its sweep. Each worker walks its chunk in
-// fixed sub-chunks of batchChunk items through one pooled scratch, so
-// the scratch a worker holds is O(batchChunk) whatever the batch size.
+// product). Tiles are contiguous ranges of row-major grid points (in the
+// sector-major dictionary, the same range of every sector's row) and
+// coarseTopKQ folds them in ascending order, so each item's top-K is
+// identical to a single-item row-major scan, whatever the chunk: an
+// item's result never depends on which items share its sweep. Each
+// worker walks its chunk in fixed sub-chunks of batchChunk items through
+// one recycled scratch, so the scratch a worker holds is O(batchChunk)
+// whatever the batch size.
 // The single-call entry points (SelectSector, SelectWithBackup) run the
 // same sub-chunk over one item, so every entry point shares the same
 // per-item stages.
 
 // batchChunk is how many items share one sweep of the coarse
-// dictionary, and so how many quantItems one pooled scratch holds. 32,
+// dictionary, and so how many quantItems one recycled scratch holds. 32,
 // 64 and 128 measured the same per-item cost on a 1,024-item batch
 // (EXPERIMENTS.md "Bounded-memory estimate pipeline"); a larger
 // sub-chunk would only grow the scratch.
@@ -46,14 +48,16 @@ func tilePoints(stride int) int {
 }
 
 // quantItem is the per-item state of one quantized estimate: the
-// gathered readings in dB (snrDB/rssiDB) and as linear amplitudes for the
-// float epilogue (snr/rssi), the quantized code vectors with their column
-// map (qv), the coarse top-K candidates, and — once quantChunk has
-// resolved the item — its estimate or error.
+// gathered readings in dB (snrDB/rssiDB), the quantized code vectors
+// with their column map (qv), the centered linear amplitudes of the
+// float epilogue (dS/dR with their sums of squares nmS/nmR, see center),
+// the coarse top-K candidates, and — once quantChunk has resolved the
+// item — its estimate or error.
 type quantItem struct {
 	snrDB, rssiDB []float64
-	snr, rssi     []float64
 	qv            quantVec
+	dS, dR        []float64
+	nmS, nmR      float64
 	reported      int
 
 	cells  [topK]int32   // coarse candidate flat indices, descending score
@@ -65,23 +69,44 @@ type quantItem struct {
 	err  error
 }
 
-// quantBatchScratch holds one sub-chunk's items; pooled on the engine
-// so steady-state estimates and batches allocate nothing. It has a fixed
-// size: a batch of any length passes through it batchChunk items at a
-// time, and each item's gather and code buffers keep the capacity of the
-// largest probe vector they have held.
+// quantBatchScratch holds one sub-chunk's items; recycled through the
+// engine's free list so steady-state estimates and batches allocate
+// nothing. It has a fixed size: a batch of any length passes through it
+// batchChunk items at a time, and each item's gather and code buffers
+// keep the capacity of the largest probe vector they have held.
 type quantBatchScratch struct {
 	items [batchChunk]quantItem
 	// skip is the multipath search's bitset of suppressed grid cells.
 	skip []uint64
 }
 
+// getBatchScratch pops a scratch off the engine's free list, or
+// allocates one when every scratch is in use. The list is shared by
+// every P, unlike a sync.Pool's per-P slots, so a GOMAXPROCS change or a
+// goroutine moving to another P still finds the scratch it returned. It
+// holds at most as many scratches as the engine ever served at once,
+// and the garbage collector never empties it.
 func (en *engine) getBatchScratch() *quantBatchScratch {
 	metScratchGets.Inc()
-	return en.batchScratch.Get().(*quantBatchScratch)
+	en.scratchMu.Lock()
+	if n := len(en.scratchFree); n > 0 {
+		bs := en.scratchFree[n-1]
+		en.scratchFree[n-1] = nil
+		en.scratchFree = en.scratchFree[:n-1]
+		en.scratchMu.Unlock()
+		return bs
+	}
+	en.scratchMu.Unlock()
+	metScratchMisses.Inc()
+	return &quantBatchScratch{}
 }
 
-func (en *engine) putBatchScratch(bs *quantBatchScratch) { en.batchScratch.Put(bs) }
+// putBatchScratch pushes a scratch back onto the free list.
+func (en *engine) putBatchScratch(bs *quantBatchScratch) {
+	en.scratchMu.Lock()
+	en.scratchFree = append(en.scratchFree, bs)
+	en.scratchMu.Unlock()
+}
 
 // selectBatchQuant runs the batch through the batch-major quantized
 // pipeline, filling out[i] with batch[i]'s selection: SelectSector's
@@ -113,7 +138,7 @@ func (e *Estimator) selectBatchQuant(ctx context.Context, batch []BatchItem, out
 }
 
 // selectChunk estimates one worker's contiguous chunk, batchChunk items
-// at a time through one pooled scratch, and finishes every item into its
+// at a time through one recycled scratch, and finishes every item into its
 // sector selection. ctx is observed before each sub-chunk (and inside
 // its sweep); a cancelled chunk returns ctx.Err() with out incomplete.
 //

@@ -9,8 +9,8 @@ package core
 // and the SLS-based local tracking of Grossi et al. (arXiv:1904.12835),
 // the warm path skips the coarse pass entirely and scores only the dense
 // neighbourhood around the previous argmax cell on the quantized int16
-// dictionary: (2R+1)² jointQ evaluations against the full search's
-// coarse sweep plus top-K window refinement.
+// dictionary: (2R+1)² point scores against the full search's coarse
+// sweep plus top-K window refinement.
 //
 // Correctness contract: warm-start may only change cost, never the
 // reported selection beyond the equivalence budget of the cold search.
@@ -99,16 +99,11 @@ func (en *engine) warmArgmaxQ(qv *quantVec, hint Cell, snrOnly bool) (bestA, bes
 	}
 	aLo, aHi := int(clampIdx(ha-warmRadius, numAz)), int(clampIdx(ha+warmRadius, numAz))
 	eLo, eHi := int(clampIdx(he-warmRadius, numEl)), int(clampIdx(he+warmRadius, numEl))
-	bestW = -1.0
+	best := cellScore{w: -1}
 	for ei := eLo; ei <= eHi; ei++ {
-		base := ei * numAz * en.stride
-		for ai := aLo; ai <= aHi; ai++ {
-			v := jointQ(en.dictQ, base+ai*en.stride, qv, snrOnly)
-			if v > bestW {
-				bestA, bestE, bestW = ai, ei, v
-			}
-		}
+		best = en.scanRow(qv, snrOnly, nil, ei, aLo, aHi, best)
 	}
+	bestA, bestE, bestW = best.a, best.e, best.w
 	if bestW < warmThreshold {
 		return bestA, bestE, bestW, false
 	}

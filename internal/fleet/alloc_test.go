@@ -175,15 +175,14 @@ func TestQueueReservedFromFirstStep(t *testing.T) {
 // stations with new IDs cycle through the fleet every epoch; once the
 // buffers have seen that traffic, a run of Steps allocates nothing and
 // no shard's heap has room for more entries than its slot slices have.
-// Unlike the other steady-state gates, these Steps serve training
-// rounds, so the whole test runs at GOMAXPROCS 1, as AllocsPerRun does:
-// the estimator's pooled batch scratch that the warm-up grows must be
-// the one the measured Steps get back.
+// These Steps serve training rounds: the warm-up runs at the default
+// GOMAXPROCS and the measured Steps at AllocsPerRun's GOMAXPROCS 1, so
+// the gate also holds the estimator's scratch free list to handing the
+// warm-up's grown scratch back across the change.
 func TestTimerHeapBoundedBySlots(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed under the race detector")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	m, _ := testFleet(t,
 		WithShards(4),
 		WithSeed(9),
