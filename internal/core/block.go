@@ -57,9 +57,13 @@ type blockConsts struct {
 // each lane bit-identical to jointQ at its point. d must hold every
 // column of qv.colsC, and pt+blockLanes must not pass the row; lanes
 // past the dictionary's point count score padding and are meaningless.
+// lanes (1…blockLanes) is how many leading lanes the caller reads: the
+// generic block skips the moments and finish of a half past them, while
+// the AVX2 kernel, for which eight lanes cost one pass, ignores it.
+// Lanes at or past lanes are then unspecified.
 //
 //talon:noalloc
-func scoreBlock(d []int16, row, pt int, qv *quantVec, snrOnly bool, out *[blockLanes]float64) {
+func scoreBlock(d []int16, row, pt, lanes int, qv *quantVec, snrOnly bool, out *[blockLanes]float64) {
 	if qv.n < 3 || qv.snrVarP == 0 || (qv.rssiVarP == 0 && !snrOnly) {
 		*out = [blockLanes]float64{}
 		return
@@ -80,12 +84,13 @@ func scoreBlock(d []int16, row, pt int, qv *quantVec, snrOnly bool, out *[blockL
 		scoreBlockAVX2(&d[pt], row, &qv.colsC[0], &qv.ps[0], &qv.pr[0], len(qv.colsC), &k, snrOnly, out)
 		return
 	}
-	scoreBlockGeneric(d, row, pt, qv, &k, snrOnly, out)
+	scoreBlockGeneric(d, row, pt, lanes, qv, &k, snrOnly, out)
 }
 
 // scoreBlockGeneric is the portable block: the assembly kernel's
 // moments and finish in Go, four lanes at a time so each half's
-// accumulators stay in registers. Each lane keeps its moments as two
+// accumulators stay in registers. A half wholly past the caller's lane
+// count is skipped. Each lane keeps its moments as two
 // SWAR pairs of int32 sums in one int64 — m packs Σx² (low) with Σx
 // (high), c packs Σps·x (low) with Σpr·x (high) — so one multiply-add
 // per pair serves two moments. Every partial sum is bounded by
@@ -93,9 +98,9 @@ func scoreBlock(d []int16, row, pt int, qv *quantVec, snrOnly bool, out *[blockL
 // its high half and both stay exact.
 //
 //talon:noalloc
-func scoreBlockGeneric(d []int16, row, pt int, qv *quantVec, k *blockConsts, snrOnly bool, out *[blockLanes]float64) {
+func scoreBlockGeneric(d []int16, row, pt, lanes int, qv *quantVec, k *blockConsts, snrOnly bool, out *[blockLanes]float64) {
 	ps, pr := qv.ps[:len(qv.colsC)], qv.pr[:len(qv.colsC)]
-	for h := 0; h < blockLanes; h += 4 {
+	for h := 0; h < lanes; h += 4 {
 		var m0, m1, m2, m3, c0, c1, c2, c3 int64
 		for i, c := range qv.colsC {
 			xs := (*[4]int16)(d[int(c)*row+pt+h:])

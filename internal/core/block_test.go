@@ -117,27 +117,32 @@ func jointQScalar(d []int16, row, pt int, qv *quantVec, snrOnly bool) float64 {
 
 // checkBlocks scores every block start of a sector-major dictionary of
 // nPts points (row codes per column) with every block implementation
-// and requires each lane inside the dictionary to match jointQScalar
-// and jointQ bit for bit. It returns the number of lanes compared.
+// and every lane count, and requires each used lane inside the
+// dictionary to match jointQScalar and jointQ bit for bit. It returns
+// the number of lanes compared.
 func checkBlocks(t testing.TB, label string, d []int16, row, nPts int, qv *quantVec) int {
 	t.Helper()
 	lanes := 0
-	var blk [blockLanes]float64
+	var blk, ref [blockLanes]float64
 	for _, avx2 := range blockImpls() {
 		for _, snrOnly := range []bool{false, true} {
 			withBlockImpl(avx2, func() {
 				for pt := 0; pt < nPts; pt++ {
-					scoreBlock(d, row, pt, qv, snrOnly, &blk)
 					for j := 0; j < blockLanes && pt+j < nPts; j++ {
-						ref := jointQScalar(d, row, pt+j, qv, snrOnly)
-						if math.Float64bits(blk[j]) != math.Float64bits(ref) {
-							t.Fatalf("%s %s snrOnly=%v pt %d lane %d: block %v (%#x) != scalar %v (%#x)",
-								label, implName(avx2), snrOnly, pt, j, blk[j], math.Float64bits(blk[j]), ref, math.Float64bits(ref))
+						ref[j] = jointQScalar(d, row, pt+j, qv, snrOnly)
+						if q := jointQ(d, row, pt+j, qv, snrOnly); math.Float64bits(q) != math.Float64bits(ref[j]) {
+							t.Fatalf("%s snrOnly=%v pt %d: jointQ %v != scalar %v", label, snrOnly, pt+j, q, ref[j])
 						}
-						if q := jointQ(d, row, pt+j, qv, snrOnly); math.Float64bits(q) != math.Float64bits(ref) {
-							t.Fatalf("%s snrOnly=%v pt %d: jointQ %v != scalar %v", label, snrOnly, pt+j, q, ref)
+					}
+					for used := 1; used <= blockLanes; used++ {
+						scoreBlock(d, row, pt, used, qv, snrOnly, &blk)
+						for j := 0; j < used && pt+j < nPts; j++ {
+							if math.Float64bits(blk[j]) != math.Float64bits(ref[j]) {
+								t.Fatalf("%s %s snrOnly=%v pt %d lanes %d lane %d: block %v (%#x) != scalar %v (%#x)",
+									label, implName(avx2), snrOnly, pt, used, j, blk[j], math.Float64bits(blk[j]), ref[j], math.Float64bits(ref[j]))
+							}
+							lanes++
 						}
-						lanes++
 					}
 				}
 			})
@@ -187,7 +192,7 @@ func quantOf(est *Estimator, probes []Probe) *quantItem {
 // TestQuantBlockMatchesScalar pins the eight-point block kernel — the
 // AVX2 assembly where the CPU has it, and the generic Go block — to the
 // scalar-moment reference bit for bit at every dense and coarse point,
-// from every block start: random items of 3 to 34 probes with dropped
+// from every block start and for every lane count: random items of 3 to 34 probes with dropped
 // probes, snrOnly on and off, and the degenerate cases the lane guards
 // handle (fewer than three components, constant probes, a point whose
 // probed codes are all equal, full-scale moments at the component cap).

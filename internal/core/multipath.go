@@ -54,7 +54,7 @@ func (e *Estimator) startPeaks(ctx context.Context, bs *quantBatchScratch, probe
 }
 
 // next suppresses the grid cells closer than the separation to the last
-// peak's cell (a dot product of unit vectors, the geom.SphereDist test)
+// peak's cell (a dot product of unit vectors against cos(minSepDeg))
 // and subtracts the last peak's path from both measurement vectors,
 // exposing weaker paths the dominant one masks. One exhaustive int16
 // scan of the unsuppressed cells and the float epilogue then give the

@@ -243,8 +243,9 @@ func (en *engine) coarseTopKQ(lo, hi int, it *quantItem, snrOnly bool) {
 	var blk [blockLanes]float64
 	kept := it.kept
 	for pt := lo; pt < hi; pt += blockLanes {
-		scoreBlock(en.coarseQ, en.rowC, pt, &it.qv, snrOnly, &blk)
-		for j, v := range blk[:min(blockLanes, hi-pt)] {
+		lanes := min(blockLanes, hi-pt)
+		scoreBlock(en.coarseQ, en.rowC, pt, lanes, &it.qv, snrOnly, &blk)
+		for j, v := range blk[:lanes] {
 			if v <= 0 {
 				continue
 			}
@@ -276,8 +277,9 @@ func (en *engine) scanRow(qv *quantVec, snrOnly bool, skip []uint64, ei, lo, hi 
 	var blk [blockLanes]float64
 	base := ei * len(en.az)
 	for ai := lo; ai <= hi; ai += blockLanes {
-		scoreBlock(en.dictQ, en.rowQ, base+ai, qv, snrOnly, &blk)
-		for j, v := range blk[:min(blockLanes, hi-ai+1)] {
+		lanes := min(blockLanes, hi-ai+1)
+		scoreBlock(en.dictQ, en.rowQ, base+ai, lanes, qv, snrOnly, &blk)
+		for j, v := range blk[:lanes] {
 			if pt := base + ai + j; skip != nil && skip[pt>>6]&(1<<(pt&63)) != 0 {
 				continue
 			}

@@ -286,14 +286,15 @@ type Manager struct {
 
 	// Per-Step serve scratch reused across epochs (all guarded by
 	// stepMu): the probe arena sliced into per-round vectors, the batch
-	// item, result and live-index buffers, one reseedable round RNG and
-	// the probe-subset sample scratch.
+	// item, result and live-index buffers, one reseedable round RNG, the
+	// probe-subset sample scratch and the bitset that orders it.
 	arena     []core.Probe
 	items     []core.BatchItem
 	results   []core.BatchResult
 	live      []int32
 	roundRNG  *stats.RNG
 	sampleIdx []int
+	sampleSet []uint64
 }
 
 // New builds a fleet manager over the given estimator and its pattern
@@ -329,15 +330,16 @@ func New(est *core.Estimator, patterns *pattern.Set, opts ...Option) (*Manager, 
 	}
 	cfg.shards = ceilPow2(cfg.shards)
 	m := &Manager{
-		cfg:      cfg,
-		est:      est,
-		patterns: patterns,
-		model:    radio.DefaultMeasurementModel(),
-		txIDs:    txIDs,
-		shards:   make([]*shard, cfg.shards),
-		mask:     uint64(cfg.shards - 1),
-		roundRNG: stats.NewFastRNG(0),
-		gainRef:  patterns.MeanPeakGain(),
+		cfg:       cfg,
+		est:       est,
+		patterns:  patterns,
+		model:     radio.DefaultMeasurementModel(),
+		txIDs:     txIDs,
+		shards:    make([]*shard, cfg.shards),
+		mask:      uint64(cfg.shards - 1),
+		roundRNG:  stats.NewFastRNG(0),
+		sampleSet: make([]uint64, (len(txIDs)+63)/64),
+		gainRef:   patterns.MeanPeakGain(),
 	}
 	for i := range m.shards {
 		m.shards[i] = &shard{}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"talon/internal/geom"
 	"talon/internal/pattern"
 	"talon/internal/sector"
+	"talon/internal/stats"
 )
 
 // synthPatterns builds a synthetic codebook of gaussian beams spread
@@ -262,5 +264,27 @@ func TestBatchFunnelOnly(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// TestAscendingMatchesSort checks the bitset walk that orders a round's
+// probe sample against slices.Sort on random samples of every size from
+// codebooks of 1 to 200 sectors (one to four words), and that the walk
+// leaves its bitset clear for the next round.
+func TestAscendingMatchesSort(t *testing.T) {
+	rng := stats.NewRNG(29)
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(200)
+		idx := rng.SampleInto(nil, n, 1+rng.Intn(n))
+		want := slices.Clone(idx)
+		slices.Sort(want)
+		set := make([]uint64, (n+63)/64)
+		ascending(idx, set)
+		if !slices.Equal(idx, want) {
+			t.Fatalf("n=%d: bitset order %v, sorted %v", n, idx, want)
+		}
+		if slices.ContainsFunc(set, func(w uint64) bool { return w != 0 }) {
+			t.Fatalf("n=%d: bitset not cleared: %x", n, set)
+		}
 	}
 }

@@ -65,7 +65,7 @@ func (EventCodec) CheckMeta(meta []byte) error {
 }
 
 // AppendBlock implements tracestore.Codec; column-major like the trial
-// codec, so kinds and station IDs compress hard.
+// codec, so decode runs one tight loop per column.
 func (EventCodec) AppendBlock(buf []byte, recs []EventRecord) []byte {
 	n := len(recs)
 	off := len(buf)

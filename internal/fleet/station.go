@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"math"
+	"math/bits"
 	"time"
 
 	"talon/internal/core"
@@ -163,8 +164,8 @@ func (m *Manager) effGain(st *station, id sector.ID) float64 {
 // the firmware measurement model, with any pending fault burst dropping
 // a fraction of the reports. dst must have room for m.cfg.probeBudget
 // entries. The round's RNG stream is derived from roundSeed through the
-// manager's reseedable round RNG and the sample scratch — both reused
-// across rounds, both only touched under stepMu (serve synthesizes
+// manager's reseedable round RNG and the sample scratch — all reused
+// across rounds, all only touched under stepMu (serve synthesizes
 // serially; only the estimation fans out). The station is located on the
 // pattern index once per round, not once per probe.
 //
@@ -175,7 +176,7 @@ func (m *Manager) synthProbes(st *station, dst []core.Probe) []core.Probe {
 	idx := rng.SampleInto(m.sampleIdx, len(m.txIDs), m.cfg.probeBudget)
 	m.sampleIdx = idx[:0]
 	// Keep stock sweep order, like dot11ad.SubSweepSchedule.
-	sortInts(idx)
+	ascending(idx, m.sampleSet)
 	ix := m.patterns.Index()
 	loc := ix.Locate(st.az, st.el)
 	dst = dst[:0]
@@ -195,13 +196,23 @@ func (m *Manager) synthProbes(st *station, dst []core.Probe) []core.Probe {
 	return dst
 }
 
-// sortInts is a tiny insertion sort: probe subsets are ≤ 34 entries, so
-// this beats sort.Ints' interface overhead on the serve hot path.
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
+// ascending puts idx — distinct indices, each below 64·len(set) — in
+// ascending order without a sort: it marks them in the all-zero bitset
+// set, then walks the set bits, clearing set again on the way. A Talon
+// probe subset is one word.
+//
+//talon:noalloc
+func ascending(idx []int, set []uint64) {
+	for _, j := range idx {
+		set[j>>6] |= 1 << (j & 63)
+	}
+	k := 0
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			idx[k] = w<<6 | bits.TrailingZeros64(word)
+			k++
 		}
+		set[w] = 0
 	}
 }
 

@@ -100,19 +100,6 @@ func (d Direction) Normalize() Direction {
 	return d.Scale(1 / n)
 }
 
-// AngleTo returns the great-circle angle between two directions, in degrees
-// within [0, 180].
-func (d Direction) AngleTo(o Direction) float64 {
-	dn, on := d.Normalize(), o.Normalize()
-	return Rad2Deg(math.Acos(clamp(dn.Dot(on), -1, 1)))
-}
-
-// SphereDist returns the great-circle angular distance in degrees between
-// the directions (az1, el1) and (az2, el2).
-func SphereDist(az1, el1, az2, el2 float64) float64 {
-	return FromAngles(az1, el1).AngleTo(FromAngles(az2, el2))
-}
-
 // RotateAz returns the direction rotated by deg degrees around the vertical
 // (z) axis. Positive angles rotate from x toward y, i.e. they add to the
 // azimuth of the direction.

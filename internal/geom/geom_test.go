@@ -99,38 +99,6 @@ func TestAnglesAtPoles(t *testing.T) {
 	}
 }
 
-func TestSphereDist(t *testing.T) {
-	cases := []struct{ az1, el1, az2, el2, want float64 }{
-		{0, 0, 0, 0, 0},
-		{0, 0, 90, 0, 90},
-		{0, 0, 180, 0, 180},
-		{0, 0, 0, 90, 90},
-		{0, 90, 180, 90, 0}, // both at the pole
-		{-45, 0, 45, 0, 90},
-	}
-	for _, c := range cases {
-		if got := SphereDist(c.az1, c.el1, c.az2, c.el2); !almostEq(got, c.want, 1e-6) {
-			t.Errorf("SphereDist(%v,%v,%v,%v) = %v, want %v", c.az1, c.el1, c.az2, c.el2, got, c.want)
-		}
-	}
-}
-
-func TestSphereDistSymmetryProperty(t *testing.T) {
-	f := func(a1, e1, a2, e2 float64) bool {
-		a1, a2 = WrapAz(a1), WrapAz(a2)
-		e1, e2 = ClampEl(math.Mod(e1, 90)), ClampEl(math.Mod(e2, 90))
-		if math.IsNaN(a1 + a2 + e1 + e2) {
-			return true
-		}
-		d1 := SphereDist(a1, e1, a2, e2)
-		d2 := SphereDist(a2, e2, a1, e1)
-		return almostEq(d1, d2, 1e-9) && d1 >= -1e-12 && d1 <= 180+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRotateAz(t *testing.T) {
 	d := FromAngles(10, 0).RotateAz(25)
 	az, el := d.Angles()

@@ -1,7 +1,7 @@
 // Package tracestore is the columnar binary trace store behind the
 // out-of-core campaign pipeline: compact fixed-width little-endian
-// columns, compressed block by block on write, streamed back block by
-// block on read, sharded across seeded .bin files so million-trial
+// columns, framed and checksummed block by block on write, streamed back
+// block by block on read, sharded across seeded .bin files so million-trial
 // studies replay with bounded memory (ROADMAP item 2; the shard/streaming
 // architecture follows the GO-BACKTEST day-file design).
 //
@@ -11,11 +11,12 @@
 //	header := magic[8] version(u16) kind(u16) metaLen(u32)
 //	          seedLo(u64) seedHi(u64) records(u64) blocks(u32) crc(u32)
 //	meta   := metaLen bytes of codec schema (e.g. sector list, probe count)
-//	block  := nrecs(u32) rawLen(u32) compLen(u32) payloadCRC(u32)
-//	          payload[compLen]
+//	block  := nrecs(u32) rawLen(u32) payloadCRC(u32) payload[rawLen]
 //
-// The payload is the zlib-compressed column-major concatenation of the
-// codec's fixed-width columns for nrecs records. The header is written
+// The payload is the column-major concatenation of the codec's
+// fixed-width columns for nrecs records, stored as is: no compression,
+// so a reader reads it straight into its block buffer and a shard's
+// bytes are a direct function of its records. The header is written
 // provisionally at open (records = blocks = crc = 0) and finalized on
 // Close with the true counts, the covered seed range [seedLo, seedHi)
 // and a CRC32 over header fields and meta — so a reader can tell a
@@ -38,29 +39,24 @@ import (
 var Magic = [8]byte{'T', 'A', 'L', 'O', 'N', 'T', 'S', 1}
 
 // Version is the current format version. Readers reject other versions.
-const Version uint16 = 1
+const Version uint16 = 2
 
 // headerSize is the fixed header length before the meta bytes.
 const headerSize = 8 + 2 + 2 + 4 + 8 + 8 + 8 + 4 + 4
 
-// blockHeaderSize frames each compressed block.
-const blockHeaderSize = 4 + 4 + 4 + 4
+// blockHeaderSize frames each block.
+const blockHeaderSize = 4 + 4 + 4
 
 // maxBlockRecords bounds nrecs so a corrupt frame cannot provoke a huge
-// allocation; maxBlockBytes does the same for the raw payload and
-// maxMetaBytes for the codec schema, which the header CRC covers and so
-// is read before it can be verified.
+// allocation; maxBlockBytes does the same for the payload (which must
+// also fit in the bytes left in the file) and maxMetaBytes for the codec
+// schema, which the header CRC covers and so is read before it can be
+// verified.
 const (
 	maxBlockRecords = 1 << 22
 	maxBlockBytes   = 1 << 30
 	maxMetaBytes    = 1 << 16
 )
-
-// maxInflateRatio is DEFLATE's largest possible expansion (a 258-byte
-// match costs at least two bits, about 1032:1). A frame whose rawLen
-// exceeds it for its compLen is corrupt, so the reader rejects it before
-// allocating rawLen bytes.
-const maxInflateRatio = 1032
 
 // Typed sentinel errors of the store.
 var (
@@ -161,7 +157,7 @@ func readHeaderFrom(r io.Reader) (Header, error) {
 	buf := make([]byte, headerSize)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return Header{}, fmt.Errorf("%w: truncated header: %w", ErrCorrupt, err)
+			return Header{}, fmt.Errorf("%w: truncated header: %w", ErrCorrupt, shortRead(err))
 		}
 		return Header{}, err
 	}
@@ -170,7 +166,7 @@ func readHeaderFrom(r io.Reader) (Header, error) {
 		return Header{}, err
 	}
 	if _, err := io.ReadFull(r, h.Meta); err != nil {
-		return Header{}, fmt.Errorf("%w: truncated meta: %w", ErrCorrupt, err)
+		return Header{}, fmt.Errorf("%w: truncated meta: %w", ErrCorrupt, shortRead(err))
 	}
 	if crc == 0 && h.Records == 0 && h.Blocks == 0 {
 		return Header{}, fmt.Errorf("%w: shard was never finalized (crashed writer?)", ErrCorrupt)
@@ -179,6 +175,17 @@ func readHeaderFrom(r io.Reader) (Header, error) {
 		return Header{}, fmt.Errorf("%w: header CRC %08x != %08x", ErrCorrupt, crc, want)
 	}
 	return h, nil
+}
+
+// shortRead is the error of a short io.ReadFull inside a shard. io.EOF
+// there means the file ended early, not that the shard did, so it
+// becomes io.ErrUnexpectedEOF: a caller that stops at errors.Is(err,
+// io.EOF) cannot take a shard cut at a block boundary for a finished one.
+func shortRead(err error) error {
+	if errors.Is(err, io.EOF) {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // ReadHeader opens path just long enough to read and verify its header.

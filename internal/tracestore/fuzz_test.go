@@ -91,9 +91,10 @@ func FuzzDecodeRecord(f *testing.F) {
 // FuzzReadShard feeds arbitrary bytes to the reader as a whole shard
 // file: OpenReader, then Next until io.EOF or an error. The reader must
 // never panic, every error must carry one of the store's sentinels, and
-// the records it returns must never exceed the header's count. The seed
-// corpus is a valid two-block shard, which must decode to exactly its
-// records, plus truncations of it.
+// the records it returns must never exceed the header's count, and must
+// match it exactly when the read ends in io.EOF. The seed corpus is a
+// valid two-block shard, which must decode to exactly its records, plus
+// truncations of it, one at the boundary between its blocks.
 func FuzzReadShard(f *testing.F) {
 	const m = 3
 	codec, err := NewTrialCodec(m)
@@ -139,7 +140,8 @@ func FuzzReadShard(f *testing.F) {
 
 	f.Add(valid)
 	firstBlock := headerSize + len(codec.Meta())
-	for _, n := range []int{0, 8, headerSize - 1, firstBlock, firstBlock + blockHeaderSize + 3, len(valid) - 1} {
+	secondBlock := firstBlock + blockHeaderSize + 4*codec.trialSize()
+	for _, n := range []int{0, 8, headerSize - 1, firstBlock, firstBlock + blockHeaderSize + 3, secondBlock, len(valid) - 1} {
 		f.Add(valid[:n])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -157,6 +159,9 @@ func FuzzReadShard(f *testing.F) {
 		for {
 			recs, err := r.Next()
 			if errors.Is(err, io.EOF) {
+				if n != r.Header().Records {
+					t.Fatalf("io.EOF after %d records, header promises %d", n, r.Header().Records)
+				}
 				return
 			}
 			if err != nil {

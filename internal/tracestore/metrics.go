@@ -11,11 +11,11 @@ var (
 	metShardsOpened = obs.NewCounter("tracestore_shards_opened_total",
 		"shard files created by writers")
 	metBlocksWritten = obs.NewCounter("tracestore_blocks_written_total",
-		"compressed blocks written")
+		"blocks written")
 	metBytesWritten = obs.NewCounter("tracestore_bytes_written_total",
-		"compressed bytes written (frames + payloads)")
+		"block bytes written (frames + payloads)")
 	metBlocksRead = obs.NewCounter("tracestore_blocks_read_total",
-		"compressed blocks decoded by readers")
+		"blocks decoded by readers")
 	metRecordsRead = obs.NewCounter("tracestore_records_read_total",
 		"records decoded by readers")
 )

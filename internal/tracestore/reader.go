@@ -2,7 +2,6 @@ package tracestore
 
 import (
 	"bufio"
-	"compress/zlib"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -15,8 +14,8 @@ import (
 )
 
 // Reader streams one shard file block by block. All buffers — the
-// compressed frame, the raw column block and the decoded record slice —
-// are owned by the Reader and reused across blocks, so memory stays
+// block frame, the raw column block and the decoded record slice — are
+// owned by the Reader and reused across blocks, so memory stays
 // bounded by one block regardless of shard size. Not safe for
 // concurrent use; the replayer gives each worker its own Reader.
 type Reader[T any] struct {
@@ -25,9 +24,7 @@ type Reader[T any] struct {
 	br    *bufio.Reader
 	hdr   Header
 
-	zr        io.ReadCloser // zlib stream, reused via zlib.Resetter
 	frame     [blockHeaderSize]byte
-	comp      []byte
 	raw       []byte
 	recs      []T
 	blocksGot uint32
@@ -82,7 +79,8 @@ func (r *Reader[T]) Header() Header { return r.hdr }
 
 // Next returns the next block of decoded records, valid until the
 // following Next call (the slice and its record sub-slices are reused).
-// It returns io.EOF after the last block.
+// It returns io.EOF after the last block the header promises, and only
+// then: a shard cut short, even at a block boundary, is ErrCorrupt.
 func (r *Reader[T]) Next() ([]T, error) {
 	if r.blocksGot == r.hdr.Blocks {
 		if r.recsGot != r.hdr.Records {
@@ -97,31 +95,22 @@ func (r *Reader[T]) Next() ([]T, error) {
 		return nil, io.EOF
 	}
 	if _, err := io.ReadFull(r.br, r.frame[:]); err != nil {
-		return nil, fmt.Errorf("%w: truncated block frame: %w", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: truncated block frame: %w", ErrCorrupt, shortRead(err))
 	}
 	nrecs := binary.LittleEndian.Uint32(r.frame[0:])
 	rawLen := binary.LittleEndian.Uint32(r.frame[4:])
-	compLen := binary.LittleEndian.Uint32(r.frame[8:])
-	wantCRC := binary.LittleEndian.Uint32(r.frame[12:])
+	wantCRC := binary.LittleEndian.Uint32(r.frame[8:])
 	r.left -= blockHeaderSize
-	if nrecs == 0 || nrecs > maxBlockRecords || rawLen > maxBlockBytes || compLen > maxBlockBytes ||
-		int64(compLen) > r.left || uint64(rawLen) > maxInflateRatio*uint64(compLen) {
-		return nil, fmt.Errorf("%w: implausible block frame (nrecs=%d raw=%d comp=%d, %d bytes left)", ErrCorrupt, nrecs, rawLen, compLen, r.left)
+	if nrecs == 0 || nrecs > maxBlockRecords || rawLen > maxBlockBytes || int64(rawLen) > r.left {
+		return nil, fmt.Errorf("%w: implausible block frame (nrecs=%d raw=%d, %d bytes left)", ErrCorrupt, nrecs, rawLen, r.left)
 	}
-	r.left -= int64(compLen)
-	if cap(r.comp) < int(compLen) {
-		r.comp = make([]byte, compLen)
-	}
-	r.comp = r.comp[:compLen]
-	if _, err := io.ReadFull(r.br, r.comp); err != nil {
-		return nil, fmt.Errorf("%w: truncated block payload: %w", ErrCorrupt, err)
-	}
+	r.left -= int64(rawLen)
 	if cap(r.raw) < int(rawLen) {
 		r.raw = make([]byte, rawLen)
 	}
 	r.raw = r.raw[:rawLen]
-	if err := r.inflate(); err != nil {
-		return nil, fmt.Errorf("%w: zlib: %w", ErrCorrupt, err)
+	if _, err := io.ReadFull(r.br, r.raw); err != nil {
+		return nil, fmt.Errorf("%w: truncated block payload: %w", ErrCorrupt, shortRead(err))
 	}
 	if got := crc32.ChecksumIEEE(r.raw); got != wantCRC {
 		return nil, fmt.Errorf("%w: block CRC %08x != %08x", ErrCorrupt, got, wantCRC)
@@ -138,57 +127,13 @@ func (r *Reader[T]) Next() ([]T, error) {
 	return recs, nil
 }
 
-// inflate decompresses the framed payload r.comp into r.raw, reusing
-// the zlib stream.
-func (r *Reader[T]) inflate() error {
-	src := bytesReader{b: r.comp}
-	if r.zr == nil {
-		zr, err := zlib.NewReader(&src)
-		if err != nil {
-			return err
-		}
-		r.zr = zr
-	} else if err := r.zr.(zlib.Resetter).Reset(&src, nil); err != nil {
-		return err
-	}
-	if _, err := io.ReadFull(r.zr, r.raw); err != nil {
-		return err
-	}
-	// The stream must end exactly at rawLen bytes; the final read also
-	// forces zlib to verify its adler32 trailer.
-	var tail [1]byte
-	if n, err := r.zr.Read(tail[:]); n != 0 {
-		return errors.New("compressed block longer than frame rawLen")
-	} else if err != nil && !errors.Is(err, io.EOF) {
-		return err
-	}
-	return nil
-}
-
-// bytesReader is a minimal io.Reader over a byte slice (bytes.Reader
-// without the extra interface surface, so the zlib Resetter path gets a
-// plain Reader and keeps its own internal buffering).
-type bytesReader struct {
-	b []byte
-	i int
-}
-
-func (s *bytesReader) Read(p []byte) (int, error) {
-	if s.i >= len(s.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, s.b[s.i:])
-	s.i += n
-	return n, nil
-}
-
 // Close releases the shard file.
 func (r *Reader[T]) Close() error { return r.f.Close() }
 
 // Reopen switches the Reader to another shard, keeping every decode
-// buffer (compressed frame, raw block, record slice, zlib stream) so a
-// replay worker touches steady-state memory no matter how many shards
-// it consumes. The previous file is closed first.
+// buffer (block frame, raw block, record slice) so a replay worker
+// touches steady-state memory no matter how many shards it consumes.
+// The previous file is closed first.
 func (r *Reader[T]) Reopen(path string) error {
 	if err := r.f.Close(); err != nil {
 		return err

@@ -212,6 +212,10 @@ func TestErrorPaths(t *testing.T) {
 		binary.LittleEndian.PutUint16(b[8:], Version+9)
 		return b
 	}, ErrVersion)
+	mutate(t, "zlib-era v1 shard", func(b []byte) []byte {
+		binary.LittleEndian.PutUint16(b[8:], 1)
+		return b
+	}, ErrVersion)
 	mutate(t, "flipped kind", func(b []byte) []byte {
 		binary.LittleEndian.PutUint16(b[10:], KindTrial+1)
 		return b
@@ -249,9 +253,9 @@ func TestErrorPaths(t *testing.T) {
 }
 
 // TestOversizedFieldsAllocateNothing patches each size field a damaged
-// shard can inflate — the meta length and a block's raw and compressed
-// lengths — to 64 MiB. Each must fail as ErrCorrupt before the reader
-// allocates a buffer of that size.
+// shard can inflate — the meta length and a block's raw length — to
+// 64 MiB. Each must fail as ErrCorrupt before the reader allocates a
+// buffer of that size.
 func TestOversizedFieldsAllocateNothing(t *testing.T) {
 	codec, _ := NewTrialCodec(6)
 	orig, err := os.ReadFile(writeOneShard(t, t.TempDir(), 100, 6))
@@ -265,7 +269,6 @@ func TestOversizedFieldsAllocateNothing(t *testing.T) {
 	}{
 		{"meta length", 12},
 		{"block raw length", block + 4},
-		{"block compressed length", block + 8},
 	} {
 		b := append([]byte(nil), orig...)
 		binary.LittleEndian.PutUint32(b[tc.off:], 1<<26)
@@ -282,6 +285,82 @@ func TestOversizedFieldsAllocateNothing(t *testing.T) {
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
 			t.Errorf("%s: reader allocated %d bytes before failing", tc.name, grew)
+		}
+	}
+}
+
+// TestTruncatedShardFailsCorrupt cuts an eight-block shard at every
+// byte offset short of its end. Every cut must fail as ErrCorrupt
+// without a panic, and beyond its fixed cost — the bytes it allocates
+// failing on an empty file: read buffer, file handle — the reader must
+// allocate no more than the shard's size, so no frame field of a
+// damaged shard sizes a buffer past the data.
+func TestTruncatedShardFailsCorrupt(t *testing.T) {
+	const m = 4
+	codec, _ := NewTrialCodec(m)
+	dir := t.TempDir()
+	w, err := NewWriter(codec, dir, "cut", WriterOptions{BlockRecords: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(11)
+	for i := 0; i < 120; i++ { // seven full blocks and a short tail
+		if err := w.Append(uint64(i), mkTrial(rng, uint64(i), m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shards, err := w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shards[0].Header.Blocks != 8 {
+		t.Fatalf("shard holds %d blocks, want 8", shards[0].Header.Blocks)
+	}
+	valid, err := os.ReadFile(shards[0].Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := filepath.Join(t.TempDir(), "cut-00000.bin")
+	read := func(n int) (uint64, error) {
+		t.Helper()
+		if err := os.WriteFile(p, valid[:n], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := drainShard(codec, p)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, err
+	}
+	if _, err := read(len(valid)); err != nil {
+		t.Fatalf("intact shard: %v", err)
+	}
+	fixed, _ := read(0)
+	for n := 0; n < len(valid); n++ {
+		grew, err := read(n)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("cut at %d of %d: got %v, want ErrCorrupt", n, len(valid), err)
+		}
+		if grew > fixed+uint64(len(valid)) {
+			t.Fatalf("cut at %d: reader allocated %d bytes, fixed cost %d, shard %d", n, grew, fixed, len(valid))
+		}
+	}
+}
+
+// drainShard reads every block of one shard without keeping any,
+// returning nil at io.EOF.
+func drainShard(codec *TrialCodec, path string) error {
+	r, err := OpenReader(codec, path)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	for {
+		if _, err := r.Next(); err != nil {
+			if errors.Is(err, io.EOF) {
+				return nil
+			}
+			return err
 		}
 	}
 }

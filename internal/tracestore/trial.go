@@ -90,9 +90,8 @@ func (c *TrialCodec) CheckMeta(meta []byte) error {
 func (c *TrialCodec) trialSize() int { return 8 + 5*4 + c.m*(1+1+4+4) + 1 + 1 + 4 + 4 }
 
 // AppendBlock implements Codec. Layout is column-major: each field's
-// values for all n records are contiguous, which is what makes zlib bite
-// (seeds delta poorly but sectors, OK flags and quantized readings
-// compress hard) and keeps decode branch-free.
+// values for all n records are contiguous, which keeps decode
+// branch-free, one tight loop per column.
 func (c *TrialCodec) AppendBlock(buf []byte, recs []Trial) []byte {
 	n := len(recs)
 	off := len(buf)

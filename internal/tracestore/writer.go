@@ -2,7 +2,6 @@ package tracestore
 
 import (
 	"bufio"
-	"compress/zlib"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -15,9 +14,9 @@ type WriterOptions struct {
 	// RecordsPerShard caps a shard file before the writer rolls to the
 	// next one (default 1<<16).
 	RecordsPerShard int
-	// BlockRecords is the number of records buffered and compressed
-	// per block (default 4096). Larger blocks compress better; smaller
-	// blocks bound the replayer's working set tighter.
+	// BlockRecords is the number of records buffered and framed per
+	// block (default 4096). Larger blocks cost fewer frames and reads;
+	// smaller blocks bound the replayer's working set tighter.
 	BlockRecords int
 }
 
@@ -43,12 +42,10 @@ type Writer[T any] struct {
 
 	f   *os.File
 	bw  *bufio.Writer
-	z   *zlib.Writer
 	hdr Header // running header of the open shard
 
 	pending  []T // records buffered for the current block
 	raw      []byte
-	comp     compBuf
 	frame    [blockHeaderSize]byte
 	shardIx  int
 	shardRec int    // records in the open shard (pending included)
@@ -138,58 +135,27 @@ func (w *Writer[T]) openShard(firstSeed uint64) error {
 	return err
 }
 
-// flushBlock compresses and frames the pending records.
+// flushBlock frames and writes the pending records.
 func (w *Writer[T]) flushBlock() error {
 	if len(w.pending) == 0 {
 		return nil
 	}
 	w.raw = w.codec.AppendBlock(w.raw[:0], w.pending)
-
-	// Frame fields need the compressed size, so compress into a reused
-	// side buffer before writing the frame.
-	w.comp.b = w.comp.b[:0]
-	if w.z == nil {
-		// Blocks compress at zlib.BestSpeed: writes sit on the
-		// campaign's critical path.
-		zw, err := zlib.NewWriterLevel(&w.comp, zlib.BestSpeed)
-		if err != nil {
-			return err
-		}
-		w.z = zw
-	} else {
-		w.z.Reset(&w.comp)
-	}
-	if _, err := w.z.Write(w.raw); err != nil {
-		return err
-	}
-	if err := w.z.Close(); err != nil {
-		return err
-	}
-
 	binary.LittleEndian.PutUint32(w.frame[0:], uint32(len(w.pending)))
 	binary.LittleEndian.PutUint32(w.frame[4:], uint32(len(w.raw)))
-	binary.LittleEndian.PutUint32(w.frame[8:], uint32(len(w.comp.b)))
-	binary.LittleEndian.PutUint32(w.frame[12:], crc32.ChecksumIEEE(w.raw))
+	binary.LittleEndian.PutUint32(w.frame[8:], crc32.ChecksumIEEE(w.raw))
 	if _, err := w.bw.Write(w.frame[:]); err != nil {
 		return err
 	}
-	if _, err := w.bw.Write(w.comp.b); err != nil {
+	if _, err := w.bw.Write(w.raw); err != nil {
 		return err
 	}
 	w.hdr.Records += uint64(len(w.pending))
 	w.hdr.Blocks++
 	w.pending = w.pending[:0]
 	metBlocksWritten.Inc()
-	metBytesWritten.Add(int64(blockHeaderSize + len(w.comp.b)))
+	metBytesWritten.Add(int64(blockHeaderSize + len(w.raw)))
 	return nil
-}
-
-// compBuf is a minimal append-only sink for the zlib writer.
-type compBuf struct{ b []byte }
-
-func (c *compBuf) Write(p []byte) (int, error) {
-	c.b = append(c.b, p...)
-	return len(p), nil
 }
 
 // closeShard flushes the tail block, rewrites the finalized header in
