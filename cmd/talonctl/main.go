@@ -214,10 +214,11 @@ func cmdSweep() error {
 	fmt.Printf("  feedback/ack delivered: %v/%v\n", res.FeedbackDelivered, res.AckDelivered)
 	fmt.Printf("  airtime: %v\n", res.Duration)
 	fmt.Println("  responder-side measurements (initiator sectors):")
+	truth := link.GroundTruth(a, b)
 	for _, id := range sector.TalonTX() {
 		if m, ok := res.AtResponder[id]; ok {
 			fmt.Printf("    sector %2v: SNR %6.2f dB, RSSI %5.0f dBm (true %6.2f dB)\n",
-				id, m.SNR, m.RSSI, link.TrueSNR(a, b, id))
+				id, m.SNR, m.RSSI, truth.SNR(id))
 		}
 	}
 	return nil

@@ -43,7 +43,11 @@ func cmdTrain() error {
 	a.SetPose(poseA)
 	b.SetPose(poseB)
 
-	trainer, err := talon.NewTrainer(link, patterns, talon.WithM(*mFlag), talon.WithSeed(*seed))
+	est, err := talon.NewEstimator(patterns, talon.EstimatorOptions{})
+	if err != nil {
+		return err
+	}
+	trainer, err := talon.NewTrainer(link, est, talon.WithM(*mFlag), talon.WithSeed(*seed))
 	if err != nil {
 		return err
 	}
@@ -54,7 +58,7 @@ func cmdTrain() error {
 	fmt.Printf("compressive training in %s at %.1f m (M = %d):\n", link.Env.Name, *dist, *mFlag)
 	fmt.Printf("  probed sectors: %v\n", res.Probed)
 	fmt.Printf("  selection: %v\n", res.Selection)
-	fmt.Printf("  true SNR on sector %v: %.1f dB\n", res.Sector, link.TrueSNR(a, b, res.Sector))
+	fmt.Printf("  true SNR on sector %v: %.1f dB\n", res.Sector, link.GroundTruth(a, b).SNR(res.Sector))
 	if sls := res.SLS; sls != nil {
 		fmt.Printf("  SLS: %d/%d frames delivered, feedback=%v ack=%v, airtime %v\n",
 			sls.FramesDelivered, sls.FramesSent, sls.FeedbackDelivered, sls.AckDelivered, sls.Duration)

@@ -52,7 +52,11 @@ func main() {
 	sta.SetPose(staPose)
 
 	link := talon.NewLink(room, ap, sta)
-	trainer, err := talon.NewTrainer(link, patterns, talon.WithM(24), talon.WithSeed(4))
+	est, err := talon.NewEstimator(patterns, talon.EstimatorOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	trainer, err := talon.NewTrainer(link, est, talon.WithM(24), talon.WithSeed(4))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,29 +76,29 @@ func main() {
 		}
 	}
 	fmt.Printf("primary path: (%.1f°, %.1f°) -> sector %v, true SNR %.1f dB\n",
-		backup.Primary.AoA.Az, backup.Primary.AoA.El, res.Sector, link.TrueSNR(ap, sta, res.Sector))
+		backup.Primary.AoA.Az, backup.Primary.AoA.El, res.Sector, link.GroundTruth(ap, sta).SNR(res.Sector))
 	if !backup.HasBackup {
 		fmt.Println("no secondary path detected; nothing to fall back to")
 		return
 	}
 	fmt.Printf("backup path:  (%.1f°, %.1f°) -> sector %v, true SNR %.1f dB\n",
 		backup.Backup.AoA.Az, backup.Backup.AoA.El, backup.Backup.Sector,
-		link.TrueSNR(ap, sta, backup.Backup.Sector))
+		link.GroundTruth(ap, sta).SNR(backup.Backup.Sector))
 
 	// Someone walks into the line of sight.
-	blocked := talon.NewLink(blockedRoom, ap, sta)
+	blocked := talon.NewLink(blockedRoom, ap, sta).GroundTruth(ap, sta)
 	fmt.Println("\n-- LOS blocked --")
 	fmt.Printf("primary sector %v now: %.1f dB (link dead)\n",
-		res.Sector, blocked.TrueSNR(ap, sta, res.Sector))
+		res.Sector, blocked.SNR(res.Sector))
 	fmt.Printf("backup  sector %v now: %.1f dB (link survives on the reflection)\n",
-		backup.Backup.Sector, blocked.TrueSNR(ap, sta, backup.Backup.Sector))
+		backup.Backup.Sector, blocked.SNR(backup.Backup.Sector))
 
 	best, bestSNR := talon.SectorID(0), -1e9
 	for _, id := range talon.TalonTXSectors() {
-		if snr := blocked.TrueSNR(ap, sta, id); snr > bestSNR {
+		if snr := blocked.SNR(id); snr > bestSNR {
 			best, bestSNR = id, snr
 		}
 	}
 	fmt.Printf("oracle under blockage: sector %v at %.1f dB — the backup was %.1f dB away, with zero retraining\n",
-		best, bestSNR, bestSNR-blocked.TrueSNR(ap, sta, backup.Backup.Sector))
+		best, bestSNR, bestSNR-blocked.SNR(backup.Backup.Sector))
 }

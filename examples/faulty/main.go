@@ -44,7 +44,11 @@ func main() {
 	sta.SetPose(staPose)
 
 	// A clean reference first: what does CSS pick with no impairments?
-	trainer, err := talon.NewTrainer(link, patterns, talon.WithM(14), talon.WithSeed(7))
+	est, err := talon.NewEstimator(patterns, talon.EstimatorOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	trainer, err := talon.NewTrainer(link, est, talon.WithM(14), talon.WithSeed(7))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +57,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("clean channel:  sector %v, true SNR %.1f dB\n",
-		clean.Sector, link.TrueSNR(ap, sta, clean.Sector))
+		clean.Sector, link.GroundTruth(ap, sta).SNR(clean.Sector))
 
 	// Now make the channel hostile: 20% frame loss in bursts of ~4,
 	// plus measurement drift, stale feedback and flaky WMI — all
@@ -73,7 +77,7 @@ func main() {
 
 	link.SetInjector(nil) // read the truth without impairments
 	fmt.Printf("lossy channel:  sector %v, true SNR %.1f dB after %d attempt(s)\n",
-		res.Sector, link.TrueSNR(ap, sta, res.Sector), res.Attempts)
+		res.Sector, link.GroundTruth(ap, sta).SNR(res.Sector), res.Attempts)
 	if res.Degraded() {
 		fmt.Printf("training degraded to the full sweep (reason: %s)\n",
 			res.Selection.FallbackReason)

@@ -52,7 +52,11 @@ func main() {
 	sta.SetPose(staPose)
 
 	// Compressive training with 14 probing sectors.
-	trainer, err := talon.NewTrainer(link, patterns, talon.WithM(14), talon.WithSeed(7))
+	est, err := talon.NewEstimator(patterns, talon.EstimatorOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	trainer, err := talon.NewTrainer(link, est, talon.WithM(14), talon.WithSeed(7))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,18 +68,19 @@ func main() {
 	if !res.Selection.Fallback {
 		fmt.Printf("estimated departure angle: (%.1f°, %.1f°)\n", res.Selection.AoA.Az, res.Selection.AoA.El)
 	}
-	fmt.Printf("selected sector %v (true SNR %.1f dB)\n", res.Sector, link.TrueSNR(dut, sta, res.Sector))
+	fmt.Printf("selected sector %v (true SNR %.1f dB)\n", res.Sector, link.GroundTruth(dut, sta).SNR(res.Sector))
 	fmt.Printf("training airtime: %.0f µs vs %.0f µs for the full sweep (%.1fx faster)\n\n",
 		1e6*talon.MutualTrainingTime(14), 1e6*talon.MutualTrainingTime(34),
 		talon.MutualTrainingTime(34)/talon.MutualTrainingTime(14))
 
 	// Reference: what the stock full sector sweep would pick.
+	truth := link.GroundTruth(dut, sta)
 	best, bestSNR := talon.SectorID(0), -1e9
 	for _, id := range talon.TalonTXSectors() {
-		if snr := link.TrueSNR(dut, sta, id); snr > bestSNR {
+		if snr := truth.SNR(id); snr > bestSNR {
 			best, bestSNR = id, snr
 		}
 	}
 	fmt.Printf("true optimum: sector %v at %.1f dB — CSS is %.1f dB off after probing %d/34 sectors\n",
-		best, bestSNR, bestSNR-link.TrueSNR(dut, sta, res.Sector), len(res.Probed))
+		best, bestSNR, bestSNR-truth.SNR(res.Sector), len(res.Probed))
 }

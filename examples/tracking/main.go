@@ -42,7 +42,11 @@ func main() {
 	apPose.Pos.Z = 1.2
 	ap.SetPose(apPose)
 
-	trainer, err := talon.NewTrainer(link, patterns, talon.WithM(34), talon.WithSeed(11))
+	est, err := talon.NewEstimator(patterns, talon.EstimatorOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	trainer, err := talon.NewTrainer(link, est, talon.WithM(34), talon.WithSeed(11))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,13 +87,14 @@ func main() {
 		totalProbes += len(res.Probed)
 		fullProbes += 34
 
+		truth := link.GroundTruth(ap, sta)
 		best := math.Inf(-1)
 		for _, id := range talon.TalonTXSectors() {
-			if snr := link.TrueSNR(ap, sta, id); snr > best {
+			if snr := truth.SNR(id); snr > best {
 				best = snr
 			}
 		}
-		got := link.TrueSNR(ap, sta, res.Sector)
+		got := truth.SNR(res.Sector)
 		note := ""
 		if step == 15 || step == 45 {
 			note = "station starts moving"

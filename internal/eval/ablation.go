@@ -235,21 +235,23 @@ func AblationRandomBeams(seed int64, dist float64) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	predefined := antenna.Talon(arr)
-	random := antenna.RandomCodebook(arr, rng.Split("beams"), 34)
+	// The predefined sectors and the pseudo-random beams, in that order.
+	codebooks := []*antenna.Codebook{antenna.Talon(arr), antenna.RandomCodebook(arr, rng.Split("beams"), 34)}
 	budget := radio.DefaultBudget()
 	tx := channel.Pose{}
 	tx.Pos.Z = 1.2
 	env := channel.AnechoicChamber()
 
-	evaluate := func(cb *antenna.Codebook) (meanBestSNR, meanDecodable float64) {
-		rxGain := func(az, el float64) float64 { return 0 } // quasi-omni peer
-		n := 0
-		for az := -60.0; az <= 60; az += 5 {
-			rx := channel.Pose{Yaw: 180 + az}
-			rx.Pos.X = dist * math.Cos(geom.Deg2Rad(az))
-			rx.Pos.Y = dist * math.Sin(geom.Deg2Rad(az))
-			rx.Pos.Z = 1.2
+	var bestSum, decodableSum [2]float64
+	n := 0
+	var geo radio.Geometry
+	for az := -60.0; az <= 60; az += 5 {
+		rx := channel.Pose{Yaw: 180 + az}
+		rx.Pos.X = dist * math.Cos(geom.Deg2Rad(az))
+		rx.Pos.Y = dist * math.Sin(geom.Deg2Rad(az))
+		rx.Pos.Z = 1.2
+		geo.Resolve(env, tx, rx, arr, nil, antenna.Weights{}) // isotropic quasi-omni peer
+		for c, cb := range codebooks {
 			best := math.Inf(-1)
 			clean, beams := 0, 0
 			for _, id := range cb.IDs() {
@@ -257,8 +259,7 @@ func AblationRandomBeams(seed int64, dist float64) (*AblationResult, error) {
 					continue
 				}
 				w, _ := cb.Weights(id)
-				txGain := func(a, e float64) float64 { return arr.Gain(w, a, e) }
-				snr := radio.TrueSNR(env, tx, rx, txGain, rxGain, budget)
+				snr := geo.SNR(w, budget)
 				if snr > best {
 					best = snr
 				}
@@ -269,21 +270,19 @@ func AblationRandomBeams(seed int64, dist float64) (*AblationResult, error) {
 					clean++
 				}
 			}
-			meanBestSNR += best
-			meanDecodable += float64(clean) / float64(beams)
-			n++
+			bestSum[c] += best
+			decodableSum[c] += float64(clean) / float64(beams)
 		}
-		return meanBestSNR / float64(n), meanDecodable / float64(n)
+		n++
 	}
-	preSNR, preDec := evaluate(predefined)
-	rndSNR, rndDec := evaluate(random)
+	nf := float64(n)
 	return &AblationResult{
 		Name: fmt.Sprintf("predefined sectors vs pseudo-random beams (%.0f m link)", dist),
 		Rows: []AblationRow{
-			{"predefined sectors: mean best-sector SNR", preSNR, "dB"},
-			{"pseudo-random beams: mean best-beam SNR", rndSNR, "dB"},
-			{"predefined sectors: low-noise probe fraction", preDec, ""},
-			{"pseudo-random beams: low-noise probe fraction", rndDec, ""},
+			{"predefined sectors: mean best-sector SNR", bestSum[0] / nf, "dB"},
+			{"pseudo-random beams: mean best-beam SNR", bestSum[1] / nf, "dB"},
+			{"predefined sectors: low-noise probe fraction", decodableSum[0] / nf, ""},
+			{"pseudo-random beams: low-noise probe fraction", decodableSum[1] / nf, ""},
 		},
 	}, nil
 }

@@ -84,17 +84,13 @@ func BlockageStudy(ctx context.Context, p *Platform, m, rounds int, rng *stats.R
 			continue
 		}
 		found++
-		primSum += openLink.TrueSNR(p.DUT, p.Probe, sel.Primary.Sector)
-		backSum += openLink.TrueSNR(p.DUT, p.Probe, sel.Backup.Sector)
-		blockPrimSum += clampSNR(blockedLink.TrueSNR(p.DUT, p.Probe, sel.Primary.Sector))
-		blockBackSum += clampSNR(blockedLink.TrueSNR(p.DUT, p.Probe, sel.Backup.Sector))
-		best := -1e9
-		for _, id := range sector.TalonTX() {
-			if snr := clampSNR(blockedLink.TrueSNR(p.DUT, p.Probe, id)); snr > best {
-				best = snr
-			}
-		}
-		oracleSum += best
+		openGT := openLink.GroundTruth(p.DUT, p.Probe)
+		primSum += openGT.SNR(sel.Primary.Sector)
+		backSum += openGT.SNR(sel.Backup.Sector)
+		blockedGT := blockedLink.GroundTruth(p.DUT, p.Probe)
+		blockPrimSum += clampSNR(blockedGT.SNR(sel.Primary.Sector))
+		blockBackSum += clampSNR(blockedGT.SNR(sel.Backup.Sector))
+		oracleSum += clampSNR(bestSNR(blockedGT))
 	}
 	res.BackupFound = found
 	if found > 0 {

@@ -63,7 +63,11 @@ func RunCSS(ctx context.Context, seed int64, f Fidelity) (*CSSResult, error) {
 	ap.SetPose(apPose)
 	sta.SetPose(staPose)
 
-	trainer, err := talon.NewTrainer(link, patterns, talon.WithM(14), talon.WithSeed(seed))
+	est, err := talon.NewEstimator(patterns, EstimatorOptions())
+	if err != nil {
+		return nil, err
+	}
+	trainer, err := talon.NewTrainer(link, est, talon.WithM(14), talon.WithSeed(seed))
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +81,7 @@ func RunCSS(ctx context.Context, seed int64, f Fidelity) (*CSSResult, error) {
 		Selection: res.Selection,
 		Probes:    core.ProbesFromMeasurements(res.Probed, res.SLS.AtResponder),
 		Sector:    res.Sector,
-		TrueSNRdB: link.TrueSNR(ap, sta, res.Sector),
+		TrueSNRdB: link.GroundTruth(ap, sta).SNR(res.Sector),
 	}, nil
 }
 

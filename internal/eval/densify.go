@@ -80,15 +80,12 @@ func DensifyStudy(ctx context.Context, seed int64, m int, sizes []int, trials in
 		}
 		txIDs := patterns.TXIDs()
 
-		// trueSNR of sector id when the receiver sits at azimuth offset
-		// dirAz (implemented by yawing the transmitter).
-		trueSNR := func(id sector.ID, dirAz float64) float64 {
+		// geo holds the trial's geometry: the receiver at azimuth offset
+		// dirAz (implemented by yawing the transmitter), isotropic.
+		var geo radio.Geometry
+		trueSNR := func(id sector.ID) float64 {
 			w, _ := cb.Weights(id)
-			pose := txPose
-			pose.Yaw = -dirAz
-			return radio.TrueSNR(env, pose, rxPose, func(a, e float64) float64 {
-				return arr.Gain(w, a, e)
-			}, func(a, e float64) float64 { return 0 }, budget)
+			return geo.SNR(w, budget)
 		}
 
 		runPolicy := func(name string, probeCount int, compressive bool) error {
@@ -98,6 +95,9 @@ func DensifyStudy(ctx context.Context, seed int64, m int, sizes []int, trials in
 					return err
 				}
 				dirAz := rng.Uniform(-60, 60)
+				pose := txPose
+				pose.Yaw = -dirAz
+				geo.Resolve(env, pose, rxPose, arr, nil, antenna.Weights{})
 				var probeIDs []sector.ID
 				if probeCount >= len(txIDs) {
 					probeIDs = txIDs
@@ -110,7 +110,7 @@ func DensifyStudy(ctx context.Context, seed int64, m int, sizes []int, trials in
 				}
 				probes := make([]core.Probe, len(probeIDs))
 				for i, id := range probeIDs {
-					meas, ok := model.Observe(trueSNR(id, dirAz), rng.Split(fmt.Sprintf("m%d", trial)))
+					meas, ok := model.Observe(trueSNR(id), rng.Split(fmt.Sprintf("m%d", trial)))
 					probes[i] = core.Probe{Sector: id, Meas: meas, OK: ok}
 				}
 				var pick sector.ID
@@ -132,11 +132,11 @@ func DensifyStudy(ctx context.Context, seed int64, m int, sizes []int, trials in
 				}
 				best := -1e9
 				for _, id := range txIDs {
-					if snr := trueSNR(id, dirAz); snr > best {
+					if snr := trueSNR(id); snr > best {
 						best = snr
 					}
 				}
-				losses = append(losses, best-trueSNR(pick, dirAz))
+				losses = append(losses, best-trueSNR(pick))
 			}
 			res.Points = append(res.Points, DensifyPoint{
 				Sectors:     n,

@@ -122,7 +122,7 @@ func FaultSweep(ctx context.Context, p *Platform, cfg FaultSweepConfig) (*FaultS
 			}
 			link := newLink(channel.Lab(), p)
 			trainSeed := cfg.Seed + int64(ri*cfg.Trials+trial)
-			trainer, err := talon.NewTrainer(link, p.Patterns,
+			trainer, err := talon.NewTrainer(link, p.Estimator,
 				talon.WithM(cfg.M), talon.WithSeed(trainSeed))
 			if err != nil {
 				return nil, err

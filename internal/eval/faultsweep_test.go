@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"talon/internal/obs"
 )
 
 // TestFaultSweepResilience is the acceptance run of the fault campaign:
@@ -79,5 +81,33 @@ func TestFaultSweepDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if len(a) != 1 || len(b) != 1 || a[0] != b[0] {
 		t.Fatalf("campaign not deterministic:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestFaultSweepSharesEstimator checks that every trial trains with the
+// platform's estimator: the core_dict_build_seconds count does not move
+// across a FaultSweep, so no trial builds a correlation dictionary.
+func TestFaultSweepSharesEstimator(t *testing.T) {
+	p, err := NewPlatform(context.Background(), 17, Quick().PatternGrid, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dictBuilds := func() int64 {
+		h, ok := obs.Default().Snapshot()["core_dict_build_seconds"].(obs.HistogramSnapshot)
+		if !ok {
+			t.Fatal("core_dict_build_seconds is not a registered histogram")
+		}
+		return h.Count
+	}
+	before := dictBuilds()
+	if _, err := FaultSweep(context.Background(), p, FaultSweepConfig{
+		LossRates: []float64{0, 0.1},
+		Trials:    5,
+		Seed:      5,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if after := dictBuilds(); after != before {
+		t.Fatalf("FaultSweep built %d dictionaries, want 0", after-before)
 	}
 }

@@ -38,15 +38,22 @@ func runSubSweep(link *wil.Link, p *Platform, probeSet *sector.Set) (map[sector.
 // trueLoss returns trueSNR(best sector) − trueSNR(selected) at the
 // devices' current poses.
 func trueLoss(link *wil.Link, p *Platform, selected sector.ID) (float64, bool) {
-	best := math.Inf(-1)
-	for _, id := range sector.TalonTX() {
-		if snr := link.TrueSNR(p.DUT, p.Probe, id); snr > best {
-			best = snr
-		}
-	}
-	got := link.TrueSNR(p.DUT, p.Probe, selected)
+	gt := link.GroundTruth(p.DUT, p.Probe)
+	best, got := bestSNR(gt), gt.SNR(selected)
 	if math.IsInf(best, -1) || math.IsInf(got, -1) {
 		return 0, false
 	}
 	return best - got, true
+}
+
+// bestSNR returns the highest true SNR over the Talon transmit sectors,
+// -Inf when none reaches the receiver.
+func bestSNR(gt *wil.GroundTruth) float64 {
+	best := math.Inf(-1)
+	for _, id := range sector.TalonTX() {
+		if snr := gt.SNR(id); snr > best {
+			best = snr
+		}
+	}
+	return best
 }

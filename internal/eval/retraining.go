@@ -214,13 +214,8 @@ func simulateRetraining(ctx context.Context, p *Platform, link *wil.Link, pol re
 			if !haveSector {
 				continue
 			}
-			trueSNR := link.TrueSNR(tx, rx, current)
-			optimalSNR := math.Inf(-1)
-			for _, sid := range sector.TalonTX() {
-				if snr := link.TrueSNR(tx, rx, sid); snr > optimalSNR {
-					optimalSNR = snr
-				}
-			}
+			gt := link.GroundTruth(tx, rx)
+			trueSNR, optimalSNR := gt.SNR(current), bestSNR(gt)
 			tpSum += model.AppThroughputMbps(trueSNR, trainTime)
 			if !math.IsInf(trueSNR, -1) && !math.IsInf(optimalSNR, -1) {
 				lossSum += optimalSNR - trueSNR

@@ -8,13 +8,10 @@ package radio
 import (
 	"math"
 
+	"talon/internal/antenna"
 	"talon/internal/channel"
 	"talon/internal/stats"
 )
-
-// GainFunc returns the directive gain (dB) of an antenna toward a
-// direction in its local frame.
-type GainFunc func(az, el float64) float64
 
 // Budget collects the scalar link-budget terms.
 type Budget struct {
@@ -56,8 +53,7 @@ type Path struct {
 
 // ResolvePaths appends to dst every propagation ray between the posed
 // devices, resolved to their local frames. Everything it computes depends
-// on the poses only, so one resolution serves every frame exchanged
-// between unmoved devices.
+// on the poses only; Geometry.Resolve calls it once per pose pair.
 func ResolvePaths(dst []Path, env *channel.Environment, txPose, rxPose channel.Pose) []Path {
 	for _, r := range env.Rays(txPose.Pos, rxPose.Pos) {
 		var p Path
@@ -88,17 +84,44 @@ func PathSNR(paths []Path, b Budget) float64 {
 	return stats.DB(power) - b.NoiseFloorDBm
 }
 
-// TrueSNR combines every propagation ray between the posed devices with
-// the endpoint gain functions and returns the resulting SNR in dB: the
-// paths of ResolvePaths, their gains, then PathSNR.
-func TrueSNR(env *channel.Environment, txPose, rxPose channel.Pose, txGain, rxGain GainFunc, b Budget) float64 {
-	paths := ResolvePaths(nil, env, txPose, rxPose)
-	for i := range paths {
-		p := &paths[i]
-		p.TXGainDB = txGain(p.TXAz, p.TXEl)
-		p.RXGainDB = rxGain(p.RXAz, p.RXEl)
+// Geometry is the direction-only part of a transmission between two
+// posed devices: the resolved paths with the receiver's gain along each,
+// and one Steering of the transmitter's array per path. One resolution
+// serves every frame and ground-truth query between unmoved devices; SNR
+// evaluates only the transmit weights. The zero value is ready to use.
+type Geometry struct {
+	paths []Path
+	arr   *antenna.Array
+	steer []*antenna.Steering
+}
+
+// Resolve computes the geometry of transmissions from array tx at txPose
+// to array rx at rxPose, which receives with weights rxW. A nil rx is an
+// isotropic receiver (0 dB along every path).
+func (g *Geometry) Resolve(env *channel.Environment, txPose, rxPose channel.Pose, tx, rx *antenna.Array, rxW antenna.Weights) {
+	g.paths = ResolvePaths(g.paths[:0], env, txPose, rxPose)
+	if g.arr != tx {
+		g.arr, g.steer = tx, g.steer[:0]
 	}
-	return PathSNR(paths, b)
+	for i := range g.paths {
+		p := &g.paths[i]
+		if rx != nil {
+			p.RXGainDB = rx.Gain(rxW, p.RXAz, p.RXEl)
+		}
+		if i == len(g.steer) {
+			g.steer = append(g.steer, tx.NewSteering())
+		}
+		g.steer[i].Point(p.TXAz, p.TXEl)
+	}
+}
+
+// SNR returns the noiseless SNR in dB of a frame sent with weights w
+// along the resolved paths (PathSNR with each path's transmit gain).
+func (g *Geometry) SNR(w antenna.Weights, b Budget) float64 {
+	for i := range g.paths {
+		g.paths[i].TXGainDB = g.steer[i].Gain(w)
+	}
+	return PathSNR(g.paths, b)
 }
 
 // DominantDepartureAngles returns the angle of departure (local to txPose)

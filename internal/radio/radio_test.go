@@ -10,14 +10,29 @@ import (
 	"talon/internal/stats"
 )
 
+// gainFunc is an antenna's directive gain (dB) toward a local direction.
+type gainFunc func(az, el float64) float64
+
 func isotropic(az, el float64) float64 { return 0 }
+
+// trueSNR is the reference ground truth: the rays resolved afresh, each
+// endpoint's gain function evaluated along them, then PathSNR.
+func trueSNR(env *channel.Environment, txPose, rxPose channel.Pose, txGain, rxGain gainFunc, b Budget) float64 {
+	paths := ResolvePaths(nil, env, txPose, rxPose)
+	for i := range paths {
+		p := &paths[i]
+		p.TXGainDB = txGain(p.TXAz, p.TXEl)
+		p.RXGainDB = rxGain(p.RXAz, p.RXEl)
+	}
+	return PathSNR(paths, b)
+}
 
 func TestTrueSNRFreeSpace(t *testing.T) {
 	env := channel.AnechoicChamber()
 	b := DefaultBudget()
 	tx := channel.Pose{}
 	rxPose := channel.Pose{Pos: geom.Point{X: 3}, Yaw: 180}
-	snr := TrueSNR(env, tx, rxPose, isotropic, isotropic, b)
+	snr := trueSNR(env, tx, rxPose, isotropic, isotropic, b)
 	want := b.TxPowerDBm - channel.FSPL(3) - b.NoiseFloorDBm
 	if math.Abs(snr-want) > 1e-9 {
 		t.Fatalf("SNR = %v, want %v", snr, want)
@@ -30,8 +45,8 @@ func TestTrueSNRGainAdds(t *testing.T) {
 	tx := channel.Pose{}
 	rx := channel.Pose{Yaw: 180}
 	rx.Pos.X = 3
-	base := TrueSNR(env, tx, rx, isotropic, isotropic, b)
-	withGain := TrueSNR(env, tx, rx,
+	base := trueSNR(env, tx, rx, isotropic, isotropic, b)
+	withGain := trueSNR(env, tx, rx,
 		func(az, el float64) float64 { return 10 }, isotropic, b)
 	if math.Abs(withGain-base-10) > 1e-9 {
 		t.Fatalf("10 dB TX gain changed SNR by %v", withGain-base)
@@ -53,9 +68,9 @@ func TestTrueSNRUsesLocalAngles(t *testing.T) {
 		}
 		return -40
 	}
-	onAxis := TrueSNR(env, tx, rx, pencil, isotropic, b)
+	onAxis := trueSNR(env, tx, rx, pencil, isotropic, b)
 	txYawed := channel.Pose{Yaw: 60}
-	offAxis := TrueSNR(env, txYawed, rx, pencil, isotropic, b)
+	offAxis := trueSNR(env, txYawed, rx, pencil, isotropic, b)
 	if onAxis-offAxis < 50 {
 		t.Fatalf("yaw did not move pattern: on %v off %v", onAxis, offAxis)
 	}
@@ -66,12 +81,12 @@ func TestTrueSNRMultipathAddsPower(t *testing.T) {
 	tx := channel.Pose{}
 	rx := channel.Pose{Yaw: 180}
 	rx.Pos.X = 4
-	losOnly := TrueSNR(channel.AnechoicChamber(), tx, rx, isotropic, isotropic, b)
+	losOnly := trueSNR(channel.AnechoicChamber(), tx, rx, isotropic, isotropic, b)
 	env := &channel.Environment{
 		Name:       "mirror",
 		Reflectors: []channel.Reflector{channel.NewWallY("w", 1, -10, 10, -10, 10, 0)},
 	}
-	withRefl := TrueSNR(env, tx, rx, isotropic, isotropic, b)
+	withRefl := trueSNR(env, tx, rx, isotropic, isotropic, b)
 	if withRefl <= losOnly {
 		t.Fatalf("reflection removed power: %v vs %v", withRefl, losOnly)
 	}
@@ -82,7 +97,7 @@ func TestTrueSNRNoPaths(t *testing.T) {
 	b := DefaultBudget()
 	rx := channel.Pose{}
 	rx.Pos.X = 3
-	if snr := TrueSNR(env, channel.Pose{}, rx, isotropic, isotropic, b); !math.IsInf(snr, -1) {
+	if snr := trueSNR(env, channel.Pose{}, rx, isotropic, isotropic, b); !math.IsInf(snr, -1) {
 		t.Fatalf("SNR without paths = %v", snr)
 	}
 }
@@ -115,20 +130,56 @@ func TestCalibratedLinkBudgetWindow(t *testing.T) {
 	cb := antenna.Talon(arr)
 	w63, _ := cb.Weights(63)
 	wRX, _ := cb.Weights(0)
-	txGain := func(az, el float64) float64 { return arr.Gain(w63, az, el) }
-	rxGain := func(az, el float64) float64 { return arr.Gain(wRX, az, el) }
 	b := DefaultBudget()
 	tx := channel.Pose{}
 	rx := channel.Pose{Yaw: 180}
 	rx.Pos.X = 3
-	snr3 := TrueSNR(channel.AnechoicChamber(), tx, rx, txGain, rxGain, b)
+	var g Geometry
+	g.Resolve(channel.AnechoicChamber(), tx, rx, arr, arr, wRX)
+	snr3 := g.SNR(w63, b)
 	if snr3 < 10 || snr3 > 24 {
 		t.Fatalf("3 m boresight SNR = %v, want at or above the 12 dB reporting ceiling", snr3)
 	}
 	rx.Pos.X = 6
-	snr6 := TrueSNR(channel.AnechoicChamber(), tx, rx, txGain, rxGain, b)
+	g.Resolve(channel.AnechoicChamber(), tx, rx, arr, arr, wRX)
+	snr6 := g.SNR(w63, b)
 	if snr6 < 2 {
 		t.Fatalf("6 m boresight SNR = %v, too weak", snr6)
+	}
+}
+
+// TestGeometryMatchesTrueSNR checks Geometry against the reference
+// trueSNR in the multipath conference room, bit for bit, for every sector
+// of a Talon codebook, with the quasi-omni and the isotropic (nil)
+// receiver, and across re-resolutions that move the transmitter.
+func TestGeometryMatchesTrueSNR(t *testing.T) {
+	arr, err := antenna.New(antenna.TalonConfig(), stats.NewRNG(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb := antenna.Talon(arr)
+	wRX, _ := cb.Weights(0)
+	env := channel.ConferenceRoom()
+	b := DefaultBudget()
+	rx := channel.Pose{Pos: geom.Point{X: 6, Z: 1.2}, Yaw: 180}
+	var g Geometry
+	for _, yaw := range []float64{0, 23, -57} {
+		tx := channel.Pose{Pos: geom.Point{Z: 1.2}, Yaw: yaw}
+		for _, omni := range []bool{true, false} {
+			rxArr, rxGain := arr, gainFunc(func(az, el float64) float64 { return arr.Gain(wRX, az, el) })
+			if !omni {
+				rxArr, rxGain = nil, isotropic
+			}
+			g.Resolve(env, tx, rx, arr, rxArr, wRX)
+			for _, id := range cb.IDs() {
+				w, _ := cb.Weights(id)
+				got := g.SNR(w, b)
+				want := trueSNR(env, tx, rx, func(az, el float64) float64 { return arr.Gain(w, az, el) }, rxGain, b)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("yaw %v omni %v sector %v: Geometry %v, trueSNR %v", yaw, omni, id, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -89,8 +89,9 @@ func RunScan(ctx context.Context, link *wil.Link, dut, probe *wil.Device, head *
 				TrueEl:      trueEl,
 				TrueSNR:     make(map[sector.ID]float64, 34),
 			}
+			gt := link.GroundTruth(dut, probe)
 			for _, id := range sector.TalonTX() {
-				tr.TrueSNR[id] = link.TrueSNR(dut, probe, id)
+				tr.TrueSNR[id] = gt.SNR(id)
 			}
 			for s := 0; s < cfg.SweepsPerPosition; s++ {
 				meas, err := link.RunTXSS(dut, probe, slots)

@@ -185,9 +185,10 @@ func TestEndToEndCompressiveSelection(t *testing.T) {
 	for _, cmdAz := range []float64{-45, -20, 0, 20, 45} {
 		head.PointAt(dut, cmdAz, 0)
 		truthAz, _, _ := dominantAoD(link, dut, probe)
+		gt := link.GroundTruth(dut, probe) // sweeps below leave it valid
 		best := math.Inf(-1)
 		for _, id := range sector.TalonTX() {
-			if s := link.TrueSNR(dut, probe, id); s > best {
+			if s := gt.SNR(id); s > best {
 				best = s
 			}
 		}
@@ -209,7 +210,7 @@ func TestEndToEndCompressiveSelection(t *testing.T) {
 			if !sel.Fallback {
 				azErrs = append(azErrs, math.Abs(sel.AoA.Az-truthAz))
 			}
-			losses = append(losses, best-link.TrueSNR(dut, probe, sel.Sector))
+			losses = append(losses, best-gt.SNR(sel.Sector))
 		}
 	}
 	if lost > 2 {

@@ -99,31 +99,6 @@ func (d *Device) Model() radio.MeasurementModel { return d.model }
 // MeasRNG returns the device's measurement noise stream.
 func (d *Device) MeasRNG() *stats.RNG { return d.measRNG }
 
-// TXGain returns the gain function of transmit sector id, or an error for
-// sectors absent from the codebook.
-func (d *Device) TXGain(id sector.ID) (radio.GainFunc, error) {
-	w, ok := d.codebook.Weights(id)
-	if !ok {
-		return nil, fmt.Errorf("wil: %w: device %s has no sector %v", sector.ErrUnknown, d.name, id)
-	}
-	return func(az, el float64) float64 { return d.array.Gain(w, az, el) }, nil
-}
-
-// RXGain returns the gain function of the quasi-omni receive sector (no
-// receive training is done on this hardware; the same sector is always
-// used for reception).
-func (d *Device) RXGain() radio.GainFunc { return d.rxGainDB }
-
-// rxGainDB is the quasi-omni receive sector's gain toward (az, el).
-func (d *Device) rxGainDB(az, el float64) float64 {
-	w, ok := d.codebook.Weights(sector.RX)
-	if !ok {
-		// The Talon codebook always contains RX; this is defensive.
-		return 0
-	}
-	return d.array.Gain(w, az, el)
-}
-
 // Jailbreak applies both firmware patches, turning the stock router into
 // the paper's research platform.
 func (d *Device) Jailbreak() error {

@@ -74,8 +74,8 @@ func TestSLSFullyBlockedEnvironment(t *testing.T) {
 		t.Fatal("training completed over a dead channel")
 	}
 	// True SNR reflects the dead channel.
-	if snr := l.TrueSNR(a, b, 63); !math.IsInf(snr, -1) {
-		t.Fatalf("TrueSNR over dead channel = %v", snr)
+	if snr := l.GroundTruth(a, b).SNR(63); !math.IsInf(snr, -1) {
+		t.Fatalf("true SNR over dead channel = %v", snr)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // TestTransmitUnknownSectorCountsDrop is the regression test for the
-// silently-swallowed TXGain failure in Link.transmit: with a sniffer
+// silently-swallowed unknown-sector failure in Link.transmit: with a sniffer
 // attached, a frame on an unknown sector must tick the dropped-frames
 // counter instead of vanishing without a trace. Counters are
 // process-global, so the test works on deltas.
@@ -42,7 +42,7 @@ func TestTransmitUnknownSectorCountsDrop(t *testing.T) {
 		t.Fatalf("injected delta = %d, want 1", got)
 	}
 	if got := metFramesDropped.Value() - dropped0; got != 1 {
-		t.Fatalf("dropped delta = %d, want 1 (TXGain failure must count as a drop)", got)
+		t.Fatalf("dropped delta = %d, want 1 (an unknown sector must count as a drop)", got)
 	}
 
 	// A deliverable sector must not tick the dropped counter on this path.

@@ -31,49 +31,48 @@ type Link struct {
 	injector fault.Injector
 	frameSeq uint64
 
-	// geo is the geometry of the transmission in progress; raw and frame
-	// are Sweep's serialize buffer and decoded frame, reused across
-	// slots and sweeps.
-	geo   geometry
+	// geo is the geometry of the transmission in progress, truth the last
+	// GroundTruth; raw and frame are Sweep's serialize buffer and decoded
+	// frame, reused across slots and sweeps.
+	geo   radio.Geometry
+	truth GroundTruth
 	raw   []byte
 	frame dot11ad.Frame
 }
 
-// geometry is the direction-only part of a transmission between two
-// posed devices: the propagation paths resolved to both local frames with
-// the receiver's quasi-omni gain along each, and a Steering of the
-// transmitter's array per path pointed at its departure direction. It
-// depends on the poses only, so a sweep resolves it once and each frame
-// evaluates just its sector's transmit gain.
-type geometry struct {
-	paths []radio.Path
-	arr   *antenna.Array
-	steer []*antenna.Steering
+// resolve computes g for transmissions from tx to rx, which receives on
+// its quasi-omni sector.
+func (l *Link) resolve(g *radio.Geometry, tx, rx *Device) {
+	rxW, _ := rx.codebook.Weights(sector.RX)
+	g.Resolve(l.Env, tx.pose, rx.pose, tx.array, rx.array, rxW)
 }
 
-// resolve computes the geometry of transmissions from tx to rx.
-func (g *geometry) resolve(env *channel.Environment, tx, rx *Device) {
-	g.paths = radio.ResolvePaths(g.paths[:0], env, tx.Pose(), rx.Pose())
-	if g.arr != tx.array {
-		g.arr, g.steer = tx.array, g.steer[:0]
-	}
-	for i := range g.paths {
-		p := &g.paths[i]
-		p.RXGainDB = rx.rxGainDB(p.RXAz, p.RXEl)
-		if i == len(g.steer) {
-			g.steer = append(g.steer, g.arr.NewSteering())
-		}
-		g.steer[i].Point(p.TXAz, p.TXEl)
-	}
+// GroundTruth is the noiseless SNR of every transmit sector between two
+// posed devices — ground truth for evaluation, not visible to the
+// protocol — with the rays traced once for all queries.
+type GroundTruth struct {
+	geo    radio.Geometry
+	cb     *antenna.Codebook
+	budget radio.Budget
 }
 
-// trueSNR returns the noiseless SNR of a frame sent with weights w along
-// the resolved paths: radio.TrueSNR of the same poses and gains.
-func (g *geometry) trueSNR(w antenna.Weights, b radio.Budget) float64 {
-	for i := range g.paths {
-		g.paths[i].TXGainDB = g.steer[i].Gain(w)
+// SNR returns the noiseless SNR of transmit sector id, or -Inf for a
+// sector absent from the transmitter's codebook.
+func (t *GroundTruth) SNR(id sector.ID) float64 {
+	w, ok := t.cb.Weights(id)
+	if !ok {
+		return math.Inf(-1)
 	}
-	return radio.PathSNR(g.paths, b)
+	return t.geo.SNR(w, t.budget)
+}
+
+// GroundTruth resolves the ground truth from tx to rx at their current
+// poses. The result belongs to l and stays valid, whatever frames are
+// sent, until the next GroundTruth call on l.
+func (l *Link) GroundTruth(tx, rx *Device) *GroundTruth {
+	l.resolve(&l.truth.geo, tx, rx)
+	l.truth.cb, l.truth.budget = tx.codebook, l.Budget
+	return &l.truth
 }
 
 // NewLink connects a and b in env with the default budget.
@@ -127,8 +126,8 @@ func (l *Link) transmit(tx *Device, txSector sector.ID, raw []byte, airtime time
 	if len(l.sniffers) == 0 {
 		return seq
 	}
-	txGain, err := tx.TXGain(txSector)
-	if err != nil {
+	w, ok := tx.codebook.Weights(txSector)
+	if !ok {
 		// An unknown transmit sector radiates nothing; the sniffers'
 		// capture is lost.
 		metFramesDropped.Inc()
@@ -142,7 +141,8 @@ func (l *Link) transmit(tx *Device, txSector sector.ID, raw []byte, airtime time
 		if fault.ApplyFrame(l.injector, ev) {
 			continue
 		}
-		snr := radio.TrueSNR(l.Env, tx.Pose(), s.dev.Pose(), txGain, s.dev.RXGain(), l.Budget)
+		l.resolve(&s.geo, tx, s.dev)
+		snr := s.geo.SNR(w, l.Budget)
 		meas, ok := s.dev.Model().Observe(snr, s.dev.MeasRNG())
 		if !ok {
 			continue
@@ -168,7 +168,7 @@ func (l *Link) transmit(tx *Device, txSector sector.ID, raw []byte, airtime time
 // when the receiver decodes the frame. Attached sniffers observe the
 // transmission either way.
 func (l *Link) Deliver(tx, rx *Device, txSector sector.ID, raw []byte) (*dot11ad.Frame, radio.Measurement, bool) {
-	l.geo.resolve(l.Env, tx, rx)
+	l.resolve(&l.geo, tx, rx)
 	frame := new(dot11ad.Frame)
 	meas, ok := l.send(tx, rx, txSector, raw, frame)
 	if !ok {
@@ -199,7 +199,7 @@ func (l *Link) deliver(tx, rx *Device, txSector sector.ID, raw []byte, seq uint6
 	if fault.ApplyFrame(l.injector, ev) {
 		return radio.Measurement{}, false
 	}
-	trueSNR := l.geo.trueSNR(w, l.Budget)
+	trueSNR := l.geo.SNR(w, l.Budget)
 	meas, ok := rx.Model().Observe(trueSNR, rx.MeasRNG())
 	if !ok {
 		return radio.Measurement{}, false
@@ -235,16 +235,6 @@ func (l *Link) TransmitBeaconBurst(ap *Device) error {
 		l.transmit(ap, slot.Sector, raw, dot11ad.SSWFrameTime)
 	}
 	return nil
-}
-
-// TrueSNR returns the noiseless SNR from tx on txSector to rx — ground
-// truth for evaluation, not visible to the protocol.
-func (l *Link) TrueSNR(tx, rx *Device, txSector sector.ID) float64 {
-	txGain, err := tx.TXGain(txSector)
-	if err != nil {
-		return math.Inf(-1)
-	}
-	return radio.TrueSNR(l.Env, tx.Pose(), rx.Pose(), txGain, rx.RXGain(), l.Budget)
 }
 
 // SLSResult summarizes one mutual sector-level sweep.
@@ -403,7 +393,7 @@ func (l *Link) RunTXSS(tx, rx *Device, slots []dot11ad.BurstSlot) (map[sector.ID
 // the sniffers are Deliver's, slot by slot.
 func (l *Link) Sweep(tx, rx *Device, slots []dot11ad.BurstSlot) error {
 	rx.Firmware().BeginRXSweep()
-	l.geo.resolve(l.Env, tx, rx)
+	l.resolve(&l.geo, tx, rx)
 	for _, slot := range slots {
 		if !slot.Used {
 			continue

@@ -42,22 +42,26 @@ func TestNewDeviceValidation(t *testing.T) {
 func TestDeviceDeterminism(t *testing.T) {
 	a1, _ := NewDevice(Config{Name: "x", Seed: 7})
 	a2, _ := NewDevice(Config{Name: "x", Seed: 7})
-	g1, err := a1.TXGain(63)
-	if err != nil {
-		t.Fatal(err)
+	w, ok := a1.Codebook().Weights(63)
+	if !ok {
+		t.Fatal("sector 63 missing")
 	}
-	g2, _ := a2.TXGain(63)
 	for az := -60.0; az <= 60; az += 10 {
-		if g1(az, 0) != g2(az, 0) {
+		if a1.Array().Gain(w, az, 0) != a2.Array().Gain(w, az, 0) {
 			t.Fatal("same seed, different device")
 		}
 	}
 }
 
+// TestTXGainUnknownSector checks that a sector absent from the codebook
+// radiates nothing through the ground-truth path.
 func TestTXGainUnknownSector(t *testing.T) {
-	d, _ := NewDevice(Config{Name: "x", Seed: 1})
-	if _, err := d.TXGain(40); err == nil {
-		t.Fatal("undefined sector accepted")
+	l, a, b := testPair(t, channel.AnechoicChamber(), 3)
+	if _, ok := a.Codebook().Weights(40); ok {
+		t.Fatal("undefined sector in the codebook")
+	}
+	if snr := l.GroundTruth(a, b).SNR(40); !math.IsInf(snr, -1) {
+		t.Fatalf("undefined sector true SNR = %v, want -Inf", snr)
 	}
 }
 
@@ -111,10 +115,10 @@ func TestDeliverWeakSectorMisses(t *testing.T) {
 
 func TestTrueSNRGroundTruth(t *testing.T) {
 	l, a, b := testPair(t, channel.AnechoicChamber(), 3)
-	if snr := l.TrueSNR(a, b, 63); snr < 10 {
+	if snr := l.GroundTruth(a, b).SNR(63); snr < 10 {
 		t.Fatalf("boresight true SNR = %v", snr)
 	}
-	if snr := l.TrueSNR(a, b, 40); !math.IsInf(snr, -1) {
+	if snr := l.GroundTruth(a, b).SNR(40); !math.IsInf(snr, -1) {
 		t.Fatalf("undefined sector true SNR = %v", snr)
 	}
 }
@@ -158,10 +162,11 @@ func TestRunSLSFullSweep(t *testing.T) {
 	// At 3 m several sectors saturate the 12 dB reporting ceiling, so the
 	// argmax may tie onto a sector a few true-dB below the optimum — but
 	// never onto a genuinely bad one.
-	snr := l.TrueSNR(a, b, res.InitiatorTX)
+	gt := l.GroundTruth(a, b)
+	snr := gt.SNR(res.InitiatorTX)
 	bestSNR := math.Inf(-1)
 	for _, id := range sector.TalonTX() {
-		if s := l.TrueSNR(a, b, id); s > bestSNR {
+		if s := gt.SNR(id); s > bestSNR {
 			bestSNR = s
 		}
 	}

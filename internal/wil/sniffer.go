@@ -28,6 +28,7 @@ type Capture struct {
 type Sniffer struct {
 	dev      *Device
 	captures []Capture
+	geo      radio.Geometry // its own: deliver reads Link.geo after transmit
 }
 
 // AttachSniffer puts dev into monitor mode on the link. All subsequent

@@ -2,6 +2,10 @@ package wil
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"testing"
 
 	"talon/internal/channel"
@@ -152,5 +156,47 @@ func TestReconstructIgnoresOtherFrames(t *testing.T) {
 	beacon, sweep := dot11ad.ReconstructSchedules([]*dot11ad.Frame{fb, nil})
 	if beacon.Frames != 0 || sweep.Frames != 0 {
 		t.Fatal("non-SSW frames counted")
+	}
+}
+
+// TestSnifferCapturePinned pins a seeded monitor capture in the multipath
+// conference room — a beacon burst, then a full mutual SLS — by a SHA-256
+// over every capture's time, SNR and RSSI bits and frame bytes. The digest
+// was recorded when each capture still traced its rays through a
+// one-shot ground-truth call; the sniffer's own geometry must reproduce
+// it bit for bit.
+func TestSnifferCapturePinned(t *testing.T) {
+	l, ap, sta := testPair(t, channel.ConferenceRoom(), 4)
+	mon, err := NewDevice(Config{
+		Name: "monitor",
+		MAC:  dot11ad.MACAddr{0x02, 0, 0, 0, 0, 0xcc},
+		Seed: 3,
+		Pose: channel.Pose{Pos: geom.Point{X: 2, Y: 1.5, Z: 1.2}, Yaw: -100},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sniffer := l.AttachSniffer(mon)
+	if err := l.TransmitBeaconBurst(ap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.RunSLS(ap, sta, dot11ad.SweepSchedule(), dot11ad.SweepSchedule()); err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var buf [8]byte
+	for _, c := range sniffer.Captures() {
+		for _, v := range []uint64{uint64(c.Time), math.Float64bits(c.Meas.SNR), math.Float64bits(c.Meas.RSSI), uint64(len(c.Raw))} {
+			binary.LittleEndian.PutUint64(buf[:], v)
+			h.Write(buf[:])
+		}
+		h.Write(c.Raw)
+	}
+	const (
+		wantCaptures = 75
+		wantDigest   = "c2988c3854929a5d0cf6780a752a1ae74d56566e73a72d2519b9b04c09188150"
+	)
+	if n, d := len(sniffer.Captures()), hex.EncodeToString(h.Sum(nil)); n != wantCaptures || d != wantDigest {
+		t.Fatalf("capture: %d frames, digest %s; want %d frames, digest %s", n, d, wantCaptures, wantDigest)
 	}
 }

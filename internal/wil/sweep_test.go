@@ -6,6 +6,7 @@ import (
 
 	"talon/internal/channel"
 	"talon/internal/dot11ad"
+	"talon/internal/radio"
 	"talon/internal/sector"
 )
 
@@ -64,12 +65,52 @@ func TestRunTXSSAllocs(t *testing.T) {
 	}
 }
 
-// TestGeometryMatchesTrueSNR checks the per-sweep geometry against
-// Link.TrueSNR, which resolves the rays and evaluates Array.Gain afresh
-// for every call: in the multipath conference room, over rotated poses
+// TestGroundTruthAllocs gates the allocations of resolving one pose pair
+// and reading every transmit sector's true SNR: the link reuses its
+// ground-truth paths and steerings, so only the channel's ray list is
+// allocated.
+func TestGroundTruthAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed under the race detector")
+	}
+	l, tx, rx := chamberSweepPair(t)
+	sum := 0.0
+	allocs := testing.AllocsPerRun(50, func() {
+		gt := l.GroundTruth(tx, rx)
+		for _, id := range sector.TalonTX() {
+			sum += gt.SNR(id)
+		}
+	})
+	t.Logf("allocs per resolve and 34 reads: %v (sum %v)", allocs, sum)
+	if allocs > 1 {
+		t.Errorf("GroundTruth plus 34 SNR reads allocates %v times, want at most 1", allocs)
+	}
+}
+
+// oracleSNR is the reference ground truth, independent of every geometry
+// the link keeps: the rays resolved afresh, Array.Gain on each path at
+// both ends (the receiver on its quasi-omni sector), then PathSNR.
+func oracleSNR(env *channel.Environment, tx, rx *Device, id sector.ID, b radio.Budget) float64 {
+	w, ok := tx.Codebook().Weights(id)
+	if !ok {
+		return math.Inf(-1)
+	}
+	rxW, _ := rx.Codebook().Weights(sector.RX)
+	paths := radio.ResolvePaths(nil, env, tx.Pose(), rx.Pose())
+	for i := range paths {
+		p := &paths[i]
+		p.TXGainDB = tx.Array().Gain(w, p.TXAz, p.TXEl)
+		p.RXGainDB = rx.Array().Gain(rxW, p.RXAz, p.RXEl)
+	}
+	return radio.PathSNR(paths, b)
+}
+
+// TestGeometryMatchesTrueSNR checks the link's geometries against
+// oracleSNR bit for bit: the delivery geometry and GroundTruth, for every
+// transmit sector, in the multipath conference room, over rotated poses
 // and with the transmitting device alternating (which rebinds the
-// steerings to the other array), every sector's SNR must agree bit for
-// bit.
+// steerings to the other array). A sweep sent after GroundTruth must
+// leave it intact.
 func TestGeometryMatchesTrueSNR(t *testing.T) {
 	l, a, b := testPair(t, channel.ConferenceRoom(), 6)
 	for i, yaw := range []float64{0, 17.5, -41, 133, 0} {
@@ -78,18 +119,44 @@ func TestGeometryMatchesTrueSNR(t *testing.T) {
 			p := tx.Pose()
 			p.Yaw, p.Tilt = yaw, float64(i)*3
 			tx.SetPose(p)
-			l.geo.resolve(l.Env, tx, rx)
-			if len(l.geo.paths) < 2 {
-				t.Fatalf("yaw %v: %d paths, want multipath", yaw, len(l.geo.paths))
+			l.resolve(&l.geo, tx, rx)
+			gt := l.GroundTruth(tx, rx)
+			if n := len(radio.ResolvePaths(nil, l.Env, tx.Pose(), rx.Pose())); n < 2 {
+				t.Fatalf("yaw %v: %d paths, want multipath", yaw, n)
 			}
 			for _, id := range sector.TalonTX() {
 				w, _ := tx.Codebook().Weights(id)
-				got := l.geo.trueSNR(w, l.Budget)
-				want := l.TrueSNR(tx, rx, id)
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("yaw %v %s→%s sector %v: geometry %v, TrueSNR %v", yaw, tx.Name(), rx.Name(), id, got, want)
+				want := oracleSNR(l.Env, tx, rx, id, l.Budget)
+				for name, got := range map[string]float64{
+					"delivery geometry": l.geo.SNR(w, l.Budget),
+					"GroundTruth":       gt.SNR(id),
+				} {
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("yaw %v %s→%s sector %v: %s %v, oracle %v", yaw, tx.Name(), rx.Name(), id, name, got, want)
+					}
 				}
 			}
+			if err := l.Sweep(rx, tx, dot11ad.SweepSchedule()); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := gt.SNR(63), oracleSNR(l.Env, tx, rx, 63, l.Budget); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("yaw %v %s→%s after a reverse sweep: GroundTruth %v, oracle %v", yaw, tx.Name(), rx.Name(), got, want)
+			}
+			if snr := gt.SNR(40); !math.IsInf(snr, -1) {
+				t.Fatalf("unknown sector 40: true SNR %v, want -Inf", snr)
+			}
+		}
+	}
+}
+
+// TestGroundTruthFullyBlocked checks that with no propagation path every
+// sector's true SNR is -Inf, as the oracle's.
+func TestGroundTruthFullyBlocked(t *testing.T) {
+	l, a, b := testPair(t, &channel.Environment{Name: "void", LOSBlocked: true}, 3)
+	gt := l.GroundTruth(a, b)
+	for _, id := range sector.TalonTX() {
+		if snr, want := gt.SNR(id), oracleSNR(l.Env, a, b, id, l.Budget); !math.IsInf(snr, -1) || !math.IsInf(want, -1) {
+			t.Fatalf("sector %v through no path: true SNR %v, oracle %v, want -Inf", id, snr, want)
 		}
 	}
 }

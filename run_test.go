@@ -22,7 +22,7 @@ func buildTrainer(t *testing.T, env *talon.Environment, opts ...talon.TrainerOpt
 	peerPose.Pos.X = 3
 	dut.SetPose(dutPose)
 	peer.SetPose(peerPose)
-	trainer, err := talon.NewTrainer(link, patterns, opts...)
+	trainer, err := talon.NewTrainer(link, mustEstimator(t, patterns), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

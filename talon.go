@@ -22,7 +22,8 @@
 //	peer.Jailbreak()
 //	link := talon.NewLink(talon.ConferenceRoom(), dut, peer)
 //	patterns, _ := talon.MeasurePatterns(ctx, dut, peer, talon.DefaultPatternGrid(), 3)
-//	trainer, _ := talon.NewTrainer(link, patterns, talon.WithM(14), talon.WithSeed(42))
+//	est, _ := talon.NewEstimator(patterns, talon.EstimatorOptions{})
+//	trainer, _ := talon.NewTrainer(link, est, talon.WithM(14), talon.WithSeed(42))
 //	res, _ := trainer.Run(ctx, dut, peer)
 //	fmt.Println("transmit on sector", res.Sector)
 //
@@ -42,10 +43,11 @@
 //
 // # Construction
 //
-// NewTrainer takes functional options instead of positional knobs:
-// WithM sets the probe budget (default 14, the paper's operating point),
-// WithSeed the probing RNG seed. A trainer's estimator runs with the
-// default EstimatorOptions.
+// NewTrainer takes the estimator built over the transmitter's measured
+// patterns (NewEstimator), so trainers over one pattern set share its
+// correlation dictionary and its EstimatorOptions. Functional options
+// replace positional knobs: WithM sets the probe budget (default 14, the
+// paper's operating point), WithSeed the probing RNG seed.
 //
 // # Errors
 //
@@ -246,14 +248,15 @@ func WithSeed(seed int64) TrainerOption {
 	return func(c *trainerConfig) { c.seed = seed }
 }
 
-// NewTrainer builds a trainer over link using the transmitter's measured
-// pattern set, configured by functional options:
+// NewTrainer builds a trainer over link that estimates with est, built
+// over the transmitter's measured patterns (est.Patterns()), configured
+// by functional options:
 //
-//	trainer, err := talon.NewTrainer(link, patterns,
+//	trainer, err := talon.NewTrainer(link, est,
 //		talon.WithM(14), talon.WithSeed(42))
 //
-// Defaults: M = DefaultM, seed 1, zero EstimatorOptions.
-func NewTrainer(link *Link, patterns *PatternSet, opts ...TrainerOption) (*Trainer, error) {
+// Defaults: M = DefaultM, seed 1.
+func NewTrainer(link *Link, est *Estimator, opts ...TrainerOption) (*Trainer, error) {
 	cfg := trainerConfig{m: DefaultM, seed: 1}
 	for _, opt := range opts {
 		opt(&cfg)
@@ -261,12 +264,11 @@ func NewTrainer(link *Link, patterns *PatternSet, opts ...TrainerOption) (*Train
 	if link == nil {
 		return nil, fmt.Errorf("talon: trainer needs a link")
 	}
+	if est == nil {
+		return nil, fmt.Errorf("talon: trainer needs an estimator")
+	}
 	if cfg.m < 2 || cfg.m > len(sector.TalonTX()) {
 		return nil, fmt.Errorf("talon: %w: probe count %d out of range [2, 34]", ErrTooFewProbes, cfg.m)
-	}
-	est, err := core.NewEstimator(patterns, core.Options{})
-	if err != nil {
-		return nil, err
 	}
 	return &Trainer{link: link, est: est, m: cfg.m, rng: stats.NewRNG(cfg.seed)}, nil
 }
@@ -282,9 +284,6 @@ func (t *Trainer) SetM(m int) error {
 	t.m = m
 	return nil
 }
-
-// Estimator exposes the underlying CSS estimator.
-func (t *Trainer) Estimator() *Estimator { return t.est }
 
 // TalonTXSectors lists the 34 predefined transmit sectors.
 func TalonTXSectors() []SectorID { return sector.TalonTX() }

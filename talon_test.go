@@ -56,7 +56,7 @@ func TestQuickstartFlow(t *testing.T) {
 	dut.SetPose(dutPose)
 	peer.SetPose(peerPose)
 
-	trainer, err := talon.NewTrainer(link, patterns, talon.WithM(14), talon.WithSeed(7))
+	trainer, err := talon.NewTrainer(link, mustEstimator(t, patterns), talon.WithM(14), talon.WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if !valid {
 		t.Fatalf("selected invalid sector %v", res.Sector)
 	}
-	if snr := link.TrueSNR(dut, peer, res.Sector); snr < -2 {
+	if snr := link.GroundTruth(dut, peer).SNR(res.Sector); snr < -2 {
 		t.Fatalf("selected sector %v has true SNR %v", res.Sector, snr)
 	}
 	// The receiver-side override is armed with the selection.
@@ -103,7 +103,7 @@ func TestTrainMutual(t *testing.T) {
 	dut.SetPose(dutPose)
 	peer.SetPose(peerPose)
 
-	trainer, err := talon.NewTrainer(link, patterns, talon.WithM(14), talon.WithSeed(9))
+	trainer, err := talon.NewTrainer(link, mustEstimator(t, patterns), talon.WithM(14), talon.WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +123,16 @@ func TestTrainMutual(t *testing.T) {
 	}
 }
 
+// mustEstimator builds the default CSS estimator over patterns.
+func mustEstimator(t *testing.T, patterns *talon.PatternSet) *talon.Estimator {
+	t.Helper()
+	est, err := talon.NewEstimator(patterns, talon.EstimatorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return est
+}
+
 func TestTrainerValidation(t *testing.T) {
 	dut, peer := buildPair(t)
 	patterns, err := talon.MeasurePatterns(context.Background(), dut, peer, coarsePatternGrid(t), 1)
@@ -130,16 +140,20 @@ func TestTrainerValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	link := talon.NewLink(talon.AnechoicChamber(), dut, peer)
-	if _, err := talon.NewTrainer(nil, patterns, talon.WithM(14)); err == nil {
+	est := mustEstimator(t, patterns)
+	if _, err := talon.NewTrainer(nil, est, talon.WithM(14)); err == nil {
 		t.Error("nil link accepted")
 	}
-	if _, err := talon.NewTrainer(link, patterns, talon.WithM(1)); err == nil {
+	if _, err := talon.NewTrainer(link, nil, talon.WithM(14)); err == nil {
+		t.Error("nil estimator accepted")
+	}
+	if _, err := talon.NewTrainer(link, est, talon.WithM(1)); err == nil {
 		t.Error("m=1 accepted")
 	}
-	if _, err := talon.NewTrainer(link, patterns, talon.WithM(99)); err == nil {
+	if _, err := talon.NewTrainer(link, est, talon.WithM(99)); err == nil {
 		t.Error("m=99 accepted")
 	}
-	tr, err := talon.NewTrainer(link, patterns, talon.WithM(14), talon.WithSeed(1))
+	tr, err := talon.NewTrainer(link, est, talon.WithM(14), talon.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +197,7 @@ func TestTrainWithBackup(t *testing.T) {
 	peerPose.Pos.X = 6
 	dut.SetPose(dutPose)
 	peer.SetPose(peerPose)
-	trainer, err := talon.NewTrainer(link, patterns, talon.WithM(24), talon.WithSeed(19))
+	trainer, err := talon.NewTrainer(link, mustEstimator(t, patterns), talon.WithM(24), talon.WithSeed(19))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +233,7 @@ func TestTrainCancellation(t *testing.T) {
 	peerPose := talon.Pose{Yaw: 180}
 	peerPose.Pos.X = 3
 	peer.SetPose(peerPose)
-	trainer, err := talon.NewTrainer(link, patterns, talon.WithM(14), talon.WithSeed(3))
+	trainer, err := talon.NewTrainer(link, mustEstimator(t, patterns), talon.WithM(14), talon.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,11 +269,11 @@ func TestSentinelErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	link := talon.NewLink(talon.Lab(), dutB, peer)
-	if _, err := talon.NewTrainer(link, patterns, talon.WithM(1)); !errors.Is(err, talon.ErrTooFewProbes) {
+	if _, err := talon.NewTrainer(link, mustEstimator(t, patterns), talon.WithM(1)); !errors.Is(err, talon.ErrTooFewProbes) {
 		t.Fatalf("WithM(1): want ErrTooFewProbes, got %v", err)
 	}
 	// A sector with two adjacent unmeasured elevation rows leaves grid
-	// points Pattern.At cannot fill: the trainer refuses the set.
+	// points Pattern.At cannot fill: the estimator refuses the set.
 	id := patterns.IDs()[0]
 	holey := patterns.Get(id).Clone()
 	for a := 0; a < patterns.Grid().NumAz(); a++ {
@@ -269,7 +283,7 @@ func TestSentinelErrors(t *testing.T) {
 	if err := patterns.Put(id, holey); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := talon.NewTrainer(link, patterns); !errors.Is(err, talon.ErrPatternHole) {
+	if _, err := talon.NewEstimator(patterns, talon.EstimatorOptions{}); !errors.Is(err, talon.ErrPatternHole) {
 		t.Fatalf("holey patterns: want ErrPatternHole, got %v", err)
 	}
 }
