@@ -56,7 +56,7 @@ import (
 
 	"talon/internal/core"
 	"talon/internal/eval"
-	"talon/internal/obs"
+	"talon/internal/obs/obscli"
 )
 
 var (
@@ -89,7 +89,7 @@ func main() {
 	if *workers > 0 {
 		runtime.GOMAXPROCS(*workers)
 	}
-	cleanup, err := obs.HookCLI(*metricsOut, *debugAddr, *cpuProfile)
+	cleanup, err := obscli.HookCLI(*metricsOut, *debugAddr, *cpuProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "evalrunner:", err)
 		os.Exit(1)

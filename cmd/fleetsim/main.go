@@ -43,7 +43,7 @@ import (
 
 	"talon/internal/eval"
 	"talon/internal/fleet"
-	"talon/internal/obs"
+	"talon/internal/obs/obscli"
 )
 
 var (
@@ -75,7 +75,7 @@ var (
 
 func main() {
 	flag.Parse()
-	cleanup, err := obs.HookCLI(*metricsOut, *debugAddr, *cpuProfile)
+	cleanup, err := obscli.HookCLI(*metricsOut, *debugAddr, *cpuProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fleetsim:", err)
 		os.Exit(1)

@@ -24,7 +24,7 @@ import (
 	"talon/internal/channel"
 	"talon/internal/dot11ad"
 	"talon/internal/geom"
-	"talon/internal/obs"
+	"talon/internal/obs/obscli"
 	"talon/internal/pattern"
 	"talon/internal/testbed"
 	"talon/internal/wil"
@@ -48,7 +48,7 @@ var (
 
 func main() {
 	flag.Parse()
-	cleanup, err := obs.HookCLI(*metricsOut, *debugAddr, *cpuProfile)
+	cleanup, err := obscli.HookCLI(*metricsOut, *debugAddr, *cpuProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "patternscan:", err)
 		os.Exit(1)

@@ -30,7 +30,7 @@ import (
 	"talon/internal/channel"
 	"talon/internal/dot11ad"
 	"talon/internal/nexmon"
-	"talon/internal/obs"
+	"talon/internal/obs/obscli"
 	"talon/internal/sector"
 	"talon/internal/wil"
 )
@@ -68,7 +68,7 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	cleanup, err := obs.HookCLI(*metricsOut, *debugAddr, *cpuProfile)
+	cleanup, err := obscli.HookCLI(*metricsOut, *debugAddr, *cpuProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "talonctl:", err)
 		os.Exit(1)

@@ -17,3 +17,23 @@ func BenchmarkNewPlatform(b *testing.B) {
 		}
 	}
 }
+
+// TestPlatformBuildAllocs gates the allocations of the full-fidelity
+// platform build. Repeated sweeps at a grid point reuse the link's
+// true-SNR table and the outlier pass allocates nothing, so what remains
+// is about one ray list per sweep plus the estimator (measured 6,090;
+// 50,700 before the table and the allocation-free outlier pass).
+func TestPlatformBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed under the race detector")
+	}
+	f := Full()
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := NewPlatform(context.Background(), 1, f.PatternGrid, f.CampaignRepeats); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8000 {
+		t.Errorf("full-fidelity platform build allocates %v times, want at most 8000", allocs)
+	}
+}

@@ -1,19 +1,19 @@
 // Package obs is the observability substrate of the CSS stack: a
 // dependency-free, race-safe metrics registry (atomic counters, gauges
-// and fixed-bucket latency histograms), a span-based Tracer hook that
-// defaults to a no-op, and pprof/debug wiring for the CLIs.
+// and fixed-bucket latency histograms) and a span-based Tracer hook that
+// defaults to a no-op. The CLIs' debug server and profiling live in
+// internal/obs/obscli, so linking obs does not link the HTTP stack.
 //
 // Hot paths register their metrics once at package init against the
 // process-wide Default registry and update them with single atomic
 // operations, so instrumentation stays cheap enough for per-estimate and
 // per-frame call sites. A Snapshot of the registry marshals to
-// deterministic JSON (names sorted), is published through expvar, and is
-// served by the debug HTTP endpoint next to /debug/pprof.
+// deterministic JSON (names sorted); obscli publishes it through expvar
+// and serves it next to /debug/pprof.
 package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"math"
 	"sort"
@@ -295,19 +295,4 @@ func (r *Registry) Names() []string {
 // sorts map keys).
 func (r *Registry) MarshalJSON() ([]byte, error) {
 	return json.Marshal(r.Snapshot())
-}
-
-// expvarOnce guards against double expvar publication (expvar.Publish
-// panics on duplicate names).
-var expvarOnce sync.Once
-
-// PublishExpvar exposes the Default registry as the expvar variable
-// "talon_metrics", visible on /debug/vars of any expvar-serving mux.
-// Safe to call more than once.
-func PublishExpvar() {
-	expvarOnce.Do(func() {
-		expvar.Publish("talon_metrics", expvar.Func(func() any {
-			return defaultRegistry.Snapshot()
-		}))
-	})
 }

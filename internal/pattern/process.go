@@ -43,40 +43,73 @@ func Average(runs []*Pattern) (*Pattern, error) {
 // same elevation row) by more than thresh dB. This mirrors the paper's
 // "omitted obvious outliers" step. It returns the number of samples
 // removed.
+//
+// Each row is judged on a copy of its original samples, so a removal does
+// not change its neighbours' medians. The copy and the neighbourhood share
+// one buffer, on the stack for rows of up to outlierStackLen samples less
+// twice the window: the campaign's pass allocates nothing.
 func (p *Pattern) RemoveOutliers(window int, thresh float64) int {
 	if window < 1 {
 		window = 1
 	}
+	var stack [outlierStackLen]float64
+	buf := stack[:]
+	if n := p.grid.NumAz() + 2*window; n > len(buf) {
+		buf = make([]float64, n)
+	}
 	removed := 0
-	for e, row := range p.gain {
-		orig := append([]float64(nil), row...)
+	for _, row := range p.gain {
+		orig := buf[:len(row)]
+		copy(orig, row)
+		neigh := buf[len(row):len(row)]
 		for a, v := range orig {
 			if math.IsNaN(v) {
 				continue
 			}
-			lo, hi := a-window, a+window
-			if lo < 0 {
-				lo = 0
-			}
-			if hi >= len(orig) {
-				hi = len(orig) - 1
-			}
-			neigh := make([]float64, 0, hi-lo)
+			lo, hi := max(a-window, 0), min(a+window, len(orig)-1)
+			neigh = neigh[:0]
 			for i := lo; i <= hi; i++ {
 				if i != a && !math.IsNaN(orig[i]) {
-					neigh = append(neigh, orig[i])
+					neigh = insertSorted(neigh, orig[i])
 				}
 			}
 			if len(neigh) == 0 {
 				continue
 			}
-			if math.Abs(v-stats.Median(neigh)) > thresh {
-				p.gain[e][a] = math.NaN()
+			if math.Abs(v-medianSorted(neigh)) > thresh {
+				row[a] = math.NaN()
 				removed++
 			}
 		}
 	}
 	return removed
+}
+
+// outlierStackLen is the length of RemoveOutliers' stack buffer.
+const outlierStackLen = 512
+
+// insertSorted appends x to the ascending, NaN-free v and moves it into
+// place, within v's capacity.
+func insertSorted(v []float64, x float64) []float64 {
+	v = append(v, x)
+	i := len(v) - 1
+	for ; i > 0 && v[i-1] > x; i-- {
+		v[i] = v[i-1]
+	}
+	v[i] = x
+	return v
+}
+
+// medianSorted is stats.Median of the ascending, NaN-free, non-empty v,
+// with stats.Quantile's arithmetic so the result is the same to the bit.
+func medianSorted(v []float64) float64 {
+	pos := 0.5 * float64(len(v)-1)
+	i := int(math.Floor(pos))
+	frac := pos - float64(i)
+	if i+1 >= len(v) {
+		return v[len(v)-1]
+	}
+	return v[i]*(1-frac) + v[i+1]*frac
 }
 
 // FillGaps linearly interpolates missing samples along each azimuth row,

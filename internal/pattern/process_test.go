@@ -3,6 +3,8 @@ package pattern
 import (
 	"math"
 	"testing"
+
+	"talon/internal/stats"
 )
 
 func TestAverage(t *testing.T) {
@@ -117,5 +119,98 @@ func TestCampaignPipeline(t *testing.T) {
 		if diff := math.Abs(p.AtIndex(a, 0) - truth(az, 0)); diff > 1.5 {
 			t.Fatalf("restored pattern off by %v dB at az %v", diff, az)
 		}
+	}
+}
+
+// removeOutliersRef is the former RemoveOutliers body, kept as the
+// oracle: a fresh row copy, a neighbour slice per sample and
+// stats.Median's sorted copy.
+func removeOutliersRef(p *Pattern, window int, thresh float64) int {
+	if window < 1 {
+		window = 1
+	}
+	removed := 0
+	for e, row := range p.gain {
+		orig := append([]float64(nil), row...)
+		for a, v := range orig {
+			if math.IsNaN(v) {
+				continue
+			}
+			lo, hi := a-window, a+window
+			if lo < 0 {
+				lo = 0
+			}
+			if hi >= len(orig) {
+				hi = len(orig) - 1
+			}
+			neigh := make([]float64, 0, hi-lo)
+			for i := lo; i <= hi; i++ {
+				if i != a && !math.IsNaN(orig[i]) {
+					neigh = append(neigh, orig[i])
+				}
+			}
+			if len(neigh) == 0 {
+				continue
+			}
+			if math.Abs(v-stats.Median(neigh)) > thresh {
+				p.gain[e][a] = math.NaN()
+				removed++
+			}
+		}
+	}
+	return removed
+}
+
+// TestRemoveOutliersMatchesReference checks the allocation-free pass
+// against the former body bit for bit, on random rows with missing
+// samples, repeated values and signed zeros, at windows 1–3.
+func TestRemoveOutliersMatchesReference(t *testing.T) {
+	rng := stats.NewRNG(7)
+	g := mustGrid(t, -90, 90, 2, 0, 32, 4)
+	for trial := 0; trial < 200; trial++ {
+		got := FromFunc(g, func(az, el float64) float64 {
+			switch u := rng.Float64(); {
+			case u < 0.15:
+				return math.NaN()
+			case u < 0.2:
+				return math.Copysign(0, rng.Float64()-0.5)
+			case u < 0.3:
+				return float64(rng.Intn(4)) // repeated values
+			case u < 0.4:
+				return rng.Norm(0, 20) // spikes
+			}
+			return rng.Norm(0, 3)
+		})
+		want := got.Clone()
+		window := 1 + trial%3
+		thresh := rng.Uniform(0.5, 8)
+		n, wantN := got.RemoveOutliers(window, thresh), removeOutliersRef(want, window, thresh)
+		if n != wantN {
+			t.Fatalf("trial %d window %d: removed %d, reference %d", trial, window, n, wantN)
+		}
+		for e := range got.gain {
+			for a := range got.gain[e] {
+				if x, y := got.gain[e][a], want.gain[e][a]; math.Float64bits(x) != math.Float64bits(y) {
+					t.Fatalf("trial %d window %d at (%d, %d): %v, reference %v", trial, window, a, e, x, y)
+				}
+			}
+		}
+	}
+}
+
+// TestRemoveOutliersAllocs gates the outlier pass over the platform's
+// campaign grid at zero allocations.
+func TestRemoveOutliersAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is perturbed under the race detector")
+	}
+	g := mustGrid(t, -90, 90, 2, 0, 32, 4)
+	rng := stats.NewRNG(3)
+	p := FromFunc(g, func(az, el float64) float64 { return rng.Norm(0, 4) })
+	allocs := testing.AllocsPerRun(20, func() {
+		p.RemoveOutliers(1, 6)
+	})
+	if allocs != 0 {
+		t.Errorf("RemoveOutliers allocates %v times per pass, want 0", allocs)
 	}
 }

@@ -7,6 +7,7 @@ package radio
 
 import (
 	"math"
+	"slices"
 
 	"talon/internal/antenna"
 	"talon/internal/channel"
@@ -93,16 +94,33 @@ type Geometry struct {
 	paths []Path
 	arr   *antenna.Array
 	steer []*antenna.Steering
+	// rx and rxW are the receive side of the last resolution (rxW a copy,
+	// so an edit of the caller's weights is seen); traced holds freshly
+	// traced paths, compared with paths before they replace them.
+	rx     *antenna.Array
+	rxW    antenna.Weights
+	traced []Path
 }
 
 // Resolve computes the geometry of transmissions from array tx at txPose
 // to array rx at rxPose, which receives with weights rxW. A nil rx is an
 // isotropic receiver (0 dB along every path).
-func (g *Geometry) Resolve(env *channel.Environment, txPose, rxPose channel.Pose, tx, rx *antenna.Array, rxW antenna.Weights) {
-	g.paths = ResolvePaths(g.paths[:0], env, txPose, rxPose)
+//
+// The rays are traced on every call. When the traced paths, both arrays
+// and rxW are bit-identical to the previous resolution's, Resolve keeps
+// the receive gains and steerings and reports unchanged: every SNR the
+// geometry returns is then the same as before the call.
+func (g *Geometry) Resolve(env *channel.Environment, txPose, rxPose channel.Pose, tx, rx *antenna.Array, rxW antenna.Weights) (unchanged bool) {
+	g.traced = ResolvePaths(g.traced[:0], env, txPose, rxPose)
+	if g.arr == tx && g.rx == rx && samePaths(g.traced, g.paths) && sameWeights(g.rxW, rxW) {
+		return true
+	}
+	g.paths, g.traced = g.traced, g.paths
 	if g.arr != tx {
 		g.arr, g.steer = tx, g.steer[:0]
 	}
+	g.rx = rx
+	copyWeights(&g.rxW, rxW)
 	for i := range g.paths {
 		p := &g.paths[i]
 		if rx != nil {
@@ -112,6 +130,44 @@ func (g *Geometry) Resolve(env *channel.Environment, txPose, rxPose channel.Pose
 			g.steer = append(g.steer, tx.NewSteering())
 		}
 		g.steer[i].Point(p.TXAz, p.TXEl)
+	}
+	return false
+}
+
+// samePaths reports whether a and b hold bit-identical directions and
+// losses (the gains are the geometry's own).
+func samePaths(a, b []Path) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		p, q := &a[i], &b[i]
+		if !sameBits(p.TXAz, q.TXAz) || !sameBits(p.TXEl, q.TXEl) ||
+			!sameBits(p.RXAz, q.RXAz) || !sameBits(p.RXEl, q.RXEl) ||
+			!sameBits(p.LossDB, q.LossDB) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+
+// sameWeights reports whether a and b drive every element identically,
+// Amp's nil-ness included.
+func sameWeights(a, b antenna.Weights) bool {
+	return slices.Equal(a.Phase, b.Phase) && slices.Equal(a.On, b.On) &&
+		(a.Amp == nil) == (b.Amp == nil) && slices.Equal(a.Amp, b.Amp)
+}
+
+// copyWeights makes *dst a copy of src, reusing dst's storage.
+func copyWeights(dst *antenna.Weights, src antenna.Weights) {
+	dst.Phase = append(dst.Phase[:0], src.Phase...)
+	dst.On = append(dst.On[:0], src.On...)
+	if src.Amp == nil {
+		dst.Amp = nil
+	} else {
+		dst.Amp = append(dst.Amp[:0], src.Amp...)
 	}
 }
 

@@ -80,18 +80,63 @@ func (m MeasurementModel) DecodeProb(trueSNR float64) float64 {
 	return p * (1 - m.BaseMissProb)
 }
 
+// Terms are the measurement model's three functions of the true SNR: the
+// decode probability, the reading-noise boost and the outlier probability.
+// A receiver that hears the same true SNR again (the chamber campaign's
+// repeated sweeps at one pose) computes them once with
+// MeasurementModel.Terms and draws each report with ObserveTerms.
+type Terms struct {
+	DecodeProb  float64
+	NoiseBoost  float64
+	OutlierProb float64
+}
+
+// Terms returns the model's terms at trueSNR, the values Observe computes.
+func (m MeasurementModel) Terms(trueSNR float64) Terms {
+	return Terms{
+		DecodeProb:  m.DecodeProb(trueSNR),
+		NoiseBoost:  m.noiseBoost(trueSNR),
+		OutlierProb: m.outlierProb(trueSNR),
+	}
+}
+
+// noiseBoost is the extra reading noise at trueSNR: fluctuations grow
+// toward LowSNRNoiseBoost on weak channels.
+func (m MeasurementModel) noiseBoost(trueSNR float64) float64 {
+	return m.LowSNRNoiseBoost / (1 + math.Exp((trueSNR-2.0)/2.0))
+}
+
+// outlierProb is the per-reading outlier probability at trueSNR. Outliers
+// concentrate on weak channels ("especially channels with low gains
+// resulted in high signal strength deviations").
+func (m MeasurementModel) outlierProb(trueSNR float64) float64 {
+	return m.OutlierProb * (0.3 + 0.7/(1+math.Exp((trueSNR-3.0)/2.0)))
+}
+
 // Observe produces the firmware's report for a frame received at trueSNR,
 // or ok=false when the frame is missed (not decodable, or silently
-// dropped by the firmware).
+// dropped by the firmware). The noise and outlier terms are computed only
+// for a decoded frame.
 func (m MeasurementModel) Observe(trueSNR float64, rng *stats.RNG) (Measurement, bool) {
 	if !rng.Bool(m.DecodeProb(trueSNR)) {
 		return Measurement{}, false
 	}
-	boost := m.LowSNRNoiseBoost / (1 + math.Exp((trueSNR-2.0)/2.0))
-	// Outliers concentrate on weak channels ("especially channels with
-	// low gains resulted in high signal strength deviations") and are
-	// capped at twice their scale.
-	pOut := m.OutlierProb * (0.3 + 0.7/(1+math.Exp((trueSNR-3.0)/2.0)))
+	return m.draw(trueSNR, m.noiseBoost(trueSNR), m.outlierProb(trueSNR), rng), true
+}
+
+// ObserveTerms is Observe with the terms at trueSNR precomputed (t must be
+// m.Terms(trueSNR)): the same draws in the same order, so the same report.
+func (m MeasurementModel) ObserveTerms(trueSNR float64, t Terms, rng *stats.RNG) (Measurement, bool) {
+	if !rng.Bool(t.DecodeProb) {
+		return Measurement{}, false
+	}
+	return m.draw(trueSNR, t.NoiseBoost, t.OutlierProb, rng), true
+}
+
+// draw makes the reading draws of a decoded frame: SNR noise, SNR
+// outlier, RSSI noise, RSSI outlier. Outliers are capped at twice their
+// scale.
+func (m *MeasurementModel) draw(trueSNR, boost, pOut float64, rng *stats.RNG) Measurement {
 	snr := trueSNR + rng.Norm(0, m.SNRNoiseStdDB+boost)
 	if rng.Bool(pOut) {
 		snr += clampF(rng.StudentTish(m.OutlierScaleDB), -2*m.OutlierScaleDB, 2*m.OutlierScaleDB)
@@ -103,7 +148,7 @@ func (m MeasurementModel) Observe(trueSNR float64, rng *stats.RNG) (Measurement,
 	return Measurement{
 		SNR:  quantizeClamp(snr, SNRQuantumDB, SNRMinDB, SNRMaxDB),
 		RSSI: quantize(rssi, RSSIQuantumDB),
-	}, true
+	}
 }
 
 func quantize(v, quantum float64) float64 {

@@ -78,9 +78,11 @@ type Firmware struct {
 	fwk *nexmon.Framework
 
 	// sweep holds the measurements of the currently received sweep,
-	// keyed by the peer's sector — the stock algorithm's working state.
-	sweep map[sector.ID]radio.Measurement
-	seq   uint32
+	// indexed by the peer's sector, and recorded marks the sectors that
+	// have one — the stock algorithm's working state.
+	sweep    [256]radio.Measurement
+	recorded [256]bool
+	seq      uint32
 
 	// inj is the installed impairment layer (nil = unimpaired),
 	// consulted for record drop storms and transient WMI failures.
@@ -91,9 +93,8 @@ type Firmware struct {
 func NewFirmware() *Firmware {
 	mem := nexmon.NewQCA9500Memory()
 	return &Firmware{
-		mem:   mem,
-		fwk:   nexmon.NewFramework(mem),
-		sweep: make(map[sector.ID]radio.Measurement),
+		mem: mem,
+		fwk: nexmon.NewFramework(mem),
 	}
 }
 
@@ -140,7 +141,7 @@ func (f *Firmware) OverrideEnabled() bool { return f.fwk.Applied(PatchNameSector
 // BeginRXSweep resets the per-sweep measurement state when a new incoming
 // sector sweep starts.
 func (f *Firmware) BeginRXSweep() {
-	clear(f.sweep)
+	clear(f.recorded[:])
 }
 
 // RecordSSW processes one decoded SSW frame received on the quasi-omni
@@ -152,7 +153,7 @@ func (f *Firmware) RecordSSW(sec sector.ID, cdown uint16, m radio.Measurement) {
 		// the stock sweep table nor the host-readable ring sees it.
 		return
 	}
-	f.sweep[sec] = m
+	f.sweep[sec], f.recorded[sec] = m, true
 	if !f.SweepDumpEnabled() {
 		return
 	}
@@ -192,7 +193,7 @@ func (f *Firmware) BestSector() (sector.ID, bool) {
 	best, bestSNR, ok := sector.ID(0), math.Inf(-1), false
 	// Iterate deterministically so equal readings break ties stably.
 	for _, id := range sector.TalonTX() {
-		m, have := f.sweep[id]
+		m, have := f.SweepMeasurement(id)
 		if !have {
 			continue
 		}
@@ -206,16 +207,26 @@ func (f *Firmware) BestSector() (sector.ID, bool) {
 // SweepMeasurement returns the current sweep's measurement of sector id,
 // if one was recorded.
 func (f *Firmware) SweepMeasurement(id sector.ID) (radio.Measurement, bool) {
-	m, ok := f.sweep[id]
-	return m, ok
+	if !f.recorded[id] {
+		return radio.Measurement{}, false
+	}
+	return f.sweep[id], true
 }
 
 // SweepMeasurements returns a copy of the current sweep's per-sector
 // measurements (the stock algorithm's working state).
 func (f *Firmware) SweepMeasurements() map[sector.ID]radio.Measurement {
-	out := make(map[sector.ID]radio.Measurement, len(f.sweep))
-	for k, v := range f.sweep {
-		out[k] = v
+	n := 0
+	for _, ok := range f.recorded {
+		if ok {
+			n++
+		}
+	}
+	out := make(map[sector.ID]radio.Measurement, n)
+	for id, ok := range f.recorded {
+		if ok {
+			out[sector.ID(id)] = f.sweep[id]
+		}
 	}
 	return out
 }

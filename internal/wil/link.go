@@ -38,13 +38,61 @@ type Link struct {
 	truth GroundTruth
 	raw   []byte
 	frame dot11ad.Frame
+
+	// snrs is the true-SNR table of geo, indexed by transmit sector. An
+	// entry is valid while its gen equals snrGen, which resolveFrames
+	// bumps when the geometry, the transmit codebook, the receiver's model
+	// or the budget differs from the ones the table was filled for
+	// (snrCB, snrModel, snrBudget).
+	snrs      [256]frameSNR
+	snrGen    uint64
+	snrCB     *antenna.Codebook
+	snrModel  radio.MeasurementModel
+	snrBudget radio.Budget
+}
+
+// frameSNR is one transmit sector's entry in the link's true-SNR table:
+// the noiseless SNR over the delivery geometry and the receiver model's
+// terms at it, everything a frame's measurement needs besides its draws.
+type frameSNR struct {
+	gen   uint64
+	snr   float64
+	terms radio.Terms
 }
 
 // resolve computes g for transmissions from tx to rx, which receives on
-// its quasi-omni sector.
-func (l *Link) resolve(g *radio.Geometry, tx, rx *Device) {
+// its quasi-omni sector, and reports whether g was already resolved for
+// bit-identical inputs (radio.Geometry.Resolve).
+func (l *Link) resolve(g *radio.Geometry, tx, rx *Device) bool {
 	rxW, _ := rx.codebook.Weights(sector.RX)
-	g.Resolve(l.Env, tx.pose, rx.pose, tx.array, rx.array, rxW)
+	return g.Resolve(l.Env, tx.pose, rx.pose, tx.array, rx.array, rxW)
+}
+
+// resolveFrames resolves the delivery geometry from tx to rx. The
+// true-SNR table survives only when every input of its entries is
+// unchanged: the traced paths, both arrays and the receive weights (the
+// geometry compares these), the transmit codebook, the receiver's model
+// and the budget. The environment is not compared by pointer, since its
+// fields are edited in place; its effect is in the traced paths.
+func (l *Link) resolveFrames(tx, rx *Device) {
+	same := l.resolve(&l.geo, tx, rx)
+	if !same || tx.codebook != l.snrCB || rx.model != l.snrModel || l.Budget != l.snrBudget {
+		l.snrGen++
+		l.snrCB, l.snrModel, l.snrBudget = tx.codebook, rx.model, l.Budget
+	}
+}
+
+// trueSNR returns transmit sector id's entry in the true-SNR table,
+// filling it from weights w on the sector's first frame since the table
+// was cleared.
+func (l *Link) trueSNR(id sector.ID, w antenna.Weights) *frameSNR {
+	e := &l.snrs[id]
+	if e.gen != l.snrGen {
+		e.snr = l.geo.SNR(w, l.Budget)
+		e.terms = l.snrModel.Terms(e.snr)
+		e.gen = l.snrGen
+	}
+	return e
 }
 
 // GroundTruth is the noiseless SNR of every transmit sector between two
@@ -168,7 +216,7 @@ func (l *Link) transmit(tx *Device, txSector sector.ID, raw []byte, airtime time
 // when the receiver decodes the frame. Attached sniffers observe the
 // transmission either way.
 func (l *Link) Deliver(tx, rx *Device, txSector sector.ID, raw []byte) (*dot11ad.Frame, radio.Measurement, bool) {
-	l.resolve(&l.geo, tx, rx)
+	l.resolveFrames(tx, rx)
 	frame := new(dot11ad.Frame)
 	meas, ok := l.send(tx, rx, txSector, raw, frame)
 	if !ok {
@@ -199,8 +247,8 @@ func (l *Link) deliver(tx, rx *Device, txSector sector.ID, raw []byte, seq uint6
 	if fault.ApplyFrame(l.injector, ev) {
 		return radio.Measurement{}, false
 	}
-	trueSNR := l.geo.SNR(w, l.Budget)
-	meas, ok := rx.Model().Observe(trueSNR, rx.MeasRNG())
+	e := l.trueSNR(txSector, w)
+	meas, ok := l.snrModel.ObserveTerms(e.snr, e.terms, rx.MeasRNG())
 	if !ok {
 		return radio.Measurement{}, false
 	}
@@ -290,7 +338,7 @@ func (l *Link) RunSLS(init, resp *Device, initSlots, respSlots []dot11ad.BurstSl
 	// --- Responder sector sweep, carrying feedback for the initiator ---
 	feedbackForInit, haveFeedback := resp.Firmware().FeedbackSector()
 	respBestSNR := math.Inf(-1)
-	if m, ok := resp.Firmware().SweepMeasurements()[feedbackForInit]; ok {
+	if m, ok := resp.Firmware().SweepMeasurement(feedbackForInit); ok {
 		respBestSNR = m.SNR
 	}
 	init.Firmware().BeginRXSweep()
@@ -371,7 +419,7 @@ func (l *Link) RunSLS(init, resp *Device, initSlots, respSlots []dot11ad.BurstSl
 }
 
 func bestSNROf(d *Device, id sector.ID) float64 {
-	if m, ok := d.Firmware().SweepMeasurements()[id]; ok {
+	if m, ok := d.Firmware().SweepMeasurement(id); ok {
 		return m.SNR
 	}
 	return math.Inf(-1)
@@ -388,12 +436,13 @@ func (l *Link) RunTXSS(tx, rx *Device, slots []dot11ad.BurstSlot) (map[sector.ID
 
 // Sweep is RunTXSS leaving the measurements in rx's firmware
 // (Firmware.SweepMeasurement) instead of copying them out. Neither device
-// moves during a sweep, so the geometry is resolved once for all slots;
-// the frames, their order, the measurement draws, the injector hooks and
-// the sniffers are Deliver's, slot by slot.
+// moves during a sweep, so the geometry is resolved once for all slots,
+// and a repeated sweep at an unchanged geometry reads every true SNR from
+// the link's table; the frames, their order, the measurement draws, the
+// injector hooks and the sniffers are Deliver's, slot by slot.
 func (l *Link) Sweep(tx, rx *Device, slots []dot11ad.BurstSlot) error {
 	rx.Firmware().BeginRXSweep()
-	l.resolve(&l.geo, tx, rx)
+	l.resolveFrames(tx, rx)
 	for _, slot := range slots {
 		if !slot.Used {
 			continue

@@ -106,11 +106,11 @@ func oracleSNR(env *channel.Environment, tx, rx *Device, id sector.ID, b radio.B
 }
 
 // TestGeometryMatchesTrueSNR checks the link's geometries against
-// oracleSNR bit for bit: the delivery geometry and GroundTruth, for every
-// transmit sector, in the multipath conference room, over rotated poses
-// and with the transmitting device alternating (which rebinds the
-// steerings to the other array). A sweep sent after GroundTruth must
-// leave it intact.
+// oracleSNR bit for bit: the delivery geometry, its true-SNR table and
+// GroundTruth, for every transmit sector, in the multipath conference
+// room, over rotated poses and with the transmitting device alternating
+// (which rebinds the steerings to the other array). A sweep sent after
+// GroundTruth must leave it intact.
 func TestGeometryMatchesTrueSNR(t *testing.T) {
 	l, a, b := testPair(t, channel.ConferenceRoom(), 6)
 	for i, yaw := range []float64{0, 17.5, -41, 133, 0} {
@@ -119,7 +119,7 @@ func TestGeometryMatchesTrueSNR(t *testing.T) {
 			p := tx.Pose()
 			p.Yaw, p.Tilt = yaw, float64(i)*3
 			tx.SetPose(p)
-			l.resolve(&l.geo, tx, rx)
+			l.resolveFrames(tx, rx)
 			gt := l.GroundTruth(tx, rx)
 			if n := len(radio.ResolvePaths(nil, l.Env, tx.Pose(), rx.Pose())); n < 2 {
 				t.Fatalf("yaw %v: %d paths, want multipath", yaw, n)
@@ -129,6 +129,7 @@ func TestGeometryMatchesTrueSNR(t *testing.T) {
 				want := oracleSNR(l.Env, tx, rx, id, l.Budget)
 				for name, got := range map[string]float64{
 					"delivery geometry": l.geo.SNR(w, l.Budget),
+					"true-SNR table":    l.trueSNR(id, w).snr,
 					"GroundTruth":       gt.SNR(id),
 				} {
 					if math.Float64bits(got) != math.Float64bits(want) {
