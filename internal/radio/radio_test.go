@@ -183,6 +183,57 @@ func TestGeometryMatchesTrueSNR(t *testing.T) {
 	}
 }
 
+// TestGeometryResolveReportsUnchanged checks when Resolve reports its
+// inputs unchanged: only for bit-identical traced paths, arrays and
+// receive weights. An edit of the receive weights in place, a pose, an
+// environment field or an array swap must each re-resolve, and the SNR
+// must always equal a fresh geometry's.
+func TestGeometryResolveReportsUnchanged(t *testing.T) {
+	arrA, err := antenna.New(antenna.TalonConfig(), stats.NewRNG(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrB, err := antenna.New(antenna.TalonConfig(), stats.NewRNG(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _ := antenna.Talon(arrA).Weights(12)
+	rxW, _ := antenna.Talon(arrB).Weights(0)
+	rxW = rxW.Clone()
+	env := channel.ConferenceRoom()
+	tx := channel.Pose{Pos: geom.Point{Z: 1.2}, Yaw: 15}
+	rx := channel.Pose{Pos: geom.Point{X: 6, Z: 1.2}, Yaw: 180}
+	b := DefaultBudget()
+
+	var g Geometry
+	steps := []struct {
+		name   string
+		change func()
+		same   bool
+	}{
+		{"first resolve", func() {}, false},
+		{"repeat", func() {}, true},
+		{"rx weights edited in place", func() { rxW.Phase[3] ^= 1 }, false},
+		{"repeat after the edit", func() {}, true},
+		{"tx pose", func() { tx.Yaw += 0.5 }, false},
+		{"LOS extra loss", func() { env.LOSExtraLossDB = 2 }, false},
+		{"reflector edited in place", func() { env.Reflectors[0].LossDB++ }, false},
+		{"arrays swapped", func() { arrA, arrB = arrB, arrA }, false},
+		{"repeat after the swap", func() {}, true},
+	}
+	for _, st := range steps {
+		st.change()
+		if same := g.Resolve(env, tx, rx, arrA, arrB, rxW); same != st.same {
+			t.Fatalf("%s: Resolve reported unchanged=%v, want %v", st.name, same, st.same)
+		}
+		var fresh Geometry
+		fresh.Resolve(env, tx, rx, arrA, arrB, rxW)
+		if got, want := g.SNR(w, b), fresh.SNR(w, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: SNR %v, fresh geometry %v", st.name, got, want)
+		}
+	}
+}
+
 func TestObserveQuantizationAndClamp(t *testing.T) {
 	m := DefaultMeasurementModel()
 	// Suppress stochastics to test the deterministic pipeline.
@@ -316,5 +367,31 @@ func TestSNRAndRSSIOutliersIndependent(t *testing.T) {
 	// at the same time").
 	if float64(both) > 0.3*float64(either) {
 		t.Fatalf("outliers too correlated: both=%d either=%d", both, either)
+	}
+}
+
+// TestObserveTermsMatchesObserve checks that precomputed terms give the
+// same reports as Observe, draw for draw: two RNGs from one seed, one
+// driven through Observe and one through Terms and ObserveTerms, across
+// the decode threshold, the reporting window and a -Inf true SNR.
+func TestObserveTermsMatchesObserve(t *testing.T) {
+	m := DefaultMeasurementModel()
+	a, b := stats.NewRNG(11), stats.NewRNG(11)
+	snrs := []float64{math.Inf(-1)}
+	for s := -14.0; s <= 20; s += 0.37 {
+		snrs = append(snrs, s)
+	}
+	for rep := 0; rep < 20; rep++ {
+		for _, snr := range snrs {
+			want, wantOK := m.Observe(snr, a)
+			got, ok := m.ObserveTerms(snr, m.Terms(snr), b)
+			if ok != wantOK || math.Float64bits(got.SNR) != math.Float64bits(want.SNR) ||
+				math.Float64bits(got.RSSI) != math.Float64bits(want.RSSI) {
+				t.Fatalf("true SNR %v: ObserveTerms %+v (%v), Observe %+v (%v)", snr, got, ok, want, wantOK)
+			}
+		}
+	}
+	if a.Float64() != b.Float64() {
+		t.Fatal("the two paths consumed different numbers of draws")
 	}
 }
