@@ -129,11 +129,14 @@ type Environment struct {
 
 // Rays computes all first-order propagation paths between tx and rx.
 // The LOS ray (unless blocked) comes first.
-func (e *Environment) Rays(tx, rx geom.Point) []Ray {
-	var rays []Ray
+func (e *Environment) Rays(tx, rx geom.Point) []Ray { return e.AppendRays(nil, tx, rx) }
+
+// AppendRays is Rays appending to dst: the same rays in the same order,
+// without a fresh slice when dst has room.
+func (e *Environment) AppendRays(dst []Ray, tx, rx geom.Point) []Ray {
 	if !e.LOSBlocked {
 		d := rx.Sub(tx)
-		rays = append(rays, Ray{
+		dst = append(dst, Ray{
 			AoD:         d.Normalize(),
 			AoA:         d.Scale(-1).Normalize(),
 			Length:      d.Norm(),
@@ -142,10 +145,10 @@ func (e *Environment) Rays(tx, rx geom.Point) []Ray {
 	}
 	for _, ref := range e.Reflectors {
 		if r, ok := reflect(ref, tx, rx); ok {
-			rays = append(rays, r)
+			dst = append(dst, r)
 		}
 	}
-	return rays
+	return dst
 }
 
 // reflect computes the first-order image-method path off ref, if any.

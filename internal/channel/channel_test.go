@@ -175,6 +175,17 @@ func TestReflectionSymmetryProperty(t *testing.T) {
 		if len(fw) != len(bw) {
 			return false
 		}
+		// AppendRays keeps dst's prefix and appends exactly Rays' rays.
+		head := Ray{Length: -1}
+		app := env.AppendRays([]Ray{head}, tx, rx)
+		if len(app) != len(fw)+1 || app[0] != head {
+			return false
+		}
+		for i, r := range fw {
+			if app[i+1] != r {
+				return false
+			}
+		}
 		lenSet := func(rays []Ray) []float64 {
 			out := make([]float64, len(rays))
 			for i, r := range rays {

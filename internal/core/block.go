@@ -6,7 +6,7 @@ package core
 // codes of one dictionary column over every grid point are contiguous,
 // column c at point pt sits at [c·row + pt], and each row carries
 // blockLanes padding codes past its last point. Eight consecutive
-// points of one column are then one 16-byte load, so scoreBlock scores
+// points of one column are then one 16-byte load, so a block scores
 // the grid eight points per pass: every correlated component adds its
 // column's eight codes into four int32 moments per lane (Σx, Σx²,
 // Σps·x, Σpr·x), and a float64 finish turns the lanes into eight Eq. 5
@@ -31,16 +31,19 @@ package core
 // divide in jointQ's order, so every lane is bit-identical to jointQ at
 // its point. jointQ's early returns become lane guards: max(cov, 0)
 // yields jointQ's +0 for a negative covariance, a lane whose varX is 0
-// is masked to +0 after the divide, and the per-item constants (n < 3,
-// snrVarP = 0, and rssiVarP = 0 unless snrOnly) zero the whole block
-// before any moment is taken. A lane whose SNR factor is 0 multiplies
-// that +0 by a finite RSSI factor, which is jointQ's +0 again.
+// is masked to +0 after the divide, and the per-item degenerate test
+// (n < 3, snrVarP = 0, or rssiVarP = 0 unless snrOnly; quantize) zeroes
+// every block before any moment is taken. A lane whose SNR factor is 0
+// multiplies that +0 by a finite RSSI factor, which is jointQ's +0
+// again.
 //
 // Dispatch. On amd64 with AVX2 and OS-enabled YMM state the block runs
 // in assembly (block_amd64.s); useAVX2 records that check, made once at
 // init. Everywhere else — and when useAVX2 is false — scoreBlockGeneric
 // runs the same block in Go, with jointQ's early returns in place of
-// the lane guards.
+// the lane guards. Every search hands scoreBlocks its whole block list
+// at once (scan.go), so the Go around the kernel runs once per pass,
+// not once per block.
 
 // blockLanes is the number of consecutive grid points one block scores,
 // and the padding codes past each dictionary row's last point.
@@ -52,45 +55,54 @@ type blockConsts struct {
 	n, snrSp, rssiSp, snrVarP, rssiVarP float64
 }
 
-// scoreBlock scores the blockLanes grid points pt … pt+7 of the
-// sector-major dictionary d (row codes per column) against qv into out,
-// each lane bit-identical to jointQ at its point. d must hold every
-// column of qv.colsC, and pt+blockLanes must not pass the row; lanes
+// scoreBlocks scores one block per entry of starts — the blockLanes
+// grid points start … start+7 of the sector-major dictionary d (row
+// codes per column) against qv — into out[b·blockLanes …], each lane
+// bit-identical to jointQ at its point. d must hold every column of
+// qv.colsC, and every start+blockLanes must stay inside the row; lanes
 // past the dictionary's point count score padding and are meaningless.
-// lanes (1…blockLanes) is how many leading lanes the caller reads: the
-// generic block skips the moments and finish of a half past them, while
-// the AVX2 kernel, for which eight lanes cost one pass, ignores it.
-// Lanes at or past lanes are then unspecified.
+// used (parallel to starts) marks the lanes the caller reads, bit j for
+// lane j: the generic block skips the moments and finish of a half no
+// lane of which is used, while the AVX2 kernel, for which eight lanes
+// cost one pass, ignores it. Lanes not marked in used are then
+// unspecified. The AVX2 kernel scores the whole list in one call and
+// broadcasts the per-item constants once.
 //
 //talon:noalloc
-func scoreBlock(d []int16, row, pt, lanes int, qv *quantVec, snrOnly bool, out *[blockLanes]float64) {
-	if qv.n < 3 || qv.snrVarP == 0 || (qv.rssiVarP == 0 && !snrOnly) {
-		*out = [blockLanes]float64{}
+func scoreBlocks(d []int16, row int, starts []int32, used []uint8, qv *quantVec, snrOnly bool, out []float64) {
+	nb := len(starts)
+	out = out[:nb*blockLanes]
+	used = used[:nb]
+	if nb == 0 {
 		return
 	}
-	// One bounds check for the whole block: every lane of every
-	// correlated column lies inside d.
-	if pt < 0 || pt+blockLanes > row || int(qv.colHi)*row > len(d) {
-		panic("core: scoreBlock outside the dictionary")
+	if qv.degenerate || (qv.rssiVarP == 0 && !snrOnly) {
+		clear(out)
+		return
 	}
-	k := blockConsts{
-		n:        float64(qv.n),
-		snrSp:    float64(qv.snrSp),
-		rssiSp:   float64(qv.rssiSp),
-		snrVarP:  float64(qv.snrVarP),
-		rssiVarP: float64(qv.rssiVarP),
+	// Bounds checks for the whole list: every lane of every correlated
+	// column of every block lies inside d.
+	if int(qv.colHi)*row > len(d) {
+		panic("core: scoreBlocks outside the dictionary")
+	}
+	for _, st := range starts {
+		if st < 0 || int(st)+blockLanes > row {
+			panic("core: scoreBlocks outside the dictionary")
+		}
 	}
 	if useAVX2 {
-		scoreBlockAVX2(&d[pt], row, &qv.colsC[0], &qv.ps[0], &qv.pr[0], len(qv.colsC), &k, snrOnly, out)
+		scoreBlocksAVX2(&d[0], row, &starts[0], nb, &qv.colsC[0], &qv.ps[0], &qv.pr[0], len(qv.colsC), &qv.k, snrOnly, &out[0])
 		return
 	}
-	scoreBlockGeneric(d, row, pt, lanes, qv, &k, snrOnly, out)
+	for b, st := range starts {
+		scoreBlockGeneric(d, row, int(st), used[b], qv, snrOnly, (*[blockLanes]float64)(out[b*blockLanes:]))
+	}
 }
 
 // scoreBlockGeneric is the portable block: the assembly kernel's
 // moments and finish in Go, four lanes at a time so each half's
-// accumulators stay in registers. A half wholly past the caller's lane
-// count is skipped. Each lane keeps its moments as two
+// accumulators stay in registers. A half none of whose lanes is set in
+// used is skipped. Each lane keeps its moments as two
 // SWAR pairs of int32 sums in one int64 — m packs Σx² (low) with Σx
 // (high), c packs Σps·x (low) with Σpr·x (high) — so one multiply-add
 // per pair serves two moments. Every partial sum is bounded by
@@ -98,9 +110,13 @@ func scoreBlock(d []int16, row, pt, lanes int, qv *quantVec, snrOnly bool, out *
 // its high half and both stay exact.
 //
 //talon:noalloc
-func scoreBlockGeneric(d []int16, row, pt, lanes int, qv *quantVec, k *blockConsts, snrOnly bool, out *[blockLanes]float64) {
+func scoreBlockGeneric(d []int16, row, pt int, used uint8, qv *quantVec, snrOnly bool, out *[blockLanes]float64) {
 	ps, pr := qv.ps[:len(qv.colsC)], qv.pr[:len(qv.colsC)]
-	for h := 0; h < lanes; h += 4 {
+	k := &qv.k
+	for h := 0; h < blockLanes; h += 4 {
+		if used>>h&0xf == 0 {
+			continue
+		}
 		var m0, m1, m2, m3, c0, c1, c2, c3 int64
 		for i, c := range qv.colsC {
 			xs := (*[4]int16)(d[int(c)*row+pt+h:])

@@ -33,10 +33,12 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// scoreBlockAVX2 is scoreBlock's moments and finish on AVX2: d points
-// at lane 0 of column 0, row is the column pitch in codes, and cols, ps
-// and pr are the n correlated components. The caller has bounds-checked
-// every load and zeroed the per-item degenerate cases.
+// scoreBlocksAVX2 is scoreBlocks' moments and finish on AVX2: d points
+// at lane 0 of column 0, row is the column pitch in codes, starts holds
+// the nb block starts, cols, ps and pr are the n correlated components,
+// and block b's eight lanes go to out[8b …]. The caller has
+// bounds-checked every load, passes nb >= 1 and has zeroed the per-item
+// degenerate cases.
 //
 //go:noescape
-func scoreBlockAVX2(d *int16, row int, cols, ps, pr *int32, n int, k *blockConsts, snrOnly bool, out *[blockLanes]float64)
+func scoreBlocksAVX2(d *int16, row int, starts *int32, nb int, cols, ps, pr *int32, n int, k *blockConsts, snrOnly bool, out *float64)

@@ -74,31 +74,48 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	VCVTDQ2PD    X6, Y6; \
 	VCVTDQ2PD    X7, Y7
 
-// func scoreBlockAVX2(d *int16, row int, cols, ps, pr *int32, n int, k *blockConsts, snrOnly bool, out *[blockLanes]float64)
+// func scoreBlocksAVX2(d *int16, row int, starts *int32, nb int, cols, ps, pr *int32, n int, k *blockConsts, snrOnly bool, out *float64)
 //
-// Moments: per component, the column's eight uint16 codes widen to
-// int32 lanes (VPMOVZXWD); Σx adds them, and VPMADDWD forms x², ps·x
-// and pr·x. Each widened lane is (x, 0) as an int16 pair and each
-// broadcast code (p, 0), so the pairwise multiply-add is exactly the
-// int32 product x·p: codes are at most quantOne < 2¹⁵.
-TEXT ·scoreBlockAVX2(SB), NOSPLIT, $0-72
+// The finish constants are broadcast once; then, per block start, the
+// moments and the finish of eight lanes. Moments: per component, the
+// column's eight uint16 codes widen to int32 lanes (VPMOVZXWD); Σx adds
+// them, and VPMADDWD forms x², ps·x and pr·x. Each widened lane is
+// (x, 0) as an int16 pair and each broadcast code (p, 0), so the
+// pairwise multiply-add is exactly the int32 product x·p: codes are at
+// most quantOne < 2¹⁵.
+TEXT ·scoreBlocksAVX2(SB), NOSPLIT, $0-88
 	MOVQ d+0(FP), SI
 	MOVQ row+8(FP), DX
 	SHLQ $1, DX          // column pitch in bytes
-	MOVQ cols+16(FP), R8
-	MOVQ ps+24(FP), R9
-	MOVQ pr+32(FP), R10
-	MOVQ n+40(FP), CX
-	VPXOR Y0, Y0, Y0     // Σx
-	VPXOR Y1, Y1, Y1     // Σx²
-	VPXOR Y2, Y2, Y2     // Σps·x
-	VPXOR Y3, Y3, Y3     // Σpr·x
-	XORQ BX, BX
+	MOVQ starts+16(FP), R11
+	MOVQ nb+24(FP), R12
+	MOVQ cols+32(FP), R8
+	MOVQ ps+40(FP), R9
+	MOVQ pr+48(FP), R10
+	MOVQ n+56(FP), CX
+	MOVQ out+80(FP), DI
+
+	MOVQ         k+64(FP), AX
+	VBROADCASTSD 0(AX), Y8
+	VBROADCASTSD 8(AX), Y9
+	VBROADCASTSD 16(AX), Y10
+	VBROADCASTSD 24(AX), Y11
+	VBROADCASTSD 32(AX), Y12
+	VXORPD       Y13, Y13, Y13
+
+block:
+	MOVLQSX (R11), AX
+	LEAQ    (SI)(AX*2), R13  // lane 0 of column 0 for this block
+	VPXOR   Y0, Y0, Y0       // Σx
+	VPXOR   Y1, Y1, Y1       // Σx²
+	VPXOR   Y2, Y2, Y2       // Σps·x
+	VPXOR   Y3, Y3, Y3       // Σpr·x
+	XORQ    BX, BX
 
 moments:
 	MOVLQSX      (R8)(BX*4), AX
 	IMULQ        DX, AX
-	VPMOVZXWD    (SI)(AX*1), Y4
+	VPMOVZXWD    (R13)(AX*1), Y4
 	VPBROADCASTD (R9)(BX*4), Y5
 	VPBROADCASTD (R10)(BX*4), Y6
 	VPADDD       Y4, Y0, Y0
@@ -112,16 +129,8 @@ moments:
 	CMPQ         BX, CX
 	JLT          moments
 
-	MOVQ k+48(FP), AX
-	VBROADCASTSD 0(AX), Y8
-	VBROADCASTSD 8(AX), Y9
-	VBROADCASTSD 16(AX), Y10
-	VBROADCASTSD 24(AX), Y11
-	VBROADCASTSD 32(AX), Y12
-	VXORPD       Y13, Y13, Y13
-	MOVQ         out+64(FP), DI
-	CMPB         snrOnly+56(FP), $0
-	JNE          snronly
+	CMPB snrOnly+72(FP), $0
+	JNE  snronly
 
 	HALF_LO
 	HALF_SNR
@@ -131,8 +140,7 @@ moments:
 	HALF_SNR
 	HALF_RSSI
 	HALF_STORE(32)
-	VZEROUPPER
-	RET
+	JMP  next
 
 snronly:
 	HALF_LO
@@ -141,5 +149,11 @@ snronly:
 	HALF_HI
 	HALF_SNR
 	HALF_STORE(32)
+
+next:
+	ADDQ $64, DI
+	ADDQ $4, R11
+	DECQ R12
+	JNZ  block
 	VZEROUPPER
 	RET

@@ -24,7 +24,7 @@ func blockImpls() []bool {
 	return []bool{false}
 }
 
-// withBlockImpl runs f with scoreBlock dispatched to the AVX2 kernel
+// withBlockImpl runs f with scoreBlocks dispatched to the AVX2 kernel
 // (avx2) or the generic block.
 func withBlockImpl(avx2 bool, f func()) {
 	saved := useAVX2
@@ -44,7 +44,7 @@ func implName(avx2 bool) string {
 // replaced, kept as its oracle: one sweep of the point's codes over the
 // correlated components accumulates Σx, Σx² and both cross moments in
 // int32, the probe moments come hoisted from quantize, and the int64
-// finish returns early exactly where scoreBlock's lane guards zero a
+// finish returns early exactly where the block's lane guards zero a
 // lane. d is a sector-major dictionary with row codes per column.
 func jointQ(d []int16, row, pt int, qv *quantVec, snrOnly bool) float64 {
 	n := qv.n
@@ -115,35 +115,85 @@ func jointQScalar(d []int16, row, pt int, qv *quantVec, snrOnly bool) float64 {
 	return v
 }
 
-// checkBlocks scores every block start of a sector-major dictionary of
-// nPts points (row codes per column) with every block implementation
-// and every lane count, and requires each used lane inside the
-// dictionary to match jointQScalar and jointQ bit for bit. It returns
-// the number of lanes compared.
-func checkBlocks(t testing.TB, label string, d []int16, row, nPts int, qv *quantVec) int {
+// laneMasks are the used-lane masks checkBlocks hands single blocks:
+// one lane, each half alone, a straddling pair and all eight.
+var laneMasks = [...]uint8{0x01, 0x0f, 0xf0, 0x18, 0x80, 0xff}
+
+// checkBlocks scores a sector-major dictionary of nPts points (row codes
+// per column) with every block implementation, snrOnly both ways, and
+// requires each used lane inside the dictionary to match jointQScalar
+// and jointQ bit for bit: every block start alone under each of
+// laneMasks, the consecutive cover from point 0 in one call, the extra
+// starts (row boundaries, say) in one call, and random block lists —
+// overlapping, unordered, repeated starts, random lane masks — drawn
+// from rng. It returns the number of lanes compared.
+func checkBlocks(t testing.TB, label string, d []int16, row, nPts int, qv *quantVec, extra []int32, rng *stats.RNG) int {
 	t.Helper()
 	lanes := 0
-	var blk, ref [blockLanes]float64
+	ref := make([][2]float64, nPts)
+	for pt := range ref {
+		for k, snrOnly := range []bool{false, true} {
+			ref[pt][k] = jointQScalar(d, row, pt, qv, snrOnly)
+			if q := jointQ(d, row, pt, qv, snrOnly); math.Float64bits(q) != math.Float64bits(ref[pt][k]) {
+				t.Fatalf("%s snrOnly=%v pt %d: jointQ %v != scalar %v", label, snrOnly, pt, q, ref[pt][k])
+			}
+		}
+	}
+	var lists [][]int32
+	var cover []int32
+	for pt := 0; pt < nPts; pt += blockLanes {
+		cover = append(cover, int32(pt))
+	}
+	lists = append(lists, cover)
+	if len(extra) > 0 {
+		lists = append(lists, extra)
+	}
+	for r := 0; r < 8; r++ {
+		l := make([]int32, 1+rng.Intn(40))
+		for i := range l {
+			l[i] = int32(rng.Intn(nPts))
+		}
+		lists = append(lists, l)
+	}
+	var out []float64
+	check := func(avx2, snrOnly bool, starts []int32, used []uint8) {
+		out = append(out[:0], make([]float64, len(starts)*blockLanes)...)
+		for i := range out {
+			out[i] = math.NaN()
+		}
+		scoreBlocks(d, row, starts, used, qv, snrOnly, out)
+		for b, st := range starts {
+			for j := 0; j < blockLanes; j++ {
+				pt := int(st) + j
+				if used[b]&(1<<j) == 0 || pt >= nPts {
+					continue
+				}
+				want := ref[pt][boolIdx(snrOnly)]
+				if got := out[b*blockLanes+j]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s %s snrOnly=%v block %d of %d (start %d, used %#x) lane %d: %v (%#x) != scalar %v (%#x)",
+						label, implName(avx2), snrOnly, b, len(starts), st, used[b], j, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+				lanes++
+			}
+		}
+	}
 	for _, avx2 := range blockImpls() {
 		for _, snrOnly := range []bool{false, true} {
 			withBlockImpl(avx2, func() {
 				for pt := 0; pt < nPts; pt++ {
-					for j := 0; j < blockLanes && pt+j < nPts; j++ {
-						ref[j] = jointQScalar(d, row, pt+j, qv, snrOnly)
-						if q := jointQ(d, row, pt+j, qv, snrOnly); math.Float64bits(q) != math.Float64bits(ref[j]) {
-							t.Fatalf("%s snrOnly=%v pt %d: jointQ %v != scalar %v", label, snrOnly, pt+j, q, ref[j])
+					for _, u := range laneMasks {
+						check(avx2, snrOnly, []int32{int32(pt)}, []uint8{u})
+					}
+				}
+				for li, starts := range lists {
+					used := make([]uint8, len(starts))
+					for b := range used {
+						used[b] = 0xff
+						if li >= 2 {
+							used[b] = uint8(1 + rng.Intn(255))
 						}
 					}
-					for used := 1; used <= blockLanes; used++ {
-						scoreBlock(d, row, pt, used, qv, snrOnly, &blk)
-						for j := 0; j < used && pt+j < nPts; j++ {
-							if math.Float64bits(blk[j]) != math.Float64bits(ref[j]) {
-								t.Fatalf("%s %s snrOnly=%v pt %d lanes %d lane %d: block %v (%#x) != scalar %v (%#x)",
-									label, implName(avx2), snrOnly, pt, used, j, blk[j], math.Float64bits(blk[j]), ref[j], math.Float64bits(ref[j]))
-							}
-							lanes++
-						}
-					}
+					check(avx2, snrOnly, starts, used)
 				}
 			})
 		}
@@ -151,13 +201,27 @@ func checkBlocks(t testing.TB, label string, d []int16, row, nPts int, qv *quant
 	return lanes
 }
 
+func boolIdx(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // checkEngineBlocks runs checkBlocks over both quantized dictionaries of
-// an engine.
-func checkEngineBlocks(t testing.TB, label string, en *engine, qv *quantVec) int {
+// an engine; the dense one also gets a list of blocks that cross each
+// grid row boundary and one at the last grid point.
+func checkEngineBlocks(t testing.TB, label string, en *engine, qv *quantVec, rng *stats.RNG) int {
 	t.Helper()
-	lanes := checkBlocks(t, label+" dense", en.dictQ, en.rowQ, len(en.az)*len(en.el), qv)
+	numAz, nPts := len(en.az), len(en.az)*len(en.el)
+	var cross []int32
+	for ei := 1; ei < len(en.el); ei++ {
+		cross = append(cross, int32(ei*numAz-1-ei%(blockLanes-1)))
+	}
+	cross = append(cross, int32(nPts-1))
+	lanes := checkBlocks(t, label+" dense", en.dictQ, en.rowQ, nPts, qv, cross, rng)
 	if en.hier() {
-		lanes += checkBlocks(t, label+" coarse", en.coarseQ, en.rowC, len(en.cAzIdx)*len(en.cElIdx), qv)
+		lanes += checkBlocks(t, label+" coarse", en.coarseQ, en.rowC, len(en.cAzIdx)*len(en.cElIdx), qv, nil, rng)
 	}
 	return lanes
 }
@@ -189,10 +253,11 @@ func quantOf(est *Estimator, probes []Probe) *quantItem {
 	return it
 }
 
-// TestQuantBlockMatchesScalar pins the eight-point block kernel — the
-// AVX2 assembly where the CPU has it, and the generic Go block — to the
+// TestQuantBlockMatchesScalar pins the block-list kernel — the AVX2
+// assembly where the CPU has it, and the generic Go blocks — to the
 // scalar-moment reference bit for bit at every dense and coarse point,
-// from every block start and for every lane count: random items of 3 to 34 probes with dropped
+// from every block start under several lane masks and in whole block
+// lists (checkBlocks): random items of 3 to 34 probes with dropped
 // probes, snrOnly on and off, and the degenerate cases the lane guards
 // handle (fewer than three components, constant probes, a point whose
 // probed codes are all equal, full-scale moments at the component cap).
@@ -213,7 +278,7 @@ func TestQuantBlockMatchesScalar(t *testing.T) {
 	lanes := 0
 	for m := 3; m <= len(sector.TalonTX()); m++ {
 		it := quantOf(est, randomProbes(rng, m, 0.8))
-		lanes += checkEngineBlocks(t, "random", en, &it.qv)
+		lanes += checkEngineBlocks(t, "random", en, &it.qv, rng)
 	}
 
 	// Fewer than three components: every lane scores 0.
@@ -221,7 +286,7 @@ func TestQuantBlockMatchesScalar(t *testing.T) {
 	if two.qv.n >= 3 {
 		t.Fatalf("two-probe item correlates %d components", two.qv.n)
 	}
-	lanes += checkEngineBlocks(t, "n<3", en, &two.qv)
+	lanes += checkEngineBlocks(t, "n<3", en, &two.qv, rng)
 
 	// Constant SNR probes (snrVarP = 0), then constant RSSI probes only
 	// (rssiVarP = 0, which zeroes the joint score but not snrOnly's).
@@ -233,7 +298,7 @@ func TestQuantBlockMatchesScalar(t *testing.T) {
 	if it.qv.snrVarP != 0 {
 		t.Fatalf("constant SNR probes: snrVarP = %d", it.qv.snrVarP)
 	}
-	lanes += checkEngineBlocks(t, "constant snr", en, &it.qv)
+	lanes += checkEngineBlocks(t, "constant snr", en, &it.qv, rng)
 	flat = randomProbes(rng, 14, 1)
 	for i := range flat {
 		flat[i].Meas.RSSI = -60
@@ -242,7 +307,7 @@ func TestQuantBlockMatchesScalar(t *testing.T) {
 	if it.qv.rssiVarP != 0 || it.qv.snrVarP == 0 {
 		t.Fatalf("constant RSSI probes: snrVarP = %d, rssiVarP = %d", it.qv.snrVarP, it.qv.rssiVarP)
 	}
-	lanes += checkEngineBlocks(t, "constant rssi", en, &it.qv)
+	lanes += checkEngineBlocks(t, "constant rssi", en, &it.qv, rng)
 
 	// A synthetic dictionary with flat points (varX = 0: every column
 	// holds the same code, zero and full scale included) between random
@@ -267,7 +332,7 @@ func TestQuantBlockMatchesScalar(t *testing.T) {
 	}
 	for m := 3; m <= len(sector.TalonTX()); m += 5 {
 		it := quantOf(est, randomProbes(rng, m, 0.9))
-		lanes += checkBlocks(t, "flat points", d, row, nPts, &it.qv)
+		lanes += checkBlocks(t, "flat points", d, row, nPts, &it.qv, nil, rng)
 	}
 
 	// The moment bound: quantMaxComponents components (sectors repeat)
@@ -290,7 +355,7 @@ func TestQuantBlockMatchesScalar(t *testing.T) {
 			d[c*row+pt] = quantOne
 		}
 	}
-	lanes += checkBlocks(t, "moment bound", d, row, nPts, &it.qv)
+	lanes += checkBlocks(t, "moment bound", d, row, nPts, &it.qv, nil, rng)
 	t.Logf("%d lanes bit-identical", lanes)
 }
 
@@ -298,7 +363,7 @@ func TestQuantBlockMatchesScalar(t *testing.T) {
 // unknown and duplicate sectors, dropped probes, non-finite readings,
 // up to 96 probes) through gather and quantize, then requires every
 // block implementation to match the scalar-moment reference at every
-// dense and coarse point.
+// dense and coarse point, block by block and in block lists.
 func FuzzScoreBlock(f *testing.F) {
 	set, gain := synthSetup(f)
 	est, err := NewEstimator(set, Options{})
@@ -311,7 +376,7 @@ func FuzzScoreBlock(f *testing.F) {
 	f.Add(encodeFuzzProbes(randomProbes(rng, 14, 0.7)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		it := quantOf(est, decodeFuzzProbes(data))
-		checkEngineBlocks(t, "fuzz", est.en, &it.qv)
+		checkEngineBlocks(t, "fuzz", est.en, &it.qv, stats.NewRNG(int64(len(data))))
 	})
 }
 

@@ -249,7 +249,7 @@ func (e *Estimator) correlate(ids []sector.ID, lin []float64, az, el float64) fl
 // whenever the search picks the serial reference's cell the estimate is
 // bit-identical to EstimateAoASerial (see quantEpilogue). hint is an
 // optional warm-start cell (NoCell runs the full search). ctx is
-// observed between grid rows, and a cancelled search returns ctx.Err().
+// observed before each scan, and a cancelled search returns ctx.Err().
 func (e *Estimator) estimate(ctx context.Context, probes []Probe, hint Cell) (AoAEstimate, error) {
 	start := time.Now() //lint:allow determinism -- estimate-latency histogram reads the wall clock by design
 	defer metEstimateSeconds.ObserveSince(start)
@@ -257,7 +257,7 @@ func (e *Estimator) estimate(ctx context.Context, probes []Probe, hint Cell) (Ao
 	defer e.en.putBatchScratch(bs)
 	items := bs.items[:1]
 	batch := [1]BatchItem{{Probes: probes, Hint: hint}}
-	if _, err := e.quantChunk(ctx, batch[:], items); err != nil {
+	if _, err := e.quantChunk(ctx, &bs.scan, batch[:], items); err != nil {
 		return AoAEstimate{}, err
 	}
 	return items[0].aoa, items[0].err

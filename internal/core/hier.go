@@ -42,9 +42,6 @@ const (
 	topK = 6
 )
 
-// ivSpan is one inclusive dense-az interval of the refinement scan.
-type ivSpan struct{ lo, hi int32 }
-
 // clampIdx clamps i into [0, n).
 func clampIdx(i, n int) int32 {
 	if i < 0 {

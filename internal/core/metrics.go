@@ -47,6 +47,10 @@ var (
 		"grid points per L1 dictionary tile of the most recent engine build")
 	metQuantBatchTiles = obs.NewCounter("core_quant_batch_tiles_total",
 		"coarse dictionary tiles swept by the batch-major quantized pass")
+	metQuantBlocks = obs.NewCounter("core_quant_blocks_total",
+		"eight-lane blocks scored by the quantized kernel (coarse tiles, refinement, warm and exhaustive scans)")
+	metQuantLanes = obs.NewCounter("core_quant_lanes_total",
+		"block lanes whose score a quantized search read (the grid points it wanted)")
 	metWarmHints = obs.NewCounter("core_warm_hints_total",
 		"quantized estimates offered a warm-start hint cell")
 	metWarmHits = obs.NewCounter("core_warm_hits_total",

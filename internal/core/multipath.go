@@ -27,8 +27,9 @@ type peakSearch struct {
 	it      *quantItem
 	probes  []Probe
 	skip    []uint64 // bitset of suppressed grid cells, row-major
-	cosSep  float64  // cosine of the minimum peak separation
-	minCorr float64  // correlation a later peak must reach
+	scan    *scanScratch
+	cosSep  float64 // cosine of the minimum peak separation
+	minCorr float64 // correlation a later peak must reach
 	last    AoAEstimate
 }
 
@@ -38,7 +39,7 @@ type peakSearch struct {
 // selects 15°.
 func (e *Estimator) startPeaks(ctx context.Context, bs *quantBatchScratch, probes []Probe, minSepDeg float64) (peakSearch, error) {
 	batch := [1]BatchItem{{Probes: probes}}
-	if _, err := e.quantChunk(ctx, batch[:], bs.items[:1]); err != nil {
+	if _, err := e.quantChunk(ctx, &bs.scan, batch[:], bs.items[:1]); err != nil {
 		return peakSearch{}, err
 	}
 	it := &bs.items[0]
@@ -49,7 +50,7 @@ func (e *Estimator) startPeaks(ctx context.Context, bs *quantBatchScratch, probe
 		minSepDeg = 15
 	}
 	bs.skip = append(bs.skip[:0], make([]uint64, (len(e.en.dirs)+63)/64)...)
-	return peakSearch{e: e, it: it, probes: probes, skip: bs.skip, last: it.aoa,
+	return peakSearch{e: e, it: it, probes: probes, skip: bs.skip, scan: &bs.scan, last: it.aoa,
 		cosSep: math.Cos(geom.Deg2Rad(minSepDeg)), minCorr: peakRelThresh * it.aoa.Corr}, nil
 }
 
@@ -73,7 +74,8 @@ func (s *peakSearch) next(ctx context.Context) (pk AoAEstimate, ok bool, err err
 	cancelPath(ix, l, s.probes, it.snrDB)
 	cancelPath(ix, l, s.probes, it.rssiDB)
 	it.quantize()
-	bestA, bestE, bestW, err := en.denseArgmaxQ(ctx, &it.qv, s.skip, e.opts.SNROnly)
+	bestA, bestE, bestW, err := en.denseArgmaxQ(ctx, s.scan, &it.qv, s.skip, e.opts.SNROnly)
+	s.scan.flush()
 	if err != nil || bestW <= 0 {
 		return AoAEstimate{}, false, err
 	}

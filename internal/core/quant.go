@@ -51,7 +51,8 @@ import (
 //
 // The float64 dictionary stays resident for the float epilogue alone;
 // every search, multipath and backup included, runs on the int16 codes,
-// eight grid points per pass (scoreBlock, block.go).
+// eight grid points per block and one kernel call per pass (scoreBlocks,
+// block.go; scanMask, scan.go).
 
 // Fixed-point geometry.
 const (
@@ -212,7 +213,10 @@ func (en *engine) buildQuant() {
 // quantMaxComponents, with the grid-point-invariant probe moments hoisted
 // out of the sweep. The dictionary has no holes, so the component set is
 // identical at every grid point and n, Σp and n·Σp² − (Σp)² are
-// per-estimate constants.
+// per-estimate constants; quantize also converts them once into the
+// block finish's float64 constants (k) and records whether every point
+// scores 0 whatever snrOnly (degenerate: n < 3 or snrVarP = 0; a zero
+// rssiVarP zeroes the joint score only, see scoreBlocks).
 type quantVec struct {
 	cols              []int16 // dictionary column per gathered component; < 0 = absent sector
 	colsC             []int32 // dictionary column per correlated component
@@ -221,6 +225,8 @@ type quantVec struct {
 	n                 int32
 	snrSp, rssiSp     int32
 	snrVarP, rssiVarP int64
+	k                 blockConsts
+	degenerate        bool
 }
 
 // cellScore is a dense grid cell and its quantized score: the running
@@ -230,119 +236,63 @@ type cellScore struct {
 	w    float64
 }
 
-// coarseTopKQ scores the coarse points [lo, hi) for one item's probe
-// vector and folds the positive ones into the item's descending top-K
-// (it.cells/it.scores, it.kept entries). The insertion keeps the top-K
-// sorted by descending score — ties keep the earlier row-major cell —
-// and because quantChunk sweeps tiles, and each tile its blocks, in
-// ascending point order the final top-K matches a straight row-major
+// coarseTopKQ scores the coarse points [lo, hi) — one tile, whose block
+// list quantChunk has left in s — for one item's probe vector in one
+// kernel call and folds the positive scores into the item's descending
+// top-K (it.cells/it.scores, it.kept entries). The insertion keeps the
+// top-K sorted by descending score — ties keep the earlier row-major
+// cell — and because quantChunk sweeps tiles, and each tile's scores,
+// in ascending point order the final top-K matches a straight row-major
 // scan, whatever the tile geometry.
 //
 //talon:noalloc
-func (en *engine) coarseTopKQ(lo, hi int, it *quantItem, snrOnly bool) {
-	var blk [blockLanes]float64
+func (en *engine) coarseTopKQ(s *scanScratch, lo, hi int, it *quantItem, snrOnly bool) {
+	nb := (hi - lo + blockLanes - 1) / blockLanes
+	scores := s.scores[:nb*blockLanes]
+	scoreBlocks(en.coarseQ, en.rowC, s.starts[:nb], s.used[:nb], &it.qv, snrOnly, scores)
+	s.blocks += nb
+	s.lanes += hi - lo
 	kept := it.kept
-	for pt := lo; pt < hi; pt += blockLanes {
-		lanes := min(blockLanes, hi-pt)
-		scoreBlock(en.coarseQ, en.rowC, pt, lanes, &it.qv, snrOnly, &blk)
-		for j, v := range blk[:lanes] {
-			if v <= 0 {
-				continue
-			}
-			if kept == topK && v <= it.scores[kept-1] {
-				continue
-			}
-			if kept < topK {
-				kept++
-			}
-			at := kept - 1
-			for at > 0 && v > it.scores[at-1] {
-				it.scores[at], it.cells[at] = it.scores[at-1], it.cells[at-1]
-				at--
-			}
-			it.scores[at], it.cells[at] = v, int32(pt+j)
+	for j, v := range scores[:hi-lo] {
+		if v <= 0 {
+			continue
 		}
+		if kept == topK && v <= it.scores[kept-1] {
+			continue
+		}
+		if kept < topK {
+			kept++
+		}
+		at := kept - 1
+		for at > 0 && v > it.scores[at-1] {
+			it.scores[at], it.cells[at] = it.scores[at-1], it.cells[at-1]
+			at--
+		}
+		it.scores[at], it.cells[at] = v, int32(lo+j)
 	}
 	it.kept = kept
 }
 
-// scanRow folds the dense points lo…hi (inclusive) of grid row ei into
-// the running argmax best, eight points per block in ascending order
-// with the strictly-greater update, so ties keep the earlier row-major
-// cell. Cells set in a non-nil skip bitset (row-major, multipath.go) are
-// passed over.
-//
-//talon:noalloc
-func (en *engine) scanRow(qv *quantVec, snrOnly bool, skip []uint64, ei, lo, hi int, best cellScore) cellScore {
-	var blk [blockLanes]float64
-	base := ei * len(en.az)
-	for ai := lo; ai <= hi; ai += blockLanes {
-		lanes := min(blockLanes, hi-ai+1)
-		scoreBlock(en.dictQ, en.rowQ, base+ai, lanes, qv, snrOnly, &blk)
-		for j, v := range blk[:lanes] {
-			if pt := base + ai + j; skip != nil && skip[pt>>6]&(1<<(pt&63)) != 0 {
-				continue
-			}
-			if v > best.w {
-				best = cellScore{ai + j, ei, v}
-			}
-		}
-	}
-	return best
-}
-
 // refineQ rescans the dense windows around the item's kept coarse
-// candidates on the quantized dictionary. Overlapping windows are merged
-// per row, so no point is scored twice and the walk stays strictly
-// row-major: ties break in the same order as the exhaustive scan
-// (denseArgmaxQ).
+// candidates on the quantized dictionary: the windows are marked in the
+// scan mask, so overlapping windows score each point once, and the
+// mask scan folds them strictly row-major: ties break in the same order
+// as the exhaustive scan (denseArgmaxQ).
 //
 //talon:noalloc
-func (en *engine) refineQ(ctx context.Context, it *quantItem, snrOnly bool) (bestA, bestE int, bestW float64, err error) {
+func (en *engine) refineQ(ctx context.Context, s *scanScratch, it *quantItem, snrOnly bool) (bestA, bestE int, bestW float64, err error) {
+	if err := ctx.Err(); err != nil {
+		return 0, 0, 0, err
+	}
 	numAz, numEl := len(en.az), len(en.el)
 	nCAz := len(en.cAzIdx)
-	var azLo, azHi, elLo, elHi [topK]int32
 	for k := 0; k < it.kept; k++ {
 		cell := int(it.cells[k])
 		ai, ei := int(en.cAzIdx[cell%nCAz]), int(en.cElIdx[cell/nCAz])
-		azLo[k] = clampIdx(ai-refineRadius, numAz)
-		azHi[k] = clampIdx(ai+refineRadius, numAz)
-		elLo[k] = clampIdx(ei-refineRadius, numEl)
-		elHi[k] = clampIdx(ei+refineRadius, numEl)
+		s.markRect(numAz, int(clampIdx(ai-refineRadius, numAz)), int(clampIdx(ai+refineRadius, numAz)),
+			int(clampIdx(ei-refineRadius, numEl)), int(clampIdx(ei+refineRadius, numEl)))
 	}
-	best := cellScore{w: -1}
-	var iv [topK]ivSpan
-	for ei := 0; ei < numEl; ei++ {
-		n := 0
-		for k := 0; k < it.kept; k++ {
-			if elLo[k] <= int32(ei) && int32(ei) <= elHi[k] {
-				iv[n] = ivSpan{azLo[k], azHi[k]}
-				n++
-			}
-		}
-		if n == 0 {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return 0, 0, 0, err
-		}
-		for i := 1; i < n; i++ {
-			for j := i; j > 0 && iv[j].lo < iv[j-1].lo; j-- {
-				iv[j], iv[j-1] = iv[j-1], iv[j]
-			}
-		}
-		cursor := -1
-		for _, s := range iv[:n] {
-			lo := int(s.lo)
-			if lo <= cursor {
-				lo = cursor + 1
-			}
-			best = en.scanRow(&it.qv, snrOnly, nil, ei, lo, int(s.hi), best)
-			if int(s.hi) > cursor {
-				cursor = int(s.hi)
-			}
-		}
-	}
+	best := en.scanMask(s, &it.qv, snrOnly)
 	return best.a, best.e, best.w, nil
 }
 
@@ -353,14 +303,17 @@ func (en *engine) refineQ(ctx context.Context, it *quantItem, snrOnly bool) (bes
 // over the row-major cells set in a non-nil skip bitset (multipath.go).
 //
 //talon:noalloc
-func (en *engine) denseArgmaxQ(ctx context.Context, qv *quantVec, skip []uint64, snrOnly bool) (bestA, bestE int, bestW float64, err error) {
-	best := cellScore{w: -1}
-	for ei := range en.el {
-		if err := ctx.Err(); err != nil {
-			return 0, 0, 0, err
-		}
-		best = en.scanRow(qv, snrOnly, skip, ei, 0, len(en.az)-1, best)
+func (en *engine) denseArgmaxQ(ctx context.Context, s *scanScratch, qv *quantVec, skip []uint64, snrOnly bool) (bestA, bestE int, bestW float64, err error) {
+	if err := ctx.Err(); err != nil {
+		return 0, 0, 0, err
 	}
+	s.mark(0, len(en.az)*len(en.el)-1)
+	if skip != nil {
+		for w := range s.mask {
+			s.mask[w] &^= skip[w]
+		}
+	}
+	best := en.scanMask(s, qv, snrOnly)
 	return best.a, best.e, best.w, nil
 }
 
@@ -442,6 +395,14 @@ func (it *quantItem) quantize() {
 	qv.n, qv.snrSp, qv.rssiSp = n, spS, spR
 	qv.snrVarP = int64(n)*int64(sppS) - int64(spS)*int64(spS)
 	qv.rssiVarP = int64(n)*int64(sppR) - int64(spR)*int64(spR)
+	qv.k = blockConsts{
+		n:        float64(n),
+		snrSp:    float64(spS),
+		rssiSp:   float64(spR),
+		snrVarP:  float64(qv.snrVarP),
+		rssiVarP: float64(qv.rssiVarP),
+	}
+	qv.degenerate = n < 3 || qv.snrVarP == 0
 }
 
 // ampTab spans [-120, 40] dB on the quarter-dB lattice — every SNR or

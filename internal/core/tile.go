@@ -76,6 +76,9 @@ type quantItem struct {
 // keep the capacity of the largest probe vector they have held.
 type quantBatchScratch struct {
 	items [batchChunk]quantItem
+	// scan is the mask, block list and score buffer every search of the
+	// scratch's items scores through (scan.go).
+	scan scanScratch
 	// skip is the multipath search's bitset of suppressed grid cells.
 	skip []uint64
 }
@@ -153,7 +156,7 @@ func (e *Estimator) selectChunk(ctx context.Context, batch []BatchItem, out []Ba
 		hi := min(lo+batchChunk, len(batch))
 		items := bs.items[:hi-lo]
 		metSelectEngine.Add(int64(hi - lo))
-		tiles, err := e.quantChunk(ctx, batch[lo:hi], items)
+		tiles, err := e.quantChunk(ctx, &bs.scan, batch[lo:hi], items)
 		metQuantBatchTiles.Add(int64(tiles))
 		if err != nil {
 			return err
@@ -175,12 +178,15 @@ func (e *Estimator) selectChunk(ctx context.Context, batch []BatchItem, out []Ba
 // estimate or its per-item error (ErrTooFewProbes, ErrDegenerateSurface)
 // in aoa/err. tiles counts the coarse tiles swept; err is non-nil only
 // on context cancellation, which leaves the unresolved items without a
-// result.
+// result. Every scan scores through s, whose work-unit counts are
+// flushed once on return.
 //
 //talon:noalloc
-func (e *Estimator) quantChunk(ctx context.Context, batch []BatchItem, items []quantItem) (tiles int, err error) {
+func (e *Estimator) quantChunk(ctx context.Context, s *scanScratch, batch []BatchItem, items []quantItem) (tiles int, err error) {
 	en := e.en
 	snrOnly := e.opts.SNROnly
+	s.grow(en)
+	defer s.flush()
 
 	// Phase 1: gather + quantize each item's probe vector. Items that
 	// fail the gather — and hinted items whose local window passes the
@@ -201,7 +207,7 @@ func (e *Estimator) quantChunk(ctx context.Context, batch []BatchItem, items []q
 		it.quantize()
 		if hint := batch[i].Hint; hint != NoCell {
 			metWarmHints.Inc()
-			if bestA, bestE, _, ok := en.warmArgmaxQ(&it.qv, hint, snrOnly); ok {
+			if bestA, bestE, _, ok := en.warmArgmaxQ(s, &it.qv, hint, snrOnly); ok {
 				metWarmHits.Inc()
 				it.aoa, it.done = e.quantEpilogue(it, bestA, bestE), true
 				continue
@@ -211,8 +217,9 @@ func (e *Estimator) quantChunk(ctx context.Context, batch []BatchItem, items []q
 		live++
 	}
 
-	// Phase 2: shared tiled coarse sweep — every live item folds the
-	// current tile into its top-K while the tile is cache-hot.
+	// Phase 2: shared tiled coarse sweep — every live item scores the
+	// current tile in one kernel call and folds it into its top-K while
+	// the tile is cache-hot.
 	if live > 0 {
 		nPts := len(en.cAzIdx) * len(en.cElIdx)
 		for lo := 0; lo < nPts; lo += en.tilePts {
@@ -221,9 +228,10 @@ func (e *Estimator) quantChunk(ctx context.Context, batch []BatchItem, items []q
 			}
 			tiles++
 			hi := min(lo+en.tilePts, nPts)
+			s.tileBlocks(lo, hi)
 			for i := range items {
 				if it := &items[i]; !it.done {
-					en.coarseTopKQ(lo, hi, it, snrOnly)
+					en.coarseTopKQ(s, lo, hi, it, snrOnly)
 				}
 			}
 		}
@@ -243,9 +251,9 @@ func (e *Estimator) quantChunk(ctx context.Context, batch []BatchItem, items []q
 			if len(en.coarseQ) > 0 {
 				metQuantFallbacks.Inc()
 			}
-			bestA, bestE, bestW, err = en.denseArgmaxQ(ctx, &it.qv, nil, snrOnly)
+			bestA, bestE, bestW, err = en.denseArgmaxQ(ctx, s, &it.qv, nil, snrOnly)
 		} else {
-			bestA, bestE, bestW, err = en.refineQ(ctx, it, snrOnly)
+			bestA, bestE, bestW, err = en.refineQ(ctx, s, it, snrOnly)
 		}
 		if err != nil {
 			return tiles, err

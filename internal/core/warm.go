@@ -86,12 +86,13 @@ const (
 // and the caller must run the full search — when the hint does not fit
 // the grid, the window's best score fails the (positive) margin
 // threshold, or sits on a non-grid-edge window rim (see the file comment
-// for why rim winners are rejected). The scan is strictly row-major with
-// the strictly-greater update, matching every other quantized scan's
+// for why rim winners are rejected). The window is one rectangle of the
+// scan mask (scan.go), so the scan is strictly row-major with the
+// strictly-greater update, matching every other quantized scan's
 // tie-break order.
 //
 //talon:noalloc
-func (en *engine) warmArgmaxQ(qv *quantVec, hint Cell, snrOnly bool) (bestA, bestE int, bestW float64, ok bool) {
+func (en *engine) warmArgmaxQ(s *scanScratch, qv *quantVec, hint Cell, snrOnly bool) (bestA, bestE int, bestW float64, ok bool) {
 	numAz, numEl := len(en.az), len(en.el)
 	ha, he, valid := hint.split()
 	if !valid || ha >= numAz || he >= numEl {
@@ -99,10 +100,8 @@ func (en *engine) warmArgmaxQ(qv *quantVec, hint Cell, snrOnly bool) (bestA, bes
 	}
 	aLo, aHi := int(clampIdx(ha-warmRadius, numAz)), int(clampIdx(ha+warmRadius, numAz))
 	eLo, eHi := int(clampIdx(he-warmRadius, numEl)), int(clampIdx(he+warmRadius, numEl))
-	best := cellScore{w: -1}
-	for ei := eLo; ei <= eHi; ei++ {
-		best = en.scanRow(qv, snrOnly, nil, ei, aLo, aHi, best)
-	}
+	s.markRect(numAz, aLo, aHi, eLo, eHi)
+	best := en.scanMask(s, qv, snrOnly)
 	bestA, bestE, bestW = best.a, best.e, best.w
 	if bestW < warmThreshold {
 		return bestA, bestE, bestW, false

@@ -227,7 +227,9 @@ func quantWindowBest(est *Estimator, probes []Probe, hint Cell) float64 {
 		return -1
 	}
 	it.quantize()
-	_, _, w, _ := est.en.warmArgmaxQ(&it.qv, hint, est.opts.SNROnly)
+	var s scanScratch
+	s.grow(est.en)
+	_, _, w, _ := est.en.warmArgmaxQ(&s, &it.qv, hint, est.opts.SNROnly)
 	return w
 }
 

@@ -158,10 +158,19 @@ func RecordCampaign(ctx context.Context, p *Platform, cfg CampaignConfig) ([]tra
 
 	// Trials accumulate into bounded batches: one SelectSectorBatch call
 	// per batch keeps the estimation funnel hot without ever holding the
-	// whole campaign in memory.
+	// whole campaign in memory. A batch's probe slices are carved from
+	// two arenas: the store samples from a fresh one per batch, since the
+	// writer keeps appended records until its block flush, and the
+	// selection's probes from one reused arena, which the batch call no
+	// longer reads once it returns. One generator reseeded per trial and
+	// one permutation buffer serve every trial.
 	const batchTrials = 4096
 	pending := make([]tracestore.Trial, 0, batchTrials)
 	probesList := make([]core.BatchItem, 0, batchTrials)
+	probeArena := make([]core.Probe, 0, min(batchTrials, cfg.Trials)*cfg.M)
+	var samples []tracestore.ProbeSample
+	var perm []int
+	rng := stats.NewFastRNG(0)
 
 	flush := func() error {
 		if len(pending) == 0 {
@@ -192,6 +201,7 @@ func RecordCampaign(ctx context.Context, p *Platform, cfg CampaignConfig) ([]tra
 		metBatchTrials.Add(int64(len(pending)))
 		pending = pending[:0]
 		probesList = probesList[:0]
+		probeArena = probeArena[:0]
 		return nil
 	}
 
@@ -200,7 +210,7 @@ func RecordCampaign(ctx context.Context, p *Platform, cfg CampaignConfig) ([]tra
 			return nil, err
 		}
 		seed := cfg.SeedStart + uint64(i)
-		rng := stats.NewFastRNG(campaignSeed(seed))
+		rng.Reseed(campaignSeed(seed))
 		rec := tracestore.Trial{
 			Seed:  seed,
 			AzDeg: float32(rng.Uniform(-60, 60)),
@@ -212,12 +222,17 @@ func RecordCampaign(ctx context.Context, p *Platform, cfg CampaignConfig) ([]tra
 		}
 		rec.LinkSNR = float32(campaignRefSNRDB - 20*math.Log10(float64(rec.DistM)/campaignRefDistM))
 
-		idx := rng.Sample(len(txIDs), cfg.M)
+		idx := rng.SampleInto(perm, len(txIDs), cfg.M)
+		perm = idx
 		sort.Ints(idx)
 		loc := ix.Locate(float64(rec.AzDeg), float64(rec.ElDeg))
 		linkSNR, atten := float64(rec.LinkSNR), float64(rec.AttenDB)
-		rec.Probes = make([]tracestore.ProbeSample, 0, cfg.M)
-		probes := make([]core.Probe, 0, cfg.M)
+		if len(pending) == 0 {
+			samples = make([]tracestore.ProbeSample, 0, min(batchTrials, cfg.Trials-i)*cfg.M)
+		}
+		lo := len(samples)
+		rec.Probes = samples[lo : lo : lo+cfg.M]
+		probes := probeArena[lo : lo : lo+cfg.M]
 		for _, j := range idx {
 			id := txIDs[j]
 			snr := campaignTrueSNR(ix.Gain(loc, id), linkSNR, atten, gainRef)
@@ -236,6 +251,8 @@ func RecordCampaign(ctx context.Context, p *Platform, cfg CampaignConfig) ([]tra
 				OK:     ps.OK,
 			})
 		}
+		samples = samples[:lo+cfg.M]
+		probeArena = probeArena[:lo+cfg.M]
 		pending = append(pending, rec)
 		probesList = append(probesList, core.BatchItem{Probes: probes})
 		if len(pending) == batchTrials {

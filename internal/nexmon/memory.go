@@ -115,6 +115,27 @@ func (m *Memory) Write(addr uint32, data []byte) error {
 	return nil
 }
 
+// Span returns the writable bytes [addr, addr+n) of one bank: the
+// checks of Write, made once, for a caller that writes the same range
+// many times. Writing into the span is writing through Write. The banks
+// never move, so a span stays valid for the memory's lifetime.
+func (m *Memory) Span(addr uint32, n int) ([]byte, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("nexmon: negative span length %d", n)
+	}
+	r, off, viaAlias, err := m.locate(addr)
+	if err != nil {
+		return nil, err
+	}
+	if off+uint32(n) > r.size {
+		return nil, fmt.Errorf("nexmon: span of %d bytes at %#08x crosses %s boundary", n, addr, r.name)
+	}
+	if r.lowRO && !viaAlias {
+		return nil, fmt.Errorf("nexmon: %w: %s at %#08x (use alias %#08x)", ErrWriteProtected, r.name, addr, r.alias+off)
+	}
+	return r.data[off : off+uint32(n) : off+uint32(n)], nil
+}
+
 // ErrWriteProtected marks writes rejected by a low code mapping.
 var ErrWriteProtected = fmt.Errorf("write-protected code region")
 

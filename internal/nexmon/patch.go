@@ -25,6 +25,7 @@ type Patch struct {
 type Framework struct {
 	mem     *Memory
 	applied map[string]Patch
+	gen     uint64
 }
 
 // NewFramework wraps mem.
@@ -59,8 +60,14 @@ func (f *Framework) apply(p Patch) error {
 		return fmt.Errorf("nexmon: patch %q: %w", p.Name, err)
 	}
 	f.applied[p.Name] = p
+	f.gen++
 	return nil
 }
+
+// Generation counts the patches installed so far: it changes whenever
+// the installed set does, so a caller can cache what it derived from
+// Applied until then.
+func (f *Framework) Generation() uint64 { return f.gen }
 
 // Applied reports whether the named patch is installed.
 func (f *Framework) Applied(name string) bool {

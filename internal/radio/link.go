@@ -52,11 +52,19 @@ type Path struct {
 	TXGainDB, RXGainDB float64
 }
 
+// maxStackRays is how many rays ResolvePaths traces without a heap
+// buffer: the line of sight plus 15 reflectors, more than any scenario
+// here builds.
+const maxStackRays = 16
+
 // ResolvePaths appends to dst every propagation ray between the posed
 // devices, resolved to their local frames. Everything it computes depends
-// on the poses only; Geometry.Resolve calls it once per pose pair.
+// on the poses only; Geometry.Resolve calls it once per pose pair. The
+// rays are traced into a stack buffer, so a scene of up to
+// maxStackRays rays resolves without allocating.
 func ResolvePaths(dst []Path, env *channel.Environment, txPose, rxPose channel.Pose) []Path {
-	for _, r := range env.Rays(txPose.Pos, rxPose.Pos) {
+	var buf [maxStackRays]channel.Ray
+	for _, r := range env.AppendRays(buf[:0], txPose.Pos, rxPose.Pos) {
 		var p Path
 		p.TXAz, p.TXEl = txPose.ToLocal(r.AoD)
 		p.RXAz, p.RXEl = rxPose.ToLocal(r.AoA)

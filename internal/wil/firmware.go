@@ -84,6 +84,14 @@ type Firmware struct {
 	recorded [256]bool
 	seq      uint32
 
+	// ring is the dump ring (header, then the record slots) in chip
+	// memory, located once. dumpOn caches SweepDumpEnabled for the
+	// framework generation dumpGen, so a frame costs no patch lookup
+	// until the installed patches change.
+	ring    []byte
+	dumpOn  bool
+	dumpGen uint64
+
 	// inj is the installed impairment layer (nil = unimpaired),
 	// consulted for record drop storms and transient WMI failures.
 	inj fault.Injector
@@ -92,9 +100,17 @@ type Firmware struct {
 // NewFirmware boots a stock firmware image.
 func NewFirmware() *Firmware {
 	mem := nexmon.NewQCA9500Memory()
+	ring, err := mem.Span(ringHeaderAddr, ringBufferAddr-ringHeaderAddr+RingCapacity*recordLen)
+	if err != nil {
+		// The ring region is statically sized; a failure is a bug.
+		panic(fmt.Sprintf("wil: ring region: %v", err))
+	}
+	fwk := nexmon.NewFramework(mem)
 	return &Firmware{
-		mem: mem,
-		fwk: nexmon.NewFramework(mem),
+		mem:     mem,
+		fwk:     fwk,
+		ring:    ring,
+		dumpGen: fwk.Generation(),
 	}
 }
 
@@ -154,7 +170,10 @@ func (f *Firmware) RecordSSW(sec sector.ID, cdown uint16, m radio.Measurement) {
 		return
 	}
 	f.sweep[sec], f.recorded[sec] = m, true
-	if !f.SweepDumpEnabled() {
+	if g := f.fwk.Generation(); g != f.dumpGen {
+		f.dumpOn, f.dumpGen = f.SweepDumpEnabled(), g
+	}
+	if !f.dumpOn {
 		return
 	}
 	metRingRecords.Inc()
@@ -167,23 +186,16 @@ func (f *Firmware) RecordSSW(sec sector.ID, cdown uint16, m radio.Measurement) {
 		metRingOccupancy.Set(int64(f.seq) + 1)
 	}
 	slot := f.seq % RingCapacity
-	var rec [recordLen]byte
+	rec := f.ring[ringBufferAddr-ringHeaderAddr+slot*recordLen:][:recordLen]
 	binary.LittleEndian.PutUint16(rec[0:2], uint16(f.seq))
 	rec[2] = byte(sec)
 	rec[3] = dot11ad.EncodeSNR(m.SNR)
 	rec[4] = byte(int8(clampF(math.Round(m.RSSI), -128, 127)))
 	rec[5] = byte(cdown)
 	rec[6] = 1 // valid
-	if err := f.mem.Write(ringBufferAddr+uint32(slot)*recordLen, rec[:]); err != nil {
-		// The ring region is statically sized; a failure is a bug.
-		panic(fmt.Sprintf("wil: ring write: %v", err))
-	}
+	rec[7] = 0
 	f.seq++
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], f.seq)
-	if err := f.mem.Write(ringHeaderAddr, hdr[:]); err != nil {
-		panic(fmt.Sprintf("wil: ring header write: %v", err))
-	}
+	binary.LittleEndian.PutUint32(f.ring[0:4], f.seq)
 }
 
 // BestSector runs the stock selection: the probed sector with the highest

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"talon/internal/dot11ad"
 	"talon/internal/radio"
 	"talon/internal/sector"
 )
@@ -78,6 +79,47 @@ func TestSweepDumpRingWraps(t *testing.T) {
 			t.Fatal("sequence numbers not contiguous")
 		}
 	}
+}
+
+// TestSweepDumpRingBytes pins the ring's raw bytes: frames recorded
+// before the dump patch write nothing; the patch, installed mid-sweep
+// straight through the framework, takes effect on the next frame; and
+// after a wrap the header and every slot hold exactly the records the
+// Memory.Write path produced (little-endian seq, sector, SNR code,
+// clamped RSSI, CDOWN, valid flag, zero pad).
+func TestSweepDumpRingBytes(t *testing.T) {
+	fw := NewFirmware()
+	size := ringBufferAddr - ringHeaderAddr + RingCapacity*recordLen
+	want := make([]byte, size)
+	check := func(label string) {
+		t.Helper()
+		got, err := fw.Memory().Read(ringHeaderAddr, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: ring byte %d = %#x, want %#x", label, i, got[i], want[i])
+			}
+		}
+	}
+	fw.BeginRXSweep()
+	fw.RecordSSW(9, 30, radio.Measurement{SNR: 5, RSSI: -61})
+	check("stock firmware")
+	if err := fw.Framework().Apply(SweepDumpPatch()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < RingCapacity+5; i++ {
+		sec, cdown := sector.ID(i%34+1), uint16(i%35)
+		m := radio.Measurement{SNR: float64(i%23) - 8.25, RSSI: float64(i%300) - 200}
+		fw.RecordSSW(sec, cdown, m)
+		rec := want[ringBufferAddr-ringHeaderAddr+(i%RingCapacity)*recordLen:][:recordLen]
+		rec[0], rec[1] = byte(i), byte(i>>8)
+		rec[2], rec[3] = byte(sec), dot11ad.EncodeSNR(m.SNR)
+		rec[4], rec[5], rec[6], rec[7] = byte(int8(clampF(math.Round(m.RSSI), -128, 127))), byte(cdown), 1, 0
+		want[0], want[1], want[2], want[3] = byte(i+1), byte((i+1)>>8), 0, 0
+	}
+	check("after the wrap")
 }
 
 func TestBestSector(t *testing.T) {
