@@ -59,7 +59,6 @@ var (
 	mobility = flag.Float64("mobility", 0.01, "fraction of the fleet changing drift per epoch")
 	blockage = flag.Float64("blockage", 0.002, "fraction of the fleet blocked per epoch")
 	fault    = flag.Float64("fault", 0.002, "fraction of the fleet hit by probe-loss bursts per epoch")
-	warm     = flag.Bool("warm", true, "warm-start re-estimation: hint each training with the station's previous grid cell (-warm=false runs every round cold)")
 	fidelity = flag.String("fidelity", "quick", "pattern-campaign fidelity: quick or full")
 	out      = flag.String("o", "-", "scorecard JSON destination (\"-\" = stdout)")
 	bench    = flag.Bool("bench", false, "print wall-clock throughput in `go test -bench` format on stderr-independent stdout for benchdiff -record")
@@ -115,7 +114,6 @@ func run(ctx context.Context) error {
 		Shards:           *shards,
 		Capacity:         *capacity,
 		Workers:          *workers,
-		ColdStart:        !*warm,
 		ChurnPerEpoch:    *churn,
 		MobilityPerEpoch: *mobility,
 		BlockagePerEpoch: *blockage,
@@ -218,18 +216,12 @@ func emit(dst string, blob []byte) error {
 // format so `benchdiff -record` can capture it into a baseline.
 func printBench(sc *fleet.Scorecard, wall time.Duration, cfg fleet.SimConfig) {
 	procs := runtime.GOMAXPROCS(0)
-	// Cold-start runs report under distinct names so one bench file can
-	// carry both modes and benchdiff -speedup can gate warm vs cold.
-	suffix := ""
-	if cfg.ColdStart {
-		suffix = "_cold"
-	}
 	if sc.Epochs > 0 {
-		fmt.Printf("BenchmarkFleetsimWall/stations=%d/step%s-%d %d %.1f ns/op\n",
-			cfg.Stations, suffix, procs, sc.Epochs, float64(wall.Nanoseconds())/float64(sc.Epochs))
+		fmt.Printf("BenchmarkFleetsimWall/stations=%d/step-%d %d %.1f ns/op\n",
+			cfg.Stations, procs, sc.Epochs, float64(wall.Nanoseconds())/float64(sc.Epochs))
 	}
 	if sc.Trainings > 0 {
-		fmt.Printf("BenchmarkFleetsimWall/stations=%d/training%s-%d %d %.1f ns/op\n",
-			cfg.Stations, suffix, procs, sc.Trainings, float64(wall.Nanoseconds())/float64(sc.Trainings))
+		fmt.Printf("BenchmarkFleetsimWall/stations=%d/training-%d %d %.1f ns/op\n",
+			cfg.Stations, procs, sc.Trainings, float64(wall.Nanoseconds())/float64(sc.Trainings))
 	}
 }

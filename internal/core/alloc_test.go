@@ -36,13 +36,13 @@ func TestEstimateZeroAllocSteadyState(t *testing.T) {
 			}
 			// Warm the scratch pools.
 			for i := 0; i < 5; i++ {
-				if _, err := est.estimate(ctx, probes, NoCell); err != nil {
+				if _, err := est.estimate(ctx, probes); err != nil {
 					t.Fatal(err)
 				}
 			}
 			var estErr error
 			allocs := testing.AllocsPerRun(100, func() {
-				_, estErr = est.estimate(ctx, probes, NoCell)
+				_, estErr = est.estimate(ctx, probes)
 			})
 			if estErr != nil {
 				t.Fatal(estErr)
@@ -54,10 +54,10 @@ func TestEstimateZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestWarmZeroAllocSteadyState guards the warm-start path: a hinted
-// estimate and its selection — whether the dense window accepts or the
-// margin guard falls back to the full search — must not allocate once
-// the scratch pools are warm.
+// TestWarmZeroAllocSteadyState guards the hinted path: a one-item batch
+// whose hint adds a refinement window — or, outside the grid, falls back
+// to the plain refinement — must not allocate through
+// SelectSectorBatchInto once the scratch pools are warm.
 func TestWarmZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is perturbed under the race detector")
@@ -75,32 +75,38 @@ func TestWarmZeroAllocSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sel.AoA.Cell == NoCell {
-		t.Fatal("cold selection produced no warm-start cell")
+		t.Fatal("selection produced no hint cell")
 	}
+	ai, ei, _ := sel.AoA.Cell.split()
+	numAz, numEl := len(est.en.az), len(est.en.el)
 	for _, tc := range []struct {
 		name string
 		hint Cell
 	}{
-		{"hinted", sel.AoA.Cell},
-		{"cold-fallback", NoCell},
+		// Two cells off the previous argmax: a drifted station's hint.
+		{"hinted", cellOf(min(ai+2, numAz-1), min(ei+2, numEl-1))},
+		{"cold-fallback", cellOf(numAz, numEl)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			items := []BatchItem{{Probes: probes, Hint: tc.hint}}
+			out := make([]BatchResult, 0, 1)
 			for i := 0; i < 5; i++ {
-				aoa, err := est.estimate(ctx, probes, tc.hint)
-				if _, err := est.finishSelection(probes, aoa, err); err != nil {
+				if out, err = est.SelectSectorBatchInto(ctx, items, 1, out); err != nil {
 					t.Fatal(err)
 				}
 			}
-			var warmErr error
+			var batchErr error
 			allocs := testing.AllocsPerRun(100, func() {
-				aoa, err := est.estimate(ctx, probes, tc.hint)
-				_, warmErr = est.finishSelection(probes, aoa, err)
+				out, batchErr = est.SelectSectorBatchInto(ctx, items, 1, out)
 			})
-			if warmErr != nil {
-				t.Fatal(warmErr)
+			if batchErr != nil {
+				t.Fatal(batchErr)
+			}
+			if out[0].Err != nil {
+				t.Fatal(out[0].Err)
 			}
 			if allocs != 0 {
-				t.Fatalf("steady-state warm selection allocates %.1f times per call, want 0", allocs)
+				t.Fatalf("steady-state hinted selection allocates %.1f times per call, want 0", allocs)
 			}
 		})
 	}
@@ -302,7 +308,7 @@ func TestErrorPathZeroAlloc(t *testing.T) {
 		{one, ErrTooFewProbes, "core: too few probes: need at least 2 reported probes, have 1"},
 		{two, ErrDegenerateSurface, "core: correlation surface is degenerate"},
 	} {
-		_, err := est.estimate(ctx, tc.probes, NoCell)
+		_, err := est.estimate(ctx, tc.probes)
 		if err == nil || err.Error() != tc.msg || !errors.Is(err, tc.sentinel) {
 			t.Fatalf("estimate error %v, want %q wrapping %v", err, tc.msg, tc.sentinel)
 		}

@@ -16,17 +16,19 @@ type BatchResult struct {
 }
 
 // BatchItem is one independent selection of a batch: a probe vector plus
-// an optional warm-start hint (the Cell of the item's previous
-// selection; NoCell runs the full search). Hints follow the warm-start
-// contract (warm.go) — they can only change cost, never the selection
-// beyond the equivalence budget.
+// an optional hint, the Cell of the item's previous selection. A hint
+// inside the grid adds its cell's window to the refinement (hier.go):
+// the result is the argmax over the top-K windows and the hint window,
+// so its score is never below the hintless one, and it equals the
+// hintless result unless the winner lies outside every top-K window.
+// NoCell, or a hint outside the grid, selects exactly as SelectSector.
 type BatchItem struct {
 	Probes []Probe
 	Hint   Cell
 }
 
 // BatchOf wraps plain probe vectors as hintless batch items, for callers
-// without warm-start state.
+// without a previous selection to hint from.
 func BatchOf(batch [][]Probe) []BatchItem {
 	items := make([]BatchItem, len(batch))
 	for i, probes := range batch {
@@ -46,8 +48,7 @@ func BatchOf(batch [][]Probe) []BatchItem {
 // picks GOMAXPROCS; any value is capped at GOMAXPROCS and at the batch
 // size. Per-item results are deterministic at any worker count; a
 // hintless item's result is identical to SelectSector's, and a hinted
-// item falls back to exactly that search when the warm guards reject
-// its hint.
+// item's follows the BatchItem contract.
 //
 // ctx is observed between sub-chunks and inside each sub-chunk's grid
 // search; on cancellation the batch returns ctx.Err() and the results

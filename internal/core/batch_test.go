@@ -12,22 +12,48 @@ import (
 	"talon/internal/stats"
 )
 
-// warmCounters reads the warm-start {hints, hits, fallbacks} counters.
-func warmCounters() [3]int64 {
-	return [3]int64{metWarmHints.Value(), metWarmHits.Value(), metWarmFallbacks.Value()}
+// hintCounters reads the {hints, hint-decided} counters.
+func hintCounters() [2]int64 {
+	return [2]int64{metWarmHints.Value(), metWarmHits.Value()}
 }
 
-// warmDelta is how far the warm-start counters advanced since before.
-func warmDelta(before [3]int64) [3]int64 {
-	after := warmCounters()
-	return [3]int64{after[0] - before[0], after[1] - before[1], after[2] - before[2]}
+// hintDelta is how far the hint counters advanced since before.
+func hintDelta(before [2]int64) [2]int64 {
+	after := hintCounters()
+	return [2]int64{after[0] - before[0], after[1] - before[1]}
+}
+
+// selectOne is the per-call reference of one batch item: the per-item
+// estimate and finishSelection (SelectSector's pipeline) for a
+// hintless item, a one-item batch for a hinted one. A hint outside the
+// grid must change nothing, so its one-item batch is also held bit for
+// bit to the hintless pipeline.
+func selectOne(t *testing.T, est *Estimator, it BatchItem) BatchResult {
+	t.Helper()
+	ctx := context.Background()
+	aoa, err := est.estimate(ctx, it.Probes)
+	sel, err := est.finishSelection(it.Probes, aoa, err)
+	plain := BatchResult{Selection: sel, Err: err}
+	if it.Hint == NoCell {
+		return plain
+	}
+	res, err := est.SelectSectorBatch(ctx, []BatchItem{it}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ai, ei, _ := it.Hint.split()
+	if (ai >= len(est.en.az) || ei >= len(est.en.el)) && !identicalResult(res[0], plain) {
+		t.Fatalf("out-of-grid hint %v: %+v, hintless %+v", it.Hint, res[0], plain)
+	}
+	return res[0]
 }
 
 // TestBatchMatchesSelectSector checks the batch contract: item i of
-// SelectSectorBatch carries exactly what the per-item estimate and
-// finishSelection return for batch[i]'s probes and hint,
-// including per-item errors, at any worker count, and advances the
-// warm-start counters by exactly as much as the per-call loop.
+// SelectSectorBatch carries exactly what the per-call reference
+// (selectOne) returns for batch[i]'s probes and hint, including
+// per-item errors, at any worker count, and advances the hint counters
+// by exactly as much as the per-call loop. A NoCell or out-of-grid hint
+// selects exactly as SelectSector.
 func TestBatchMatchesSelectSector(t *testing.T) {
 	set, gain := synthSetup(t)
 	est, err := NewEstimator(set, Options{})
@@ -82,25 +108,23 @@ func TestBatchMatchesSelectSector(t *testing.T) {
 	}
 
 	want := make([]BatchResult, len(items))
-	before := warmCounters()
+	before := hintCounters()
 	for i, it := range items {
-		aoa, err := est.estimate(ctx, it.Probes, it.Hint)
-		sel, err := est.finishSelection(it.Probes, aoa, err)
-		want[i] = BatchResult{Selection: sel, Err: err}
+		want[i] = selectOne(t, est, it)
 	}
-	wantWarm := warmDelta(before)
-	if wantWarm[1] == 0 || wantWarm[2] == 0 {
-		t.Fatalf("warm counters advanced by %v: the hints must exercise both hits and fallbacks", wantWarm)
+	wantHints := hintDelta(before)
+	if wantHints[0] != 30 {
+		t.Fatalf("hint counter advanced by %d, want one per hinted item (30)", wantHints[0])
 	}
 
 	for _, workers := range []int{0, 1, 3, 64} {
-		before := warmCounters()
+		before := hintCounters()
 		got, err := est.SelectSectorBatch(ctx, items, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if d := warmDelta(before); d != wantWarm {
-			t.Fatalf("workers=%d: warm {hints,hits,fallbacks} advanced by %v, per-call loop by %v", workers, d, wantWarm)
+		if d := hintDelta(before); d != wantHints {
+			t.Fatalf("workers=%d: {hints,hint-decided} advanced by %v, per-call loop by %v", workers, d, wantHints)
 		}
 		if len(got) != len(items) {
 			t.Fatalf("workers=%d: %d results for %d items", workers, len(got), len(items))
@@ -137,9 +161,10 @@ func identicalResult(a, b BatchResult) bool {
 }
 
 // mixedBatch returns n batch items cycling through every result class —
-// unhinted, hinted on the vector's own cold cell (warm hit), hinted far
-// across the grid (warm fallback), hinted outside the grid, too few
-// probes and a degenerate two-probe vector — with a class period (7)
+// unhinted, hinted on the vector's own unhinted cell, hinted far across
+// the grid (a window away from every top-K one), hinted outside the
+// grid, too few probes and a degenerate two-probe vector — with a class
+// period (7)
 // prime to batchChunk, so every class lands on both sides of each
 // sub-chunk boundary.
 func mixedBatch(t *testing.T, est *Estimator, gain func(sector.ID, float64, float64) float64, n int) []BatchItem {
@@ -194,8 +219,8 @@ func mixedBatch(t *testing.T, est *Estimator, gain func(sector.ID, float64, floa
 // TestBatchChunkBoundaries checks the batch contract across sub-chunk
 // boundaries: for batch sizes around multiples of batchChunk and worker
 // counts that split them unevenly, every result equals the per-item
-// estimate and finishSelection bit for bit, and the warm-start counters
-// advance exactly as much as the per-call loop.
+// reference (selectOne) bit for bit, and the hint counters advance
+// exactly as much as the per-call loop.
 func TestBatchChunkBoundaries(t *testing.T) {
 	set, gain := synthSetup(t)
 	est, err := NewEstimator(set, Options{})
@@ -209,15 +234,13 @@ func TestBatchChunkBoundaries(t *testing.T) {
 	for _, n := range []int{1, batchChunk - 1, batchChunk, batchChunk + 1, 2*batchChunk + 3, 1000} {
 		batch := items[:n]
 		want := make([]BatchResult, n)
-		before := warmCounters()
+		before := hintCounters()
 		for i, it := range batch {
-			aoa, err := est.estimate(ctx, it.Probes, it.Hint)
-			sel, err := est.finishSelection(it.Probes, aoa, err)
-			want[i] = BatchResult{Selection: sel, Err: err}
+			want[i] = selectOne(t, est, it)
 		}
-		wantWarm := warmDelta(before)
-		if n == len(items) && (wantWarm[1] == 0 || wantWarm[2] == 0) {
-			t.Fatalf("warm counters advanced by %v: the hints must exercise both hits and fallbacks", wantWarm)
+		wantHints := hintDelta(before)
+		if n == len(items) && wantHints[0] == 0 {
+			t.Fatal("no hinted item reached the search")
 		}
 		for _, w := range want {
 			switch {
@@ -231,13 +254,13 @@ func TestBatchChunkBoundaries(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 3} {
 			t.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(t *testing.T) {
-				before := warmCounters()
+				before := hintCounters()
 				got, err := est.SelectSectorBatch(ctx, batch, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if d := warmDelta(before); d != wantWarm {
-					t.Fatalf("warm {hints,hits,fallbacks} advanced by %v, per-call loop by %v", d, wantWarm)
+				if d := hintDelta(before); d != wantHints {
+					t.Fatalf("{hints,hint-decided} advanced by %v, per-call loop by %v", d, wantHints)
 				}
 				if len(got) != n {
 					t.Fatalf("%d results for %d items", len(got), n)

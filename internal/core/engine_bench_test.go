@@ -78,7 +78,7 @@ func BenchmarkEstimateAoA_Quant(b *testing.B) {
 	est, probes := benchEstimator(b, Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.estimate(context.Background(), probes, NoCell); err != nil {
+		if _, err := est.estimate(context.Background(), probes); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -88,7 +88,7 @@ func BenchmarkEstimateAoA_QuantDense(b *testing.B) {
 	est, probes := benchEstimator(b, Options{ExactSearch: true})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.estimate(context.Background(), probes, NoCell); err != nil {
+		if _, err := est.estimate(context.Background(), probes); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -122,89 +122,6 @@ func BenchmarkSelectSector_QuantGeneric(b *testing.B) {
 	defer func(saved bool) { useAVX2 = saved }(useAVX2)
 	useAVX2 = false
 	BenchmarkSelectSector_Quant(b)
-}
-
-// benchProbesAt rebuilds a probe vector whose measurements are the
-// benchEstimator gaussian-beam gains evaluated at one direction, so the
-// correlation surface has a genuine peak there. The default probes'
-// arbitrary SNR ramp is fine for timing a fixed-cost sweep, but the warm
-// path's guards are score-dependent: a peakless surface would reject
-// every hint and silently time the fallback instead.
-func benchProbesAt(b *testing.B, ids []sector.ID, az, el float64) []Probe {
-	b.Helper()
-	idx := make(map[sector.ID]int, len(ids))
-	for i, id := range ids {
-		idx[id] = i
-	}
-	rng := stats.NewRNG(42)
-	ps, err := RandomProbes(rng, ids, 14)
-	if err != nil {
-		b.Fatal(err)
-	}
-	probes := make([]Probe, 0, 14)
-	for _, id := range ps.IDs() {
-		i := idx[id]
-		az0 := -85 + 170*float64(i)/float64(len(ids)-1)
-		el0 := float64((i * 5) % 28)
-		width := 13 + float64(i%4)*3
-		d2 := (az-az0)*(az-az0) + 2*(el-el0)*(el-el0)
-		g := 12 - 20*(1-math.Exp(-d2/(2*width*width)))
-		probes = append(probes, Probe{
-			Sector: id,
-			Meas:   radio.Measurement{SNR: g, RSSI: -60 + g},
-			OK:     true,
-		})
-	}
-	return probes
-}
-
-// BenchmarkSelectSector_Warm times the warm-start hit path: the hint is
-// the cell of a converged cold selection over the same probes, so every
-// iteration accepts the dense local window and skips the coarse sweep.
-// BenchmarkSelectSector_WarmCold runs the identical probe vector through
-// the cold quantized search — the search cost depends on the surface the
-// probes induce, so _Quant (arbitrary ramp probes) is not the right
-// baseline. The _WarmCold / _Warm delta is the per-training saving a
-// tracked fleet station sees between retrains.
-func BenchmarkSelectSector_Warm(b *testing.B) {
-	est, _ := benchEstimator(b, Options{})
-	probes := benchProbesAt(b, sector.TalonTX(), 24, 9)
-	sel, err := est.SelectSector(context.Background(), probes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if sel.AoA.Cell == NoCell || sel.Fallback {
-		b.Fatalf("cold selection did not converge (cell %d, fallback %v)", sel.AoA.Cell, sel.Fallback)
-	}
-	selectWarm := func() error {
-		aoa, err := est.estimate(context.Background(), probes, sel.AoA.Cell)
-		_, err = est.finishSelection(probes, aoa, err)
-		return err
-	}
-	hits := metWarmHits.Value()
-	if err := selectWarm(); err != nil {
-		b.Fatal(err)
-	}
-	if metWarmHits.Value() == hits {
-		b.Fatal("warm guards rejected the hint; benchmark would time the fallback path")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := selectWarm(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSelectSector_WarmCold(b *testing.B) {
-	est, _ := benchEstimator(b, Options{})
-	probes := benchProbesAt(b, sector.TalonTX(), 24, 9)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := est.SelectSector(context.Background(), probes); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // benchBatch builds a campaign-sized batch of distinct probe vectors by

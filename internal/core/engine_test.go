@@ -110,7 +110,7 @@ func TestEngineMatchesSerial(t *testing.T) {
 					probes := observe(t, gain, ps.IDs(), az, el, model, rng)
 					label := fmt.Sprintf("m=%d trial=%d", m, trial)
 
-					gotAoA, gotErr := est.estimate(ctx, probes, NoCell)
+					gotAoA, gotErr := est.estimate(ctx, probes)
 					refAoA, refErr := est.EstimateAoASerial(probes)
 					if !sameErrClass(gotErr, refErr) {
 						t.Fatalf("%s: engine err %v, serial err %v", label, gotErr, refErr)
@@ -192,7 +192,7 @@ func TestEngineMatchesSerialWithHoles(t *testing.T) {
 			})
 		}
 		label := fmt.Sprintf("trial=%d", trial)
-		gotAoA, gotErr := est.estimate(ctx, probes, NoCell)
+		gotAoA, gotErr := est.estimate(ctx, probes)
 		refAoA, refErr := est.EstimateAoASerial(probes)
 		if !sameErrClass(gotErr, refErr) {
 			t.Fatalf("%s: engine err %v, serial err %v", label, gotErr, refErr)
@@ -213,7 +213,7 @@ func TestEngineErrorParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	tooFew := []Probe{{Sector: 1, Meas: radio.Measurement{SNR: 5, RSSI: -60}, OK: true}}
-	_, engineErr := est.estimate(context.Background(), tooFew, NoCell)
+	_, engineErr := est.estimate(context.Background(), tooFew)
 	_, serialErr := est.EstimateAoASerial(tooFew)
 	if !errors.Is(engineErr, ErrTooFewProbes) {
 		t.Fatalf("engine: want ErrTooFewProbes, got %v", engineErr)
@@ -237,7 +237,7 @@ func TestEstimateCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := est.estimate(ctx, probes, NoCell); !errors.Is(err, context.Canceled) {
+	if _, err := est.estimate(ctx, probes); !errors.Is(err, context.Canceled) {
 		t.Fatalf("estimate: want context.Canceled, got %v", err)
 	}
 	if _, err := est.SelectSector(ctx, probes); !errors.Is(err, context.Canceled) {
@@ -248,13 +248,13 @@ func TestEstimateCancellation(t *testing.T) {
 	}
 
 	// A live context must not be affected.
-	if _, err := est.estimate(context.Background(), probes, NoCell); err != nil {
+	if _, err := est.estimate(context.Background(), probes); err != nil {
 		t.Fatalf("live context: %v", err)
 	}
 }
 
-// TestEngineConcurrentUse runs many concurrent selections — cold and
-// warm-hinted — through one estimator to exercise the scratch pools
+// TestEngineConcurrentUse runs many concurrent selections — hintless
+// and hinted one-item batches — through one estimator to exercise the scratch pools
 // under the race detector: every concurrent result must equal the
 // sequential result of the same call bit for bit.
 func TestEngineConcurrentUse(t *testing.T) {
@@ -271,25 +271,28 @@ func TestEngineConcurrentUse(t *testing.T) {
 	rng := stats.NewRNG(11)
 	probeSets := make([][]Probe, 16)
 	hints := make([]Cell, len(probeSets))
+	selectOne := func(i int) result {
+		res, err := est.SelectSectorBatch(ctx, []BatchItem{{Probes: probeSets[i], Hint: hints[i]}}, 1)
+		if err != nil {
+			return result{err: err}
+		}
+		return result{res[0].Selection, res[0].Err}
+	}
 	want := make([]result, len(probeSets))
 	for i := range probeSets {
 		az := -70 + 140*rng.Float64()
 		probeSets[i] = observe(t, gain, sector.TalonTX(), az, 5, quietModel(), rng)
 		if i%2 == 1 {
-			// Odd sets chain the previous set's cell as a warm hint.
+			// Odd sets chain the previous set's cell as a hint.
 			hints[i] = want[i-1].sel.AoA.Cell
 		}
-		aoa, err := est.estimate(ctx, probeSets[i], hints[i])
-		sel, err := est.finishSelection(probeSets[i], aoa, err)
-		want[i] = result{sel, err}
+		want[i] = selectOne(i)
 	}
 	got := make([]result, len(probeSets))
 	done := make(chan int, len(probeSets))
 	for i := range probeSets {
 		go func(i int) {
-			aoa, err := est.estimate(ctx, probeSets[i], hints[i])
-			sel, err := est.finishSelection(probeSets[i], aoa, err)
-			got[i] = result{sel, err}
+			got[i] = selectOne(i)
 			done <- i
 		}(i)
 	}

@@ -140,8 +140,8 @@ type AoAEstimate struct {
 	Corr float64
 	// Used is the number of probes that carried a measurement.
 	Used int
-	// Cell is the dense grid cell of the argmax, usable as the
-	// warm-start hint of a later estimate (see BatchItem.Hint). Cell
+	// Cell is the dense grid cell of the argmax, usable as the hint of
+	// a later estimate (see BatchItem.Hint). Cell
 	// is diagnostic state, not part of the wire format: it is excluded
 	// from JSON serialization.
 	Cell Cell
@@ -247,16 +247,15 @@ func (e *Estimator) correlate(ids []sector.ID, lin []float64, az, el float64) fl
 // Options.ExactSearch pins it to the exhaustive dense scan. A float
 // epilogue re-scores the winning cell on the float64 dictionary, so
 // whenever the search picks the serial reference's cell the estimate is
-// bit-identical to EstimateAoASerial (see quantEpilogue). hint is an
-// optional warm-start cell (NoCell runs the full search). ctx is
+// bit-identical to EstimateAoASerial (see quantEpilogue). ctx is
 // observed before each scan, and a cancelled search returns ctx.Err().
-func (e *Estimator) estimate(ctx context.Context, probes []Probe, hint Cell) (AoAEstimate, error) {
+func (e *Estimator) estimate(ctx context.Context, probes []Probe) (AoAEstimate, error) {
 	start := time.Now() //lint:allow determinism -- estimate-latency histogram reads the wall clock by design
 	defer metEstimateSeconds.ObserveSince(start)
 	bs := e.en.getBatchScratch()
 	defer e.en.putBatchScratch(bs)
 	items := bs.items[:1]
-	batch := [1]BatchItem{{Probes: probes, Hint: hint}}
+	batch := [1]BatchItem{{Probes: probes}}
 	if _, err := e.quantChunk(ctx, &bs.scan, batch[:], items); err != nil {
 		return AoAEstimate{}, err
 	}
@@ -383,7 +382,7 @@ const (
 // instead of degrading to the sweep fallback.
 func (e *Estimator) SelectSector(ctx context.Context, probes []Probe) (Selection, error) {
 	metSelectEngine.Inc()
-	aoa, err := e.estimate(ctx, probes, NoCell)
+	aoa, err := e.estimate(ctx, probes)
 	if err != nil && isCtxErr(err) {
 		return Selection{}, err
 	}

@@ -88,7 +88,7 @@ func TestEstimateAoANoiseless(t *testing.T) {
 		{0, 0}, {-40, 6}, {33, 12}, {70, 3}, {-66, 21},
 	} {
 		probes := observe(t, gain, sector.TalonTX(), truth.az, truth.el, model, rng)
-		aoa, err := est.estimate(context.Background(), probes, NoCell)
+		aoa, err := est.estimate(context.Background(), probes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestEstimateAoACompressive(t *testing.T) {
 			t.Fatal(err)
 		}
 		probes := observe(t, gain, probeSet.IDs(), truthAz, truthEl, model, rng)
-		aoa, err := est.estimate(context.Background(), probes, NoCell)
+		aoa, err := est.estimate(context.Background(), probes)
 		if err != nil {
 			continue // all probes missed: counted as failure below
 		}
@@ -153,10 +153,10 @@ func TestJointCorrelationBeatsOutliers(t *testing.T) {
 		truthAz := rng.Uniform(-60, 60)
 		probeSet, _ := RandomProbes(rng, sector.TalonTX(), 14)
 		probes := observe(t, gain, probeSet.IDs(), truthAz, 5, model, rng)
-		if a, err := joint.estimate(context.Background(), probes, NoCell); err == nil {
+		if a, err := joint.estimate(context.Background(), probes); err == nil {
 			errJoint = append(errJoint, math.Abs(a.Az-truthAz))
 		}
-		if a, err := snrOnly.estimate(context.Background(), probes, NoCell); err == nil {
+		if a, err := snrOnly.estimate(context.Background(), probes); err == nil {
 			errSNR = append(errSNR, math.Abs(a.Az-truthAz))
 		}
 	}
@@ -232,12 +232,12 @@ func TestEstimateAoAMissingProbes(t *testing.T) {
 			probes[i].OK = false
 		}
 	}
-	if _, err := est.estimate(context.Background(), probes, NoCell); err != nil {
+	if _, err := est.estimate(context.Background(), probes); err != nil {
 		t.Fatalf("3 valid probes should still estimate: %v", err)
 	}
 	probes[2].OK = false
 	probes[1].OK = false
-	if _, err := est.estimate(context.Background(), probes, NoCell); err == nil {
+	if _, err := est.estimate(context.Background(), probes); err == nil {
 		t.Fatal("single probe accepted")
 	}
 	// SelectSector still works by falling back to the probed argmax.
@@ -300,7 +300,7 @@ func TestRefinementImprovesResolution(t *testing.T) {
 	for trial := 0; trial < 80; trial++ {
 		truthAz := rng.Uniform(-60, 60)
 		probes := observe(t, gain, sector.TalonTX(), truthAz, 5, model, rng)
-		a, err := est.estimate(context.Background(), probes, NoCell)
+		a, err := est.estimate(context.Background(), probes)
 		if err != nil {
 			continue
 		}

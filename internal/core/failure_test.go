@@ -23,7 +23,7 @@ func TestEstimatorAllProbesMissing(t *testing.T) {
 	for i := range probes {
 		probes[i] = Probe{Sector: sector.ID(i + 1)}
 	}
-	if _, err := est.estimate(context.Background(), probes, NoCell); err == nil {
+	if _, err := est.estimate(context.Background(), probes); err == nil {
 		t.Fatal("all-missing probes estimated")
 	}
 	if _, err := est.SelectSector(context.Background(), probes); err == nil {
@@ -110,7 +110,7 @@ func TestEstimatorPatternsWithHoles(t *testing.T) {
 		{Sector: 6, Meas: radio.Measurement{SNR: -2, RSSI: -74}, OK: true},
 		{Sector: 8, Meas: radio.Measurement{SNR: -6, RSSI: -78}, OK: true},
 	}
-	if _, err := est.estimate(context.Background(), probes, NoCell); err != nil {
+	if _, err := est.estimate(context.Background(), probes); err != nil {
 		t.Fatalf("holey patterns: %v", err)
 	}
 }
@@ -191,7 +191,7 @@ func TestEstimatorProbeForUnknownSector(t *testing.T) {
 	rng := stats.NewRNG(2)
 	probes := observe(t, gain, sector.TalonTX()[:8], -60, 5, quietModel(), rng)
 	probes = append(probes, Probe{Sector: 50, Meas: radio.Measurement{SNR: 11}, OK: true})
-	if _, err := est.estimate(context.Background(), probes, NoCell); err != nil {
+	if _, err := est.estimate(context.Background(), probes); err != nil {
 		t.Fatalf("unknown-sector probe: %v", err)
 	}
 }

@@ -24,6 +24,20 @@ package core
 // adversarial surfaces), the search falls back to the exhaustive dense
 // scan, so hierarchical mode never loses the disaster-guard semantics
 // of the exact path.
+//
+// A batch item may carry a hint: the Cell of its previous estimate. A
+// tracked station's angle of arrival moves a cell or two between
+// retrains, so, in the spirit of the in-sector tracking of Masoumi et
+// al. (arXiv:2308.13268), the hint cell's refineRadius window joins the
+// top-K windows in the refinement mask: one more refinement centre, no
+// second search. The contract is exact: a hinted item's result is the
+// row-major, strictly-greater argmax over the union of its top-K windows
+// and the hint window, so its score is never below the unhinted one and
+// its result equals the unhinted one unless the winner lies outside
+// every top-K window (the item is then hint-decided, counted by
+// core_warm_hits_total). A hint outside the grid is ignored, and so is
+// every hint on the exhaustive paths (the dense fallback and
+// Options.ExactSearch), which already scan every point.
 
 // Geometry of the hierarchical search. topK is sized so the seeded
 // hierarchical-vs-exhaustive equivalence suite passes while the refined
@@ -51,4 +65,32 @@ func clampIdx(i, n int) int32 {
 		return int32(n - 1)
 	}
 	return int32(i)
+}
+
+// Cell names one dense grid cell of an estimator's correlation surface,
+// used as the hint chained from a previous estimate. The zero value
+// (NoCell) means "no hint"; any other value packs the argmax (azimuth,
+// elevation) indices of the estimate that produced it. Cells are only
+// meaningful to estimators over the same pattern grid.
+type Cell int32
+
+// NoCell is the absent hint: the refinement scores the top-K windows
+// alone.
+const NoCell Cell = 0
+
+// cellOf packs dense grid indices into a non-zero Cell.
+//
+//talon:noalloc
+func cellOf(ai, ei int) Cell { return Cell(ei<<16|ai) + 1 }
+
+// split unpacks a Cell into grid indices; ok is false for NoCell.
+// Callers must still bounds-check against their own grid.
+//
+//talon:noalloc
+func (c Cell) split() (ai, ei int, ok bool) {
+	if c == NoCell {
+		return 0, 0, false
+	}
+	v := int32(c - 1)
+	return int(v & 0xffff), int(v >> 16), true
 }

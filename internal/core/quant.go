@@ -274,26 +274,66 @@ func (en *engine) coarseTopKQ(s *scanScratch, lo, hi int, it *quantItem, snrOnly
 }
 
 // refineQ rescans the dense windows around the item's kept coarse
-// candidates on the quantized dictionary: the windows are marked in the
+// candidates, and around its hint cell when the hint is inside the grid
+// (hier.go), on the quantized dictionary: the windows are marked in the
 // scan mask, so overlapping windows score each point once, and the
 // mask scan folds them strictly row-major: ties break in the same order
-// as the exhaustive scan (denseArgmaxQ).
+// as the exhaustive scan (denseArgmaxQ). A hinted item whose winner lies
+// outside every top-K window is hint-decided and counted.
 //
 //talon:noalloc
-func (en *engine) refineQ(ctx context.Context, s *scanScratch, it *quantItem, snrOnly bool) (bestA, bestE int, bestW float64, err error) {
+func (en *engine) refineQ(ctx context.Context, s *scanScratch, it *quantItem, hint Cell, snrOnly bool) (bestA, bestE int, bestW float64, err error) {
 	if err := ctx.Err(); err != nil {
 		return 0, 0, 0, err
 	}
-	numAz, numEl := len(en.az), len(en.el)
-	nCAz := len(en.cAzIdx)
+	numAz := len(en.az)
 	for k := 0; k < it.kept; k++ {
-		cell := int(it.cells[k])
-		ai, ei := int(en.cAzIdx[cell%nCAz]), int(en.cElIdx[cell/nCAz])
-		s.markRect(numAz, int(clampIdx(ai-refineRadius, numAz)), int(clampIdx(ai+refineRadius, numAz)),
-			int(clampIdx(ei-refineRadius, numEl)), int(clampIdx(ei+refineRadius, numEl)))
+		ai, ei := en.candidate(it, k)
+		en.markWindow(s, ai, ei)
+	}
+	ha, he, hinted := hint.split()
+	hinted = hinted && ha < numAz && he < len(en.el)
+	if hinted {
+		en.markWindow(s, ha, he)
 	}
 	best := en.scanMask(s, &it.qv, snrOnly)
+	if hinted && !en.inTopKWindow(it, best.a, best.e) {
+		metWarmHits.Inc()
+	}
 	return best.a, best.e, best.w, nil
+}
+
+// candidate returns the dense grid indices of the item's k-th kept
+// coarse cell.
+//
+//talon:noalloc
+func (en *engine) candidate(it *quantItem, k int) (ai, ei int) {
+	cell, nCAz := int(it.cells[k]), len(en.cAzIdx)
+	return int(en.cAzIdx[cell%nCAz]), int(en.cElIdx[cell/nCAz])
+}
+
+// markWindow marks the refineRadius window around dense cell (ai, ei),
+// clamped to the grid.
+//
+//talon:noalloc
+func (en *engine) markWindow(s *scanScratch, ai, ei int) {
+	numAz, numEl := len(en.az), len(en.el)
+	s.markRect(numAz, int(clampIdx(ai-refineRadius, numAz)), int(clampIdx(ai+refineRadius, numAz)),
+		int(clampIdx(ei-refineRadius, numEl)), int(clampIdx(ei+refineRadius, numEl)))
+}
+
+// inTopKWindow reports whether dense cell (a, e) lies in the refinement
+// window of one of the item's kept coarse candidates.
+//
+//talon:noalloc
+func (en *engine) inTopKWindow(it *quantItem, a, e int) bool {
+	for k := 0; k < it.kept; k++ {
+		ai, ei := en.candidate(it, k)
+		if max(a-ai, ai-a) <= refineRadius && max(e-ei, ei-e) <= refineRadius {
+			return true
+		}
+	}
+	return false
 }
 
 // denseArgmaxQ is the exhaustive quantized scan: every dense grid point

@@ -191,7 +191,7 @@ func TestQuantDegenerateSurface(t *testing.T) {
 	}
 	fallbacksBefore := metQuantFallbacks.Value()
 	degenerateBefore := metDegenerate.Value()
-	_, qErr := quant.estimate(context.Background(), probes, NoCell)
+	_, qErr := quant.estimate(context.Background(), probes)
 	_, sErr := quant.EstimateAoASerial(probes)
 	if !errors.Is(qErr, ErrDegenerateSurface) {
 		t.Fatalf("quant: want ErrDegenerateSurface, got %v", qErr)
@@ -231,7 +231,7 @@ func TestQuantMinimumProbes(t *testing.T) {
 
 	for n := 1; n <= 2; n++ {
 		probes := observe(t, gain, ids[:n], 10, 6, model, rng)
-		_, qErr := quant.estimate(context.Background(), probes, NoCell)
+		_, qErr := quant.estimate(context.Background(), probes)
 		_, fErr := quant.EstimateAoASerial(probes)
 		want := ErrTooFewProbes
 		if n == 2 {
@@ -350,7 +350,7 @@ func TestQuantConcurrentUse(t *testing.T) {
 	for i := range probeSets {
 		az := -70 + 140*rng.Float64()
 		probeSets[i] = observe(t, gain, sector.TalonTX(), az, 5, quietModel(), rng)
-		aoa, err := est.estimate(context.Background(), probeSets[i], NoCell)
+		aoa, err := est.estimate(context.Background(), probeSets[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +359,7 @@ func TestQuantConcurrentUse(t *testing.T) {
 	done := make(chan error, len(probeSets))
 	for i := range probeSets {
 		go func(i int) {
-			aoa, err := est.estimate(context.Background(), probeSets[i], NoCell)
+			aoa, err := est.estimate(context.Background(), probeSets[i])
 			if err == nil && !sameAoA(aoa, want[i]) {
 				err = fmt.Errorf("probe set %d: %+v != %+v", i, aoa, want[i])
 			}

@@ -32,26 +32,37 @@ func oracleScanRow(en *engine, qv *quantVec, snrOnly bool, skip []uint64, ei, lo
 }
 
 // oracleRefine is the refinement span walk the mask scan replaced: per
-// grid row, the candidate windows' az intervals sorted and merged so no
-// point is scored twice, each scanned with oracleScanRow.
-func oracleRefine(en *engine, it *quantItem, snrOnly bool) cellScore {
+// grid row, the windows' az intervals sorted and merged so no point is
+// scored twice, each scanned with oracleScanRow. The windows are the
+// kept coarse candidates' and, for a hint inside the grid, the hint
+// cell's. decided reports a hinted winner outside every candidate
+// window.
+func oracleRefine(en *engine, it *quantItem, hint Cell, snrOnly bool) (best cellScore, decided bool) {
 	type ivSpan struct{ lo, hi int32 }
 	numAz, numEl := len(en.az), len(en.el)
 	nCAz := len(en.cAzIdx)
-	var azLo, azHi, elLo, elHi [topK]int32
+	var azLo, azHi, elLo, elHi [topK + 1]int32
+	nWin := 0
+	window := func(ai, ei int) {
+		azLo[nWin] = clampIdx(ai-refineRadius, numAz)
+		azHi[nWin] = clampIdx(ai+refineRadius, numAz)
+		elLo[nWin] = clampIdx(ei-refineRadius, numEl)
+		elHi[nWin] = clampIdx(ei+refineRadius, numEl)
+		nWin++
+	}
 	for k := 0; k < it.kept; k++ {
 		cell := int(it.cells[k])
-		ai, ei := int(en.cAzIdx[cell%nCAz]), int(en.cElIdx[cell/nCAz])
-		azLo[k] = clampIdx(ai-refineRadius, numAz)
-		azHi[k] = clampIdx(ai+refineRadius, numAz)
-		elLo[k] = clampIdx(ei-refineRadius, numEl)
-		elHi[k] = clampIdx(ei+refineRadius, numEl)
+		window(int(en.cAzIdx[cell%nCAz]), int(en.cElIdx[cell/nCAz]))
 	}
-	best := cellScore{w: -1}
-	var iv [topK]ivSpan
+	ha, he, hinted := hint.split()
+	if hinted = hinted && ha < numAz && he < numEl; hinted {
+		window(ha, he)
+	}
+	best = cellScore{w: -1}
+	var iv [topK + 1]ivSpan
 	for ei := 0; ei < numEl; ei++ {
 		n := 0
-		for k := 0; k < it.kept; k++ {
+		for k := 0; k < nWin; k++ {
 			if elLo[k] <= int32(ei) && int32(ei) <= elHi[k] {
 				iv[n] = ivSpan{azLo[k], azHi[k]}
 				n++
@@ -74,21 +85,13 @@ func oracleRefine(en *engine, it *quantItem, snrOnly bool) cellScore {
 			}
 		}
 	}
-	return best
-}
-
-// oracleWarm is the warm window scan: the window's rows, each with
-// oracleScanRow.
-func oracleWarm(en *engine, qv *quantVec, hint Cell, snrOnly bool) cellScore {
-	numAz, numEl := len(en.az), len(en.el)
-	ha, he, _ := hint.split()
-	aLo, aHi := int(clampIdx(ha-warmRadius, numAz)), int(clampIdx(ha+warmRadius, numAz))
-	eLo, eHi := int(clampIdx(he-warmRadius, numEl)), int(clampIdx(he+warmRadius, numEl))
-	best := cellScore{w: -1}
-	for ei := eLo; ei <= eHi; ei++ {
-		best = oracleScanRow(en, qv, snrOnly, nil, ei, aLo, aHi, best)
+	decided = hinted
+	for k := 0; k < it.kept; k++ {
+		if azLo[k] <= int32(best.a) && int32(best.a) <= azHi[k] && elLo[k] <= int32(best.e) && int32(best.e) <= elHi[k] {
+			decided = false
+		}
 	}
-	return best
+	return best, decided
 }
 
 // oracleDense is the exhaustive scan: every row in full.
@@ -122,13 +125,13 @@ func scanItems(est *Estimator, rng *stats.RNG) []*quantItem {
 }
 
 // TestScanMaskMatchesRowOracle pins the mask scan (scan.go) to the
-// per-row scans it replaced, bit for bit in (az, el, score) and, for the
-// warm window, in its accept decision: refinement over random top-K
-// sets (overlapping windows, windows at the grid edges, any order), warm
-// windows centred at every edge and corner and at random cells, and the
-// exhaustive scan with random skip bitsets (empty to full), for both
-// block implementations and snrOnly both ways. Every scan must leave the
-// mask clear.
+// per-row scans it replaced, bit for bit in (az, el, score) and in the
+// hint-decided count: refinement over random top-K sets (overlapping
+// windows, windows at the grid edges, any order), each with no hint, a
+// hint outside the grid or a hint window at an edge, a corner or a
+// random cell, and the exhaustive scan with random skip bitsets (empty
+// to full), for both block implementations and snrOnly both ways. Every
+// scan must leave the mask clear.
 func TestScanMaskMatchesRowOracle(t *testing.T) {
 	set, _ := synthSetup(t)
 	est, err := NewEstimator(set, Options{})
@@ -151,9 +154,11 @@ func TestScanMaskMatchesRowOracle(t *testing.T) {
 			}
 		}
 	}
-	hints := []Cell{cellOf(0, 0), cellOf(numAz-1, 0), cellOf(0, numEl-1), cellOf(numAz-1, numEl-1),
+	hints := []Cell{NoCell, cellOf(numAz, numEl), cellOf(numAz-1, numEl),
+		cellOf(0, 0), cellOf(numAz-1, 0), cellOf(0, numEl-1), cellOf(numAz-1, numEl-1),
 		cellOf(numAz/2, 0), cellOf(numAz/2, numEl-1), cellOf(0, numEl/2), cellOf(numAz-1, numEl/2),
-		cellOf(warmRadius, warmRadius), cellOf(numAz-1-warmRadius, numEl-1-warmRadius)}
+		cellOf(refineRadius, refineRadius), cellOf(numAz-1-refineRadius, numEl-1-refineRadius)}
+	fixed := len(hints)
 	skip := make([]uint64, (numAz*numEl+63)/64)
 	checked := 0
 	for _, avx2 := range blockImpls() {
@@ -163,34 +168,32 @@ func TestScanMaskMatchesRowOracle(t *testing.T) {
 					label := func(kind string) string {
 						return fmt.Sprintf("%s %s item %d", kind, implName(avx2), n)
 					}
-					for r := 0; r < 12; r++ {
+					hints = hints[:fixed]
+					for r := 0; r < 6; r++ {
+						hints = append(hints, cellOf(rng.Intn(numAz), rng.Intn(numEl)))
+					}
+					for _, h := range hints {
 						it.kept = 1 + rng.Intn(topK)
 						for k, c := range rng.Perm(nCoarse)[:it.kept] {
 							it.cells[k] = int32(c)
 						}
-						a, e, w, err := en.refineQ(ctx, &s, it, snrOnly)
+						hits := metWarmHits.Value()
+						a, e, w, err := en.refineQ(ctx, &s, it, h, snrOnly)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if got, want := (cellScore{a, e, w}), oracleRefine(en, it, snrOnly); !sameCell(got, want) {
-							t.Fatalf("%s snrOnly=%v cells %v: mask %+v, span walk %+v", label("refine"), snrOnly, it.cells[:it.kept], got, want)
+						want, decided := oracleRefine(en, it, h, snrOnly)
+						if got := (cellScore{a, e, w}); !sameCell(got, want) {
+							t.Fatalf("%s snrOnly=%v cells %v hint %v: mask %+v, span walk %+v", label("refine"), snrOnly, it.cells[:it.kept], h, got, want)
+						}
+						wantHits := int64(0)
+						if decided {
+							wantHits = 1
+						}
+						if d := metWarmHits.Value() - hits; d != wantHits {
+							t.Fatalf("%s snrOnly=%v cells %v hint %v: hint-decided count advanced by %d, oracle decided %v", label("refine"), snrOnly, it.cells[:it.kept], h, d, decided)
 						}
 						clean("refine")
-						checked++
-					}
-					for r := 0; r < 6; r++ {
-						hints = append(hints[:10], cellOf(rng.Intn(numAz), rng.Intn(numEl)))
-					}
-					for _, h := range hints {
-						a, e, w, ok := en.warmArgmaxQ(&s, &it.qv, h, snrOnly)
-						want := oracleWarm(en, &it.qv, h, snrOnly)
-						if got := (cellScore{a, e, w}); !sameCell(got, want) {
-							t.Fatalf("%s snrOnly=%v hint %v: mask %+v, rows %+v", label("warm"), snrOnly, h, got, want)
-						}
-						if okRef := warmAccepts(en, want, h); ok != okRef {
-							t.Fatalf("%s snrOnly=%v hint %v: ok %v, rows %v", label("warm"), snrOnly, h, ok, okRef)
-						}
-						clean("warm")
 						checked++
 					}
 					for _, p := range []float64{0, 0.1, 0.5, 0.95, 1} {
@@ -221,21 +224,10 @@ func TestScanMaskMatchesRowOracle(t *testing.T) {
 	t.Logf("%d scans bit-identical to the per-row oracle", checked)
 }
 
-// warmAccepts applies warmArgmaxQ's guards to an oracle window result.
-func warmAccepts(en *engine, best cellScore, hint Cell) bool {
-	numAz, numEl := len(en.az), len(en.el)
-	ha, he, _ := hint.split()
-	aLo, aHi := int(clampIdx(ha-warmRadius, numAz)), int(clampIdx(ha+warmRadius, numAz))
-	eLo, eHi := int(clampIdx(he-warmRadius, numEl)), int(clampIdx(he+warmRadius, numEl))
-	return best.w >= warmThreshold &&
-		!((best.a == aLo && aLo > 0) || (best.a == aHi && aHi < numAz-1) ||
-			(best.e == eLo && eLo > 0) || (best.e == eHi && eHi < numEl-1))
-}
-
 // TestScanMaskNarrowGrid runs the mask scan on a grid narrower than a
 // block (five az points), where every block crosses at least one row
 // boundary, against the per-row oracle: the exhaustive scan with and
-// without a skip bitset, and warm windows at every cell.
+// without a skip bitset, and a lone hint window at every cell.
 func TestScanMaskNarrowGrid(t *testing.T) {
 	grid, err := geom.UniformGrid(-4, 4, 2, 0, 12, 2)
 	if err != nil {
@@ -274,12 +266,16 @@ func TestScanMaskNarrowGrid(t *testing.T) {
 						t.Fatalf("%s dense: mask %+v, rows %+v", implName(avx2), got, want)
 					}
 				}
+				it.kept = 0
 				for ei := 0; ei < numEl; ei++ {
 					for ai := 0; ai < numAz; ai++ {
 						h := cellOf(ai, ei)
-						a, e, w, _ := en.warmArgmaxQ(&s, &it.qv, h, true)
-						if got, want := (cellScore{a, e, w}), oracleWarm(en, &it.qv, h, true); !sameCell(got, want) {
-							t.Fatalf("%s warm %v: mask %+v, rows %+v", implName(avx2), h, got, want)
+						a, e, w, err := en.refineQ(context.Background(), &s, it, h, true)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want, _ := oracleRefine(en, it, h, true); !sameCell(cellScore{a, e, w}, want) {
+							t.Fatalf("%s hint %v: mask %+v, rows %+v", implName(avx2), h, cellScore{a, e, w}, want)
 						}
 					}
 				}

@@ -113,7 +113,8 @@ func (en *engine) putBatchScratch(bs *quantBatchScratch) {
 
 // selectBatchQuant runs the batch through the batch-major quantized
 // pipeline, filling out[i] with batch[i]'s selection: SelectSector's
-// for a hintless item, the warm path's (warm.go) for a hinted one.
+// for a hintless item, the hint-widened refinement's (hier.go) for a
+// hinted one.
 // Items are split into contiguous per-worker chunks; the split only
 // affects which items share a dictionary sweep, never any item's result.
 // Returns non-nil only on context cancellation, in which case out is
@@ -171,10 +172,9 @@ func (e *Estimator) selectChunk(ctx context.Context, batch []BatchItem, out []Ba
 }
 
 // quantChunk estimates one sub-chunk into items (parallel to batch, at
-// most batchChunk long): gather and quantize every item, resolve
-// warm-hinted items from their local windows, sweep the coarse
-// dictionary tiles once for the remainder of the sub-chunk, then refine
-// each remaining item. Every item it resolves gets done set, with its
+// most batchChunk long): gather and quantize every item, sweep the
+// coarse dictionary tiles once for the sub-chunk, then refine each
+// item. Every item it resolves gets done set, with its
 // estimate or its per-item error (ErrTooFewProbes, ErrDegenerateSurface)
 // in aoa/err. tiles counts the coarse tiles swept; err is non-nil only
 // on context cancellation, which leaves the unresolved items without a
@@ -189,9 +189,7 @@ func (e *Estimator) quantChunk(ctx context.Context, s *scanScratch, batch []Batc
 	defer s.flush()
 
 	// Phase 1: gather + quantize each item's probe vector. Items that
-	// fail the gather — and hinted items whose local window passes the
-	// warm guards (see warm.go) — are resolved here and skip the shared
-	// sweep entirely.
+	// fail the gather are resolved here and skip the shared sweep.
 	live := 0
 	for i := range items {
 		it := &items[i]
@@ -205,14 +203,8 @@ func (e *Estimator) quantChunk(ctx context.Context, s *scanScratch, batch []Batc
 			continue
 		}
 		it.quantize()
-		if hint := batch[i].Hint; hint != NoCell {
+		if batch[i].Hint != NoCell {
 			metWarmHints.Inc()
-			if bestA, bestE, _, ok := en.warmArgmaxQ(s, &it.qv, hint, snrOnly); ok {
-				metWarmHits.Inc()
-				it.aoa, it.done = e.quantEpilogue(it, bestA, bestE), true
-				continue
-			}
-			metWarmFallbacks.Inc()
 		}
 		live++
 	}
@@ -237,8 +229,9 @@ func (e *Estimator) quantChunk(ctx context.Context, s *scanScratch, batch []Batc
 		}
 	}
 
-	// Phase 3: per-item dense refinement, or the exhaustive scan when
-	// the coarse pass kept no candidate (always, under ExactSearch).
+	// Phase 3: per-item dense refinement (the top-K windows plus the
+	// hint's, see hier.go), or the exhaustive scan when the coarse pass
+	// kept no candidate (always, under ExactSearch).
 	for i := range items {
 		it := &items[i]
 		if it.done {
@@ -253,7 +246,7 @@ func (e *Estimator) quantChunk(ctx context.Context, s *scanScratch, batch []Batc
 			}
 			bestA, bestE, bestW, err = en.denseArgmaxQ(ctx, s, &it.qv, nil, snrOnly)
 		} else {
-			bestA, bestE, bestW, err = en.refineQ(ctx, s, it, snrOnly)
+			bestA, bestE, bestW, err = en.refineQ(ctx, s, it, batch[i].Hint, snrOnly)
 		}
 		if err != nil {
 			return tiles, err

@@ -60,7 +60,6 @@ type config struct {
 	batchWorkers     int
 	queueDepth       int
 	lossSampleStride uint64
-	warmStart        bool
 }
 
 // Option configures a Manager.
@@ -118,15 +117,6 @@ func WithLossSampleStride(n int) Option {
 	return func(c *config) { c.lossSampleStride = uint64(n) }
 }
 
-// WithWarmStart toggles warm-start re-estimation: when on (the default),
-// every training round carries the station's previous selection cell as
-// a core.BatchItem hint, letting the quantized kernel score only the
-// local window around it (falling back to the full search whenever the
-// correlation-margin guard rejects the local winner). Hints never change
-// a float64-kernel selection; on the quantized kernel they stay within
-// the warm/cold equivalence budget (see core's warm-start contract).
-func WithWarmStart(on bool) Option { return func(c *config) { c.warmStart = on } }
-
 func defaultConfig() config {
 	return config{
 		shards:           256,
@@ -139,7 +129,6 @@ func defaultConfig() config {
 		batchWorkers:     0,
 		queueDepth:       1024,
 		lossSampleStride: 16,
-		warmStart:        true,
 	}
 }
 
@@ -167,15 +156,17 @@ const stateFree = numStates
 // decide what a visited station does: lifecycle state, the one deadline
 // that can fire (retrain staleness while tracking, backoff expiry while
 // degraded) and its timer-heap position, the loss-sample residue, the
-// warm-start hint cell and the impairment flags.
+// hint cell and the impairment flags.
 type hotStation struct {
 	// deadline is the next scheduled scan action: while tracking, the
 	// staleness retrain (last training end + retrain interval); while
 	// degraded, the backoff expiry.
 	deadline time.Duration
-	// cell is the station's last selection's dense-grid cell, fed back
-	// as the next round's warm-start hint (core.NoCell after a failure
-	// or before the first selection).
+	// cell is the station's last selection's dense-grid cell, passed as
+	// the next round's core.BatchItem hint: its window joins the
+	// refinement, so the round can only find a better-scoring cell than
+	// an unhinted one (core.NoCell after a failure or before the first
+	// selection).
 	cell core.Cell
 	// sampleRes caches id % lossSampleStride so the per-epoch sampling
 	// test is one uint32 compare against a per-epoch constant.

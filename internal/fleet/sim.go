@@ -36,12 +36,6 @@ type SimConfig struct {
 	// time only, never the scorecard.
 	Workers int `json:"-"`
 
-	// ColdStart disables warm-start re-estimation (see WithWarmStart):
-	// every training round runs the full hierarchical search with no
-	// hint. The zero value (warm start on) is omitted from the JSON so
-	// pre-existing scorecards keep their bytes.
-	ColdStart bool `json:"cold_start,omitempty"`
-
 	// Per-epoch event rates as a fraction of the current population
 	// (e.g. 0.01 churns 1% of stations per epoch).
 	ChurnPerEpoch    float64 `json:"churn_per_epoch"`
@@ -212,7 +206,6 @@ func newSimManager(est *core.Estimator, patterns *pattern.Set, cfg SimConfig, ex
 		WithEpoch(time.Duration(cfg.EpochNs)),
 		WithProbeBudget(cfg.M),
 		WithBatchWorkers(cfg.Workers),
-		WithWarmStart(!cfg.ColdStart),
 	}
 	if cfg.Shards > 0 {
 		opts = append(opts, WithShards(cfg.Shards))

@@ -10,7 +10,7 @@ import (
 )
 
 // station is the cold per-link record a shard holds; the scan-hot fields
-// (state, deadline, warm-start cell, sample residue, impairment flags)
+// (state, deadline, hint cell, sample residue, impairment flags)
 // live in the parallel hotStation slice. The struct is deliberately
 // small (no retained RNG state, no per-station goroutines) so a million
 // stations stay within a couple hundred megabytes; all randomness is

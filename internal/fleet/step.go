@@ -32,7 +32,7 @@ import (
 //     vectors are synthesized into a reused arena and pushed through
 //     core.SelectSectorBatchInto serveChunk rounds at a time — the
 //     single estimation funnel for the whole fleet — each round hinted
-//     with its station's previous selection cell when warm-start is on.
+//     with its station's previous selection cell.
 //  4. Outcomes are applied: successful selections adopt the sector and
 //     transition to tracking; failures fall back to the probed argmax
 //     and degrade. Virtual selection latency (queueing + training
@@ -563,7 +563,6 @@ func (m *Manager) serveBatch(ctx context.Context, chunk []request, epochEnd time
 	// are skipped.
 	m.items = m.items[:0]
 	m.live = m.live[:0]
-	warm := m.cfg.warmStart
 	for ci, r := range chunk {
 		sh := m.shardOf(r.id)
 		sh.mu.Lock()
@@ -576,10 +575,7 @@ func (m *Manager) serveBatch(ctx context.Context, chunk []request, epochEnd time
 		dst := m.arena[ci*m.cfg.probeBudget : ci*m.cfg.probeBudget : (ci+1)*m.cfg.probeBudget]
 		probes := m.synthProbes(st, dst)
 		st.round++
-		hint := core.NoCell
-		if warm {
-			hint = sh.hot[slot].cell
-		}
+		hint := sh.hot[slot].cell
 		sh.mu.Unlock()
 		m.items = append(m.items, core.BatchItem{Probes: probes, Hint: hint})
 		m.live = append(m.live, int32(ci))
@@ -614,7 +610,7 @@ func (m *Manager) serveBatch(ctx context.Context, chunk []request, epochEnd time
 // applyOutcome finishes one training round on the station in slot
 // (shard lock held): adopt or fall back, arm the next deadline
 // (staleness retrain on success, degraded backoff on failure) and its
-// timer, refresh the warm-start hint cell and the gain caches, book the
+// timer, refresh the hint cell and the gain caches, book the
 // round's tally and park the station for the next scan.
 func (m *Manager) applyOutcome(sh *shard, slot int32, probes []core.Probe, res core.BatchResult, r request, epochEnd time.Duration) {
 	st, h := &sh.recs[slot], &sh.hot[slot]
