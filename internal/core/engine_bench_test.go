@@ -68,7 +68,7 @@ func BenchmarkEstimateAoA_Serial(b *testing.B) {
 	est, probes := benchEstimator(b, Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.EstimateAoASerial(probes); err != nil {
+		if _, err := est.estimateAoASerial(probes); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -98,7 +98,7 @@ func BenchmarkSelectSector_Serial(b *testing.B) {
 	est, probes := benchEstimator(b, Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := est.SelectSectorSerial(probes); err != nil {
+		if _, err := est.selectSectorSerial(probes); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -111,7 +111,7 @@ func TestEngineMatchesSerial(t *testing.T) {
 					label := fmt.Sprintf("m=%d trial=%d", m, trial)
 
 					gotAoA, gotErr := est.estimate(ctx, probes)
-					refAoA, refErr := est.EstimateAoASerial(probes)
+					refAoA, refErr := est.estimateAoASerial(probes)
 					if !sameErrClass(gotErr, refErr) {
 						t.Fatalf("%s: engine err %v, serial err %v", label, gotErr, refErr)
 					}
@@ -120,7 +120,7 @@ func TestEngineMatchesSerial(t *testing.T) {
 					}
 
 					gotSel, gotErr := est.SelectSector(ctx, probes)
-					refSel, refErr := est.SelectSectorSerial(probes)
+					refSel, refErr := est.selectSectorSerial(probes)
 					if !sameErrClass(gotErr, refErr) {
 						t.Fatalf("%s: select engine err %v, serial err %v", label, gotErr, refErr)
 					}
@@ -193,7 +193,7 @@ func TestEngineMatchesSerialWithHoles(t *testing.T) {
 		}
 		label := fmt.Sprintf("trial=%d", trial)
 		gotAoA, gotErr := est.estimate(ctx, probes)
-		refAoA, refErr := est.EstimateAoASerial(probes)
+		refAoA, refErr := est.estimateAoASerial(probes)
 		if !sameErrClass(gotErr, refErr) {
 			t.Fatalf("%s: engine err %v, serial err %v", label, gotErr, refErr)
 		}
@@ -214,7 +214,7 @@ func TestEngineErrorParity(t *testing.T) {
 	}
 	tooFew := []Probe{{Sector: 1, Meas: radio.Measurement{SNR: 5, RSSI: -60}, OK: true}}
 	_, engineErr := est.estimate(context.Background(), tooFew)
-	_, serialErr := est.EstimateAoASerial(tooFew)
+	_, serialErr := est.estimateAoASerial(tooFew)
 	if !errors.Is(engineErr, ErrTooFewProbes) {
 		t.Fatalf("engine: want ErrTooFewProbes, got %v", engineErr)
 	}

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"talon/internal/pattern"
 	"talon/internal/radio"
@@ -86,7 +85,7 @@ type Options struct {
 	// forces the exhaustive scan of every dense grid point on the
 	// quantized kernel, so no top-K pruning can miss the argmax. It does
 	// not make estimates bit-identical to the float64 serial reference
-	// (EstimateAoASerial): int16 rounding can still move the argmax cell
+	// (estimateAoASerial): int16 rounding can still move the argmax cell
 	// on near-tied surfaces (see DESIGN.md §15 for the divergence
 	// budgets). The default hierarchical search matches the exhaustive
 	// scan on all but adversarial surfaces at a fraction of the cost; see
@@ -247,11 +246,9 @@ func (e *Estimator) correlate(ids []sector.ID, lin []float64, az, el float64) fl
 // Options.ExactSearch pins it to the exhaustive dense scan. A float
 // epilogue re-scores the winning cell on the float64 dictionary, so
 // whenever the search picks the serial reference's cell the estimate is
-// bit-identical to EstimateAoASerial (see quantEpilogue). ctx is
+// bit-identical to estimateAoASerial (see quantEpilogue). ctx is
 // observed before each scan, and a cancelled search returns ctx.Err().
 func (e *Estimator) estimate(ctx context.Context, probes []Probe) (AoAEstimate, error) {
-	start := time.Now() //lint:allow determinism -- estimate-latency histogram reads the wall clock by design
-	defer metEstimateSeconds.ObserveSince(start)
 	bs := e.en.getBatchScratch()
 	defer e.en.putBatchScratch(bs)
 	items := bs.items[:1]
@@ -262,13 +259,13 @@ func (e *Estimator) estimate(ctx context.Context, probes []Probe) (AoAEstimate, 
 	return items[0].aoa, items[0].err
 }
 
-// EstimateAoASerial is the straight-line reference implementation of the
+// estimateAoASerial is the straight-line reference implementation of the
 // grid search: per-point Pattern.At interpolation and amplitude
 // conversion in float64, exhaustive scan, no precomputation, no
 // concurrency. It is the test oracle of the production kernel: the
 // equivalence suites (and anyone auditing the engine) check the
 // production estimate against it.
-func (e *Estimator) EstimateAoASerial(probes []Probe) (AoAEstimate, error) {
+func (e *Estimator) estimateAoASerial(probes []Probe) (AoAEstimate, error) {
 	metEstimatesSerial.Inc()
 	ids, snrLin, rssiLin, reported := e.gatherVectors(probes)
 	if reported < 2 {
@@ -389,11 +386,11 @@ func (e *Estimator) SelectSector(ctx context.Context, probes []Probe) (Selection
 	return e.finishSelection(probes, aoa, err)
 }
 
-// SelectSectorSerial runs the pipeline on the serial reference estimator;
+// selectSectorSerial runs the pipeline on the serial reference estimator;
 // the equivalence suites check SelectSector against it.
-func (e *Estimator) SelectSectorSerial(probes []Probe) (Selection, error) {
+func (e *Estimator) selectSectorSerial(probes []Probe) (Selection, error) {
 	metSelectSerial.Inc()
-	aoa, err := e.EstimateAoASerial(probes)
+	aoa, err := e.estimateAoASerial(probes)
 	return e.finishSelection(probes, aoa, err)
 }
 

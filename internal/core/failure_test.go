@@ -243,7 +243,7 @@ func TestSelectSectorNaNReading(t *testing.T) {
 		probes := observe(t, gain, ps.IDs(), -60+120*rng.Float64(), 12, quietModel(), rng)
 		probes[trial].Meas.SNR = math.NaN()
 		got, gotErr := est.SelectSector(ctx, probes)
-		want, wantErr := est.SelectSectorSerial(probes)
+		want, wantErr := est.selectSectorSerial(probes)
 		if !sameErrClass(gotErr, wantErr) {
 			t.Fatalf("trial %d: error class: production %v, oracle %v", trial, gotErr, wantErr)
 		}

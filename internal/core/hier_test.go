@@ -46,8 +46,8 @@ func production(est *Estimator) selector {
 	}
 }
 
-// oracle selects on est's float64 serial reference (SelectSectorSerial).
-func oracle(est *Estimator) selector { return est.SelectSectorSerial }
+// oracle selects on est's float64 serial reference (selectSectorSerial).
+func oracle(est *Estimator) selector { return est.selectSectorSerial }
 
 // equivCounter tallies one equivalence comparison between two selection
 // paths; name labels the pair in logs and failures.

@@ -3,14 +3,13 @@ package core
 import "talon/internal/obs"
 
 // Process-wide metrics of the estimation pipeline (see README,
-// "Observability"). All updates are single atomic operations; the
-// per-estimate overhead is two counter increments and one histogram
-// observation, far below the grid search itself.
+// "Observability"). All updates are single atomic operations, far below
+// the grid search itself; the library reads no clock per estimate
+// (callers time their own calls, and a batch observes
+// core_batch_seconds).
 var (
 	metEstimates = obs.NewCounter("core_estimates_total",
 		"angle-of-arrival estimates run on the correlation engine")
-	metEstimateSeconds = obs.NewHistogram("core_estimate_seconds",
-		"wall time of one engine-backed grid search", nil)
 	metEstimatesSerial = obs.NewCounter("core_estimates_serial_total",
 		"estimates run on the serial reference path")
 	metDictBuildSeconds = obs.NewHistogram("core_dict_build_seconds",

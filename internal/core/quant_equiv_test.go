@@ -20,7 +20,7 @@ import (
 
 // Equivalence gate of the production path — the quantized int16 kernel
 // (quant.go) behind the default hierarchical search — against the
-// float64 serial oracle (SelectSectorSerial / EstimateAoASerial). Any
+// float64 serial oracle (selectSectorSerial / estimateAoASerial). Any
 // divergence is quantization noise or top-K pruning. The gate is ≤1%
 // sector divergence (equivCounter.assertRate), AoA within one
 // coarse-cell diagonal, over seeded clean and Standard60GHz faulty
@@ -192,7 +192,7 @@ func TestQuantDegenerateSurface(t *testing.T) {
 	fallbacksBefore := metQuantFallbacks.Value()
 	degenerateBefore := metDegenerate.Value()
 	_, qErr := quant.estimate(context.Background(), probes)
-	_, sErr := quant.EstimateAoASerial(probes)
+	_, sErr := quant.estimateAoASerial(probes)
 	if !errors.Is(qErr, ErrDegenerateSurface) {
 		t.Fatalf("quant: want ErrDegenerateSurface, got %v", qErr)
 	}
@@ -232,7 +232,7 @@ func TestQuantMinimumProbes(t *testing.T) {
 	for n := 1; n <= 2; n++ {
 		probes := observe(t, gain, ids[:n], 10, 6, model, rng)
 		_, qErr := quant.estimate(context.Background(), probes)
-		_, fErr := quant.EstimateAoASerial(probes)
+		_, fErr := quant.estimateAoASerial(probes)
 		want := ErrTooFewProbes
 		if n == 2 {
 			want = ErrDegenerateSurface
@@ -254,7 +254,7 @@ func TestQuantMinimumProbes(t *testing.T) {
 		az := -70 + 140*rng.Float64()
 		probes := observe(t, gain, ps.IDs(), az, 8, model, rng)
 		qSel, qErr := quant.SelectSector(context.Background(), probes)
-		fSel, fErr := quant.SelectSectorSerial(probes)
+		fSel, fErr := quant.selectSectorSerial(probes)
 		if !sameErrClass(qErr, fErr) {
 			t.Fatalf("trial=%d: error parity broken: quant %v, serial %v", trial, qErr, fErr)
 		}

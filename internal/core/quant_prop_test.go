@@ -12,6 +12,20 @@ import (
 // amplitude code table — the layer whose rounding behaviour the
 // equivalence suite's divergence budget ultimately rests on.
 
+// dequantizeProbe decodes a probe code back to dB: the codec's inverse,
+// kept as the oracle of its round-trip bounds. Out-of-range codes
+// clamp to the window bounds. Round-tripping any in-window dB value
+// through quantizeProbe changes it by at most probeStepDB/2.
+func dequantizeProbe(code int16) float64 {
+	switch {
+	case code < 0:
+		code = 0
+	case code > ProbeCodeMax:
+		code = ProbeCodeMax
+	}
+	return radio.SNRMinDB + float64(code)*probeStepDB
+}
+
 // TestProbeCodecLatticeLossless: every value real firmware can report —
 // the quarter-dB lattice across the clamp window — must round-trip
 // through the codec exactly. The probe lattice subdivides the hardware
@@ -20,7 +34,7 @@ func TestProbeCodecLatticeLossless(t *testing.T) {
 	steps := int((radio.SNRMaxDB - radio.SNRMinDB) / radio.SNRQuantumDB)
 	for i := 0; i <= steps; i++ {
 		db := radio.SNRMinDB + float64(i)*radio.SNRQuantumDB
-		got := DequantizeProbe(QuantizeProbe(db))
+		got := dequantizeProbe(quantizeProbe(db))
 		if got != db {
 			t.Fatalf("hardware lattice value %.4f dB round-trips to %.4f", db, got)
 		}
@@ -34,7 +48,7 @@ func TestProbeCodecRoundTrip(t *testing.T) {
 	rng := stats.NewRNG(61)
 	for i := 0; i < 10000; i++ {
 		db := radio.SNRMinDB + (radio.SNRMaxDB-radio.SNRMinDB)*rng.Float64()
-		got := DequantizeProbe(QuantizeProbe(db))
+		got := dequantizeProbe(quantizeProbe(db))
 		if math.Abs(got-db) > probeStepDB/2+1e-12 {
 			t.Fatalf("%.6f dB round-trips to %.6f (err %.6f > %.6f)",
 				db, got, math.Abs(got-db), probeStepDB/2)
@@ -60,17 +74,17 @@ func TestProbeCodecSaturation(t *testing.T) {
 		{math.NaN(), 0},
 	}
 	for _, tc := range cases {
-		if got := QuantizeProbe(tc.db); got != tc.code {
-			t.Errorf("QuantizeProbe(%v) = %d, want %d", tc.db, got, tc.code)
+		if got := quantizeProbe(tc.db); got != tc.code {
+			t.Errorf("quantizeProbe(%v) = %d, want %d", tc.db, got, tc.code)
 		}
 	}
 	// Dequantize clamps out-of-range codes instead of reading out of the
 	// window.
-	if got := DequantizeProbe(-5); got != radio.SNRMinDB {
-		t.Errorf("DequantizeProbe(-5) = %v, want window floor %v", got, radio.SNRMinDB)
+	if got := dequantizeProbe(-5); got != radio.SNRMinDB {
+		t.Errorf("dequantizeProbe(-5) = %v, want window floor %v", got, radio.SNRMinDB)
 	}
-	if got := DequantizeProbe(ProbeCodeMax + 100); got != radio.SNRMaxDB {
-		t.Errorf("DequantizeProbe(max+100) = %v, want window top %v", got, radio.SNRMaxDB)
+	if got := dequantizeProbe(ProbeCodeMax + 100); got != radio.SNRMaxDB {
+		t.Errorf("dequantizeProbe(max+100) = %v, want window top %v", got, radio.SNRMaxDB)
 	}
 }
 
@@ -84,9 +98,9 @@ func TestProbeCodecMonotone(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		if QuantizeProbe(a) > QuantizeProbe(b) {
+		if quantizeProbe(a) > quantizeProbe(b) {
 			t.Fatalf("monotonicity broken: Q(%.4f)=%d > Q(%.4f)=%d",
-				a, QuantizeProbe(a), b, QuantizeProbe(b))
+				a, quantizeProbe(a), b, quantizeProbe(b))
 		}
 	}
 }
@@ -136,7 +150,7 @@ func TestQuantizeVecLatticeAligned(t *testing.T) {
 			maxDB = math.Max(maxDB, v)
 		}
 		for i, v := range db {
-			c := ampCodes[QuantizeProbe(v-off)]
+			c := ampCodes[quantizeProbe(v-off)]
 			// Reconstruct the expected code: distance below the vector max
 			// in probe steps, saturating at the floor.
 			steps := math.Round((maxDB - db[i]) / probeStepDB)
@@ -189,16 +203,16 @@ func FuzzQuantizeProbe(f *testing.F) {
 	f.Add(math.Inf(-1))
 	f.Add(math.NaN())
 	f.Fuzz(func(t *testing.T, db float64) {
-		code := QuantizeProbe(db)
+		code := quantizeProbe(db)
 		if code < 0 || code > ProbeCodeMax {
-			t.Fatalf("QuantizeProbe(%v) = %d outside [0, %d]", db, code, ProbeCodeMax)
+			t.Fatalf("quantizeProbe(%v) = %d outside [0, %d]", db, code, ProbeCodeMax)
 		}
-		back := DequantizeProbe(code)
+		back := dequantizeProbe(code)
 		if back < radio.SNRMinDB || back > radio.SNRMaxDB {
-			t.Fatalf("DequantizeProbe(%d) = %v outside the window", code, back)
+			t.Fatalf("dequantizeProbe(%d) = %v outside the window", code, back)
 		}
 		if !math.IsNaN(db) {
-			if up := QuantizeProbe(db + 1); !math.IsNaN(db+1) && up < code {
+			if up := quantizeProbe(db + 1); !math.IsNaN(db+1) && up < code {
 				t.Fatalf("monotonicity broken: Q(%v)=%d > Q(%v)=%d", db, code, db+1, up)
 			}
 			if db >= radio.SNRMinDB && db <= radio.SNRMaxDB {

@@ -100,7 +100,7 @@ func FuzzSelectSector(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		probes := decodeFuzzProbes(data)
 		sel, selErr := est.SelectSector(ctx, probes)
-		_, refErr := est.SelectSectorSerial(probes)
+		_, refErr := est.selectSectorSerial(probes)
 		if !sameErrClass(selErr, refErr) {
 			t.Fatalf("SelectSector error %v, serial oracle error %v", selErr, refErr)
 		}
