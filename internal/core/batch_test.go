@@ -53,13 +53,29 @@ func selectOne(t *testing.T, est *Estimator, it BatchItem) BatchResult {
 // (selectOne) returns for batch[i]'s probes and hint, including
 // per-item errors, at any worker count, and advances the hint counters
 // by exactly as much as the per-call loop. A NoCell or out-of-grid hint
-// selects exactly as SelectSector.
+// selects exactly as SelectSector. It runs on the default search and on
+// the exhaustive scan (ExactSearch), which ignores hints, so no hinted
+// item is decided by its hint there.
 func TestBatchMatchesSelectSector(t *testing.T) {
 	set, gain := synthSetup(t)
-	est, err := NewEstimator(set, Options{})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{{"hier", Options{}}, {"exhaustive", Options{ExactSearch: true}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			est, err := NewEstimator(set, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if est.en.hier() == tc.opts.ExactSearch {
+				t.Fatalf("hierarchy built = %v under %+v", est.en.hier(), tc.opts)
+			}
+			testBatchMatchesSelectSector(t, est, gain)
+		})
 	}
+}
+
+func testBatchMatchesSelectSector(t *testing.T, est *Estimator, gain func(sector.ID, float64, float64) float64) {
 	rng := stats.NewRNG(314)
 	model := radio.DefaultMeasurementModel()
 	ctx := context.Background()
@@ -115,6 +131,9 @@ func TestBatchMatchesSelectSector(t *testing.T) {
 	wantHints := hintDelta(before)
 	if wantHints[0] != 30 {
 		t.Fatalf("hint counter advanced by %d, want one per hinted item (30)", wantHints[0])
+	}
+	if !est.en.hier() && wantHints[1] != 0 {
+		t.Fatalf("exhaustive scan: %d items decided by their hint, want 0", wantHints[1])
 	}
 
 	for _, workers := range []int{0, 1, 3, 64} {

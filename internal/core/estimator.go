@@ -87,9 +87,12 @@ type Options struct {
 	// not make estimates bit-identical to the float64 serial reference
 	// (estimateAoASerial): int16 rounding can still move the argmax cell
 	// on near-tied surfaces (see DESIGN.md §15 for the divergence
-	// budgets). The default hierarchical search matches the exhaustive
-	// scan on all but adversarial surfaces at a fraction of the cost; see
-	// hier.go and DESIGN.md §12 for the trade-off.
+	// budgets). It costs about 3× the default hierarchical search per
+	// estimate and is not the better estimator: its Figure 9 loss is
+	// higher or equal at every M ≤ 20, and lower only on a few rows at
+	// M ≥ 22, by at most 0.02 dB (EXPERIMENTS.md, "Exhaustive scan
+	// against the default search"). See hier.go and DESIGN.md §12 for
+	// the trade-off.
 	ExactSearch bool
 }
 

@@ -59,9 +59,8 @@ type Config struct {
 }
 
 // NewConfig returns a Config whose environment study is computed at
-// most once and shared by every study run with this Config (fig7–9,
-// fig11, headline, ablations, retraining, blockage and faultsweep all
-// start from the same scans).
+// most once and shared by every study run with this Config (fig7,
+// fig8, fig9 and headline all start from the same scans).
 func NewConfig(f Fidelity, seed int64) Config {
 	return Config{Fidelity: f, Seed: seed, env: &envMemo{}}
 }
