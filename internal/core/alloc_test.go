@@ -219,7 +219,8 @@ func TestBatchScratchBounded(t *testing.T) {
 	for i := range bs.items {
 		it := &bs.items[i]
 		for _, c := range []int{cap(it.snrDB), cap(it.rssiDB), cap(it.dS), cap(it.dR),
-			cap(it.qv.cols), cap(it.qv.colsC), cap(it.qv.ps), cap(it.qv.pr)} {
+			cap(it.qv.cols), cap(it.qv.colsC), cap(it.qv.ps), cap(it.qv.pr),
+			cap(it.qv.pairS), cap(it.qv.pairR), cap(it.qv.offQ), cap(it.qv.offC)} {
 			if c > limit {
 				t.Fatalf("item %d keeps a %d-entry buffer, want <= %d", i, c, limit)
 			}

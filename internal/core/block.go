@@ -102,7 +102,7 @@ func scoreBlocks(d []int16, row int, starts []int32, used []uint8, qv *quantVec,
 	}
 	checkBlockList(d, row, starts, qv)
 	if useAVX2 {
-		scoreBlocksAVX2(&d[0], row, &starts[0], nb, &qv.colsC[0], &qv.ps[0], &qv.pr[0], len(qv.colsC), &qv.k, snrOnly, &used[0], &out[0], &pos[0])
+		scoreBlocksAVX2(&d[0], &starts[0], nb, &qv.offsets(row)[0], &qv.pairS[0], &qv.pairR[0], len(qv.colsC), &qv.k, snrOnly, &used[0], &out[0], &pos[0])
 		return
 	}
 	for b, st := range starts {
@@ -149,7 +149,7 @@ func argmaxBlocks(d []int16, row int, starts []int32, used []uint8, qv *quantVec
 	checkBlockList(d, row, starts, qv)
 	if useAVX2 {
 		lb := laneBest{w: [4]float64{-1, -1, -1, -1}}
-		argmaxBlocksAVX2(&d[0], row, &starts[0], nb, &qv.colsC[0], &qv.ps[0], &qv.pr[0], len(qv.colsC), &qv.k, snrOnly, &used[0], &lb)
+		argmaxBlocksAVX2(&d[0], &starts[0], nb, &qv.offsets(row)[0], &qv.pairS[0], &qv.pairR[0], len(qv.colsC), &qv.k, snrOnly, &used[0], &lb)
 		pt, w = int(lb.pt[0]), lb.w[0]
 		for k := 1; k < len(lb.w); k++ {
 			if lb.w[k] > w || lb.w[k] == w && int(lb.pt[k]) < pt {

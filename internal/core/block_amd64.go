@@ -34,15 +34,16 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // scoreBlocksAVX2 is scoreBlocks' moments, finish and positive-lane
-// bytes on AVX2: d points at lane 0 of column 0, row is the column
-// pitch in codes, starts and used hold the nb block starts and their
-// used lanes, cols, ps and pr are the n correlated components, block
-// b's eight lanes go to out[8b …] and its positive used lanes to
-// pos[b]. The caller has bounds-checked every load, passes nb >= 1 and
+// bytes on AVX2: d points at lane 0 of column 0, starts and used hold
+// the nb block starts and their used lanes, offs are the n correlated
+// components' columns as byte offsets from d (quantVec.offsets), pairS
+// and pairR their probe codes as int16 pairs (quantVec), block b's eight
+// lanes go to out[8b …] and its positive used lanes to pos[b]. The
+// caller has bounds-checked every load, passes nb >= 1 and n >= 3 and
 // has handled the per-item degenerate cases.
 //
 //go:noescape
-func scoreBlocksAVX2(d *int16, row int, starts *int32, nb int, cols, ps, pr *int32, n int, k *blockConsts, snrOnly bool, used *uint8, out *float64, pos *uint8)
+func scoreBlocksAVX2(d *int16, starts *int32, nb int, offs, pairS, pairR *int32, n int, k *blockConsts, snrOnly bool, used *uint8, out *float64, pos *uint8)
 
 // argmaxBlocksAVX2 is argmaxBlocks' fused fold on AVX2: the block walk
 // of scoreBlocksAVX2, folding each block's lanes marked in used (one
@@ -50,4 +51,4 @@ func scoreBlocksAVX2(d *int16, row int, starts *int32, nb int, cols, ps, pr *int
 // conditions are scoreBlocksAVX2's.
 //
 //go:noescape
-func argmaxBlocksAVX2(d *int16, row int, starts *int32, nb int, cols, ps, pr *int32, n int, k *blockConsts, snrOnly bool, used *uint8, best *laneBest)
+func argmaxBlocksAVX2(d *int16, starts *int32, nb int, offs, pairS, pairR *int32, n int, k *blockConsts, snrOnly bool, used *uint8, best *laneBest)

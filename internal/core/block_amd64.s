@@ -103,29 +103,38 @@ GLOBL laneBit<>(SB), RODATA|NOPTR, $64
 	VCVTDQ2PD    X7, Y7
 
 // Both kernels share the block walk: R11 steps through the block
-// starts, R12 counts the blocks down, SI is lane 0 of column 0, DX the
-// column pitch in bytes, and R8, R9, R10 point one past the last
-// correlated component's column, SNR code and RSSI code, so the moment
-// loop runs an index BX from −n up to 0. Moments: per component, the
-// column's eight uint16 codes widen to int32 lanes (VPMOVZXWD); Σx adds
-// them, and VPMADDWD forms x², ps·x and pr·x. Each widened lane is
-// (x, 0) as an int16 pair and each broadcast code (p, 0), so the
-// pairwise multiply-add is exactly the int32 product x·p: codes are at
-// most quantOne < 2¹⁵.
+// starts, R12 counts the blocks down, SI is lane 0 of column 0, DX is 1
+// for an odd component count, and R8, R9, R10 point one past the last
+// pair's column offsets, SNR pair word and RSSI pair word, so the pair
+// loop runs an index BX from −n/2 up to 0 and an odd count's last
+// component sits at R8, R9, R10 themselves. Moments, two components at
+// a time (PAIR): each column's eight uint16 codes widen to int32 lanes
+// (VPMOVZXWD); Σx adds both, and shifting the second into the high
+// halves interleaves them into (x₂ⱼ, x₂ⱼ₊₁) int16 pairs, so one
+// VPMADDWD each forms x₂ⱼ² + x₂ⱼ₊₁², and against the broadcast pair
+// words ps₂ⱼ·x₂ⱼ + ps₂ⱼ₊₁·x₂ⱼ₊₁ and the same for pr. Codes are at most
+// quantOne < 2¹⁵, so every int16 operand is its code and every pair sum,
+// below 2·quantOne², is exact; each int32 moment is then a regrouping
+// of the per-component sums the unpaired step (MOMENT) adds, and every
+// partial sum stays below quantMaxComponents·quantOne² < 2³¹, so every
+// moment is the same integer. MOMENT is the odd count's last component
+// alone: the widened lanes are (x, 0) int16 pairs and its pair words
+// (p, 0), so the pairwise multiply-add is exactly the product x·p.
 #define BLOCK_ARGS \
 	MOVQ         d+0(FP), SI; \
-	MOVQ         row+8(FP), DX; \
-	SHLQ         $1, DX; \
-	MOVQ         starts+16(FP), R11; \
-	MOVQ         nb+24(FP), R12; \
-	MOVQ         n+56(FP), AX; \
-	MOVQ         cols+32(FP), R8; \
-	MOVQ         ps+40(FP), R9; \
-	MOVQ         pr+48(FP), R10; \
-	LEAQ         (R8)(AX*4), R8; \
+	MOVQ         starts+8(FP), R11; \
+	MOVQ         nb+16(FP), R12; \
+	MOVQ         n+48(FP), DX; \
+	MOVQ         DX, AX; \
+	SHRQ         $1, AX; \
+	ANDQ         $1, DX; \
+	MOVQ         offs+24(FP), R8; \
+	MOVQ         pairS+32(FP), R9; \
+	MOVQ         pairR+40(FP), R10; \
+	LEAQ         (R8)(AX*8), R8; \
 	LEAQ         (R9)(AX*4), R9; \
 	LEAQ         (R10)(AX*4), R10; \
-	MOVQ         k+64(FP), AX; \
+	MOVQ         k+56(FP), AX; \
 	VBROADCASTSD 0(AX), Y8; \
 	VBROADCASTSD 8(AX), Y9; \
 	VBROADCASTSD 16(AX), Y10; \
@@ -139,15 +148,33 @@ GLOBL laneBit<>(SB), RODATA|NOPTR, $64
 	VPXOR   Y1, Y1, Y1; \
 	VPXOR   Y2, Y2, Y2; \
 	VPXOR   Y3, Y3, Y3; \
-	MOVQ    n+56(FP), BX; \
+	MOVQ    n+48(FP), BX; \
+	SHRQ    $1, BX; \
 	NEGQ    BX
 
-#define MOMENT \
-	MOVLQSX      (R8)(BX*4), AX; \
-	IMULQ        DX, AX; \
+#define PAIR \
+	MOVLQSX      (R8)(BX*8), AX; \
 	VPMOVZXWD    (R13)(AX*1), Y4; \
+	MOVLQSX      4(R8)(BX*8), AX; \
+	VPMOVZXWD    (R13)(AX*1), Y5; \
+	VPADDD       Y4, Y5, Y7; \
+	VPADDD       Y7, Y0, Y0; \
+	VPSLLD       $16, Y5, Y5; \
+	VPOR         Y5, Y4, Y4; \
 	VPBROADCASTD (R9)(BX*4), Y5; \
 	VPBROADCASTD (R10)(BX*4), Y6; \
+	VPMADDWD     Y4, Y4, Y7; \
+	VPADDD       Y7, Y1, Y1; \
+	VPMADDWD     Y5, Y4, Y5; \
+	VPADDD       Y5, Y2, Y2; \
+	VPMADDWD     Y6, Y4, Y6; \
+	VPADDD       Y6, Y3, Y3
+
+#define MOMENT \
+	MOVLQSX      (R8), AX; \
+	VPMOVZXWD    (R13)(AX*1), Y4; \
+	VPBROADCASTD (R9), Y5; \
+	VPBROADCASTD (R10), Y6; \
 	VPADDD       Y4, Y0, Y0; \
 	VPMADDWD     Y4, Y4, Y7; \
 	VPADDD       Y7, Y1, Y1; \
@@ -155,6 +182,19 @@ GLOBL laneBit<>(SB), RODATA|NOPTR, $64
 	VPADDD       Y5, Y2, Y2; \
 	VPMADDWD     Y6, Y4, Y6; \
 	VPADDD       Y6, Y3, Y3
+
+// MOMENTS takes every component's moments of the block at R13: the
+// pair loop (n >= 3, so at least one pair), then an odd count's last
+// component.
+#define MOMENTS(pairs, done) \
+pairs: \
+	PAIR; \
+	INCQ BX; \
+	JNZ  pairs; \
+	TESTQ DX, DX; \
+	JZ   done; \
+	MOMENT; \
+done:
 
 // POS_LO stores the low half's four scores at 0(DI) and leaves in AX
 // the bits of the positive ones (above Y15 = +0); POS_HI stores the
@@ -194,27 +234,22 @@ GLOBL laneBit<>(SB), RODATA|NOPTR, $64
 	VBLENDVPD    Y5, Y6, Y15, Y15; \
 	VBLENDVPD    Y5, Y4, Y13, Y13
 
-// func scoreBlocksAVX2(d *int16, row int, starts *int32, nb int, cols, ps, pr *int32, n int, k *blockConsts, snrOnly bool, used *uint8, out *float64, pos *uint8)
+// func scoreBlocksAVX2(d *int16, starts *int32, nb int, offs, pairS, pairR *int32, n int, k *blockConsts, snrOnly bool, used *uint8, out *float64, pos *uint8)
 //
 // The finish constants are broadcast once; then, per block start, the
 // moments and the finish of eight lanes, whose scores go to out and
 // whose positive used lanes to pos.
-TEXT ·scoreBlocksAVX2(SB), NOSPLIT, $0-104
+TEXT ·scoreBlocksAVX2(SB), NOSPLIT, $0-96
 	BLOCK_ARGS
 	VXORPD Y15, Y15, Y15
-	MOVQ   used+80(FP), R14
-	MOVQ   out+88(FP), DI
-	MOVQ   pos+96(FP), CX
+	MOVQ   used+72(FP), R14
+	MOVQ   out+80(FP), DI
+	MOVQ   pos+88(FP), CX
 
 block:
 	BLOCK_START
-
-moments:
-	MOMENT
-	INCQ BX
-	JNZ  moments
-
-	CMPB snrOnly+72(FP), $0
+	MOMENTS(pairs, finish)
+	CMPB snrOnly+64(FP), $0
 	JNE  snronly
 
 	HALF_LO
@@ -249,28 +284,23 @@ next:
 	VZEROUPPER
 	RET
 
-// func argmaxBlocksAVX2(d *int16, row int, starts *int32, nb int, cols, ps, pr *int32, n int, k *blockConsts, snrOnly bool, used *uint8, best *laneBest)
+// func argmaxBlocksAVX2(d *int16, starts *int32, nb int, offs, pairS, pairR *int32, n int, k *blockConsts, snrOnly bool, used *uint8, best *laneBest)
 //
 // The block walk of scoreBlocksAVX2 with ARGMAX in place of the stores:
 // the running best is loaded from best, folded over every block and
 // stored back. DI steps through the used bytes.
-TEXT ·argmaxBlocksAVX2(SB), NOSPLIT, $0-96
+TEXT ·argmaxBlocksAVX2(SB), NOSPLIT, $0-88
 	BLOCK_ARGS
-	MOVQ    used+80(FP), DI
-	MOVQ    best+88(FP), AX
+	MOVQ    used+72(FP), DI
+	MOVQ    best+80(FP), AX
 	VMOVUPD 0(AX), Y15
 	VMOVDQU 32(AX), Y13
 
 block:
 	BLOCK_START
-
-moments:
-	MOMENT
-	INCQ BX
-	JNZ  moments
-
+	MOMENTS(pairs, finish)
 	MOVLQSX (R11), AX
-	CMPB    snrOnly+72(FP), $0
+	CMPB    snrOnly+64(FP), $0
 	JNE     snronly
 
 	HALF_LO
@@ -300,7 +330,7 @@ next:
 	INCQ DI
 	DECQ R12
 	JNZ  block
-	MOVQ    best+88(FP), AX
+	MOVQ    best+80(FP), AX
 	VMOVUPD Y15, 0(AX)
 	VMOVDQU Y13, 32(AX)
 	VZEROUPPER

@@ -255,12 +255,37 @@ func randomProbes(rng *stats.RNG, m int, pOK float64) []Probe {
 	return probes
 }
 
-// quantOf gathers and quantizes probes on est's engine.
+// quantOf gathers and quantizes probes on est's engine, packed for its
+// two dictionary pitches as the estimate path packs them.
 func quantOf(est *Estimator, probes []Probe) *quantItem {
 	it := &quantItem{}
 	est.gatherQuant(it, probes)
-	it.quantize()
+	it.quantize(est.en.rowQ, est.en.rowC)
 	return it
+}
+
+// packed quantizes it again — the production quantize, so the pair
+// words and column offsets are the ones the kernel reads — for
+// dictionaries of rowQ and rowC codes per column, and returns its
+// quantVec.
+func packed(it *quantItem, rowQ, rowC int) *quantVec {
+	it.quantize(rowQ, rowC)
+	return &it.qv
+}
+
+// repeatProbes returns n probes over the TX sectors in turn (sectors
+// repeat past 34), all reported, with random lattice readings: a vector
+// of any component count up to the cap and past it.
+func repeatProbes(rng *stats.RNG, n int) []Probe {
+	ids := sector.TalonTX()
+	probes := make([]Probe, n)
+	for i := range probes {
+		probes[i] = Probe{Sector: ids[i%len(ids)], OK: true, Meas: radio.Measurement{
+			SNR:  math.Round(-40+100*rng.Float64()) / 4,
+			RSSI: -70 + math.Round(-40+100*rng.Float64())/4,
+		}}
+	}
+	return probes
 }
 
 // TestQuantBlockMatchesScalar pins the block-list kernel — the AVX2
@@ -286,9 +311,27 @@ func TestQuantBlockMatchesScalar(t *testing.T) {
 	}
 	rng := stats.NewRNG(73)
 	lanes := 0
+	odd, even := 0, 0
 	for m := 3; m <= len(sector.TalonTX()); m++ {
 		it := quantOf(est, randomProbes(rng, m, 0.8))
+		if it.qv.n%2 == 1 {
+			odd++
+		} else {
+			even++
+		}
 		lanes += checkEngineBlocks(t, "random", en, &it.qv, rng)
+	}
+	if odd == 0 || even == 0 {
+		t.Fatalf("random items: %d odd and %d even component counts, want both", odd, even)
+	}
+	// The smallest count the kernel scores (one pair and the unpaired
+	// step) and the cap's odd and even neighbours.
+	for _, n := range []int{3, 4, 5, quantMaxComponents - 1, quantMaxComponents, quantMaxComponents + 5} {
+		it := quantOf(est, repeatProbes(rng, n))
+		if want := int32(min(n, quantMaxComponents)); it.qv.n != want {
+			t.Fatalf("%d-probe item correlates %d components, want %d", n, it.qv.n, want)
+		}
+		lanes += checkEngineBlocks(t, fmt.Sprintf("n=%d", it.qv.n), en, &it.qv, rng)
 	}
 
 	// Fewer than three components: every lane scores 0.
@@ -342,7 +385,7 @@ func TestQuantBlockMatchesScalar(t *testing.T) {
 	}
 	for m := 3; m <= len(sector.TalonTX()); m += 5 {
 		it := quantOf(est, randomProbes(rng, m, 0.9))
-		lanes += checkBlocks(t, "flat points", d, row, nPts, &it.qv, nil, rng)
+		lanes += checkBlocks(t, "flat points", d, row, nPts, packed(it, row, 0), nil, rng)
 	}
 
 	// The moment bound: quantMaxComponents components (sectors repeat)
@@ -356,16 +399,18 @@ func TestQuantBlockMatchesScalar(t *testing.T) {
 			RSSI: []float64{-50, -70}[(i/2)%2],
 		}}
 	}
-	it = quantOf(est, probes)
-	if it.qv.n != quantMaxComponents {
-		t.Fatalf("moment-bound item correlates %d components, want %d", it.qv.n, quantMaxComponents)
-	}
 	for c := 0; c < stride; c++ {
 		for pt := 0; pt < nPts; pt += 2 {
 			d[c*row+pt] = quantOne
 		}
 	}
-	lanes += checkBlocks(t, "moment bound", d, row, nPts, &it.qv, nil, rng)
+	for _, n := range []int{quantMaxComponents - 1, quantMaxComponents} {
+		it = quantOf(est, probes[:n])
+		if it.qv.n != int32(n) {
+			t.Fatalf("moment-bound item correlates %d components, want %d", it.qv.n, n)
+		}
+		lanes += checkBlocks(t, fmt.Sprintf("moment bound n=%d", n), d, row, nPts, packed(it, row, 0), nil, rng)
+	}
 	t.Logf("%d lanes bit-identical", lanes)
 }
 
@@ -521,7 +566,7 @@ func TestFusedArgmaxMatchesFold(t *testing.T) {
 	for r := 0; r < 8; r++ {
 		d, row := tieDict(rng, en.stride, 61+r*13)
 		for _, it := range items[:6] {
-			lists += checkArgmax(t, fmt.Sprintf("ties %d", r), d, row, 61+r*13, &it.qv, nil, rng)
+			lists += checkArgmax(t, fmt.Sprintf("ties %d", r), d, row, 61+r*13, packed(it, row, 0), nil, rng)
 		}
 	}
 	flat := make([]int16, en.stride*(45+blockLanes))
@@ -529,7 +574,7 @@ func TestFusedArgmaxMatchesFold(t *testing.T) {
 		flat[i] = quantOne / 2
 	}
 	for _, it := range items {
-		lists += checkArgmax(t, "flat", flat, 45+blockLanes, 45, &it.qv, nil, rng)
+		lists += checkArgmax(t, "flat", flat, 45+blockLanes, 45, packed(it, 45+blockLanes, 0), nil, rng)
 	}
 	t.Logf("%d block lists folded identically", lists)
 }

@@ -73,7 +73,9 @@ func (s *peakSearch) next(ctx context.Context) (pk AoAEstimate, ok bool, err err
 	l := ix.Locate(s.last.Az, s.last.El)
 	cancelPath(ix, l, s.probes, it.snrDB)
 	cancelPath(ix, l, s.probes, it.rssiDB)
-	it.quantize()
+	it.offS = windowOffset(inDictMax(it.snrDB, it.qv.cols))
+	it.offR = windowOffset(inDictMax(it.rssiDB, it.qv.cols))
+	it.quantize(en.rowQ, en.rowC)
 	bestA, bestE, bestW, err := en.denseArgmaxQ(ctx, s.scan, &it.qv, s.skip, e.opts.SNROnly)
 	s.scan.flush()
 	if err != nil || bestW <= 0 {

@@ -144,7 +144,7 @@ func TestQuantizeVecLatticeAligned(t *testing.T) {
 			db[i] = offset + q
 			cols[i] = int16(i)
 		}
-		off := windowOffset(db, cols)
+		off := windowOffset(inDictMax(db, cols))
 		maxDB := math.Inf(-1)
 		for _, v := range db {
 			maxDB = math.Max(maxDB, v)

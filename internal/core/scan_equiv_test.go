@@ -109,12 +109,17 @@ func sameCell(a, b cellScore) bool {
 }
 
 // scanItems draws the probe items the scan tests run: random vectors of
-// 3 to 34 probes with dropped ones, a two-probe item (every lane 0) and
-// a constant-SNR item (degenerate).
+// 3 to 34 probes with dropped ones, vectors of exactly 3, 4, 63 and 64
+// components (the smallest scored count and the cap's odd and even
+// neighbours), a two-probe item (every lane 0) and a constant-SNR item
+// (degenerate).
 func scanItems(est *Estimator, rng *stats.RNG) []*quantItem {
 	var items []*quantItem
 	for m := 3; m <= len(sector.TalonTX()); m++ {
 		items = append(items, quantOf(est, randomProbes(rng, m, 0.8)))
+	}
+	for _, n := range []int{3, 4, quantMaxComponents - 1, quantMaxComponents} {
+		items = append(items, quantOf(est, repeatProbes(rng, n)))
 	}
 	items = append(items, quantOf(est, randomProbes(rng, 2, 1)))
 	flat := randomProbes(rng, 14, 1)
@@ -444,7 +449,7 @@ func TestCoarseTopKMatchesFold(t *testing.T) {
 	for r := 0; r < 8; r++ {
 		d, row := tieDict(rng, en.stride, 61+r*13)
 		for _, it := range items[:6] {
-			checkTopK(t, fmt.Sprintf("ties %d", r), d, row, 61+r*13, &it.qv, rng)
+			checkTopK(t, fmt.Sprintf("ties %d", r), d, row, 61+r*13, packed(it, row, 0), rng)
 		}
 	}
 	flat := make([]int16, en.stride*(45+blockLanes))
@@ -452,6 +457,6 @@ func TestCoarseTopKMatchesFold(t *testing.T) {
 		flat[i] = quantOne / 2
 	}
 	for _, it := range items {
-		checkTopK(t, "flat", flat, 45+blockLanes, 45, &it.qv, rng)
+		checkTopK(t, "flat", flat, 45+blockLanes, 45, packed(it, 45+blockLanes, 0), rng)
 	}
 }

@@ -48,17 +48,20 @@ func tilePoints(stride int) int {
 }
 
 // quantItem is the per-item state of one quantized estimate: the
-// gathered readings in dB (snrDB/rssiDB), the quantized code vectors
-// with their column map (qv), the centered linear amplitudes of the
-// float epilogue (dS/dR with their sums of squares nmS/nmR, see center),
+// gathered readings in dB (snrDB/rssiDB) with their window offsets
+// (offS/offR), the quantized code vectors with their column map (qv),
+// the centered linear amplitudes of the float epilogue (dS/dR with
+// their sums of squares nmS/nmR, see quantize),
 // the coarse top-K candidates, and — once quantChunk has resolved the
 // item — its estimate or error.
 type quantItem struct {
 	snrDB, rssiDB []float64
+	offS, offR    float64
 	qv            quantVec
 	dS, dR        []float64
 	nmS, nmR      float64
 	reported      int
+	inDict        int // gathered components whose sector is in the dictionary
 
 	cells  [topK]int32   // coarse candidate flat indices, descending score
 	scores [topK]float64 // candidate scores, parallel to cells
@@ -202,7 +205,7 @@ func (e *Estimator) quantChunk(ctx context.Context, s *scanScratch, batch []Batc
 			it.done = true
 			continue
 		}
-		it.quantize()
+		it.quantize(en.rowQ, en.rowC)
 		if batch[i].Hint != NoCell {
 			metWarmHints.Inc()
 		}

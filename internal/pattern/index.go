@@ -33,13 +33,19 @@ type Index struct {
 	numTX int
 	// col maps a sector ID to its column plus one; 0 means absent.
 	col [256]uint16
+	// cand[candAt[k]:candAt[k+1]] are, in ascending order, the transmit
+	// columns that can win Eq. 4 somewhere in grid cell k: the cell
+	// whose lowest corner is grid point k = e*len(az)+a (compileCandidates).
+	cand   []uint8
+	candAt []int32
 }
 
-// Loc is a direction located on an Index's grid: the offsets of the four
-// surrounding grid points and the interpolation parameters. A Loc is only
-// meaningful to the Index that produced it.
+// Loc is a direction located on an Index's grid: its grid cell, the
+// offsets of the cell's four grid points and the interpolation
+// parameters. A Loc is only meaningful to the Index that produced it.
 type Loc struct {
 	o00, o01, o10, o11 int
+	cell               int
 	at, et             float64
 }
 
@@ -52,6 +58,7 @@ func compileIndex(s *Set) *Index {
 	}
 	grid := s.Grid()
 	if grid == nil {
+		ix.candAt = []int32{0, 0}
 		return ix
 	}
 	ix.az, ix.el = grid.Az(), grid.El()
@@ -66,7 +73,83 @@ func compileIndex(s *Set) *Index {
 			}
 		}
 	}
+	ix.compileCandidates()
 	return ix
+}
+
+// candMargin is the relative margin of the candidate lists: bilinear's
+// result differs from the exact convex combination of a cell's corners
+// by a few ulps of the largest corner, far below this share of it.
+const candMargin = 1e-9
+
+// compileCandidates lists, for every grid cell Locate can return, the
+// transmit columns that can win Eq. 4 at a direction inside it. At
+// interpolation parameters in [0, 1] (Locate's, clamps included) a
+// column whose four corners are finite interpolates to a gain between
+// its smallest and its largest corner, up to rounding. The cell's floor
+// is the largest smallest corner among such columns, lowered by the
+// margin m (candMargin times the cell's largest finite |corner|): that
+// column's gain, and so the winner's, is at least the floor. A column
+// is listed when one of its corners is NaN or infinite (nearestValid or
+// the NaN of an infinite corner decides its gain), or when its largest
+// corner plus m reaches the floor; any other column's gain is strictly
+// below the winner's, so it can neither win nor tie, and BestSector
+// scanning the list in ascending order returns what the scan of every
+// column returns. A NaN direction interpolates every column to NaN,
+// whatever its cell.
+func (ix *Index) compileCandidates() {
+	numAz, numEl := len(ix.az), len(ix.el)
+	ix.candAt = make([]int32, numAz*numEl+1)
+	g := ix.gain
+	top := make([]float64, ix.numTX) // a column's largest corner, +Inf when one is not finite
+	for e := 0; e < numEl; e++ {
+		for a := 0; a < numAz; a++ {
+			k := e*numAz + a
+			ix.candAt[k] = int32(len(ix.cand))
+			if (a == numAz-1 && numAz > 1) || (e == numEl-1 && numEl > 1) {
+				continue // no Loc has this lowest corner
+			}
+			l := ix.cellLoc(a, e)
+			scale, floor := 0.0, math.Inf(-1)
+			for c := range top {
+				v00, v01, v10, v11 := g[l.o00+c], g[l.o01+c], g[l.o10+c], g[l.o11+c]
+				lo, hi := min(v00, v01, v10, v11), max(v00, v01, v10, v11)
+				if math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
+					top[c] = math.Inf(1)
+					continue
+				}
+				top[c] = hi
+				floor = max(floor, lo)
+				scale = max(scale, math.Abs(lo), math.Abs(hi))
+			}
+			m := candMargin * scale
+			floor -= m
+			for c, hi := range top {
+				if hi+m >= floor {
+					ix.cand = append(ix.cand, uint8(c))
+				}
+			}
+		}
+	}
+	ix.candAt[numAz*numEl] = int32(len(ix.cand))
+}
+
+// cellLoc is the Loc of the cell whose lowest corner is grid point
+// (a, e), without interpolation parameters.
+func (ix *Index) cellLoc(a, e int) Loc {
+	a2, e2 := a, e
+	if len(ix.az) > 1 {
+		a2 = a + 1
+	}
+	if len(ix.el) > 1 {
+		e2 = e + 1
+	}
+	numAz, s := len(ix.az), len(ix.ids)
+	return Loc{
+		o00: (e*numAz + a) * s, o01: (e*numAz + a2) * s,
+		o10: (e2*numAz + a) * s, o11: (e2*numAz + a2) * s,
+		cell: e*numAz + a,
+	}
 }
 
 func axisScale(axis []float64) float64 {
@@ -87,19 +170,9 @@ func (ix *Index) Locate(az, el float64) Loc {
 	}
 	ai, at := bracket(ix.az, ix.azScale, az)
 	ei, et := bracket(ix.el, ix.elScale, el)
-	a2, e2 := ai, ei
-	if len(ix.az) > 1 {
-		a2 = ai + 1
-	}
-	if len(ix.el) > 1 {
-		e2 = ei + 1
-	}
-	numAz, s := len(ix.az), len(ix.ids)
-	return Loc{
-		o00: (ei*numAz + ai) * s, o01: (ei*numAz + a2) * s,
-		o10: (e2*numAz + ai) * s, o11: (e2*numAz + a2) * s,
-		at: at, et: et,
-	}
+	l := ix.cellLoc(ai, ei)
+	l.at, l.et = at, et
+	return l
 }
 
 // bracket returns geom.Bracket(axis, v) without its binary search, whose
@@ -148,25 +221,23 @@ func (ix *Index) Gain(l Loc, id sector.ID) float64 {
 // that gain: Eq. 4 of the paper. Sectors are scanned in ascending ID order
 // and only a strictly greater gain replaces the running best, so ties go
 // to the lowest ID. It returns (sector.RX, NaN) when no transmit sector has
-// a valid gain there.
+// a valid gain there. The scan reads only the cell's candidate list
+// (compileCandidates): every sector left off it has a gain strictly below
+// the winner's, so the result is the scan of every sector's.
 //
 //talon:noalloc
 func (ix *Index) BestSector(l Loc) (sector.ID, float64) {
 	best, bestGain := sector.RX, math.Inf(-1)
 	found := false
-	n := ix.numTX
-	r00 := ix.gain[l.o00 : l.o00+n]
-	r01 := ix.gain[l.o01 : l.o01+n][:len(r00)]
-	r10 := ix.gain[l.o10 : l.o10+n][:len(r00)]
-	r11 := ix.gain[l.o11 : l.o11+n][:len(r00)]
-	for c, v00 := range r00 {
-		v01, v10, v11 := r01[c], r10[c], r11[c]
-		g := bilinear(l.at, l.et, v00, v01, v10, v11)
-		if g != g && hasNaN4(v00, v01, v10, v11) {
-			g = nearestValid(l.at, l.et, v00, v01, v10, v11)
+	g := ix.gain
+	for _, c := range ix.cand[ix.candAt[l.cell]:ix.candAt[l.cell+1]] {
+		v00, v01, v10, v11 := g[l.o00+int(c)], g[l.o01+int(c)], g[l.o10+int(c)], g[l.o11+int(c)]
+		v := bilinear(l.at, l.et, v00, v01, v10, v11)
+		if v != v && hasNaN4(v00, v01, v10, v11) {
+			v = nearestValid(l.at, l.et, v00, v01, v10, v11)
 		}
-		if g > bestGain { // false for NaN
-			best, bestGain, found = ix.ids[c], g, true
+		if v > bestGain { // false for NaN
+			best, bestGain, found = ix.ids[c], v, true
 		}
 	}
 	if !found {

@@ -13,7 +13,7 @@ import (
 // share one grid. A Set is the "codebook knowledge" the compressive
 // selection algorithm consumes.
 //
-// Lookups (BestSector, GainVector, Index) go through an Index compiled on
+// Lookups (BestSector, Index) go through an Index compiled on
 // first use and dropped by Put, so a pattern must not be modified in place
 // once its set has served a lookup: Put a replacement instead.
 type Set struct {
@@ -110,19 +110,6 @@ func (s *Set) MeanPeakGain() float64 {
 		sum += peak
 	}
 	return sum / float64(len(ids))
-}
-
-// GainVector evaluates the patterns of ids at direction (az, el) and
-// returns the gains, in the order of ids. Missing patterns or samples yield
-// NaN entries.
-func (s *Set) GainVector(ids []sector.ID, az, el float64) []float64 {
-	ix := s.Index()
-	l := ix.Locate(az, el)
-	out := make([]float64, len(ids))
-	for i, id := range ids {
-		out[i] = ix.Gain(l, id)
-	}
-	return out
 }
 
 // BestSector returns the stored transmit sector whose pattern has the

@@ -82,20 +82,6 @@ func TestSetIDsSorted(t *testing.T) {
 	}
 }
 
-func TestGainVector(t *testing.T) {
-	s := buildTestSet(t)
-	v := s.GainVector([]sector.ID{1, 2, 9}, -45, 0)
-	if math.IsNaN(v[0]) || math.IsNaN(v[1]) {
-		t.Fatal("valid sectors gave NaN")
-	}
-	if !math.IsNaN(v[2]) {
-		t.Fatal("missing sector did not give NaN")
-	}
-	if v[0] <= v[1] {
-		t.Fatalf("sector 1 should dominate at its own peak: %v", v)
-	}
-}
-
 func TestBestSector(t *testing.T) {
 	s := buildTestSet(t)
 	cases := []struct {
